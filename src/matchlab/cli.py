@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 from . import formats
 from .core import OUTSIDE, Matching, Side, stable_set
-from .da import RuleId, run_da
+from .da import RuleId, da_matching, run_da
 from .domains import (
     PreferenceDomain,
     domain_is_single_peaked,
@@ -191,10 +191,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"--rule spda needs a college market; {args.market} is a marriage market"
         )
     profile = formats.profile_from_json(doc)
-    matching, trace = run_da(RuleId(args.rule), profile)
+    rule = RuleId(args.rule)
     if args.trace:
+        matching, trace = run_da(rule, profile)
         for step in trace.steps:
             print(json.dumps(formats.da_step_to_json(step)))
+    else:
+        matching = da_matching(rule, profile)
     if args.fmt == "json":
         _emit(formats.matching_to_json(matching))
     else:

@@ -1,11 +1,20 @@
-"""Deferred acceptance for one-to-one markets, with full round traces.
+"""Deferred acceptance for one-to-one markets: a fast engine and a traced one.
 
-Both orientations run the same engine: in each step every currently free
-proposer who still has an untried acceptable partner proposes to the best
-one remaining, and every receiver tentatively keeps the best acceptable
-proposal in hand (the tentative partner counts as a standing proposal).
-Rejected proposers re-enter the pool for the next step. The run ends when
-a step produces no proposals or no rejections.
+Untraced evaluations go through `da_assignment`, the one-proposal-at-a-time
+form of McVitie & Wilson (BIT 11, 1971): a free proposer proposes to the
+best receiver not yet tried, and a receiver who ranks the newcomer above
+the proposer it holds (or above staying unmatched) keeps the newcomer and
+frees the one it held. The outcome does not depend on the order of
+proposals.
+
+`run_da` keeps the simultaneous-round form with its full trace: in each
+step every currently free proposer who still has an untried acceptable
+partner proposes to the best one remaining, and every receiver tentatively
+keeps the best acceptable proposal in hand (the tentative partner counts as
+a standing proposal). Rejected proposers re-enter the pool for the next
+step. The run ends when a step produces no proposals or no rejections. Both
+forms give the proposer-optimal stable matching, so each is the other's
+oracle.
 """
 
 from __future__ import annotations
@@ -123,17 +132,77 @@ def _held_to_assignment(held: list, rule: RuleId, p: int, q: int) -> tuple:
     return tuple(woman_of)
 
 
-def da_assignment(rule: RuleId, profile: Profile) -> tuple:
-    """Fast path: the DA outcome as a per-man tuple of woman indices."""
+def _sequential_da(
+    proposer_prefs: tuple[Preference, ...],
+    receiver_prefs: tuple[Preference, ...],
+) -> list:
+    """McVitie-Wilson engine. Returns held: held[r] is the proposer index
+    receiver r ends with, or -1."""
+    # bar[r]: the rank a proposer must beat to be held by r
+    bar = [pref.outside_rank for pref in receiver_prefs]
+    held = [-1] * len(receiver_prefs)
+    next_choice = [0] * len(proposer_prefs)
+    for start in range(len(proposer_prefs)):
+        i = start
+        while i >= 0:
+            lst = proposer_prefs[i].acceptable_idx
+            k = next_choice[i]
+            while k < len(lst):
+                r = lst[k]
+                k += 1
+                rank = receiver_prefs[r].rank_by_index[i]
+                if rank < bar[r]:
+                    bar[r] = rank
+                    next_choice[i] = k
+                    # i is held now; whoever r held before proposes next
+                    i, held[r] = held[r], i
+                    break
+            else:
+                i = -1
+    return held
+
+
+def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
+    """O(len(prefs)) shape check: prefs[i] is agent i's Preference over a
+    market with n_opposite agents on the other side."""
+    if not prefs:
+        raise ValidationError("profile needs at least one agent per side")
+    i = 0
+    for pref in prefs:
+        if not isinstance(pref, Preference):
+            raise ValidationError(f"expected Preference, got {pref!r}")
+        owner_side, owner_index = pref.owner
+        if owner_side is not side or owner_index != i:
+            raise ValidationError(f"preference of {pref.owner} sits at {side.prefix}{i + 1}'s position")
+        if len(pref.rank_by_index) != n_opposite:
+            raise ValidationError(
+                f"preference for {pref.owner} ranks {len(pref.rank_by_index)} opposite agents, "
+                f"market has {n_opposite}"
+            )
+        i += 1
+
+
+def da_assignment(rule: RuleId, men_prefs: tuple, women_prefs: tuple) -> tuple:
+    """The DA outcome as a per-man tuple of woman indices (None = unmatched).
+
+    men_prefs[i] must be the preference of man i and women_prefs[j] that of
+    woman j; a malformed shape raises ValidationError.
+    """
+    p, q = len(men_prefs), len(women_prefs)
+    _check_side(men_prefs, Side.MAN, q)
+    _check_side(women_prefs, Side.WOMAN, p)
     if rule is RuleId.MPDA:
-        held, _ = _da_engine(profile.men_prefs, profile.women_prefs)
+        held = _sequential_da(men_prefs, women_prefs)
+    elif rule is RuleId.WPDA:
+        held = _sequential_da(women_prefs, men_prefs)
     else:
-        held, _ = _da_engine(profile.women_prefs, profile.men_prefs)
-    return _held_to_assignment(held, rule, profile.p, profile.q)
+        raise ValidationError(f"unknown rule {rule!r}")
+    return _held_to_assignment(held, rule, p, q)
 
 
 def da_matching(rule: RuleId, profile: Profile) -> Matching:
-    return Matching.from_assignment(profile.p, profile.q, da_assignment(rule, profile))
+    assignment = da_assignment(rule, profile.men_prefs, profile.women_prefs)
+    return Matching.from_assignment(profile.p, profile.q, assignment)
 
 
 def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
@@ -171,7 +240,8 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
         )
     final = Matching.from_assignment(p, q, _held_to_assignment(held, rule, p, q))
     trace = DaTrace(rule=rule, steps=tuple(steps))
-    assert trace.final == final
+    if trace.final != final:
+        raise RuntimeError(f"{rule.value} trace replays to {trace.final}, engine holds {final}")
     return final, trace
 
 

@@ -378,7 +378,8 @@ def generate_maximal_single_peaked(ordering: PriorOrdering, owner: AgentId) -> t
             rankings.append(tuple(ranking))
     rankings = sorted(set(rankings), key=preference_sort_key)
     expected = 2 ** (n - 1) * (n + 1)
-    assert len(rankings) == expected
+    if len(rankings) != expected:
+        raise RuntimeError(f"generated {len(rankings)} single-peaked rankings, expected {expected}")
     return tuple(Preference(owner, r) for r in rankings)
 
 

@@ -36,7 +36,6 @@ from .mto import (
     StudentId,
     StudentPreference,
     college,
-    is_responsive,
     student,
 )
 
@@ -255,7 +254,7 @@ def _college_pref_from_json(owner: CollegeId, doc: Any, n_students: int, field: 
         for entry in _require_list(doc.get("subset_ranking"), f"{field}.subset_ranking")
     ]
     cp = _wrap(f"{field}.subset_ranking", CollegePreference, owner, quota, n_students, ranking)
-    check = is_responsive(cp)
+    check = cp.responsiveness()
     if not check:
         raise FormatError(
             f"{field}.subset_ranking", f"ranking is not responsive: {check.detail}"

@@ -63,8 +63,7 @@ class MatchingRule:
     @classmethod
     def deferred_acceptance(cls, rule_id: RuleId) -> "MatchingRule":
         def assign(men_prefs, women_prefs, _rule=rule_id):
-            profile = Profile(men_prefs + women_prefs)
-            return da_assignment(_rule, profile)
+            return da_assignment(_rule, men_prefs, women_prefs)
 
         return cls(rule_id.value, assign, stable=True)
 

@@ -134,7 +134,7 @@ class CollegePreference(StrictOrder):
     admitting nobody and anything ranked below it is unacceptable as a group.
     """
 
-    __slots__ = ("owner", "quota", "n_students", "_hash")
+    __slots__ = ("owner", "quota", "n_students", "_hash", "_responsive", "_student_ranks")
 
     def __init__(self, owner: CollegeId, quota: int, n_students: int, ranking: Sequence[Iterable[StudentId]]):
         if not isinstance(owner, CollegeId):
@@ -154,6 +154,8 @@ class CollegePreference(StrictOrder):
         self.quota = quota
         self.n_students = n_students
         self._hash = hash((owner, quota, normalized))
+        self._responsive = None
+        self._student_ranks = None
 
     def rank_of(self, subset: Iterable[StudentId]) -> int:
         try:
@@ -172,11 +174,25 @@ class CollegePreference(StrictOrder):
 
     def induced_order(self) -> tuple:
         """Singleton comparisons flattened into a ranking of students and OUTSIDE."""
-        items: list[tuple[int, object]] = [(self.rank_of(()), OUTSIDE)]
-        for s in students(self.n_students):
-            items.append((self.rank_of((s,)), s))
+        singles, nobody = self.student_ranks()
+        items: list[tuple[int, object]] = [(nobody, OUTSIDE)]
+        items += [(rank, StudentId(i)) for i, rank in enumerate(singles)]
         items.sort(key=lambda t: t[0])
         return tuple(x for _, x in items)
+
+    def responsiveness(self):
+        """`is_responsive(self)`, computed on first use and kept."""
+        if self._responsive is None:
+            self._responsive = is_responsive(self)
+        return self._responsive
+
+    def student_ranks(self) -> tuple[tuple[int, ...], int]:
+        """Each student's singleton rank by student index, and the rank of
+        admitting nobody; computed on first use and kept."""
+        if self._student_ranks is None:
+            singles = tuple(self.rank_of((s,)) for s in students(self.n_students))
+            self._student_ranks = (singles, self.rank_of(()))
+        return self._student_ranks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CollegePreference):
@@ -420,7 +436,7 @@ class MtoStep:
 
 def require_responsive(profile: MtoProfile) -> None:
     for cp in profile.college_prefs:
-        check = is_responsive(cp)
+        check = cp.responsiveness()
         if not check:
             raise NotResponsiveError(
                 f"college {cp.owner} has a non-responsive subset ranking: {check.detail}"
@@ -435,13 +451,7 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
     """
     require_responsive(profile)
     n_c, n_s = profile.n_colleges, profile.n_students
-    induced_rank = []
-    acceptable = []
-    for cp in profile.college_prefs:
-        order = cp.induced_order()
-        rank = {x: pos for pos, x in enumerate(order)}
-        induced_rank.append(rank)
-        acceptable.append({s.index for s in students(n_s) if rank[s] < rank[OUTSIDE]})
+    student_ranks = [cp.student_ranks() for cp in profile.college_prefs]
     options = [profile.student_prefs[i].acceptable_idx for i in range(n_s)]
     pointer = [0] * n_s
     held: list[set[int]] = [set() for _ in range(n_c)]
@@ -464,8 +474,9 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
         for ci in touched:
             pool = held[ci]
             quota = profile.college_prefs[ci].quota
-            ok = [si for si in pool if si in acceptable[ci]]
-            ok.sort(key=lambda si: induced_rank[ci][StudentId(si)])
+            ranks, outside = student_ranks[ci]
+            ok = [si for si in pool if ranks[si] < outside]
+            ok.sort(key=ranks.__getitem__)
             keep = set(ok[:quota])
             for si in sorted(pool - keep):
                 rejections.append((ci, si))
@@ -551,7 +562,7 @@ class MtoDomain:
                 if pref.owner != agent:
                     raise ValidationError(f"set for {agent} contains a preference owned by {pref.owner}")
                 if isinstance(agent, CollegeId):
-                    check = is_responsive(pref)
+                    check = pref.responsiveness()
                     if not check:
                         raise NotResponsiveError(
                             f"admissible set for {agent} contains a non-responsive ranking: {check.detail}"

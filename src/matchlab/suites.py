@@ -751,7 +751,7 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
         raise PreconditionError("the blocking property needs at least two agents per side")
 
     def violation(profile: Profile, mu: Matching) -> Optional[dict]:
-        da_assign = da_assignment(RuleId.MPDA, profile)
+        da_assign = da_assignment(RuleId.MPDA, profile.men_prefs, profile.women_prefs)
         better = [
             m
             for m in profile.men

@@ -1,12 +1,14 @@
 """End-to-end command tests driven through main(argv)."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import random_profile
 from matchlab import formats
 from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from matchlab.domains import PreferenceDomain
@@ -62,6 +64,23 @@ def test_solve_trace_lines(capsys):
     # the remainder is the final matching document
     final = json.loads("\n".join(lines[1:]))
     assert final["kind"] == "matching"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--text"]], ids=["json", "text"])
+@pytest.mark.parametrize("rule", ["mpda", "wpda"])
+def test_solve_final_matching_same_with_and_without_trace(capsys, tmp_path, rule, fmt):
+    rng = random.Random(7)
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps(formats.profile_to_json(random_profile(rng, 6, 5))))
+    for path in (P1, P2, P3, str(market)):
+        code, plain, _ = run(capsys, "solve", "--rule", rule, *fmt, path)
+        assert code == EXIT_PASS
+        code, traced, _ = run(capsys, "solve", "--rule", rule, "--trace", *fmt, path)
+        assert code == EXIT_PASS
+        assert traced.endswith(plain)
+        steps = traced[: len(traced) - len(plain)].splitlines()
+        assert steps
+        assert [json.loads(line)["step"] for line in steps] == list(range(1, len(steps) + 1))
 
 
 def test_solve_spda(capsys):

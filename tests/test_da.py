@@ -1,9 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import M1, M2, W1, W2, pref, random_profile
-from matchlab.core import OUTSIDE, Matching, Profile, Side, is_stable, stable_set
+from matchlab import da
+from matchlab.core import (
+    OUTSIDE,
+    Matching,
+    Preference,
+    Profile,
+    Side,
+    is_stable,
+    men,
+    stable_set,
+    women,
+)
 from matchlab.da import (
     DaTrace,
     RuleId,
@@ -12,6 +25,8 @@ from matchlab.da import (
     replay_trace,
     run_da,
 )
+from matchlab.errors import ValidationError
+from matchlab.manipulation import mpda_rule, wpda_rule
 
 
 def test_mpda_example(p1, mu):
@@ -119,3 +134,83 @@ def test_proposer_optimality_check_seeded_3x3():
     for _ in range(1000):
         profile = random_profile(rng, 3, 3)
         assert proposer_optimality_check(RuleId.MPDA, profile)
+
+
+@st.composite
+def truncated_profiles(draw):
+    """Random p-by-q profiles, 1 <= p, q <= 6, with the outside option anywhere."""
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 6))
+    prefs = []
+    for a in men(p) + women(q):
+        opposite = women(q) if a.side is Side.MAN else men(p)
+        prefs.append(Preference(a, draw(st.permutations(opposite + (OUTSIDE,)))))
+    return Profile(prefs)
+
+
+def _optimal_for(proposers, receivers, profile, sset):
+    """The member of the stable set every proposer weakly prefers to all others,
+    checked to be the one every receiver likes least."""
+    def rank(a, mu):
+        return profile[a].rank_of(mu.partner(a))
+
+    best = {a: min(rank(a, mu) for mu in sset) for a in proposers}
+    worst = {a: max(rank(a, mu) for mu in sset) for a in receivers}
+    optimal = [mu for mu in sset if all(rank(a, mu) == best[a] for a in proposers)]
+    assert len(optimal) == 1
+    assert all(rank(a, optimal[0]) == worst[a] for a in receivers)
+    return optimal[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=truncated_profiles())
+def test_sequential_engine_matches_traced_engine_and_brute_force(profile):
+    sset = stable_set(profile)
+    for rule in RuleId:
+        fast = da.da_assignment(rule, profile.men_prefs, profile.women_prefs)
+        traced, _ = run_da(rule, profile)
+        if rule is RuleId.MPDA:
+            brute = _optimal_for(profile.men, profile.women, profile, sset)
+        else:
+            brute = _optimal_for(profile.women, profile.men, profile, sset)
+        assert fast == traced.assignment == brute.assignment
+
+
+@pytest.mark.parametrize("rule_of", [mpda_rule, wpda_rule])
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        pytest.param(lambda m, w: ((), w), id="empty-men"),
+        pytest.param(lambda m, w: (m, ()), id="empty-women"),
+        pytest.param(lambda m, w: ((m[0], "m2"), w), id="not-a-preference"),
+        pytest.param(lambda m, w: (m, (w[0], None)), id="none-entry"),
+        pytest.param(lambda m, w: ((m[0], w[1]), (w[0], m[1])), id="owner-wrong-side"),
+        pytest.param(lambda m, w: ((m[1], m[0]), w), id="owner-wrong-position"),
+        pytest.param(lambda m, w: (m, (w[0], w[0])), id="duplicate-owner"),
+        pytest.param(lambda m, w: (m, (w[0],)), id="men-rank-too-many"),
+        pytest.param(
+            lambda m, w: ((m[0], pref(M2, W1, OUTSIDE)), w), id="man-ranks-too-few"
+        ),
+    ],
+)
+def test_rule_assignment_rejects_malformed_shapes(p1, rule_of, malformed):
+    men_prefs, women_prefs = malformed(p1.men_prefs, p1.women_prefs)
+    with pytest.raises(ValidationError):
+        rule_of().assignment(men_prefs, women_prefs)
+
+
+def test_da_assignment_rejects_unknown_rule(p1):
+    with pytest.raises(ValidationError):
+        da.da_assignment("mpda", p1.men_prefs, p1.women_prefs)
+
+
+def test_run_da_checks_trace_against_engine(p1, monkeypatch):
+    engine = da._da_engine
+
+    def drifting_engine(proposer_prefs, receiver_prefs):
+        held, rounds = engine(proposer_prefs, receiver_prefs)
+        return held[::-1], rounds
+
+    monkeypatch.setattr(da, "_da_engine", drifting_engine)
+    with pytest.raises(RuntimeError):
+        run_da(RuleId.MPDA, p1)

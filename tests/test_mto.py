@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchlab import mto
 from matchlab.core import OUTSIDE, man, woman
 from matchlab.da import RuleId, da_matching
 from matchlab.errors import (
@@ -238,8 +239,24 @@ def test_spda_requires_responsive_colleges():
             StudentPreference(s2[1], (college(0), college(1), OUTSIDE)),
         ],
     )
-    with pytest.raises(NotResponsiveError):
-        run_spda(prof)
+    for _ in range(2):  # the second run reads the kept verdict
+        with pytest.raises(NotResponsiveError):
+            run_spda(prof)
+
+
+def test_responsiveness_checked_once_per_college_ranking(monkeypatch):
+    checked = []
+
+    def counting(cp):
+        checked.append(cp.owner)
+        return is_responsive(cp)
+
+    monkeypatch.setattr(mto, "is_responsive", counting)
+    ex = mixed_coalition_counterexample()
+    for _ in range(3):
+        assert spda_matching(ex.profile) == ex.truthful_outcome
+    assert spda_matching(ex.witness.deviated_profile()) == ex.manipulated_outcome
+    assert sorted(checked) == [C[0], C[0], C[1], C[2]]  # c1's misreport is one more ranking
 
 
 def test_spda_with_nobody_acceptable():

@@ -9,14 +9,10 @@ from matchlab.errors import BudgetExceededError, PreconditionError, UnknownSuite
 from matchlab.manipulation import mpda_rule, validate_witness
 from matchlab.suites import SUITE_IDS, SuiteParams, run_suite
 
-# example2 probes a 200k-profile fixture domain; fewer probes keep the
-# default test run quick without changing what is checked
-LIGHT = {"example2": SuiteParams(trials=40)}
-
 
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_suite_passes_at_defaults(suite_id):
-    report = run_suite(suite_id, LIGHT.get(suite_id, SuiteParams()))
+    report = run_suite(suite_id, SuiteParams())
     assert report.verdict == "pass"
     assert report.counterexample is None
     assert report.suite == suite_id
