@@ -26,11 +26,14 @@ from .domains import (
 )
 from .errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     FormatError,
     MatchlabError,
     NotResponsiveError,
     PreconditionError,
     SizeGuardError,
+    UnknownOutcomeError,
+    ValidationError,
 )
 from .manipulation import (
     DEFAULT_EVAL_BUDGET,
@@ -386,15 +389,15 @@ def _cmd_check_domain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs: must be at least 1")
+    for flag, value in (("--men", args.men), ("--women", args.women), ("--trials", args.trials)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag}: must be at least 1")
     params = SuiteParams(
         men=args.men,
         women=args.women,
         seed=args.seed,
         trials=args.trials,
         budget=_resolve_budget(args),
-        jobs=args.jobs,
     )
     report = run_suite(args.suite, params)
     if args.fmt == "json":
@@ -490,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None, metavar="B",
         help=f"rule-evaluation budget (default ${BUDGET_ENV_VAR} or {DEFAULT_EVAL_BUDGET})",
     )
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="N")
     _add_format_flags(p_verify, "text")
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -502,7 +504,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (UsageError, FormatError, PreconditionError, NotResponsiveError) as exc:
+    except (UsageError, FormatError, PreconditionError, NotResponsiveError,
+            ValidationError, UnknownOutcomeError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceededError, SizeGuardError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import AgentId, Matching, Preference, Profile, Side
 from .da import RuleId, da_assignment
@@ -29,25 +29,20 @@ EXHAUSTIVE_PROFILE_BUDGET = 100_000
 class MatchingRule:
     """A deterministic total map from profiles to matchings.
 
-    Evaluations go through an assignment-level cache keyed by the preference
-    tuples, so table-backed and search-heavy uses stay cheap.
+    `assignment` maps the men's and the women's preference tuples to each
+    man's partner index (None when unmatched). It keeps no results: the
+    certifications below keep their own memo for the length of one run.
     """
 
-    __slots__ = ("name", "stable", "_assign_fn", "_cache")
+    __slots__ = ("name", "stable", "_assign_fn")
 
     def __init__(self, name: str, assign_fn: Callable, stable: bool):
         self.name = name
         self.stable = stable
         self._assign_fn = assign_fn
-        self._cache: dict = {}
 
     def assignment(self, men_prefs: tuple, women_prefs: tuple) -> tuple:
-        key = (men_prefs, women_prefs)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._assign_fn(men_prefs, women_prefs)
-            self._cache[key] = hit
-        return hit
+        return self._assign_fn(men_prefs, women_prefs)
 
     def apply(self, profile: Profile) -> Matching:
         return Matching.from_assignment(
@@ -159,98 +154,137 @@ def validate_witness(
             raise PreconditionError(f"{a} does not strictly improve")
 
 
-def _outcome_rank(pref: Preference, partner_idx) -> int:
-    return pref.outside_rank if partner_idx is None else pref.rank_by_index[partner_idx]
-
-
-def _invert(assignment: tuple, q: int) -> list:
-    man_of = [None] * q
-    for i, j in enumerate(assignment):
-        if j is not None:
-            man_of[j] = i
-    return man_of
-
-
-def _agent_outcome(agent: AgentId, assignment: tuple, inverse: list):
-    return assignment[agent.index] if agent.side is Side.MAN else inverse[agent.index]
-
-
 def planned_evaluations(
     alternative_counts: Iterable[int], max_coalition: int
 ) -> int:
-    """Total joint misreports over all coalitions up to the given size."""
-    counts = list(alternative_counts)
-    total = 0
-    for size in range(1, max_coalition + 1):
-        for combo in itertools.combinations(counts, size):
-            block = 1
-            for c in combo:
-                block *= c
-            total += block
-    return total
+    """Total joint misreports over all coalitions up to the given size:
+    the elementary symmetric sums e_1..e_k of the counts, added up."""
+    sums = [1] + [0] * max_coalition
+    for c in alternative_counts:
+        for size in range(max_coalition, 0, -1):
+            sums[size] += sums[size - 1] * c
+    return sum(sums[1:])
 
 
-def _scan_candidates(
+# --- the coalition scanner -----------------------------------------------------
+#
+# Marriage and college markets share one search over agent-indexed report
+# vectors: position i holds agent i's report, alternatives[i] its admissible
+# reports other than the true one, and rank(i, outcome) its true rank of its
+# lot in an outcome (0 is the top).
+
+
+def _deviations(
+    candidates: list,
+    alternatives: Sequence[tuple],
+    max_coalition: Optional[int],
+    sampling: Optional[tuple[random.Random, int]],
+) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Joint misreports to try, as (coalition, reports) pairs. Exhaustive:
+    by size, then coalition, then reports, each in list order. Seeded, with
+    sampling = (rng, trials): per trial a size, sorted members, one report each."""
+    if sampling is None:
+        for size in range(1, max_coalition + 1):
+            for coalition in itertools.combinations(candidates, size):
+                for reports in itertools.product(*(alternatives[i] for i in coalition)):
+                    yield coalition, reports
+        return
+    rng, trials = sampling
+    if not candidates:
+        return
+    top = len(candidates) if max_coalition is None else min(max_coalition, len(candidates))
+    for _ in range(trials):
+        size = rng.randint(1, top)
+        coalition = tuple(sorted(rng.sample(candidates, size)))
+        yield coalition, tuple(rng.choice(alternatives[i]) for i in coalition)
+
+
+def _scan(
+    true_reports: Sequence,
+    alternatives: Sequence[tuple],
+    pool: Sequence[int],
+    evaluate: Callable[[list], object],
+    rank: Callable[[int, object], int],
+    max_coalition: Optional[int],
+    budget: int = DEFAULT_EVAL_BUDGET,
+    sampling: Optional[tuple[random.Random, int]] = None,
+) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
+    """Yield (coalition, reports, before, after) for each deviation after
+    which every member strictly gains; coalitions come from `pool`. The
+    exhaustive scan first checks its planned evaluations over the whole pool
+    against the budget. `evaluate` must not keep the list it is given."""
+    if sampling is None:
+        max_coalition = max(1, min(max_coalition, len(pool)))
+        planned = planned_evaluations((len(alternatives[i]) for i in pool), max_coalition)
+        if planned > budget:
+            raise BudgetExceededError(
+                f"coalition scan at one base exceeds the evaluation budget of {budget}",
+                planned,
+            )
+    reports = list(true_reports)
+    before = evaluate(reports)
+    base_rank = {i: rank(i, before) for i in pool}
+    # agents at their true top can never strictly improve
+    candidates = [i for i in pool if base_rank[i] > 0 and alternatives[i]]
+    for coalition, misreports in _deviations(candidates, alternatives, max_coalition, sampling):
+        for i, r in zip(coalition, misreports):
+            reports[i] = r
+        after = evaluate(reports)
+        for i in coalition:
+            reports[i] = true_reports[i]
+        if all(rank(i, after) < base_rank[i] for i in coalition):
+            yield coalition, misreports, before, after
+
+
+def _marriage_scan(
     rule: MatchingRule,
     domain: "PreferenceDomain",
     base: Profile,
-    max_coalition: int,
-    budget: int,
-    coalition_pool: Optional[Iterable[AgentId]] = None,
+    coalition_pool: Optional[Iterable[AgentId]],
+    max_coalition: Optional[int],
+    budget: int = DEFAULT_EVAL_BUDGET,
+    sampling: Optional[tuple[random.Random, int]] = None,
+    memoized: Optional[Callable[[Callable], Callable]] = None,
 ) -> Iterator[ManipulationWitness]:
-    """Yield every witness at this base in canonical order."""
+    """The coalition scanner on a marriage market, yielding witnesses."""
     if not domain.contains(base):
         raise PreconditionError("base profile is not admissible in the domain")
-    agents = list(coalition_pool) if coalition_pool is not None else list(base.agents)
-    alternatives = {
-        a: tuple(p for p in domain.admissible(a) if p != base[a]) for a in agents
-    }
-    max_coalition = max(1, min(max_coalition, len(agents)))
-    planned = planned_evaluations(
-        (len(alternatives[a]) for a in agents), max_coalition
-    )
-    if planned > budget:
-        raise BudgetExceededError(
-            f"coalition scan at one base exceeds the evaluation budget of {budget}",
-            planned,
+    p, q = base.p, base.q
+    agents = base.agents
+    true = base.men_prefs + base.women_prefs
+    alternatives: list[tuple] = [()] * len(agents)
+    pool = []
+    for a in agents if coalition_pool is None else coalition_pool:
+        i = a.index if a.side is Side.MAN else p + a.index
+        alternatives[i] = tuple(x for x in domain.admissible(a) if x != true[i])
+        pool.append(i)
+    assign = rule.assignment
+
+    def evaluate(reports: list) -> tuple:
+        return assign(tuple(reports[:p]), tuple(reports[p:]))
+
+    def rank(i: int, assignment: tuple) -> int:
+        if i < p:
+            partner = assignment[i]
+        else:
+            partner = assignment.index(i - p) if i - p in assignment else None
+        pref = true[i]
+        return pref.outside_rank if partner is None else pref.rank_by_index[partner]
+
+    if memoized is not None:
+        evaluate = memoized(evaluate)
+    for coalition, reports, before, after in _scan(
+        true, alternatives, pool, evaluate, rank, max_coalition, budget, sampling
+    ):
+        members = tuple(agents[i] for i in coalition)
+        yield ManipulationWitness(
+            rule_name=rule.name,
+            base=base,
+            coalition=members,
+            misreports=tuple(zip(members, reports)),
+            outcome_before=Matching.from_assignment(p, q, before),
+            outcome_after=Matching.from_assignment(p, q, after),
         )
-    base_assign = rule.assignment(base.men_prefs, base.women_prefs)
-    base_inverse = _invert(base_assign, base.q)
-    base_rank = {
-        a: _outcome_rank(base[a], _agent_outcome(a, base_assign, base_inverse))
-        for a in agents
-    }
-    # agents at their true top can never strictly improve
-    candidates = [a for a in agents if base_rank[a] > 0 and alternatives[a]]
-    men_list = list(base.men_prefs)
-    women_list = list(base.women_prefs)
-    for size in range(1, max_coalition + 1):
-        for coalition in itertools.combinations(candidates, size):
-            for reports in itertools.product(*(alternatives[a] for a in coalition)):
-                for a, rep in zip(coalition, reports):
-                    if a.side is Side.MAN:
-                        men_list[a.index] = rep
-                    else:
-                        women_list[a.index] = rep
-                assign = rule.assignment(tuple(men_list), tuple(women_list))
-                for a in coalition:
-                    if a.side is Side.MAN:
-                        men_list[a.index] = base.men_prefs[a.index]
-                    else:
-                        women_list[a.index] = base.women_prefs[a.index]
-                inverse = _invert(assign, base.q)
-                if all(
-                    _outcome_rank(base[a], _agent_outcome(a, assign, inverse)) < base_rank[a]
-                    for a in coalition
-                ):
-                    yield ManipulationWitness(
-                        rule_name=rule.name,
-                        base=base,
-                        coalition=coalition,
-                        misreports=tuple(zip(coalition, reports)),
-                        outcome_before=Matching.from_assignment(base.p, base.q, base_assign),
-                        outcome_after=Matching.from_assignment(base.p, base.q, assign),
-                    )
 
 
 def find_manipulation(
@@ -263,8 +297,7 @@ def find_manipulation(
 ) -> Optional[ManipulationWitness]:
     """First manipulation witness in canonical order, or None."""
     return next(
-        _scan_candidates(rule, domain, base, max_coalition, budget, coalition_pool),
-        None,
+        _marriage_scan(rule, domain, base, coalition_pool, max_coalition, budget), None
     )
 
 
@@ -277,7 +310,7 @@ def iter_manipulations(
     coalition_pool: Optional[Iterable[AgentId]] = None,
 ) -> Iterator[ManipulationWitness]:
     """Every witness at this base, canonical order. Used by exhaustive suites."""
-    return _scan_candidates(rule, domain, base, max_coalition, budget, coalition_pool)
+    return _marriage_scan(rule, domain, base, coalition_pool, max_coalition, budget)
 
 
 def find_manipulation_sampled(
@@ -295,63 +328,10 @@ def find_manipulation_sampled(
     Draws a coalition size, then members, then one misreport per member.
     Returns the witnesses found (at most one unless collect=True).
     """
-    if not domain.contains(base):
-        raise PreconditionError("base profile is not admissible in the domain")
-    agents = list(coalition_pool) if coalition_pool is not None else list(base.agents)
-    base_assign = rule.assignment(base.men_prefs, base.women_prefs)
-    base_inverse = _invert(base_assign, base.q)
-    alternatives = {
-        a: tuple(p for p in domain.admissible(a) if p != base[a]) for a in agents
-    }
-    pool = [
-        a
-        for a in agents
-        if alternatives[a]
-        and _outcome_rank(base[a], _agent_outcome(a, base_assign, base_inverse)) > 0
-    ]
-    found: list[ManipulationWitness] = []
-    if not pool:
-        return found
-    top = len(pool) if max_coalition is None else min(max_coalition, len(pool))
-    base_rank = {
-        a: _outcome_rank(base[a], _agent_outcome(a, base_assign, base_inverse))
-        for a in pool
-    }
-    men_list = list(base.men_prefs)
-    women_list = list(base.women_prefs)
-    for _ in range(trials):
-        size = rng.randint(1, top)
-        coalition = tuple(sorted(rng.sample(pool, size)))
-        reports = tuple(rng.choice(alternatives[a]) for a in coalition)
-        for a, rep in zip(coalition, reports):
-            if a.side is Side.MAN:
-                men_list[a.index] = rep
-            else:
-                women_list[a.index] = rep
-        assign = rule.assignment(tuple(men_list), tuple(women_list))
-        for a in coalition:
-            if a.side is Side.MAN:
-                men_list[a.index] = base.men_prefs[a.index]
-            else:
-                women_list[a.index] = base.women_prefs[a.index]
-        inverse = _invert(assign, base.q)
-        if all(
-            _outcome_rank(base[a], _agent_outcome(a, assign, inverse)) < base_rank[a]
-            for a in coalition
-        ):
-            found.append(
-                ManipulationWitness(
-                    rule_name=rule.name,
-                    base=base,
-                    coalition=coalition,
-                    misreports=tuple(zip(coalition, reports)),
-                    outcome_before=Matching.from_assignment(base.p, base.q, base_assign),
-                    outcome_after=Matching.from_assignment(base.p, base.q, assign),
-                )
-            )
-            if not collect:
-                break
-    return found
+    found = _marriage_scan(
+        rule, domain, base, coalition_pool, max_coalition, sampling=(rng, trials)
+    )
+    return list(found if collect else itertools.islice(found, 1))
 
 
 @dataclass(frozen=True)
@@ -365,12 +345,15 @@ class StrategyProofness:
         return self.holds
 
 
-def is_strategy_proof(
+def _certify(
     rule: MatchingRule,
     domain: "PreferenceDomain",
-    budget: int = DEFAULT_EVAL_BUDGET,
+    budget: int,
+    max_coalition: Optional[int],
 ) -> StrategyProofness:
-    """Exhaustive single-agent certification over every admissible profile."""
+    """Scan every admissible profile with one outcome memo for the run: a
+    list indexed by the profile's mixed-radix position in the domain's
+    product order, so it never holds more than `profile_count` outcomes."""
     count = domain.profile_count
     if count > EXHAUSTIVE_PROFILE_BUDGET:
         raise BudgetExceededError(
@@ -378,11 +361,39 @@ def is_strategy_proof(
             "use the sampled variant",
             count,
         )
+    offsets: list[dict] = []
+    stride = 1
+    for a in reversed(domain.agents):
+        options = domain.admissible(a)
+        offsets.insert(0, {pref: d * stride for d, pref in enumerate(options)})
+        stride *= len(options)
+    memo: list = [None] * count
+
+    def memoized(evaluate: Callable[[list], tuple]) -> Callable[[list], tuple]:
+        def lookup(reports: list) -> tuple:
+            key = sum([offset[r] for offset, r in zip(offsets, reports)])
+            hit = memo[key]
+            if hit is None:
+                hit = memo[key] = evaluate(reports)
+            return hit
+
+        return lookup
+
+    cap = max_coalition if max_coalition is not None else len(domain.agents)
     for base in domain.profiles():
-        w = find_manipulation(rule, domain, base, max_coalition=1, budget=budget)
+        w = next(_marriage_scan(rule, domain, base, None, cap, budget, memoized=memoized), None)
         if w is not None:
             return StrategyProofness(False, w)
     return StrategyProofness(True, None)
+
+
+def is_strategy_proof(
+    rule: MatchingRule,
+    domain: "PreferenceDomain",
+    budget: int = DEFAULT_EVAL_BUDGET,
+) -> StrategyProofness:
+    """Exhaustive single-agent certification over every admissible profile."""
+    return _certify(rule, domain, budget, 1)
 
 
 def is_group_strategy_proof(
@@ -392,19 +403,7 @@ def is_group_strategy_proof(
     max_coalition: Optional[int] = None,
 ) -> StrategyProofness:
     """Exhaustive coalition certification over every admissible profile."""
-    count = domain.profile_count
-    if count > EXHAUSTIVE_PROFILE_BUDGET:
-        raise BudgetExceededError(
-            f"exhaustive certification is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles; "
-            "use the sampled variant",
-            count,
-        )
-    for base in domain.profiles():
-        cap = max_coalition if max_coalition is not None else base.p + base.q
-        w = find_manipulation(rule, domain, base, max_coalition=cap, budget=budget)
-        if w is not None:
-            return StrategyProofness(False, w)
-    return StrategyProofness(True, None)
+    return _certify(rule, domain, budget, max_coalition)
 
 
 def is_strategy_proof_sampled(

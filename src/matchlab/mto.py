@@ -12,18 +12,18 @@ gaming the rule.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, StrictOrder
 from .errors import (
-    BudgetExceededError,
     NotResponsiveError,
     PreconditionError,
     UnknownOutcomeError,
     ValidationError,
 )
-from .manipulation import DEFAULT_EVAL_BUDGET, planned_evaluations
+from .manipulation import DEFAULT_EVAL_BUDGET, _scan
 
 # one-to-one translation imports live at the bottom to keep this header light
 
@@ -143,10 +143,13 @@ class CollegePreference(StrictOrder):
             raise ValidationError(f"quota of {owner} must be at least 1, got {quota}")
         normalized = tuple(_normalize_subset(s) for s in ranking)
         super().__init__(normalized)
-        expected = set()
-        for k in range(quota + 1):
-            expected.update(itertools.combinations(students(n_students), k))
-        if set(normalized) != expected or len(normalized) != len(expected):
+        # the entries are distinct, so as many valid subsets as exist cover
+        # them all; counting keeps a large quota from building every subset
+        expected = sum(math.comb(n_students, k) for k in range(min(quota, n_students) + 1))
+        everyone = set(students(n_students))
+        if len(normalized) != expected or not all(
+            len(set(s) & everyone) == len(s) <= quota for s in normalized
+        ):
             raise ValidationError(
                 f"ranking of {owner} must order every student subset of size <= {quota} exactly once"
             )
@@ -631,12 +634,10 @@ class MtoWitness:
         return f"MtoWitness[{{{members}}} -> {self.outcome_after!r}]"
 
 
-def _strictly_gains(agent: MtoAgent, base: MtoProfile, before: MtoMatching, after: MtoMatching) -> bool:
-    if isinstance(agent, CollegeId):
-        cp = base[agent]
-        return cp.prefers(after.students_of(agent), before.students_of(agent))
-    sp = base[agent]
-    return sp.prefers(after.college_of(agent), before.college_of(agent))
+def _true_rank(agent: MtoAgent, base: MtoProfile, nu: MtoMatching) -> int:
+    """The agent's true rank of its lot: a college's students, a student's college."""
+    lot = nu.students_of(agent) if isinstance(agent, CollegeId) else nu.college_of(agent)
+    return base[agent].rank_of(lot)
 
 
 def validate_mto_witness(witness: MtoWitness, domain: Optional[MtoDomain] = None) -> None:
@@ -665,7 +666,7 @@ def validate_mto_witness(witness: MtoWitness, domain: Optional[MtoDomain] = None
     if spda_matching(w.deviated_profile()) != w.outcome_after:
         raise PreconditionError("stored outcome_after does not match the rule")
     for agent in w.coalition:
-        if not _strictly_gains(agent, w.base, w.outcome_before, w.outcome_after):
+        if _true_rank(agent, w.base, w.outcome_after) >= _true_rank(agent, w.base, w.outcome_before):
             raise PreconditionError(f"{agent} does not strictly improve")
 
 
@@ -682,29 +683,28 @@ def find_manipulation_mto(
     """
     if not domain.contains(base):
         raise PreconditionError("base profile is not admissible in the domain")
-    agents = list(domain.agents)
-    alternatives = {a: tuple(p for p in domain.admissible(a) if p != base[a]) for a in agents}
-    max_coalition = max(1, min(max_coalition, len(agents)))
-    planned = planned_evaluations((len(alternatives[a]) for a in agents), max_coalition)
-    if planned > budget:
-        raise BudgetExceededError(
-            f"coalition scan at one base exceeds the evaluation budget of {budget}", planned
+    agents = domain.agents
+    n_c = domain.n_colleges
+    true = base.college_prefs + base.student_prefs
+    alternatives = [tuple(x for x in domain.admissible(a) if x != true[i]) for i, a in enumerate(agents)]
+
+    def evaluate(reports: list) -> MtoMatching:
+        return spda_matching(MtoProfile(reports[:n_c], reports[n_c:]))
+
+    def rank(i: int, nu: MtoMatching) -> int:
+        return _true_rank(agents[i], base, nu)
+
+    for coalition, reports, before, after in _scan(
+        true, alternatives, range(len(agents)), evaluate, rank, max_coalition, budget
+    ):
+        members = tuple(agents[i] for i in coalition)
+        return MtoWitness(
+            base=base,
+            coalition=members,
+            misreports=tuple(zip(members, reports)),
+            outcome_before=before,
+            outcome_after=after,
         )
-    before = spda_matching(base)
-    candidates = [a for a in agents if alternatives[a]]
-    for size in range(1, max_coalition + 1):
-        for coalition in itertools.combinations(candidates, size):
-            for reports in itertools.product(*(alternatives[a] for a in coalition)):
-                deviated = base.replace(dict(zip(coalition, reports)))
-                after = spda_matching(deviated)
-                if all(_strictly_gains(a, base, before, after) for a in coalition):
-                    return MtoWitness(
-                        base=base,
-                        coalition=coalition,
-                        misreports=tuple(zip(coalition, reports)),
-                        outcome_before=before,
-                        outcome_after=after,
-                    )
     return None
 
 

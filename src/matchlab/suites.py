@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -102,7 +101,6 @@ class SuiteParams:
     seed: int = 42
     trials: Optional[int] = None  # None picks the per-size default
     budget: int = DEFAULT_EVAL_BUDGET
-    jobs: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -111,7 +109,6 @@ class SuiteParams:
             "seed": self.seed,
             "trials": self.trials,
             "budget": self.budget,
-            "jobs": self.jobs,
         }
 
 
@@ -165,14 +162,6 @@ def _default_trials(p: int, q: int) -> int:
 def _trial_seeds(seed: int, n: int) -> list[int]:
     rng = random.Random(seed)
     return [rng.randrange(2**62) for _ in range(n)]
-
-
-def _map_indexed(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply fn to each item; order of results follows the input order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _random_full_profile(rng: random.Random, p: int, q: int) -> Profile:
@@ -282,7 +271,7 @@ def _witness_survey(
         domain = PreferenceDomain.full(p, q)
         cap = _affordable_cap(pool_counts, len(pool_counts), params.budget)
         bases = list(domain.profiles())
-        results = _map_indexed(lambda b: scan_base(b, domain, cap), bases, params.jobs)
+        results = [scan_base(b, domain, cap) for b in bases]
         for cex in results:
             if cex is not None:
                 return _Outcome("exhaustive", "fail", cex, len(bases), "")
@@ -302,7 +291,7 @@ def _witness_survey(
             base = _random_full_profile(random.Random(seeds[i]), p, q)
         return scan_base(base, domain, cap)
 
-    results = _map_indexed(run_trial, range(trials), params.jobs)
+    results = [run_trial(i) for i in range(trials)]
     for cex in results:
         if cex is not None:
             return _Outcome("sampled", "fail", cex, trials, "")
@@ -441,7 +430,7 @@ def _suite_prop_gsp_existence(params: SuiteParams) -> _Outcome:
             )
         return None, True
 
-    results = _map_indexed(run_trial, range(trials), params.jobs)
+    results = [run_trial(i) for i in range(trials)]
     generated = sum(1 for r in results if r[1])
     for cex, _ in results:
         if cex is not None:
@@ -512,7 +501,7 @@ def _suite_theorem2(params: SuiteParams) -> _Outcome:
                 raise MatchlabError("coalition scan missed a single-agent witness")
         return None
 
-    results = _map_indexed(run_trial, range(trials), params.jobs)
+    results = [run_trial(i) for i in range(trials)]
     for cex in results:
         if cex is not None:
             return _Outcome("sampled", "fail", cex, trials, "")
@@ -561,7 +550,7 @@ def _suite_lemma_c1(params: SuiteParams) -> _Outcome:
                     )
         return None, True
 
-    results = _map_indexed(run_trial, range(trials), params.jobs)
+    results = [run_trial(i) for i in range(trials)]
     hits = sum(1 for r in results if r[1])
     for cex, _ in results:
         if cex is not None:
@@ -615,7 +604,7 @@ def _suite_lemma_c2(params: SuiteParams) -> _Outcome:
                 )
         return None, True
 
-    results = _map_indexed(run_trial, range(trials), params.jobs)
+    results = [run_trial(i) for i in range(trials)]
     hits = sum(1 for r in results if r[1])
     for cex, _ in results:
         if cex is not None:
@@ -674,7 +663,7 @@ def _suite_theorem3(params: SuiteParams) -> _Outcome:
             )
         return None, True
 
-    results = _map_indexed(run_trial, range(trials), params.jobs)
+    results = [run_trial(i) for i in range(trials)]
     hits = sum(1 for r in results if r[1])
     for cex, _ in results:
         if cex is not None:
@@ -809,7 +798,7 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
             return res, True
         return None, False
 
-    results = _map_indexed(run_trial, range(trials), params.jobs)
+    results = [run_trial(i) for i in range(trials)]
     effective = sum(1 for r in results if r[1])
     for cex, _ in results:
         if cex is not None:

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from conftest import random_profile
-from matchlab import formats
+from matchlab import cli, formats
 from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from matchlab.domains import PreferenceDomain
+from matchlab.errors import DimensionMismatchError, UnknownOutcomeError, ValidationError
 from matchlab.manipulation import mpda_rule, validate_witness, wpda_rule
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -119,6 +120,28 @@ def test_solve_unparseable_file(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--rule", "mpda", str(bad))
     assert code == EXIT_USAGE
     assert "invalid JSON" in err
+
+
+def test_solve_large_declared_quota_fails_fast(tmp_path):
+    # one ranked subset against the 2^35-odd subsets a quota of 18 over 36
+    # students needs: rejected by counting, before any subset is built
+    doc = {
+        "schema": "matchlab/1",
+        "kind": "college-market",
+        "colleges": {"c1": {"quota": 18, "subset_ranking": [[]]}},
+        "students": {f"s{i}": ["c1", "@"] for i in range(1, 37)},
+    }
+    market = tmp_path / "big_quota.json"
+    market.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "matchlab.cli", "solve", "--rule", "spda", str(market)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == EXIT_USAGE
+    assert "colleges.c1.subset_ranking" in result.stderr
+    assert "exactly once" in result.stderr
 
 
 def test_solve_malformed_market(tmp_path, capsys):
@@ -394,16 +417,11 @@ def test_verify_json_report(capsys):
     assert "runtime_seconds" not in doc
 
 
-def test_verify_deterministic_and_jobs_invariant(capsys):
+def test_verify_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--suite", "prop-welfare", "--json")
     _, again, _ = run(capsys, "verify", "--suite", "prop-welfare", "--json")
-    _, parallel, _ = run(capsys, "verify", "--suite", "prop-welfare", "--json", "--jobs", "4")
     assert first == again
-    # same findings under parallel trial evaluation; only the params echo moves
-    doc, par = json.loads(first), json.loads(parallel)
-    assert doc["params"].pop("jobs") == 1
-    assert par["params"].pop("jobs") == 4
-    assert doc == par
+    assert "jobs" not in json.loads(first)["params"]
 
 
 def test_verify_trials_forwarded(capsys):
@@ -437,8 +455,38 @@ def test_verify_budget_guard(capsys):
 
 
 def test_verify_bad_jobs(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "example1", "--jobs", "0")
+    # trials run in one thread; the flag that asked for more is gone
+    code, _, err = run(capsys, "verify", "--suite", "example1", "--jobs", "4")
     assert code == EXIT_USAGE
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize(
+    "culprit, flags",
+    [
+        ("--men", ("--men", "0")),
+        ("--women", ("--women", "0")),
+        ("--men", ("--men", "-2", "--women", "3")),
+        ("--trials", ("--men", "3", "--women", "3", "--trials", "-3")),
+        ("--trials", ("--men", "3", "--women", "3", "--trials", "0")),
+    ],
+)
+def test_verify_rejects_sizes_and_trials_below_one(capsys, culprit, flags):
+    code, out, err = run(capsys, "verify", "--suite", "theorem1", *flags, "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{culprit}: must be at least 1" in err
+
+
+@pytest.mark.parametrize("error", [ValidationError, UnknownOutcomeError, DimensionMismatchError])
+def test_main_maps_leftover_data_errors_to_usage(capsys, monkeypatch, error):
+    def broken(suite, params):
+        raise error("bad data")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    code, _, err = run(capsys, "verify", "--suite", "example1")
+    assert code == EXIT_USAGE
+    assert err == "error: bad data\n"
 
 
 # --- emitted documents re-parse ------------------------------------------------------

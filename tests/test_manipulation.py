@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchlab import manipulation
 from matchlab.core import OUTSIDE, Matching, Profile, man, men, woman, women
-from matchlab.da import RuleId, da_matching
+from matchlab.da import RuleId, da_assignment, da_matching
 from matchlab.domains import PreferenceDomain, all_preferences
 from matchlab.errors import BudgetExceededError, PreconditionError
 from matchlab.manipulation import (
@@ -45,12 +46,36 @@ def test_rule_apply_matches_da(p1):
     assert rule.stable
 
 
-def test_rule_assignment_cached(p1):
+def test_group_certification_evaluates_each_profile_once(monkeypatch):
+    # the certification's memo is indexed by profile, so DA runs at most
+    # once per admissible profile however many scans ask for it
+    calls = []
+
+    def counting(rule_id, men_prefs, women_prefs):
+        calls.append((men_prefs, women_prefs))
+        return da_assignment(rule_id, men_prefs, women_prefs)
+
+    monkeypatch.setattr(manipulation, "da_assignment", counting)
+    dom = PreferenceDomain.full(2, 2)
+    check = is_group_strategy_proof(mpda_rule(), dom, max_coalition=2)
+    assert not check
+    assert 0 < len(calls) <= dom.profile_count
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    men_rk = [p.ranking for p in all_preferences(M1, 2)]
+    women_rk = [(M1, M2, OUTSIDE), (M2, M1, OUTSIDE)]
+    anon = PreferenceDomain.anonymous(2, 2, men_rk, women_rk)
+    assert is_group_strategy_proof(mpda_rule(), anon)
+    assert len(calls) == anon.profile_count
+
+
+def test_single_base_scan_stores_nothing_on_the_rule(p1):
     rule = mpda_rule()
-    key = (p1.men_prefs, p1.women_prefs)
-    rule.apply(p1)
-    assert key in rule._cache
-    assert rule.assignment(*key) is rule._cache[key]
+    state = {slot: getattr(rule, slot) for slot in MatchingRule.__slots__}
+    found = list(iter_manipulations(rule, PreferenceDomain.full(2, 2), p1, max_coalition=2))
+    assert found
+    assert not hasattr(rule, "__dict__") and not hasattr(rule, "_cache")
+    assert {slot: getattr(rule, slot) for slot in MatchingRule.__slots__} == state
 
 
 def test_rule_from_table_rejects_unknown_profile(p1, p2):

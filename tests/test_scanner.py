@@ -1,0 +1,233 @@
+"""The one coalition scanner against a naive oracle, for both market kinds.
+
+The oracle tries every coalition and every joint report with no pruning,
+builds each deviated profile with `replace`, runs the rule on it, and keeps
+the deviations after which every member strictly gains. The scanner must
+find the same witnesses in the same order.
+"""
+
+import itertools
+import json
+import random
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matchlab.core import OUTSIDE, Preference, Profile, man, woman
+from matchlab.domains import PreferenceDomain, all_preferences
+from matchlab.formats import mto_domain_from_json, mto_profile_from_json
+from matchlab.manipulation import (
+    ManipulationWitness,
+    find_manipulation_sampled,
+    is_strategy_proof_sampled,
+    iter_manipulations,
+    mpda_rule,
+    wpda_rule,
+)
+from matchlab.mto import MtoDomain, MtoProfile, MtoWitness, find_manipulation_mto, spda_matching
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+M1, M2 = man(0), man(1)
+W1, W2 = woman(0), woman(1)
+AGENTS_2X2 = (M1, M2, W1, W2)
+
+
+def oracle_witnesses(rule, domain, base, cap, pool=None):
+    agents = list(base.agents if pool is None else pool)
+    before = rule.apply(base)
+    found = []
+    for size in range(1, min(cap, len(agents)) + 1):
+        for coalition in itertools.combinations(agents, size):
+            options = [[x for x in domain.admissible(a) if x != base[a]] for a in coalition]
+            for reports in itertools.product(*options):
+                misreports = tuple(zip(coalition, reports))
+                after = rule.apply(base.replace(dict(misreports)))
+                if all(base[a].prefers(after.partner(a), before.partner(a)) for a in coalition):
+                    found.append(
+                        ManipulationWitness(rule.name, base, coalition, misreports, before, after)
+                    )
+    return found
+
+
+def oracle_first_mto_witness(domain, base, cap):
+    agents = list(domain.agents)
+    before = spda_matching(base)
+
+    def gains(agent, after):
+        pref = base[agent]
+        if hasattr(pref, "quota"):
+            return pref.prefers(after.students_of(agent), before.students_of(agent))
+        return pref.prefers(after.college_of(agent), before.college_of(agent))
+
+    for size in range(1, min(cap, len(agents)) + 1):
+        for coalition in itertools.combinations(agents, size):
+            options = [[x for x in domain.admissible(a) if x != base[a]] for a in coalition]
+            for reports in itertools.product(*options):
+                misreports = tuple(zip(coalition, reports))
+                after = spda_matching(base.replace(dict(misreports)))
+                if all(gains(a, after) for a in coalition):
+                    return MtoWitness(base, coalition, misreports, before, after)
+    return None
+
+
+# --- marriage markets ------------------------------------------------------------
+
+
+@st.composite
+def domains_2x2(draw):
+    sets = {}
+    for a in AGENTS_2X2:
+        options = all_preferences(a, 2)
+        picks = draw(st.sets(st.integers(0, len(options) - 1), min_size=1))
+        sets[a] = [options[i] for i in sorted(picks)]
+    domain = PreferenceDomain(sets)
+    base = Profile(draw(st.sampled_from(domain.admissible(a))) for a in AGENTS_2X2)
+    return domain, base
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=domains_2x2(),
+    rule_of=st.sampled_from((mpda_rule, wpda_rule)),
+    cap=st.integers(1, 4),
+    pool=st.one_of(st.none(), st.lists(st.sampled_from(AGENTS_2X2), min_size=1, max_size=4, unique=True)),
+)
+def test_iter_manipulations_matches_oracle(drawn, rule_of, cap, pool):
+    domain, base = drawn
+    rule = rule_of()
+    got = list(iter_manipulations(rule, domain, base, max_coalition=cap, coalition_pool=pool))
+    assert got == oracle_witnesses(rule, domain, base, cap, pool)
+
+
+# --- college markets -------------------------------------------------------------
+
+
+def _fixture_domain() -> MtoDomain:
+    return mto_domain_from_json(json.loads((FIXTURES / "example2_domain.json").read_text()))
+
+
+@st.composite
+def college_domains(draw):
+    """Up to two admissible entries per agent, cut from the Example 2 domain."""
+    full = _fixture_domain()
+    sets = {}
+    for a in full.agents:
+        options = full.admissible(a)
+        picks = draw(
+            st.sets(st.integers(0, len(options) - 1), min_size=1, max_size=min(2, len(options)))
+        )
+        sets[a] = [options[i] for i in sorted(picks)]
+    domain = MtoDomain(sets)
+    reports = [draw(st.sampled_from(domain.admissible(a))) for a in domain.agents]
+    base = MtoProfile(reports[: domain.n_colleges], reports[domain.n_colleges :])
+    return domain, base
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=college_domains(), cap=st.integers(1, 2))
+def test_find_manipulation_mto_matches_oracle(drawn, cap):
+    domain, base = drawn
+    assert find_manipulation_mto(domain, base, max_coalition=cap) == oracle_first_mto_witness(
+        domain, base, cap
+    )
+
+
+def test_college_oracle_finds_the_mixed_pair():
+    # the oracle itself sees the fixture's college-and-student coalition
+    domain = _fixture_domain()
+    base = mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
+    found = oracle_first_mto_witness(domain, base, 2)
+    assert found is not None and len(found.coalition) == 2
+    assert find_manipulation_mto(domain, base, max_coalition=2) == found
+
+
+# --- seeded sampling, pinned ------------------------------------------------------
+
+
+def _p1() -> Profile:
+    return Profile(
+        [
+            Preference(M1, (W1, W2, OUTSIDE)),
+            Preference(M2, (W2, W1, OUTSIDE)),
+            Preference(W1, (M2, M1, OUTSIDE)),
+            Preference(W2, (M1, M2, OUTSIDE)),
+        ]
+    )
+
+
+def _token(x) -> str:
+    return "@" if x is OUTSIDE else x.name
+
+
+def _brief(w):
+    return (
+        " ".join(a.name for a in w.coalition),
+        tuple("".join(_token(x) for x in pref.ranking) for _, pref in w.misreports),
+        " ".join(f"{m.name}{f.name}" for m, f in w.outcome_after.pairs),
+    )
+
+
+def _base_text(w) -> str:
+    return " ".join("".join(_token(x) for x in w.base[a].ranking) for a in w.base.agents)
+
+
+# witnesses, and the generator's next draw after the scan, as recorded
+# before the searches shared one scanner: seeded results must not move
+PINNED = {
+    7: {
+        "mpda-collect": (
+            [
+                ("w2", ("m1@m2",), "m1w2 m2w1"),
+                ("w2", ("m1@m2",), "m1w2 m2w1"),
+                ("w1", ("m2@m1",), "m1w2 m2w1"),
+                ("w1 w2", ("m2@m1", "m1@m2"), "m1w2 m2w1"),
+                ("w1 w2", ("m2@m1", "m1@m2"), "m1w2 m2w1"),
+            ],
+            0.10992830500046646,
+        ),
+        "wpda-pool": ([("m1", ("w1@w2",), "m1w1 m2w2")], 0.08594723368917168),
+        "sp-dense": (("w1", ("m2@m1",), "m1w2 m2w1"), "w1w2@ w2w1@ m2m1@ m1m2@"),
+        "sp-3x3": (
+            ("m2", ("w2@w1w3",), "m1w1 m2w2"),
+            "w1w3w2@ w2w1w3@ @w1w2w3 m3m2m1@ m1m2@m3 @m2m3m1",
+        ),
+    },
+    19: {
+        "mpda-collect": ([("w1", ("m2@m1",), "m1w2 m2w1")], 0.6639064231140855),
+        "wpda-pool": ([("m1", ("w1@w2",), "m1w1 m2w2")], 0.9204003751468064),
+        "sp-dense": (("w2", ("m1@m2",), "m1w2 m2w1"), "w1w2@ w2w1@ m2m1@ m1m2@"),
+        "sp-3x3": None,
+    },
+}
+
+
+def test_sampled_witnesses_pinned():
+    p1 = _p1()
+    full = PreferenceDomain.full(2, 2)
+    dense = PreferenceDomain(
+        {M1: [p1[M1]], M2: [p1[M2]], W1: all_preferences(W1, 2), W2: all_preferences(W2, 2)}
+    )
+    for seed, want in PINNED.items():
+        rng = random.Random(seed)
+        hits = find_manipulation_sampled(
+            mpda_rule(), full, p1, trials=40, rng=rng, max_coalition=2, collect=True
+        )
+        assert ([_brief(w) for w in hits], rng.random()) == want["mpda-collect"]
+
+        rng = random.Random(seed)
+        hits = find_manipulation_sampled(wpda_rule(), full, p1, trials=40, rng=rng, coalition_pool=(W2, M1))
+        assert ([_brief(w) for w in hits], rng.random()) == want["wpda-pool"]
+
+        check = is_strategy_proof_sampled(mpda_rule(), dense, n_bases=80, deviations_per_base=20, seed=seed)
+        assert (_brief(check.witness), _base_text(check.witness)) == want["sp-dense"]
+
+        check = is_strategy_proof_sampled(
+            wpda_rule(), PreferenceDomain.full(3, 3), n_bases=40, deviations_per_base=30,
+            seed=seed, max_coalition=None,
+        )
+        if want["sp-3x3"] is None:
+            assert check.holds and check.witness is None
+        else:
+            assert (_brief(check.witness), _base_text(check.witness)) == want["sp-3x3"]
