@@ -1,4 +1,4 @@
-"""Deferred acceptance for one-to-one markets: a fast engine and a traced one.
+"""Deferred acceptance: a fast one-to-one engine and a traced round engine.
 
 Untraced evaluations go through `da_assignment`, the one-proposal-at-a-time
 form of McVitie & Wilson (BIT 11, 1971): a free proposer proposes to the
@@ -7,21 +7,22 @@ the proposer it holds (or above staying unmatched) keeps the newcomer and
 frees the one it held. The outcome does not depend on the order of
 proposals.
 
-`run_da` keeps the simultaneous-round form with its full trace: in each
-step every currently free proposer who still has an untried acceptable
-partner proposes to the best one remaining, and every receiver tentatively
-keeps the best acceptable proposal in hand (the tentative partner counts as
-a standing proposal). Rejected proposers re-enter the pool for the next
-step. The run ends when a step produces no proposals or no rejections. Both
-forms give the proposer-optimal stable matching, so each is the other's
-oracle.
+`_da_engine` is the simultaneous-round form (Gale & Shapley, 1962) with
+receiver quotas: in each step every free proposer with an untried
+acceptable partner proposes to the best one remaining, and every receiver
+keeps the best acceptable proposals in hand up to its quota (those it holds
+count as standing proposals). Rejected proposers propose again in the next
+step; the run ends when a step has no proposals or no rejections. `run_da`
+runs it with quota 1 per receiver, `mto.run_spda` with the college quotas,
+and both replay its rounds with `_tentative_holdings`. Both forms give the
+proposer-optimal stable matching, so each is the other's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Sequence
 
 from .core import (
     AgentId,
@@ -65,58 +66,71 @@ class DaTrace:
         return self.steps[-1].tentative
 
 
-def _da_engine(
-    proposer_prefs: tuple[Preference, ...],
-    receiver_prefs: tuple[Preference, ...],
-) -> tuple[list, list]:
+def _da_engine(lists: Sequence, ranks: Sequence, outside: Sequence, quotas: Sequence) -> tuple[list, list]:
     """Index-level engine. Returns (held, rounds).
 
-    held[r] is the proposer index tentatively kept by receiver r, or -1.
-    rounds is a list of (proposals, rejections) with index pairs, one entry
-    per executed step; empty proposal lists only appear in a lone first step.
+    lists[i] is proposer i's acceptable receivers, best first; ranks[r][i] is
+    receiver r's rank of proposer i, outside[r] its rank of staying alone and
+    quotas[r] how many proposers it may hold. held[r] lists the proposers r
+    keeps, best first. rounds is a list of (proposals, rejections) with
+    (proposer, receiver) index pairs, one entry per executed step; empty
+    proposal lists only appear in a lone first step.
     """
-    n_prop = len(proposer_prefs)
-    lists = [pref.acceptable_idx for pref in proposer_prefs]
-    next_choice = [0] * n_prop
-    held = [-1] * len(receiver_prefs)
-    active = list(range(n_prop))
+    next_choice = [0] * len(lists)
+    held: list[list[int]] = [[] for _ in quotas]
+    active = range(len(lists))
     rounds = []
     while True:
         proposals = []
         by_receiver: dict[int, list[int]] = {}
         for i in active:
-            lst = lists[i]
-            if next_choice[i] < len(lst):
-                r = lst[next_choice[i]]
-                next_choice[i] += 1
+            k, lst = next_choice[i], lists[i]
+            if k < len(lst):
+                r = lst[k]
+                next_choice[i] = k + 1
                 proposals.append((i, r))
-                by_receiver.setdefault(r, []).append(i)
+                if r in by_receiver:
+                    by_receiver[r].append(i)
+                else:
+                    by_receiver[r] = [i]
         rejections = []
         for r in sorted(by_receiver):
-            pool = by_receiver[r]
-            if held[r] >= 0:
-                pool = pool + [held[r]]
-            rp = receiver_prefs[r]
-            ranks = rp.rank_by_index
-            best = -1
-            best_rank = rp.outside_rank  # unacceptable proposers never get held
-            for i in pool:
-                if ranks[i] < best_rank:
-                    best_rank = ranks[i]
-                    best = i
-            for i in pool:
-                if i != best:
-                    rejections.append((i, r))
-            held[r] = best
-        rejections.sort(key=lambda pair: (pair[1], pair[0]))
+            rank, bar = ranks[r], outside[r]
+            pool = by_receiver[r] + held[r]
+            if len(pool) > 1:
+                pool.sort(key=rank.__getitem__)
+            # unacceptable proposers sort last and are never held
+            kept = [i for i in pool[: quotas[r]] if rank[i] < bar]
+            held[r] = kept
+            if len(kept) < len(pool):
+                rejections += [(i, r) for i in sorted(pool[len(kept) :])]
         rounds.append((proposals, rejections))
         if not proposals:
             break
-        active = sorted(i for i, _ in rejections)
-        active = [i for i in active if next_choice[i] < len(lists[i])]
+        active = sorted([i for i, _ in rejections if next_choice[i] < len(lists[i])])
         if not active:
             break
     return held, rounds
+
+
+def _tentative_holdings(rounds: list, n_receivers: int) -> Iterator[tuple]:
+    """Replay the engine's rounds: after each one, every receiver's tentative
+    holding as a sorted tuple of proposer indices."""
+    snapshot = [()] * n_receivers
+    for proposals, rejections in rounds:
+        pools: dict[int, list[int]] = {}
+        for i, r in proposals:
+            if r in pools:
+                pools[r].append(i)
+            else:
+                pools[r] = [*snapshot[r], i]
+        # only receivers proposed to in a round reject in it, so only they change
+        for i, r in rejections:
+            pools[r].remove(i)
+        for r, pool in pools.items():
+            pool.sort()
+            snapshot[r] = tuple(pool)
+        yield tuple(snapshot)
 
 
 def _held_to_assignment(held: list, rule: RuleId, p: int, q: int) -> tuple:
@@ -210,35 +224,35 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
     if not isinstance(rule, RuleId):
         raise ValidationError(f"unknown rule {rule!r}")
     if rule is RuleId.MPDA:
-        held, rounds = _da_engine(profile.men_prefs, profile.women_prefs)
+        proposer_prefs, receiver_prefs = profile.men_prefs, profile.women_prefs
         as_pair = lambda i, r: (man(i), woman(r))
     else:
-        held, rounds = _da_engine(profile.women_prefs, profile.men_prefs)
+        proposer_prefs, receiver_prefs = profile.women_prefs, profile.men_prefs
         as_pair = lambda i, r: (woman(i), man(r))
+    held, rounds = _da_engine(
+        [pref.acceptable_idx for pref in proposer_prefs],
+        [pref.rank_by_index for pref in receiver_prefs],
+        [pref.outside_rank for pref in receiver_prefs],
+        [1] * len(receiver_prefs),
+    )
     p, q = profile.p, profile.q
+
+    def as_matching(holding) -> Matching:
+        single = [kept[0] if kept else -1 for kept in holding]
+        return Matching.from_assignment(p, q, _held_to_assignment(single, rule, p, q))
+
     steps = []
-    tentative_held = [-1] * (q if rule is RuleId.MPDA else p)
-    for number, (proposals, rejections) in enumerate(rounds, start=1):
-        # replay the round onto the running tentative state for the snapshot
-        rejected_at = {(i, r) for i, r in rejections}
-        for i, r in proposals:
-            if (i, r) not in rejected_at:
-                tentative_held[r] = i
-        for i, r in rejections:
-            if tentative_held[r] == i:
-                tentative_held[r] = -1
-        snapshot = Matching.from_assignment(
-            p, q, _held_to_assignment(tentative_held, rule, p, q)
-        )
+    holdings = _tentative_holdings(rounds, len(receiver_prefs))
+    for number, ((proposals, rejections), holding) in enumerate(zip(rounds, holdings), start=1):
         steps.append(
             DaStep(
                 number=number,
-                proposals=tuple(as_pair(i, r) for i, r in proposals),
-                rejections=tuple(as_pair(i, r) for i, r in rejections),
-                tentative=snapshot,
+                proposals=tuple([as_pair(i, r) for i, r in proposals]),
+                rejections=tuple([as_pair(i, r) for i, r in rejections]),
+                tentative=as_matching(holding),
             )
         )
-    final = Matching.from_assignment(p, q, _held_to_assignment(held, rule, p, q))
+    final = as_matching(held)
     trace = DaTrace(rule=rule, steps=tuple(steps))
     if trace.final != final:
         raise RuntimeError(f"{rule.value} trace replays to {trace.final}, engine holds {final}")

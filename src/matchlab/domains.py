@@ -10,11 +10,13 @@ such a rule as an explicit table or prove none exists.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
+    MAX_ENUMERATION_SIDE,
     OUTSIDE,
     AgentId,
     Outcome,
@@ -52,7 +54,17 @@ def preference_sort_key(ranking: Sequence[Outcome]) -> tuple:
 
 
 def all_preferences(owner: AgentId, n_opposite: int) -> tuple[Preference, ...]:
-    """Every strict ranking for this agent, in lexicographic order."""
+    """Every strict ranking for this agent, in lexicographic order.
+
+    There are (n_opposite + 1)! of them, so past MAX_ENUMERATION_SIDE
+    opposite agents this raises SizeGuardError before building any.
+    """
+    if n_opposite > MAX_ENUMERATION_SIDE:
+        raise SizeGuardError(
+            f"enumerating every ranking of {n_opposite} agents and the outside option yields "
+            f"{math.factorial(n_opposite + 1)} preferences; the limit is "
+            f"{MAX_ENUMERATION_SIDE} agents per side"
+        )
     opposite = women(n_opposite) if owner.side is Side.MAN else men(n_opposite)
     base = opposite + (OUTSIDE,)
     return tuple(Preference(owner, perm) for perm in itertools.permutations(base))

@@ -8,6 +8,7 @@ offending entry.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Any, Mapping, Sequence
 
@@ -30,16 +31,20 @@ from .manipulation import ManipulationWitness
 from .mto import (
     CollegeId,
     CollegePreference,
+    MtoDomain,
     MtoMatching,
     MtoProfile,
     MtoWitness,
     StudentId,
     StudentPreference,
     college,
+    colleges,
     student,
+    students,
 )
 
 SCHEMA = "matchlab/1"
+_MAX_NAMED = 10  # missing agents named in an error message
 
 _AGENT_NAME = re.compile(r"^([mwcs])([1-9][0-9]*)$")
 
@@ -125,13 +130,20 @@ def profile_from_json(doc: Any) -> Profile:
     p = _require_count(doc, "men")
     q = _require_count(doc, "women")
     table = _require_dict(doc.get("preferences"), "preferences")
-    expected = [a.name for a in men(p) + women(q)]
-    missing = [name for name in expected if name not in table]
+    # judged from the table's own keys, so a huge declared count builds nothing
+    extra = []
+    for name in table:
+        m = _AGENT_NAME.match(name) if isinstance(name, str) else None
+        if not m or int(m.group(2)) > {"m": p, "w": q}.get(m.group(1), 0):
+            extra.append(name)
+    missing = p + q - (len(table) - len(extra))
     if missing:
-        raise FormatError("preferences", f"missing agents: {', '.join(missing)}")
-    extra = sorted(set(table) - set(expected))
+        names = (f"{prefix}{k}" for prefix, n in (("m", p), ("w", q)) for k in range(1, n + 1))
+        shown = list(itertools.islice((name for name in names if name not in table), _MAX_NAMED))
+        tail = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        raise FormatError("preferences", f"missing agents: {', '.join(shown)}{tail}")
     if extra:
-        raise FormatError("preferences", f"unknown agents: {', '.join(extra)}")
+        raise FormatError("preferences", f"unknown agents: {', '.join(sorted(extra))}")
     prefs = []
     for a in men(p) + women(q):
         field = f"preferences.{a.name}"
@@ -262,6 +274,14 @@ def _college_pref_from_json(owner: CollegeId, doc: Any, n_students: int, field: 
     return cp
 
 
+def _student_pref_from_json(owner: StudentId, entry: Any, field: str) -> StudentPreference:
+    ranking = tuple(
+        OUTSIDE if tok == "@" else _college_agent(tok, field)
+        for tok in _require_list(entry, field)
+    )
+    return _wrap(field, StudentPreference, owner, ranking)
+
+
 def mto_profile_to_json(profile: MtoProfile) -> dict:
     return {
         "schema": SCHEMA,
@@ -296,16 +316,12 @@ def mto_profile_from_json(doc: Any) -> MtoProfile:
         )
         for i in range(n_colleges)
     ]
-    sps = []
-    for i in range(n_students):
-        field = f"students.{student(i).name}"
-        ranking: list = []
-        for tok in _require_list(students_doc[student(i).name], field):
-            if tok == "@":
-                ranking.append(OUTSIDE)
-            else:
-                ranking.append(_college_agent(tok, field))
-        sps.append(_wrap(field, StudentPreference, student(i), tuple(ranking)))
+    sps = [
+        _student_pref_from_json(
+            student(i), students_doc[student(i).name], f"students.{student(i).name}"
+        )
+        for i in range(n_students)
+    ]
     return _wrap("college-market", MtoProfile, cps, sps)
 
 
@@ -437,13 +453,7 @@ def mto_witness_from_json(doc: Any) -> MtoWitness:
         if isinstance(a, CollegeId):
             misreports.append((a, _college_pref_from_json(a, entry, n_students, field)))
         else:
-            ranking: list = []
-            for tok in _require_list(entry, field):
-                if tok == "@":
-                    ranking.append(OUTSIDE)
-                else:
-                    ranking.append(_college_agent(tok, field))
-            misreports.append((a, _wrap(field, StudentPreference, a, tuple(ranking))))
+            misreports.append((a, _student_pref_from_json(a, entry, field)))
     return MtoWitness(
         base=base,
         coalition=tuple(coalition),
@@ -486,14 +496,12 @@ def mto_step_to_json(step, n_colleges: int) -> dict:
 # --- college admissions domains ---------------------------------------------------
 
 
-def mto_domain_to_json(domain) -> dict:
-    from .mto import colleges as _colleges, students as _students
-
+def mto_domain_to_json(domain: MtoDomain) -> dict:
     colleges_doc = {}
-    for c in _colleges(domain.n_colleges):
+    for c in colleges(domain.n_colleges):
         colleges_doc[c.name] = [_college_pref_to_json(cp) for cp in domain.admissible(c)]
     students_doc = {}
-    for s in _students(domain.n_students):
+    for s in students(domain.n_students):
         students_doc[s.name] = [
             [_outcome_token(x) for x in sp.ranking] for sp in domain.admissible(s)
         ]
@@ -505,9 +513,7 @@ def mto_domain_to_json(domain) -> dict:
     }
 
 
-def mto_domain_from_json(doc: Any):
-    from .mto import MtoDomain
-
+def mto_domain_from_json(doc: Any) -> MtoDomain:
     doc = _require_dict(doc, "college-domain")
     colleges_doc = _require_dict(doc.get("colleges"), "colleges")
     students_doc = _require_dict(doc.get("students"), "students")
@@ -526,14 +532,8 @@ def mto_domain_from_json(doc: Any):
     for i in range(n_students):
         s = student(i)
         field = f"students.{s.name}"
-        prefs = []
-        for entry in _require_list(students_doc[s.name], field):
-            ranking: list = []
-            for tok in _require_list(entry, field):
-                if tok == "@":
-                    ranking.append(OUTSIDE)
-                else:
-                    ranking.append(_college_agent(tok, field))
-            prefs.append(_wrap(field, StudentPreference, s, tuple(ranking)))
-        sets[s] = prefs
+        sets[s] = [
+            _student_pref_from_json(s, entry, field)
+            for entry in _require_list(students_doc[s.name], field)
+        ]
     return _wrap("college-domain", MtoDomain, sets)

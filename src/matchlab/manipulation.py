@@ -181,11 +181,12 @@ def _deviations(
     sampling: Optional[tuple[random.Random, int]],
 ) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Joint misreports to try, as (coalition, reports) pairs. Exhaustive:
-    by size, then coalition, then reports, each in list order. Seeded, with
-    sampling = (rng, trials): per trial a size, sorted members, one report each."""
+    by size, then coalition from the sorted candidates, then reports in list
+    order. Seeded, with sampling = (rng, trials): per trial a size, members
+    drawn from the candidates in the order given and sorted, one report each."""
     if sampling is None:
         for size in range(1, max_coalition + 1):
-            for coalition in itertools.combinations(candidates, size):
+            for coalition in itertools.combinations(sorted(candidates), size):
                 for reports in itertools.product(*(alternatives[i] for i in coalition)):
                     yield coalition, reports
         return
@@ -254,7 +255,8 @@ def _marriage_scan(
     true = base.men_prefs + base.women_prefs
     alternatives: list[tuple] = [()] * len(agents)
     pool = []
-    for a in agents if coalition_pool is None else coalition_pool:
+    # duplicates dropped; the caller's order is kept for the seeded draws
+    for a in dict.fromkeys(agents if coalition_pool is None else coalition_pool):
         i = a.index if a.side is Side.MAN else p + a.index
         alternatives[i] = tuple(x for x in domain.admissible(a) if x != true[i])
         pool.append(i)

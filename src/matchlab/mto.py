@@ -23,6 +23,7 @@ from .errors import (
     UnknownOutcomeError,
     ValidationError,
 )
+from .da import _da_engine, _tentative_holdings
 from .manipulation import DEFAULT_EVAL_BUDGET, _scan
 
 # one-to-one translation imports live at the bottom to keep this header light
@@ -250,8 +251,8 @@ def responsive_extension(
 ) -> CollegePreference:
     """The canonical responsive subset ranking built from a student ranking.
 
-    Subsets compare by their sorted member ranks, padded with the outside
-    option's rank up to the quota; this lexicographic rule is one responsive
+    Subsets compare by their member ranks padded with the outside option's
+    rank up to the quota, sorted; this lexicographic rule is one responsive
     completion among many.
     """
     n = sum(1 for x in induced if x is not OUTSIDE)
@@ -261,8 +262,7 @@ def responsive_extension(
     pad = rank[OUTSIDE]
 
     def key(subset):
-        ranks = sorted(rank[s] for s in subset)
-        return tuple(ranks + [pad] * (quota - len(subset)))
+        return tuple(sorted([rank[s] for s in subset] + [pad] * (quota - len(subset))))
 
     subsets = [
         s
@@ -453,51 +453,21 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
     student ranking their subset order induces.
     """
     require_responsive(profile)
-    n_c, n_s = profile.n_colleges, profile.n_students
-    student_ranks = [cp.student_ranks() for cp in profile.college_prefs]
-    options = [profile.student_prefs[i].acceptable_idx for i in range(n_s)]
-    pointer = [0] * n_s
-    held: list[set[int]] = [set() for _ in range(n_c)]
-    held_by: list[Optional[int]] = [None] * n_s
-    steps: list[MtoStep] = []
-    number = 0
-    while True:
-        number += 1
-        proposals = []
-        for si in range(n_s):
-            if held_by[si] is None and pointer[si] < len(options[si]):
-                proposals.append((si, options[si][pointer[si]]))
-        if not proposals and number > 1:
-            break
-        rejections = []
-        touched = set(ci for _, ci in proposals)
-        for si, ci in proposals:
-            held[ci].add(si)
-            held_by[si] = ci
-        for ci in touched:
-            pool = held[ci]
-            quota = profile.college_prefs[ci].quota
-            ranks, outside = student_ranks[ci]
-            ok = [si for si in pool if ranks[si] < outside]
-            ok.sort(key=ranks.__getitem__)
-            keep = set(ok[:quota])
-            for si in sorted(pool - keep):
-                rejections.append((ci, si))
-                held_by[si] = None
-                pointer[si] += 1
-            held[ci] = keep
+    ranks, nobody = zip(*[cp.student_ranks() for cp in profile.college_prefs])
+    quotas = profile.quotas
+    held, rounds = _da_engine([sp.acceptable_idx for sp in profile.student_prefs], ranks, nobody, quotas)
+    steps = []
+    holdings = _tentative_holdings(rounds, len(quotas))
+    for number, ((proposals, rejections), holding) in enumerate(zip(rounds, holdings), start=1):
         steps.append(
             MtoStep(
                 number=number,
-                proposals=tuple(sorted(proposals)),
-                rejections=tuple(sorted(rejections)),
-                tentative=tuple(tuple(sorted(held[ci])) for ci in range(n_c)),
+                proposals=tuple(proposals),
+                rejections=tuple([(ci, si) for si, ci in rejections]),
+                tentative=holding,
             )
         )
-        if not proposals:
-            break
-    matching = MtoMatching(profile.quotas, n_s, [sorted(held[ci]) for ci in range(n_c)])
-    return matching, tuple(steps)
+    return MtoMatching(quotas, profile.n_students, held), tuple(steps)
 
 
 def spda_matching(profile: MtoProfile) -> MtoMatching:

@@ -10,6 +10,7 @@ deterministic given the same parameters and seed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -164,6 +165,20 @@ def _trial_seeds(seed: int, n: int) -> list[int]:
     return [rng.randrange(2**62) for _ in range(n)]
 
 
+def _first_counterexample(
+    run_trial: Callable[[int], tuple[Optional[dict], bool]], trials: int
+) -> tuple[Optional[dict], int]:
+    """Run trials in order and stop at the first counterexample. Returns it
+    (None when every trial passed) and how many trials before it were hits."""
+    hits = 0
+    for i in range(trials):
+        cex, hit = run_trial(i)
+        if cex is not None:
+            return cex, hits
+        hits += hit
+    return None, hits
+
+
 def _random_full_profile(rng: random.Random, p: int, q: int) -> Profile:
     prefs = []
     for a in men(p) + women(q):
@@ -241,8 +256,8 @@ def _witness_survey(
     """
     p, q = params.men, params.women
     exhaustive = p == 2 and q == 2
-    man_alternatives = _ranking_count(q) - 1
-    woman_alternatives = _ranking_count(p) - 1
+    man_alternatives = math.factorial(q + 1) - 1
+    woman_alternatives = math.factorial(p + 1) - 1
     if coalition_side is Side.MAN:
         pool_counts = [man_alternatives] * p
     else:
@@ -271,8 +286,8 @@ def _witness_survey(
         domain = PreferenceDomain.full(p, q)
         cap = _affordable_cap(pool_counts, len(pool_counts), params.budget)
         bases = list(domain.profiles())
-        results = [scan_base(b, domain, cap) for b in bases]
-        for cex in results:
+        for base in bases:
+            cex = scan_base(base, domain, cap)
             if cex is not None:
                 return _Outcome("exhaustive", "fail", cex, len(bases), "")
         note = f"every admissible base scanned, coalition cap {cap}"
@@ -291,19 +306,12 @@ def _witness_survey(
             base = _random_full_profile(random.Random(seeds[i]), p, q)
         return scan_base(base, domain, cap)
 
-    results = [run_trial(i) for i in range(trials)]
-    for cex in results:
+    for i in range(trials):
+        cex = run_trial(i)
         if cex is not None:
             return _Outcome("sampled", "fail", cex, trials, "")
     note = f"{len(planted)} planted + {trials - len(planted)} random bases, coalition cap {cap}"
     return _Outcome("sampled", "pass", None, trials, note)
-
-
-def _ranking_count(n_opposite: int) -> int:
-    total = 1
-    for k in range(2, n_opposite + 2):
-        total *= k
-    return total
 
 
 def _suite_theorem1(params: SuiteParams) -> _Outcome:
@@ -430,11 +438,9 @@ def _suite_prop_gsp_existence(params: SuiteParams) -> _Outcome:
             )
         return None, True
 
-    results = [run_trial(i) for i in range(trials)]
-    generated = sum(1 for r in results if r[1])
-    for cex, _ in results:
-        if cex is not None:
-            return _Outcome("sampled", "fail", cex, trials, "")
+    cex, generated = _first_counterexample(run_trial, trials)
+    if cex is not None:
+        return _Outcome("sampled", "fail", cex, trials, "")
     return _Outcome(
         "sampled",
         "pass",
@@ -501,8 +507,8 @@ def _suite_theorem2(params: SuiteParams) -> _Outcome:
                 raise MatchlabError("coalition scan missed a single-agent witness")
         return None
 
-    results = [run_trial(i) for i in range(trials)]
-    for cex in results:
+    for i in range(trials):
+        cex = run_trial(i)
         if cex is not None:
             return _Outcome("sampled", "fail", cex, trials, "")
     return _Outcome(
@@ -550,11 +556,9 @@ def _suite_lemma_c1(params: SuiteParams) -> _Outcome:
                     )
         return None, True
 
-    results = [run_trial(i) for i in range(trials)]
-    hits = sum(1 for r in results if r[1])
-    for cex, _ in results:
-        if cex is not None:
-            return _Outcome("sampled", "fail", cex, trials, "")
+    cex, hits = _first_counterexample(run_trial, trials)
+    if cex is not None:
+        return _Outcome("sampled", "fail", cex, trials, "")
     return _Outcome(
         "sampled",
         "pass",
@@ -604,11 +608,9 @@ def _suite_lemma_c2(params: SuiteParams) -> _Outcome:
                 )
         return None, True
 
-    results = [run_trial(i) for i in range(trials)]
-    hits = sum(1 for r in results if r[1])
-    for cex, _ in results:
-        if cex is not None:
-            return _Outcome("sampled", "fail", cex, trials, "")
+    cex, hits = _first_counterexample(run_trial, trials)
+    if cex is not None:
+        return _Outcome("sampled", "fail", cex, trials, "")
     return _Outcome(
         "sampled",
         "pass",
@@ -663,11 +665,9 @@ def _suite_theorem3(params: SuiteParams) -> _Outcome:
             )
         return None, True
 
-    results = [run_trial(i) for i in range(trials)]
-    hits = sum(1 for r in results if r[1])
-    for cex, _ in results:
-        if cex is not None:
-            return _Outcome("sampled", "fail", cex, trials, "")
+    cex, hits = _first_counterexample(run_trial, trials)
+    if cex is not None:
+        return _Outcome("sampled", "fail", cex, trials, "")
     return _Outcome(
         "sampled", "pass", None, trials, f"{hits} admissible domains evaluated, all four clauses agreed"
     )
@@ -798,11 +798,9 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
             return res, True
         return None, False
 
-    results = [run_trial(i) for i in range(trials)]
-    effective = sum(1 for r in results if r[1])
-    for cex, _ in results:
-        if cex is not None:
-            return _Outcome("sampled", "fail", cex, trials, "")
+    cex, effective = _first_counterexample(run_trial, trials)
+    if cex is not None:
+        return _Outcome("sampled", "fail", cex, trials, "")
     return _Outcome(
         "sampled",
         "pass",

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -452,6 +453,24 @@ def test_verify_unknown_suite(capsys):
 def test_verify_budget_guard(capsys):
     code, _, err = run(capsys, "verify", "--suite", "theorem1", "--budget", "10")
     assert code == EXIT_BUDGET
+
+
+def test_verify_refuses_to_enumerate_rankings_past_the_size_guard(capsys):
+    # 10! rankings per agent would be built before the first trial
+    code, out, err = run(capsys, "verify", "--suite", "theorem1", "--men", "9", "--women", "9")
+    assert code == EXIT_BUDGET
+    assert out == "" and "3628800 preferences" in err
+
+
+def test_solve_rejects_a_huge_declared_market_without_building_it(capsys, tmp_path):
+    market = tmp_path / "huge.json"
+    market.write_text(json.dumps({"men": 1000000000, "women": 1, "preferences": {}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--rule", "mpda", str(market))
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.encode()) < 1024
+    assert "missing agents: m1, m2, m3, m4, m5, m6, m7, m8, m9, m10 and 999999991 more" in err
 
 
 def test_verify_bad_jobs(capsys):

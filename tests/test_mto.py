@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchlab import mto
-from matchlab.core import OUTSIDE, man, woman
+from matchlab.core import OUTSIDE, Preference, Profile, man, woman
 from matchlab.da import RuleId, da_matching
 from matchlab.errors import (
     BudgetExceededError,
@@ -147,6 +147,22 @@ def test_responsive_extension_canonical_order():
     ext = responsive_extension(college(0), 2, (s2[0], s2[1], OUTSIDE))
     assert ext.ranking == ((s2[0], s2[1]), (s2[0],), (s2[1],), ())
     assert is_responsive(ext)
+    # the outside rank pads before sorting: adding the unacceptable s1 to
+    # {s2} must make it worse
+    ext = responsive_extension(college(0), 2, (OUTSIDE, s2[0], s2[1]))
+    assert ext.ranking == ((), (s2[0],), (s2[1],), (s2[0], s2[1]))
+    assert is_responsive(ext)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_responsive_extension_is_responsive_and_induces_its_order(data):
+    n = data.draw(st.integers(1, 5))
+    quota = data.draw(st.integers(1, 3))
+    induced = tuple(data.draw(st.permutations(students(n) + (OUTSIDE,))))
+    ext = responsive_extension(college(0), quota, induced)
+    assert is_responsive(ext)
+    assert ext.induced_order() == induced
 
 
 def test_extension_differs_from_handwritten_subset_order():
@@ -476,3 +492,54 @@ def test_random_quota_one_markets_translate_exactly(data):
     prof = MtoProfile(cps, sps)
     translated = to_marriage_matching(spda_matching(prof))
     assert translated == da_matching(RuleId.MPDA, to_marriage_profile(prof))
+
+
+@st.composite
+def college_markets(draw):
+    """1-3 colleges with quotas 1-3 and canonical responsive rankings, 1-5 students."""
+    cs = colleges(draw(st.integers(1, 3)))
+    ss = students(draw(st.integers(1, 5)))
+    cps = [
+        responsive_extension(c, draw(st.integers(1, 3)), tuple(draw(st.permutations(ss + (OUTSIDE,)))))
+        for c in cs
+    ]
+    sps = [StudentPreference(s, tuple(draw(st.permutations(cs + (OUTSIDE,))))) for s in ss]
+    return MtoProfile(cps, sps)
+
+
+def _seat_clone_outcome(prof):
+    """SPDA by the seat construction of Roth & Sotomayor (1990, ch. 5): a
+    college of quota k becomes k seats, every student ranks a college's seats
+    consecutively in its place, each seat ranks students by the college's
+    induced order, and men-proposing DA on that marriage market is mapped
+    back from seats to colleges."""
+    college_of_seat = [ci for ci, cp in enumerate(prof.college_prefs) for _ in range(cp.quota)]
+    seats = {ci: [woman(j) for j, c in enumerate(college_of_seat) if c == ci] for ci in set(college_of_seat)}
+    men_prefs = []
+    for sp in prof.student_prefs:
+        ranking = []
+        for x in sp.ranking:
+            ranking += [OUTSIDE] if x is OUTSIDE else seats[x.index]
+        men_prefs.append(Preference(man(sp.owner.index), tuple(ranking)))
+    women_prefs = [
+        Preference(
+            woman(j),
+            tuple(
+                OUTSIDE if x is OUTSIDE else man(x.index)
+                for x in prof.college_prefs[ci].induced_order()
+            ),
+        )
+        for j, ci in enumerate(college_of_seat)
+    ]
+    seat_of = da_matching(RuleId.MPDA, Profile(men_prefs + women_prefs)).assignment
+    groups = [[] for _ in prof.college_prefs]
+    for si, j in enumerate(seat_of):
+        if j is not None:
+            groups[college_of_seat[j]].append(si)
+    return MtoMatching(prof.quotas, prof.n_students, groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=college_markets())
+def test_spda_matches_seat_clone_marriage_da(prof):
+    assert spda_matching(prof) == _seat_clone_outcome(prof)

@@ -123,6 +123,23 @@ def test_fail_path_in_sampled_mode():
     assert formats.witness_from_json(outcome.counterexample["witness"])
 
 
+def test_failing_survey_stops_at_its_first_failing_trial(monkeypatch):
+    scans = []
+    scan = suites.iter_manipulations
+
+    def counted(*args, **kwargs):
+        scans.append(args[2])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "iter_manipulations", counted)
+    outcome = suites._witness_survey(
+        SuiteParams(men=3, women=3, trials=5), lambda rule, witness: "flagged"
+    )
+    assert outcome.verdict == "fail" and outcome.trials == 5 and outcome.notes == ""
+    # the first trial is a planted base that admits a witness
+    assert len(scans) == 1
+
+
 def test_lemma_c1_reports_rule_hits():
     report = run_suite("lemma-c1", SuiteParams())
     assert "admitted a rule" in report.notes
