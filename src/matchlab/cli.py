@@ -16,10 +16,8 @@ from . import formats
 from .core import OUTSIDE, Matching, Side, stable_set
 from .da import RuleId, da_matching, run_da
 from .domains import (
-    PreferenceDomain,
     domain_is_single_peaked,
     is_anonymous,
-    is_single_peaked,
     satisfies_cyclical_inclusion,
     satisfies_top_dominance,
     satisfies_unrestricted_top_pairs,
@@ -306,23 +304,6 @@ _SIDED_CHECKS = {
 }
 
 
-def _check_single_peaked(
-    domain: PreferenceDomain, sides, men_line, women_line
-) -> tuple[bool, Optional[tuple]]:
-    if Side.MAN in sides and Side.WOMAN in sides:
-        check = domain_is_single_peaked(domain, men_line, women_line)
-        return check.holds, check.detail
-    # one side only: men rank women, so their line is the women's ordering
-    for a in sorted(domain.agents):
-        if a.side not in sides:
-            continue
-        line = women_line if a.side is Side.MAN else men_line
-        for pref in domain.admissible(a):
-            if not is_single_peaked(pref, line):
-                return False, (a, pref)
-    return True, None
-
-
 def _detail_json(detail: Optional[tuple]) -> Any:
     if detail is None:
         return None
@@ -351,7 +332,8 @@ def _cmd_check_domain(args: argparse.Namespace) -> int:
         if args.orderings is None:
             raise UsageError("--orderings is required for --property single-peaked")
         men_line, women_line = formats.orderings_from_json(_load_json(args.orderings))
-        holds, detail = _check_single_peaked(domain, sides, men_line, women_line)
+        check = domain_is_single_peaked(domain, men_line, women_line, sides)
+        holds, detail = check.holds, check.detail
     elif args.property == "anonymity":
         if args.orderings is not None:
             raise UsageError("--orderings only applies to --property single-peaked")

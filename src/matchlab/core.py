@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -25,6 +25,19 @@ from .errors import (
 )
 
 MAX_ENUMERATION_SIDE = 6
+
+
+def size_guard(what: str, size: int, limit: int, count: Callable[[], str]) -> None:
+    """Raise SizeGuardError when ``what`` needs more than ``limit`` agents per side.
+
+    The message names ``count()`` only up to twice the limit: past that the
+    count can take minutes to compute and have more digits than Python prints.
+    """
+    if size <= limit:
+        return
+    if size <= 2 * limit:
+        raise SizeGuardError(f"{what} yields {count()}; the limit is {limit} agents per side")
+    raise SizeGuardError(f"{what} is past the limit of {limit} agents per side")
 
 
 class Side(IntEnum):
@@ -196,15 +209,6 @@ class Preference(StrictOrder):
 
     def __repr__(self) -> str:
         return f"{self.owner}: " + " ".join(repr(x) for x in self.ranking)
-
-
-def prefers(pref: StrictOrder, x, y) -> bool:
-    """True when ``pref`` strictly ranks x above y."""
-    return pref.prefers(x, y)
-
-
-def weakly_prefers(pref: StrictOrder, x, y) -> bool:
-    return pref.weakly_prefers(x, y)
 
 
 class Profile:
@@ -459,10 +463,12 @@ def enumerate_matchings(p: int, q: int, force: bool = False) -> Iterator[Matchin
     """
     if p < 1 or q < 1:
         raise ValidationError("market needs at least one agent per side")
-    if not force and (p > MAX_ENUMERATION_SIDE or q > MAX_ENUMERATION_SIDE):
-        raise SizeGuardError(
-            f"enumerating a {p}x{q} market yields {count_matchings(p, q)} matchings; "
-            f"pass force=True to proceed"
+    if not force:
+        size_guard(
+            f"enumerating a {p}x{q} market without force=True",
+            max(p, q),
+            MAX_ENUMERATION_SIDE,
+            lambda: f"{count_matchings(p, q)} matchings",
         )
     for k in range(min(p, q) + 1):
         for men_sub in itertools.combinations(range(p), k):

@@ -26,13 +26,13 @@ from .core import (
     StrictOrder,
     men,
     outcome_key,
+    size_guard,
     stable_set,
     women,
 )
 from .errors import (
     BudgetExceededError,
     PreconditionError,
-    SizeGuardError,
     UnknownOutcomeError,
     ValidationError,
 )
@@ -53,18 +53,22 @@ def preference_sort_key(ranking: Sequence[Outcome]) -> tuple:
     return tuple(outcome_key(x) for x in ranking)
 
 
+def _rankings_guard(n_opposite: int) -> None:
+    size_guard(
+        f"enumerating every ranking of {n_opposite} agents and the outside option",
+        n_opposite,
+        MAX_ENUMERATION_SIDE,
+        lambda: f"{math.factorial(n_opposite + 1)} preferences",
+    )
+
+
 def all_preferences(owner: AgentId, n_opposite: int) -> tuple[Preference, ...]:
     """Every strict ranking for this agent, in lexicographic order.
 
     There are (n_opposite + 1)! of them, so past MAX_ENUMERATION_SIDE
     opposite agents this raises SizeGuardError before building any.
     """
-    if n_opposite > MAX_ENUMERATION_SIDE:
-        raise SizeGuardError(
-            f"enumerating every ranking of {n_opposite} agents and the outside option yields "
-            f"{math.factorial(n_opposite + 1)} preferences; the limit is "
-            f"{MAX_ENUMERATION_SIDE} agents per side"
-        )
+    _rankings_guard(n_opposite)
     opposite = women(n_opposite) if owner.side is Side.MAN else men(n_opposite)
     base = opposite + (OUTSIDE,)
     return tuple(Preference(owner, perm) for perm in itertools.permutations(base))
@@ -151,6 +155,8 @@ class PreferenceDomain:
     @classmethod
     def full(cls, p: int, q: int) -> "PreferenceDomain":
         """The unrestricted domain: every agent may report anything."""
+        _rankings_guard(q)
+        _rankings_guard(p)
         return cls({a: all_preferences(a, q if a.side is Side.MAN else p) for a in men(p) + women(q)})
 
     @classmethod
@@ -352,9 +358,13 @@ def domain_is_single_peaked(
     domain: PreferenceDomain,
     men_line: PriorOrdering,
     women_line: PriorOrdering,
+    sides: tuple[Side, ...] = (Side.MAN, Side.WOMAN),
 ) -> PropertyCheck:
-    """Every admissible preference single-peaked w.r.t. its side's line."""
+    """Every admissible preference of the listed sides single-peaked w.r.t.
+    its side's line; men rank women, so their line is the women's ordering."""
     for a in domain.agents:
+        if a.side not in sides:
+            continue
         line = women_line if a.side is Side.MAN else men_line
         for pref in domain.admissible(a):
             if not is_single_peaked(pref, line):
@@ -362,13 +372,20 @@ def domain_is_single_peaked(
     return PropertyCheck(True)
 
 
+def single_peaked_guard(n: int) -> None:
+    """Refuse a maximal single-peaked set over more than MAX_SINGLE_PEAKED_SIDE agents."""
+    size_guard(
+        f"the maximal single-peaked set over {n} agents",
+        n,
+        MAX_SINGLE_PEAKED_SIDE,
+        lambda: f"{2 ** (n - 1) * (n + 1)} elements",
+    )
+
+
 def generate_maximal_single_peaked(ordering: PriorOrdering, owner: AgentId) -> tuple[Preference, ...]:
     """All preferences single-peaked w.r.t. the line: 2^(n-1) * (n+1) of them."""
     n = len(ordering.order)
-    if n > MAX_SINGLE_PEAKED_SIDE:
-        raise SizeGuardError(
-            f"maximal single-peaked set over {n} agents has {2 ** (n - 1) * (n + 1)} elements"
-        )
+    single_peaked_guard(n)
     if ordering.side is not owner.side.opposite:
         raise PreconditionError("owner must rank the side the ordering arranges")
     line = ordering.order

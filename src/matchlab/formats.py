@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .core import (
     OUTSIDE,
@@ -44,7 +44,7 @@ from .mto import (
 )
 
 SCHEMA = "matchlab/1"
-_MAX_NAMED = 10  # missing agents named in an error message
+_MAX_NAMED = 10  # missing or unknown agents named in an error message
 
 _AGENT_NAME = re.compile(r"^([mwcs])([1-9][0-9]*)$")
 
@@ -125,6 +125,13 @@ def profile_to_json(profile: Profile) -> dict:
     }
 
 
+def _some_names(names: Iterable[str], count: int) -> str:
+    """The first _MAX_NAMED of ``count`` names, then how many more there are."""
+    shown = list(itertools.islice(names, _MAX_NAMED))
+    tail = f" and {count - len(shown)} more" if count > len(shown) else ""
+    return ", ".join(shown) + tail
+
+
 def profile_from_json(doc: Any) -> Profile:
     doc = _require_dict(doc, "market")
     p = _require_count(doc, "men")
@@ -139,11 +146,10 @@ def profile_from_json(doc: Any) -> Profile:
     missing = p + q - (len(table) - len(extra))
     if missing:
         names = (f"{prefix}{k}" for prefix, n in (("m", p), ("w", q)) for k in range(1, n + 1))
-        shown = list(itertools.islice((name for name in names if name not in table), _MAX_NAMED))
-        tail = f" and {missing - len(shown)} more" if missing > len(shown) else ""
-        raise FormatError("preferences", f"missing agents: {', '.join(shown)}{tail}")
+        absent = (name for name in names if name not in table)
+        raise FormatError("preferences", f"missing agents: {_some_names(absent, missing)}")
     if extra:
-        raise FormatError("preferences", f"unknown agents: {', '.join(sorted(extra))}")
+        raise FormatError("preferences", f"unknown agents: {_some_names(sorted(extra), len(extra))}")
     prefs = []
     for a in men(p) + women(q):
         field = f"preferences.{a.name}"

@@ -167,12 +167,6 @@ class CollegePreference(StrictOrder):
         except (KeyError, TypeError):
             raise UnknownOutcomeError(f"{subset!r} is not ranked by {self.owner}") from None
 
-    def prefers(self, a: Iterable[StudentId], b: Iterable[StudentId]) -> bool:
-        return self.rank_of(a) < self.rank_of(b)
-
-    def weakly_prefers(self, a: Iterable[StudentId], b: Iterable[StudentId]) -> bool:
-        return self.rank_of(a) <= self.rank_of(b)
-
     def is_acceptable(self, s: StudentId) -> bool:
         return self.rank_of((s,)) < self.rank_of(())
 

@@ -10,10 +10,9 @@ deterministic given the same parameters and seed.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from . import formats
@@ -37,13 +36,16 @@ from .da import RuleId, da_assignment, da_matching
 from .domains import (
     PreferenceDomain,
     PriorOrdering,
-    all_preferences,
+    cyclical_inclusion_missing,
     exists_stable_sp_rule,
     find_incompatibility_witness,
+    generate_maximal_single_peaked,
     maximal_single_peaked_domain,
     minimal_utp_rankings,
+    preference_sort_key,
     satisfies_top_dominance,
     satisfies_unrestricted_top_pairs,
+    single_peaked_guard,
     theorem3_equivalence_suite,
     top_dominance_violation,
 )
@@ -103,15 +105,6 @@ class SuiteParams:
     trials: Optional[int] = None  # None picks the per-size default
     budget: int = DEFAULT_EVAL_BUDGET
 
-    def as_dict(self) -> dict:
-        return {
-            "men": self.men,
-            "women": self.women,
-            "seed": self.seed,
-            "trials": self.trials,
-            "budget": self.budget,
-        }
-
 
 @dataclass
 class SuiteReport:
@@ -154,29 +147,32 @@ class _Outcome:
     notes: str
 
 
-def _default_trials(p: int, q: int) -> int:
-    if p == 3 and q == 3:
-        return 1000
-    return 200
-
-
 def _trial_seeds(seed: int, n: int) -> list[int]:
     rng = random.Random(seed)
     return [rng.randrange(2**62) for _ in range(n)]
 
 
-def _first_counterexample(
-    run_trial: Callable[[int], tuple[Optional[dict], bool]], trials: int
-) -> tuple[Optional[dict], int]:
-    """Run trials in order and stop at the first counterexample. Returns it
-    (None when every trial passed) and how many trials before it were hits."""
+def _sampled(
+    params: SuiteParams,
+    default_trials: int,
+    run_trial: Callable[[int, random.Random], tuple[Optional[dict], bool]],
+    note: Callable[[int], str],
+) -> _Outcome:
+    """Run params.trials (or default_trials) seeded trials in order.
+
+    Trial i gets its own Random, seeded by the i-th of the run's trial seeds,
+    and returns a counterexample or None plus whether it was a hit. The first
+    counterexample fails the suite; otherwise note turns the hit count into
+    the report's notes.
+    """
+    trials = params.trials if params.trials is not None else default_trials
     hits = 0
-    for i in range(trials):
-        cex, hit = run_trial(i)
+    for i, seed in enumerate(_trial_seeds(params.seed, trials)):
+        cex, hit = run_trial(i, random.Random(seed))
         if cex is not None:
-            return cex, hits
+            return _Outcome("sampled", "fail", cex, trials, "")
         hits += hit
-    return None, hits
+    return _Outcome("sampled", "pass", None, trials, note(hits))
 
 
 def _random_full_profile(rng: random.Random, p: int, q: int) -> Profile:
@@ -255,15 +251,14 @@ def _witness_survey(
     any witness found at all is a failure.
     """
     p, q = params.men, params.women
-    exhaustive = p == 2 and q == 2
-    man_alternatives = math.factorial(q + 1) - 1
-    woman_alternatives = math.factorial(p + 1) - 1
-    if coalition_side is Side.MAN:
-        pool_counts = [man_alternatives] * p
-    else:
-        pool_counts = [man_alternatives] * p + [woman_alternatives] * q
+    domain = PreferenceDomain.full(p, q)
+    pool_counts = [
+        len(domain.admissible(a)) - 1
+        for a in domain.agents
+        if coalition_side is None or a.side is coalition_side
+    ]
 
-    def scan_base(base: Profile, domain: PreferenceDomain, cap: int) -> Optional[dict]:
+    def scan_base(base: Profile, cap: int) -> Optional[dict]:
         rule = mpda_rule()
         pool = None
         if coalition_side is not None:
@@ -282,36 +277,28 @@ def _witness_survey(
                 return _counterexample_witness(witness, reason)
         return None
 
-    if exhaustive:
-        domain = PreferenceDomain.full(p, q)
+    if p == 2 and q == 2:
         cap = _affordable_cap(pool_counts, len(pool_counts), params.budget)
         bases = list(domain.profiles())
         for base in bases:
-            cex = scan_base(base, domain, cap)
+            cex = scan_base(base, cap)
             if cex is not None:
                 return _Outcome("exhaustive", "fail", cex, len(bases), "")
         note = f"every admissible base scanned, coalition cap {cap}"
         return _Outcome("exhaustive", "pass", None, len(bases), note)
 
-    trials = params.trials if params.trials is not None else _default_trials(p, q)
-    domain = PreferenceDomain.full(p, q)
     cap = _affordable_cap(pool_counts, min(len(pool_counts), 2), params.budget)
-    planted = _planted_bases(p, q)[: max(0, trials)]
-    seeds = _trial_seeds(params.seed, trials)
+    planted = _planted_bases(p, q)
 
-    def run_trial(i: int) -> Optional[dict]:
-        if i < len(planted):
-            base = planted[i]
-        else:
-            base = _random_full_profile(random.Random(seeds[i]), p, q)
-        return scan_base(base, domain, cap)
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
+        base = planted[i] if i < len(planted) else _random_full_profile(rng, p, q)
+        return scan_base(base, cap), True
 
-    for i in range(trials):
-        cex = run_trial(i)
-        if cex is not None:
-            return _Outcome("sampled", "fail", cex, trials, "")
-    note = f"{len(planted)} planted + {trials - len(planted)} random bases, coalition cap {cap}"
-    return _Outcome("sampled", "pass", None, trials, note)
+    def note(scanned: int) -> str:
+        n_planted = min(len(planted), scanned)
+        return f"{n_planted} planted + {scanned - n_planted} random bases, coalition cap {cap}"
+
+    return _sampled(params, 1000 if (p, q) == (3, 3) else 200, run_trial, note)
 
 
 def _suite_theorem1(params: SuiteParams) -> _Outcome:
@@ -358,22 +345,17 @@ def _random_subset(rng: random.Random, pool: Sequence, max_size: int) -> list:
     return list(rng.sample(list(pool), size))
 
 
-def _random_agent_sets(
-    rng: random.Random,
-    p: int,
-    q: int,
-    max_size: int,
-    side_filter: Optional[Callable[[Side, list], bool]] = None,
-    attempts: int = 200,
-) -> Optional[dict]:
-    """Random admissible sets per agent, optionally retried until a side passes."""
+def _random_agent_sets(rng: random.Random, full: PreferenceDomain, max_size: int) -> Optional[dict]:
+    """A random subset of each agent's rankings in the full domain. A woman's
+    subset is redrawn, up to 200 times, until it satisfies top dominance;
+    None when one never does."""
+    men_universe = men(full.p)
     sets: dict = {}
-    for a in men(p) + women(q):
-        pool = all_preferences(a, q if a.side is Side.MAN else p)
-        for _ in range(attempts):
-            chosen = _random_subset(rng, pool, max_size)
+    for a in full.agents:
+        for _ in range(200):
+            chosen = _random_subset(rng, full.admissible(a), max_size)
             chosen.sort(key=_sort_key)
-            if side_filter is None or side_filter(a.side, chosen):
+            if a.side is Side.MAN or top_dominance_violation(chosen, men_universe) is None:
                 sets[a] = chosen
                 break
         else:
@@ -382,8 +364,6 @@ def _random_agent_sets(
 
 
 def _sort_key(pref: Preference):
-    from .domains import preference_sort_key
-
     return preference_sort_key(pref.ranking)
 
 
@@ -396,19 +376,11 @@ def _domain_counterexample(domain: PreferenceDomain, reason: str, **extra) -> di
 def _suite_prop_gsp_existence(params: SuiteParams) -> _Outcome:
     """Receiving-side top dominance makes the proposing DA rule group-proof."""
     p, q = params.men, params.women
-    trials = params.trials if params.trials is not None else (20 if (p, q) == (2, 2) else 8)
+    full = PreferenceDomain.full(p, q)
     max_size = 6 if (p, q) == (2, 2) else 3
-    seeds = _trial_seeds(params.seed, trials)
-    men_universe = men(p)
 
-    def td_filter(side: Side, chosen: list) -> bool:
-        if side is Side.MAN:
-            return True
-        return top_dominance_violation(chosen, men_universe) is None
-
-    def run_trial(i: int) -> tuple[Optional[dict], bool]:
-        rng = random.Random(seeds[i])
-        sets = _random_agent_sets(rng, p, q, max_size, td_filter)
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
+        sets = _random_agent_sets(rng, full, max_size)
         if sets is None:
             return None, False
         domain = PreferenceDomain(sets)
@@ -438,55 +410,40 @@ def _suite_prop_gsp_existence(params: SuiteParams) -> _Outcome:
             )
         return None, True
 
-    cex, generated = _first_counterexample(run_trial, trials)
-    if cex is not None:
-        return _Outcome("sampled", "fail", cex, trials, "")
-    return _Outcome(
-        "sampled",
-        "pass",
-        None,
-        trials,
-        f"{generated} generated domains with top dominance on the receiving side",
+    return _sampled(
+        params,
+        20 if (p, q) == (2, 2) else 8,
+        run_trial,
+        lambda generated: f"{generated} generated domains with top dominance on the receiving side",
     )
 
 
 def _utp_men_sets(rng: random.Random, p: int, q: int, women_max: int) -> dict:
     """Men hold at least the minimal unrestricted-top-pairs rankings."""
+    full = PreferenceDomain.full(p, q)
+    minimal = frozenset(minimal_utp_rankings(women(q)))
     sets: dict = {}
     for a in men(p):
-        pool = all_preferences(a, q)
-        base = [pref for pref in pool if pref.ranking in _utp_rank_cache(q)]
+        pool = full.admissible(a)
+        base = [pref for pref in pool if pref.ranking in minimal]
         extras = [pref for pref in pool if pref not in base]
         picked = base + (rng.sample(extras, rng.randint(0, min(2, len(extras)))) if extras else [])
         picked.sort(key=_sort_key)
         sets[a] = picked
     for a in women(q):
-        pool = all_preferences(a, p)
-        chosen = _random_subset(rng, pool, women_max)
+        chosen = _random_subset(rng, full.admissible(a), women_max)
         chosen.sort(key=_sort_key)
         sets[a] = chosen
     return sets
-
-
-_UTP_CACHE: dict = {}
-
-
-def _utp_rank_cache(q: int) -> frozenset:
-    if q not in _UTP_CACHE:
-        _UTP_CACHE[q] = frozenset(minimal_utp_rankings(women(q)))
-    return _UTP_CACHE[q]
 
 
 def _suite_theorem2(params: SuiteParams) -> _Outcome:
     """Stable rules on proposer-side UTP domains: single-agent proofness
     and coalition proofness coincide."""
     p, q = params.men, params.women
-    trials = params.trials if params.trials is not None else (15 if (p, q) == (2, 2) else 5)
     women_max = 6 if (p, q) == (2, 2) else 2
-    seeds = _trial_seeds(params.seed, trials)
 
-    def run_trial(i: int) -> Optional[dict]:
-        rng = random.Random(seeds[i])
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
         domain = PreferenceDomain(_utp_men_sets(rng, p, q, women_max))
         if not satisfies_unrestricted_top_pairs(domain, Side.MAN):
             raise MatchlabError("generator lost unrestricted top pairs for men")
@@ -499,20 +456,22 @@ def _suite_theorem2(params: SuiteParams) -> _Outcome:
             gsp = is_group_strategy_proof(rule, domain, budget=params.budget)
             if sp.holds and not gsp.holds:
                 validate_witness(rule, gsp.witness, domain=domain)
-                return _counterexample_witness(
-                    gsp.witness,
-                    f"rule {rule.name} is single-agent proof but a coalition manipulates",
+                return (
+                    _counterexample_witness(
+                        gsp.witness,
+                        f"rule {rule.name} is single-agent proof but a coalition manipulates",
+                    ),
+                    True,
                 )
             if gsp.holds and not sp.holds:
                 raise MatchlabError("coalition scan missed a single-agent witness")
-        return None
+        return None, True
 
-    for i in range(trials):
-        cex = run_trial(i)
-        if cex is not None:
-            return _Outcome("sampled", "fail", cex, trials, "")
-    return _Outcome(
-        "sampled", "pass", None, trials, "proposer-side unrestricted top pairs held in every generated domain"
+    return _sampled(
+        params,
+        15 if (p, q) == (2, 2) else 5,
+        run_trial,
+        lambda hits: "proposer-side unrestricted top pairs held in every generated domain",
     )
 
 
@@ -520,12 +479,9 @@ def _suite_lemma_c1(params: SuiteParams) -> _Outcome:
     """When a stable single-agent-proof rule exists on a proposer-UTP domain,
     it is the proposing DA rule, confirmed by the independent table search."""
     p, q = params.men, params.women
-    trials = params.trials if params.trials is not None else (25 if (p, q) == (2, 2) else 5)
     women_max = 6 if (p, q) == (2, 2) else 2
-    seeds = _trial_seeds(params.seed, trials)
 
-    def run_trial(i: int) -> tuple[Optional[dict], bool]:
-        rng = random.Random(seeds[i])
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
         domain = PreferenceDomain(_utp_men_sets(rng, p, q, women_max))
         auto = exists_stable_sp_rule(domain)
         table = exists_stable_sp_rule(domain, path="backtracking")
@@ -556,28 +512,21 @@ def _suite_lemma_c1(params: SuiteParams) -> _Outcome:
                     )
         return None, True
 
-    cex, hits = _first_counterexample(run_trial, trials)
-    if cex is not None:
-        return _Outcome("sampled", "fail", cex, trials, "")
-    return _Outcome(
-        "sampled",
-        "pass",
-        None,
-        trials,
-        f"{hits} domains admitted a rule; each matched the proposing DA rule pointwise",
+    return _sampled(
+        params,
+        25 if (p, q) == (2, 2) else 5,
+        run_trial,
+        lambda hits: f"{hits} domains admitted a rule; each matched the proposing DA rule pointwise",
     )
 
 
 def _suite_lemma_c2(params: SuiteParams) -> _Outcome:
     """An alternating-sequence witness rules out every stable proof rule."""
     p, q = params.men, params.women
-    trials = params.trials if params.trials is not None else (20 if (p, q) == (2, 2) else 8)
     women_max = 6 if (p, q) == (2, 2) else 3
-    seeds = _trial_seeds(params.seed, trials)
     cross_check_tables = (p, q) == (2, 2)
 
-    def run_trial(i: int) -> tuple[Optional[dict], bool]:
-        rng = random.Random(seeds[i])
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
         if i == 0 and (p, q) == (2, 2):
             # the full domain is the guaranteed carrier of a witness
             domain = PreferenceDomain.full(p, q)
@@ -608,46 +557,34 @@ def _suite_lemma_c2(params: SuiteParams) -> _Outcome:
                 )
         return None, True
 
-    cex, hits = _first_counterexample(run_trial, trials)
-    if cex is not None:
-        return _Outcome("sampled", "fail", cex, trials, "")
-    return _Outcome(
-        "sampled",
-        "pass",
-        None,
-        trials,
-        f"{hits} domains carried an incompatibility witness; none admitted a rule",
+    return _sampled(
+        params,
+        20 if (p, q) == (2, 2) else 8,
+        run_trial,
+        lambda hits: f"{hits} domains carried an incompatibility witness; none admitted a rule",
     )
 
 
 def _suite_theorem3(params: SuiteParams) -> _Outcome:
     """Four-way equivalence on anonymous single-peaked swap-closed domains."""
     p, q = params.men, params.women
-    trials = params.trials if params.trials is not None else (30 if (p, q) == (2, 2) else 10)
-    seeds = _trial_seeds(params.seed, trials)
+    # before either line is built: a line holds every agent of its side
+    single_peaked_guard(q)
+    single_peaked_guard(p)
     men_line = PriorOrdering(Side.MAN, men(p))
     women_line = PriorOrdering(Side.WOMAN, women(q))
-    from .domains import generate_maximal_single_peaked
-
     men_pool = generate_maximal_single_peaked(women_line, man(0))
     women_pool = generate_maximal_single_peaked(men_line, woman(0))
     max_size = len(men_pool) if (p, q) == (2, 2) else 4
 
     def admissible_side_rankings(rng: random.Random, pool, universe) -> Optional[list]:
         for _ in range(300):
-            chosen = _random_subset(rng, pool, max_size)
-            orders = sorted(chosen, key=_sort_key)
-            if satisfies_cyclical_inclusion_orders(orders, universe):
+            orders = sorted(_random_subset(rng, pool, max_size), key=_sort_key)
+            if cyclical_inclusion_missing(orders, universe) is None:
                 return [pref.ranking for pref in orders]
         return None
 
-    def satisfies_cyclical_inclusion_orders(orders, universe) -> bool:
-        from .domains import cyclical_inclusion_missing
-
-        return cyclical_inclusion_missing(orders, universe) is None
-
-    def run_trial(i: int) -> tuple[Optional[dict], bool]:
-        rng = random.Random(seeds[i])
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
         men_rankings = admissible_side_rankings(rng, men_pool, women(q))
         women_rankings = admissible_side_rankings(rng, women_pool, men(p))
         if men_rankings is None or women_rankings is None:
@@ -665,11 +602,11 @@ def _suite_theorem3(params: SuiteParams) -> _Outcome:
             )
         return None, True
 
-    cex, hits = _first_counterexample(run_trial, trials)
-    if cex is not None:
-        return _Outcome("sampled", "fail", cex, trials, "")
-    return _Outcome(
-        "sampled", "pass", None, trials, f"{hits} admissible domains evaluated, all four clauses agreed"
+    return _sampled(
+        params,
+        30 if (p, q) == (2, 2) else 10,
+        run_trial,
+        lambda hits: f"{hits} admissible domains evaluated, all four clauses agreed",
     )
 
 
@@ -784,11 +721,7 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
             "every rational matching that beats DA for a proposer is blocked",
         )
 
-    trials = params.trials if params.trials is not None else 1000
-    seeds = _trial_seeds(params.seed, trials)
-
-    def run_trial(i: int) -> tuple[Optional[dict], bool]:
-        rng = random.Random(seeds[i])
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
         for _ in range(300):
             profile = _random_full_profile(rng, p, q)
             mu = _random_rational_matching(rng, profile)
@@ -798,15 +731,11 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
             return res, True
         return None, False
 
-    cex, effective = _first_counterexample(run_trial, trials)
-    if cex is not None:
-        return _Outcome("sampled", "fail", cex, trials, "")
-    return _Outcome(
-        "sampled",
-        "pass",
-        None,
-        trials,
-        f"{effective} trials produced a rational matching beating DA for some proposer",
+    return _sampled(
+        params,
+        1000,
+        run_trial,
+        lambda effective: f"{effective} trials produced a rational matching beating DA for some proposer",
     )
 
 
@@ -885,32 +814,29 @@ def _suite_example2(params: SuiteParams) -> _Outcome:
         return _fail("no joint manipulation found in the fixture domain")
     validate_mto_witness(pair, domain=domain)
 
-    trials = params.trials if params.trials is not None else 400
-    seeds = _trial_seeds(params.seed, trials)
     agents = domain.agents
-    for i in range(trials):
-        rng = random.Random(seeds[i])
-        base = ex.profile.replace(
-            {a: rng.choice(domain.admissible(a)) for a in agents}
-        )
+
+    def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
+        base = ex.profile.replace({a: rng.choice(domain.admissible(a)) for a in agents})
         single = find_manipulation_mto(domain, base, max_coalition=1, budget=params.budget)
-        if single is not None:
-            validate_mto_witness(single, domain=domain)
-            return _Outcome(
-                "sampled",
-                "fail",
-                {
-                    "reason": "a single agent manipulated the student-proposing rule on the fixture domain",
-                    "witness": formats.mto_witness_to_json(single),
-                },
-                trials,
-                "",
-            )
-    note = (
-        f"fixture domain holds {domain.profile_count} profiles; single-agent proofness "
-        f"probed at {trials} sampled bases; the joint manipulation validates"
-    )
-    return _Outcome("sampled", "pass", None, trials, note)
+        if single is None:
+            return None, True
+        validate_mto_witness(single, domain=domain)
+        return (
+            {
+                "reason": "a single agent manipulated the student-proposing rule on the fixture domain",
+                "witness": formats.mto_witness_to_json(single),
+            },
+            True,
+        )
+
+    def note(probed: int) -> str:
+        return (
+            f"fixture domain holds {domain.profile_count} profiles; single-agent proofness "
+            f"probed at {probed} sampled bases; the joint manipulation validates"
+        )
+
+    return _sampled(params, 400, run_trial, note)
 
 
 def _example2_domain(ex) -> MtoDomain:
@@ -964,7 +890,7 @@ def run_suite(suite: str, params: Optional[SuiteParams] = None) -> SuiteReport:
     elapsed = time.perf_counter() - start
     return SuiteReport(
         suite=suite,
-        params=params.as_dict(),
+        params=asdict(params),
         mode=outcome.mode,
         verdict=outcome.verdict,
         counterexample=outcome.counterexample,

@@ -2,6 +2,7 @@
 
 import json
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -143,6 +144,20 @@ def test_solve_large_declared_quota_fails_fast(tmp_path):
     assert result.returncode == EXIT_USAGE
     assert "colleges.c1.subset_ranking" in result.stderr
     assert "exactly once" in result.stderr
+
+
+def test_solve_names_only_the_first_unknown_agents(tmp_path, capsys):
+    doc = json.loads(Path(P1).read_text())
+    doc["preferences"].update({f"x{i}": ["w1", "@"] for i in range(100000)})
+    market = tmp_path / "extra_keys.json"
+    market.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--rule", "mpda", str(market))
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.encode()) < 1024
+    assert (
+        "unknown agents: x0, x1, x10, x100, x1000, x10000, x10001, x10002, x10003, x10004 "
+        "and 99990 more"
+    ) in err
 
 
 def test_solve_malformed_market(tmp_path, capsys):
@@ -379,6 +394,34 @@ def test_check_domain_single_peaked(capsys):
     assert (code, out) == (EXIT_PASS, "true\n")
 
 
+def test_check_domain_single_peaked_on_one_side(tmp_path, capsys):
+    # on the lines m1 m2 m3 and w1 w2 w3 every man's ranking is single peaked;
+    # the women's second ranking m1 > m3 > m2 is not
+    men_sets = [["w2", "w1", "w3", "@"], ["w1", "w2", "@", "w3"]]
+    women_sets = [["m1", "m2", "m3", "@"], ["m1", "m3", "m2", "@"]]
+    agents = {f"m{i}": men_sets for i in (1, 2, 3)}
+    agents.update({f"w{i}": women_sets for i in (1, 2, 3)})
+    domain = tmp_path / "domain_3x3.json"
+    domain.write_text(json.dumps({"schema": "matchlab/1", "kind": "domain", "agents": agents}))
+    orderings = tmp_path / "orderings_3x3.json"
+    orderings.write_text(json.dumps({
+        "schema": "matchlab/1", "kind": "orderings",
+        "men": ["m1", "m2", "m3"], "women": ["w1", "w2", "w3"],
+    }))
+    violation = ["w1", ["m1", "m3", "m2", "@"]]
+    for side, want in (
+        ("men", (EXIT_PASS, None)),
+        ("women", (EXIT_FAIL, violation)),
+        ("both", (EXIT_FAIL, violation)),
+    ):
+        code, out, _ = run(
+            capsys,
+            "check-domain", "--property", "single-peaked", "--orderings", str(orderings),
+            "--side", side, "--json", str(domain),
+        )
+        assert (code, json.loads(out)["detail"]) == want
+
+
 def test_check_domain_single_peaked_needs_orderings(capsys):
     code, _, err = run(capsys, "check-domain", "--property", "single-peaked", FULL_DOMAIN)
     assert code == EXIT_USAGE
@@ -460,6 +503,35 @@ def test_verify_refuses_to_enumerate_rankings_past_the_size_guard(capsys):
     code, out, err = run(capsys, "verify", "--suite", "theorem1", "--men", "9", "--women", "9")
     assert code == EXIT_BUDGET
     assert out == "" and "3628800 preferences" in err
+
+
+GUARDED_SUITES = (
+    "theorem1", "prop-welfare", "prop-unmatched", "corollary-dubins",
+    "prop-gsp-existence", "theorem2", "lemma-c1", "lemma-c2", "theorem3",
+)
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("flag", ("--men", "--women"))
+@pytest.mark.parametrize("suite", GUARDED_SUITES)
+def test_verify_size_guard_holds_at_any_size(suite, flag):
+    # the guard must fire before any per-agent object or count is built; a
+    # child process with capped memory and time keeps a regression contained
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "matchlab.cli", "verify", "--suite", suite, flag, "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_cap_memory,
+    )
+    assert time.perf_counter() - start < 10
+    assert result.returncode == EXIT_BUDGET and result.stdout == ""
+    assert len(result.stderr.encode()) < 1024
+    assert "1000000000 agents" in result.stderr
 
 
 def test_solve_rejects_a_huge_declared_market_without_building_it(capsys, tmp_path):

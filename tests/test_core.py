@@ -19,9 +19,7 @@ from matchlab.core import (
     is_individually_rational,
     is_stable,
     man,
-    prefers,
     stable_set,
-    weakly_prefers,
     woman,
 )
 from matchlab.errors import (
@@ -53,14 +51,14 @@ def recursive_count(p: int, q: int) -> int:
 
 
 def test_prefers_example(p1):
-    assert prefers(p1[M1], W1, W2)
-    assert not prefers(p1[M1], W2, W1)
-    assert weakly_prefers(p1[M1], W1, W1)
+    assert p1[M1].prefers(W1, W2)
+    assert not p1[M1].prefers(W2, W1)
+    assert p1[M1].weakly_prefers(W1, W1)
 
 
 def test_prefers_rejects_unranked(p1):
     with pytest.raises(UnknownOutcomeError):
-        prefers(p1[M1], woman(2), W1)
+        p1[M1].prefers(woman(2), W1)
 
 
 def test_preference_requires_outside():
@@ -210,6 +208,9 @@ def test_enumeration_deterministic():
 def test_enumeration_size_guard():
     with pytest.raises(SizeGuardError):
         list(enumerate_matchings(7, 2))
+    # the count has too many digits to print; the guard names the limit instead
+    with pytest.raises(SizeGuardError, match="limit of 6 agents per side"):
+        list(enumerate_matchings(2000, 2000))
     assert len(list(enumerate_matchings(7, 1, force=True))) == 8
 
 

@@ -157,7 +157,50 @@ def test_example2_notes_show_domain_scale():
     assert "200000" in report.notes
 
 
+# (mode, trials, notes, verdict) of every suite at SuiteParams(trials=2)
+PINNED_REPORTS = {
+    "theorem1": ("exhaustive", 1296, "every admissible base scanned, coalition cap 4", "pass"),
+    "prop-welfare": ("exhaustive", 1296, "every admissible base scanned, coalition cap 4", "pass"),
+    "prop-unmatched": ("exhaustive", 1296, "every admissible base scanned, coalition cap 4", "pass"),
+    "corollary-dubins": ("exhaustive", 1296, "every admissible base scanned, coalition cap 2", "pass"),
+    "prop-gsp-existence": (
+        "sampled", 2, "2 generated domains with top dominance on the receiving side", "pass"
+    ),
+    "theorem2": (
+        "sampled", 2, "proposer-side unrestricted top pairs held in every generated domain", "pass"
+    ),
+    "example1": (
+        "fixture", 1,
+        "stable sets, both DA outcomes, and both truncation witnesses check out", "pass",
+    ),
+    "prop4": (
+        "fixture", 1, "no rule by either search path; alternating-sequence witness validated", "pass"
+    ),
+    "theorem3": ("sampled", 2, "2 admissible domains evaluated, all four clauses agreed", "pass"),
+    "blocking-lemma": (
+        "sampled", 2, "2 trials produced a rational matching beating DA for some proposer", "pass"
+    ),
+    "lemma-c1": (
+        "sampled", 2,
+        "2 domains admitted a rule; each matched the proposing DA rule pointwise", "pass",
+    ),
+    "lemma-c2": (
+        "sampled", 2, "1 domains carried an incompatibility witness; none admitted a rule", "pass"
+    ),
+    "example2": (
+        "sampled", 2,
+        "fixture domain holds 200000 profiles; single-agent proofness probed at 2 sampled "
+        "bases; the joint manipulation validates",
+        "pass",
+    ),
+}
+
+
 def test_run_all_suites_covers_catalog():
     reports = suites.run_all_suites(SuiteParams(trials=2))
     assert [r.suite for r in reports] == list(SUITE_IDS)
     assert all(r.verdict == "pass" for r in reports)
+    for r in reports:
+        doc = r.to_json_dict()
+        assert (doc["mode"], doc["trials"], doc["notes"], doc["verdict"]) == PINNED_REPORTS[r.suite]
+        assert doc["counterexample"] is None
