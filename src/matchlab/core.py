@@ -422,30 +422,11 @@ def blocking_pairs(matching: Matching, profile: Profile) -> list[tuple[AgentId, 
     return out
 
 
-def _has_blocking_pair(matching: Matching, profile: Profile) -> bool:
-    # same scan as blocking_pairs but short-circuits on the first hit
-    man_of = [None] * profile.q
-    for i, j in enumerate(matching.assignment):
-        if j is not None:
-            man_of[j] = i
-    for i in range(profile.p):
-        mp = profile.men_prefs[i]
-        cur = matching.assignment[i]
-        cur_rank = mp.outside_rank if cur is None else mp.rank_by_index[cur]
-        for j in mp.acceptable_idx:
-            if mp.rank_by_index[j] >= cur_rank:
-                break  # acceptable_idx is in preference order
-            wp = profile.women_prefs[j]
-            held = man_of[j]
-            held_rank = wp.outside_rank if held is None else wp.rank_by_index[held]
-            if wp.rank_by_index[i] < held_rank:
-                return True
-    return False
-
-
 def is_stable(matching: Matching, profile: Profile) -> bool:
     _check_dims(matching, profile)
-    return is_individually_rational(matching, profile) and not _has_blocking_pair(matching, profile)
+    return is_individually_rational(matching, profile) and not _blocked(
+        matching.assignment, matching._man_of, profile.men_prefs, profile.women_prefs
+    )
 
 
 def count_matchings(p: int, q: int) -> int:
@@ -456,8 +437,10 @@ def count_matchings(p: int, q: int) -> int:
     )
 
 
-def enumerate_matchings(p: int, q: int, force: bool = False) -> Iterator[Matching]:
-    """Yield every matching of a p-by-q market in a fixed deterministic order.
+def iter_assignments(p: int, q: int, force: bool = False) -> Iterator[tuple[tuple, tuple]]:
+    """Every matching of a p-by-q market as (assignment, inverse): each man's
+    partner index and each woman's, None when unmatched. The order is by
+    size, then men subset, then women subset, then pairing.
 
     Guarded for p, q <= 6; pass force=True to exceed the guard knowingly.
     """
@@ -474,13 +457,60 @@ def enumerate_matchings(p: int, q: int, force: bool = False) -> Iterator[Matchin
         for men_sub in itertools.combinations(range(p), k):
             for women_sub in itertools.combinations(range(q), k):
                 for perm in itertools.permutations(women_sub):
-                    yield Matching(p, q, [(man(i), woman(j)) for i, j in zip(men_sub, perm)])
+                    assignment: list = [None] * p
+                    inverse: list = [None] * q
+                    for i, j in zip(men_sub, perm):
+                        assignment[i] = j
+                        inverse[j] = i
+                    yield tuple(assignment), tuple(inverse)
+
+
+def enumerate_matchings(p: int, q: int, force: bool = False) -> Iterator[Matching]:
+    """Yield every matching of a p-by-q market in a fixed deterministic order.
+
+    Guarded for p, q <= 6; pass force=True to exceed the guard knowingly.
+    """
+    for assignment, _ in iter_assignments(p, q, force):
+        yield Matching.from_assignment(p, q, assignment)
+
+
+def stable_assignments(
+    matchings: Iterable[tuple[tuple, tuple]],
+    men_prefs: Sequence[Preference],
+    women_prefs: Sequence[Preference],
+) -> list[tuple[tuple, tuple]]:
+    """The (assignment, inverse) pairs, in the order given, that are
+    individually rational and have no blocking pair under the preferences."""
+    stable = []
+    for assignment, inverse in matchings:
+        for i, j in enumerate(assignment):
+            if j is not None:
+                mp, wp = men_prefs[i], women_prefs[j]
+                if mp.rank_by_index[j] > mp.outside_rank or wp.rank_by_index[i] > wp.outside_rank:
+                    break
+        else:
+            if not _blocked(assignment, inverse, men_prefs, women_prefs):
+                stable.append((assignment, inverse))
+    return stable
+
+
+def _blocked(assignment: tuple, inverse: tuple, men_prefs, women_prefs) -> bool:
+    # the first blocking pair ends the scan; blocking_pairs lists them all
+    for i, mp in enumerate(men_prefs):
+        cur = assignment[i]
+        cur_rank = mp.outside_rank if cur is None else mp.rank_by_index[cur]
+        for j in mp.acceptable_idx:
+            if mp.rank_by_index[j] >= cur_rank:
+                break  # acceptable_idx is in preference order
+            wp = women_prefs[j]
+            held = inverse[j]
+            if wp.rank_by_index[i] < (wp.outside_rank if held is None else wp.rank_by_index[held]):
+                return True
+    return False
 
 
 def stable_set(profile: Profile, force: bool = False) -> list[Matching]:
     """All stable matchings of the profile, in enumeration order. Never empty."""
-    return [
-        mu
-        for mu in enumerate_matchings(profile.p, profile.q, force=force)
-        if is_stable(mu, profile)
-    ]
+    p, q = profile.p, profile.q
+    stable = stable_assignments(iter_assignments(p, q, force), profile.men_prefs, profile.women_prefs)
+    return [Matching.from_assignment(p, q, assignment) for assignment, _ in stable]

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     MAX_ENUMERATION_SIDE,
@@ -24,10 +24,11 @@ from .core import (
     Profile,
     Side,
     StrictOrder,
+    iter_assignments,
     men,
     outcome_key,
     size_guard,
-    stable_set,
+    stable_assignments,
     women,
 )
 from .errors import (
@@ -72,6 +73,24 @@ def all_preferences(owner: AgentId, n_opposite: int) -> tuple[Preference, ...]:
     opposite = women(n_opposite) if owner.side is Side.MAN else men(n_opposite)
     base = opposite + (OUTSIDE,)
     return tuple(Preference(owner, perm) for perm in itertools.permutations(base))
+
+
+class ProductOrder(NamedTuple):
+    """A domain's profiles as mixed-radix numbers over its agents, men first.
+
+    Digit d of agent i stands for lists[i][d]. A profile's index is the dot
+    product of its digits with `strides`, so the last agent varies fastest.
+    """
+
+    lists: tuple[tuple[Preference, ...], ...]
+    strides: tuple[int, ...]
+
+    def digits(self) -> Iterator[tuple[int, ...]]:
+        """Every digit vector, in index order."""
+        return itertools.product(*(range(len(l)) for l in self.lists))
+
+    def preferences(self, digits: Sequence[int]) -> tuple[Preference, ...]:
+        return tuple([l[d] for l, d in zip(self.lists, digits)])
 
 
 class PreferenceDomain:
@@ -130,10 +149,20 @@ class PreferenceDomain:
             total *= len(self._lists[a])
         return total
 
+    def product_order(self) -> "ProductOrder":
+        """The admissible lists in agent order, with the strides that number
+        the profiles as in `profiles`."""
+        lists = tuple(self._lists[a] for a in self.agents)
+        strides = [1] * len(lists)
+        for i in range(len(lists) - 1, 0, -1):
+            strides[i - 1] = strides[i] * len(lists[i])
+        return ProductOrder(lists, tuple(strides))
+
     def profiles(self) -> Iterator[Profile]:
         """All admissible profiles, last agent's coordinate varying fastest."""
-        for combo in itertools.product(*(self._lists[a] for a in self.agents)):
-            yield Profile(combo)
+        order = self.product_order()
+        for digits in order.digits():
+            yield Profile(order.preferences(digits))
 
     def contains(self, profile: Profile) -> bool:
         if profile.p != self.p or profile.q != self.q:
@@ -577,42 +606,31 @@ def _rank_of_index(pref: Preference, idx) -> int:
 def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     """Chronological backtracking over per-profile stable selections.
 
-    Assigning profile t checks, against every already assigned profile t'
-    differing in one agent's coordinate, that the deviating agent gains in
-    neither direction. Returns a full table or None when provably none exists.
+    Profiles are walked by index in the domain's product order. Assigning
+    profile t checks, against every already assigned profile t' differing in
+    one agent's coordinate, that the deviating agent gains in neither
+    direction. Returns a full table or None when provably none exists.
     """
-    agents = list(domain.agents)
-    lists = [domain.admissible(a) for a in agents]
-    sizes = [len(l) for l in lists]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = domain.profile_count
     if total > EXHAUSTIVE_PROFILE_BUDGET:
         raise BudgetExceededError(
             f"backtracking search is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles", total
         )
+    agents = domain.agents
     n_agents = len(agents)
-    strides = [0] * n_agents
-    acc = 1
-    for i in range(n_agents - 1, -1, -1):
-        strides[i] = acc
-        acc *= sizes[i]
-    digit_tuples = list(itertools.product(*(range(s) for s in sizes)))
-    q = domain.q
+    order = domain.product_order()
+    lists, strides = order.lists, order.strides
+    digit_tuples = list(order.digits())
     men_count = domain.p
+    matchings = list(iter_assignments(domain.p, domain.q))
 
+    keys: list[tuple] = []
     options: list[list[tuple]] = []
     for digits in digit_tuples:
-        profile = Profile([lists[i][d] for i, d in enumerate(digits)])
-        opts = []
-        for mu in stable_set(profile):
-            assignment = mu.assignment
-            inverse = [None] * q
-            for mi, wj in enumerate(assignment):
-                if wj is not None:
-                    inverse[wj] = mi
-            opts.append((assignment, tuple(inverse)))
-        options.append(opts)
+        prefs = order.preferences(digits)
+        men_prefs, women_prefs = prefs[:men_count], prefs[men_count:]
+        keys.append((men_prefs, women_prefs))
+        options.append(stable_assignments(matchings, men_prefs, women_prefs))
 
     def outcome_of(agent_pos: int, option: tuple):
         a = agents[agent_pos]
@@ -658,12 +676,7 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
             if pos < 0:
                 return None
 
-    table = {}
-    for pos, digits in enumerate(digit_tuples):
-        men_prefs = tuple(lists[i][digits[i]] for i in range(men_count))
-        women_prefs = tuple(lists[i][digits[i]] for i in range(men_count, n_agents))
-        table[(men_prefs, women_prefs)] = options[pos][chosen[pos]][0]
-    return table
+    return {key: options[pos][chosen[pos]][0] for pos, key in enumerate(keys)}
 
 
 def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> StableSpSearch:

@@ -11,6 +11,7 @@ evaluations up front and refuse budgets they would blow through.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
@@ -215,6 +216,9 @@ def _scan(
     exhaustive scan first checks its planned evaluations over the whole pool
     against the budget. `evaluate` must not keep the list it is given."""
     if sampling is None:
+        if max_coalition < 1:
+            raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
+        # the floor of 1 only matters for an empty pool, which plans nothing
         max_coalition = max(1, min(max_coalition, len(pool)))
         planned = planned_evaluations((len(alternatives[i]) for i in pool), max_coalition)
         if planned > budget:
@@ -237,6 +241,42 @@ def _scan(
             yield coalition, misreports, before, after
 
 
+def _marriage_rank(p: int, true: Sequence[Preference]) -> Callable[[int, tuple], int]:
+    """rank(i, assignment) for `_scan`: agent i's true rank of its partner,
+    men first, then women."""
+
+    def rank(i: int, assignment: tuple) -> int:
+        if i < p:
+            partner = assignment[i]
+        else:
+            partner = assignment.index(i - p) if i - p in assignment else None
+        pref = true[i]
+        return pref.outside_rank if partner is None else pref.rank_by_index[partner]
+
+    return rank
+
+
+def _marriage_witness(
+    rule: MatchingRule,
+    base: Profile,
+    coalition: tuple[int, ...],
+    reports: tuple[Preference, ...],
+    before: tuple,
+    after: tuple,
+) -> ManipulationWitness:
+    """The witness for one hit of `_scan`, whose agents are numbered men first."""
+    agents = base.agents
+    members = tuple(agents[i] for i in coalition)
+    return ManipulationWitness(
+        rule_name=rule.name,
+        base=base,
+        coalition=members,
+        misreports=tuple(zip(members, reports)),
+        outcome_before=Matching.from_assignment(base.p, base.q, before),
+        outcome_after=Matching.from_assignment(base.p, base.q, after),
+    )
+
+
 def _marriage_scan(
     rule: MatchingRule,
     domain: "PreferenceDomain",
@@ -245,12 +285,11 @@ def _marriage_scan(
     max_coalition: Optional[int],
     budget: int = DEFAULT_EVAL_BUDGET,
     sampling: Optional[tuple[random.Random, int]] = None,
-    memoized: Optional[Callable[[Callable], Callable]] = None,
 ) -> Iterator[ManipulationWitness]:
     """The coalition scanner on a marriage market, yielding witnesses."""
     if not domain.contains(base):
         raise PreconditionError("base profile is not admissible in the domain")
-    p, q = base.p, base.q
+    p = base.p
     agents = base.agents
     true = base.men_prefs + base.women_prefs
     alternatives: list[tuple] = [()] * len(agents)
@@ -265,28 +304,9 @@ def _marriage_scan(
     def evaluate(reports: list) -> tuple:
         return assign(tuple(reports[:p]), tuple(reports[p:]))
 
-    def rank(i: int, assignment: tuple) -> int:
-        if i < p:
-            partner = assignment[i]
-        else:
-            partner = assignment.index(i - p) if i - p in assignment else None
-        pref = true[i]
-        return pref.outside_rank if partner is None else pref.rank_by_index[partner]
-
-    if memoized is not None:
-        evaluate = memoized(evaluate)
-    for coalition, reports, before, after in _scan(
-        true, alternatives, pool, evaluate, rank, max_coalition, budget, sampling
-    ):
-        members = tuple(agents[i] for i in coalition)
-        yield ManipulationWitness(
-            rule_name=rule.name,
-            base=base,
-            coalition=members,
-            misreports=tuple(zip(members, reports)),
-            outcome_before=Matching.from_assignment(p, q, before),
-            outcome_after=Matching.from_assignment(p, q, after),
-        )
+    rank = _marriage_rank(p, true)
+    for hit in _scan(true, alternatives, pool, evaluate, rank, max_coalition, budget, sampling):
+        yield _marriage_witness(rule, base, *hit)
 
 
 def find_manipulation(
@@ -353,9 +373,11 @@ def _certify(
     budget: int,
     max_coalition: Optional[int],
 ) -> StrategyProofness:
-    """Scan every admissible profile with one outcome memo for the run: a
-    list indexed by the profile's mixed-radix position in the domain's
-    product order, so it never holds more than `profile_count` outcomes."""
+    """Scan every admissible profile as a digit vector in the domain's
+    product order. Reports are digits, so a profile's index is its memo key:
+    the run's one outcome memo never holds more than `profile_count`
+    outcomes, and preferences are looked up only to evaluate a new profile
+    or to build the witness."""
     count = domain.profile_count
     if count > EXHAUSTIVE_PROFILE_BUDGET:
         raise BudgetExceededError(
@@ -363,29 +385,34 @@ def _certify(
             "use the sampled variant",
             count,
         )
-    offsets: list[dict] = []
-    stride = 1
-    for a in reversed(domain.agents):
-        options = domain.admissible(a)
-        offsets.insert(0, {pref: d * stride for d, pref in enumerate(options)})
-        stride *= len(options)
+    order = domain.product_order()
+    lists, strides = order.lists, order.strides
+    p = domain.p
+    # others[i][d]: agent i's digits other than d, in list order
+    others = [[tuple(v for v in range(len(l)) if v != d) for d in range(len(l))] for l in lists]
     memo: list = [None] * count
+    assign = rule.assignment
 
-    def memoized(evaluate: Callable[[list], tuple]) -> Callable[[list], tuple]:
-        def lookup(reports: list) -> tuple:
-            key = sum([offset[r] for offset, r in zip(offsets, reports)])
-            hit = memo[key]
-            if hit is None:
-                hit = memo[key] = evaluate(reports)
-            return hit
+    def evaluate(digits: list) -> tuple:
+        key = sum(map(operator.mul, digits, strides))
+        outcome = memo[key]
+        if outcome is None:
+            prefs = order.preferences(digits)
+            outcome = memo[key] = assign(prefs[:p], prefs[p:])
+        return outcome
 
-        return lookup
-
-    cap = max_coalition if max_coalition is not None else len(domain.agents)
-    for base in domain.profiles():
-        w = next(_marriage_scan(rule, domain, base, None, cap, budget, memoized=memoized), None)
-        if w is not None:
-            return StrategyProofness(False, w)
+    pool = range(len(lists))
+    cap = max_coalition if max_coalition is not None else len(pool)
+    for digits in order.digits():
+        true = order.preferences(digits)
+        alternatives = [o[d] for o, d in zip(others, digits)]
+        rank = _marriage_rank(p, true)
+        hit = next(_scan(digits, alternatives, pool, evaluate, rank, cap, budget), None)
+        if hit is not None:
+            coalition, reports, before, after = hit
+            misreports = tuple(lists[i][d] for i, d in zip(coalition, reports))
+            witness = _marriage_witness(rule, Profile(true), coalition, misreports, before, after)
+            return StrategyProofness(False, witness)
     return StrategyProofness(True, None)
 
 

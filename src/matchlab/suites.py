@@ -28,6 +28,7 @@ from .core import (
     is_stable,
     man,
     men,
+    size_guard,
     stable_set,
     woman,
     women,
@@ -93,6 +94,13 @@ SUITE_IDS = (
     "lemma-c2",
     "example2",
 )
+
+
+# the sampled blocking lemma draws up to BLOCKING_LEMMA_DRAWS profiles per
+# trial; with two men and many women most draws are vacuous, so the default
+# 1,000 trials at 2x6 take several seconds
+MAX_BLOCKING_LEMMA_SIDE = 6
+BLOCKING_LEMMA_DRAWS = 300
 
 
 @dataclass(frozen=True)
@@ -675,6 +683,12 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
     p, q = params.men, params.women
     if p < 2 or q < 2:
         raise PreconditionError("the blocking property needs at least two agents per side")
+    size_guard(
+        f"the blocking lemma with {max(p, q)} agents on one side",
+        max(p, q),
+        MAX_BLOCKING_LEMMA_SIDE,
+        lambda: f"up to {BLOCKING_LEMMA_DRAWS} random {p}x{q} profiles per trial",
+    )
 
     def violation(profile: Profile, mu: Matching) -> Optional[dict]:
         da_assign = da_assignment(RuleId.MPDA, profile.men_prefs, profile.women_prefs)
@@ -722,7 +736,7 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
         )
 
     def run_trial(i: int, rng: random.Random) -> tuple[Optional[dict], bool]:
-        for _ in range(300):
+        for _ in range(BLOCKING_LEMMA_DRAWS):
             profile = _random_full_profile(rng, p, q)
             mu = _random_rational_matching(rng, profile)
             res = violation(profile, mu)

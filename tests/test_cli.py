@@ -508,6 +508,7 @@ def test_verify_refuses_to_enumerate_rankings_past_the_size_guard(capsys):
 GUARDED_SUITES = (
     "theorem1", "prop-welfare", "prop-unmatched", "corollary-dubins",
     "prop-gsp-existence", "theorem2", "lemma-c1", "lemma-c2", "theorem3",
+    "blocking-lemma",
 )
 
 

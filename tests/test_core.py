@@ -273,6 +273,45 @@ def test_stable_set_invariants_sampled(p, q):
             assert blocking_pairs(m, profile) == []
 
 
+def _stable_by_definition(profile):
+    return [
+        mu
+        for mu in enumerate_matchings(profile.p, profile.q)
+        if is_individually_rational(mu, profile) and not blocking_pairs(mu, profile)
+    ]
+
+
+def test_stable_set_matches_the_definition_on_every_2x2_profile():
+    men_lists = [_all_preferences(m, [W1, W2]) for m in (M1, M2)]
+    women_lists = [_all_preferences(w, [M1, M2]) for w in (W1, W2)]
+    for combo in itertools.product(*men_lists, *women_lists):
+        profile = Profile(combo)
+        assert stable_set(profile) == _stable_by_definition(profile), profile
+
+
+@st.composite
+def _truncated_profiles(draw):
+    """Profiles with 1 to 4 agents per side, sides drawn independently, and
+    the outside option anywhere in each ranking."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    prefs = []
+    for a in [man(i) for i in range(p)] + [woman(j) for j in range(q)]:
+        opposite = [woman(j) for j in range(q)] if a.side is Side.MAN else [man(i) for i in range(p)]
+        prefs.append(Preference(a, draw(st.permutations(opposite + [OUTSIDE]))))
+    return Profile(prefs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile=_truncated_profiles())
+def test_stable_set_matches_the_definition_on_truncated_profiles(profile):
+    assert stable_set(profile) == _stable_by_definition(profile)
+
+
+@pytest.mark.parametrize("p,q", list(itertools.product(range(1, 5), repeat=2)))
+def test_enumeration_length_matches_the_closed_form(p, q):
+    assert len(list(enumerate_matchings(p, q))) == count_matchings(p, q)
+
+
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 3)])
 def test_is_stable_agrees_with_definition_scan(p, q):
     """is_stable short-circuits; compare against the full blocking enumeration."""

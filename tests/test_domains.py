@@ -1,5 +1,6 @@
 """Domains, structural property checkers, and the existence searches."""
 
+import hashlib
 import itertools
 import random
 
@@ -513,6 +514,45 @@ def test_minimal_utp_domain_admits_no_rule():
     assert not auto.exists and auto.path == "shortcut-mpda"
     forced = exists_stable_sp_rule(dom, path="backtracking")
     assert not forced.exists
+
+
+# (seed, sha-256 prefix of repr(table)) recorded before the search moved to
+# profile indices; every domain without a rule has the table None
+TABLE_DIGESTS = {
+    0: "dc937b59892604f5", 1: "3c5e8f38bf304ea6", 2: "0ec5896268c3bb40",
+    3: "523c29c3fcbdea6a", 4: "dc937b59892604f5", 5: "dc937b59892604f5",
+    6: "7f3df8619b7104fe", 7: "f4deb49aa9ba1056", 8: "2f922563a9f17316",
+    9: "f7c20bbfbce75b74", 10: "dc937b59892604f5", 11: "0e3124b59ee47c98",
+    12: "1db60d9180252fc3", 13: "18092e114ead43d8", 14: "d4d8f8ae1967589e",
+    15: "a83dd366dae367e4", 16: "dc937b59892604f5", 17: "44ff6ad60475c179",
+    18: "f4a05f938834fbe3", 19: "7827fd0969b9921f",
+}
+
+
+def _seeded_domain(seed):
+    rng = random.Random(seed)
+    full = PreferenceDomain.full(2, 2)
+    return PreferenceDomain({a: rng.sample(full.admissible(a), rng.randint(2, 6)) for a in full.agents})
+
+
+def test_backtracking_tables_are_pinned():
+    for seed, digest in TABLE_DIGESTS.items():
+        table = exists_stable_sp_rule(_seeded_domain(seed), "backtracking").table
+        assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == digest, seed
+
+
+def test_product_order_numbers_profiles_in_profile_order():
+    full = PreferenceDomain.full(2, 2)
+    dom = PreferenceDomain({a: full.admissible(a)[: size] for a, size in zip(full.agents, (3, 1, 2, 4))})
+    order = dom.product_order()
+    assert order.strides == (8, 8, 4, 1)
+    expected = list(itertools.product(*(dom.admissible(a) for a in dom.agents)))
+    listed = list(order.digits())
+    assert len(listed) == dom.profile_count == len(expected)
+    for index, digits in enumerate(listed):
+        assert sum(d * s for d, s in zip(digits, order.strides)) == index
+        assert order.preferences(digits) == expected[index]
+    assert [p.men_prefs + p.women_prefs for p in dom.profiles()] == expected
 
 
 def test_search_guards():

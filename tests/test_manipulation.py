@@ -1,5 +1,6 @@
 """Rules, manipulation witnesses, and strategy-proofness certification."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from matchlab import manipulation
 from matchlab.core import OUTSIDE, Matching, Profile, man, men, woman, women
 from matchlab.da import RuleId, da_assignment, da_matching
-from matchlab.domains import PreferenceDomain, all_preferences
-from matchlab.errors import BudgetExceededError, PreconditionError
+from matchlab.domains import PreferenceDomain, all_preferences, exists_stable_sp_rule
+from matchlab.errors import BudgetExceededError, PreconditionError, ValidationError
 from matchlab.manipulation import (
     DEFAULT_EVAL_BUDGET,
     EXHAUSTIVE_PROFILE_BUDGET,
@@ -215,6 +216,45 @@ def test_budget_exceeded_carries_planned_count(p1):
     assert "(required 170)" in str(err.value)
 
 
+def test_certification_budget_too_small_for_one_base_carries_planned_count(p1):
+    # the certification scans the first profile of the product order first,
+    # and plans exactly what a single-base search there plans
+    full = PreferenceDomain.full(2, 2)
+    first = next(full.profiles())
+    with pytest.raises(BudgetExceededError) as single:
+        find_manipulation(mpda_rule(), full, first, max_coalition=2, budget=10)
+    with pytest.raises(BudgetExceededError) as certified:
+        is_group_strategy_proof(mpda_rule(), full, budget=10, max_coalition=2)
+    assert certified.value.count == single.value.count == 4 * 5 + 6 * 25
+    assert str(certified.value) == str(single.value)
+
+
+def test_find_manipulation_rejects_a_coalition_bound_below_one(p1):
+    full = PreferenceDomain.full(2, 2)
+    for bound in (0, -5):
+        with pytest.raises(ValidationError, match="at least 1"):
+            find_manipulation(mpda_rule(), full, p1, max_coalition=bound)
+
+
+def test_iter_manipulations_rejects_a_coalition_bound_below_one(p1):
+    full = PreferenceDomain.full(2, 2)
+    for bound in (0, -5):
+        with pytest.raises(ValidationError, match="at least 1"):
+            list(iter_manipulations(mpda_rule(), full, p1, max_coalition=bound))
+
+
+def test_group_certification_rejects_a_coalition_bound_below_one():
+    full = PreferenceDomain.full(2, 2)
+    for bound in (0, -5):
+        with pytest.raises(ValidationError, match="at least 1"):
+            is_group_strategy_proof(mpda_rule(), full, max_coalition=bound)
+
+
+def test_empty_coalition_pool_plans_nothing(p1):
+    full = PreferenceDomain.full(2, 2)
+    assert find_manipulation(mpda_rule(), full, p1, max_coalition=2, coalition_pool=[]) is None
+
+
 def test_default_budget_allows_small_markets(p1):
     full = PreferenceDomain.full(2, 2)
     assert planned_evaluations([5, 5, 5, 5], 4) < DEFAULT_EVAL_BUDGET
@@ -415,3 +455,49 @@ def test_any_mpda_witness_shifts_welfare_toward_women(seed):
     assert shift.men_weakly_worse
     assert shift.women_weakly_better
     assert shift.unmatched_preserved
+
+
+# --- certification against a memo-free oracle ----------------------------------
+
+
+@st.composite
+def small_2x2_domains(draw):
+    """2x2 domains with one to four admissible preferences per agent."""
+    sets = {}
+    for a in men(2) + women(2):
+        options = all_preferences(a, 2)
+        sets[a] = draw(st.lists(st.sampled_from(options), min_size=1, max_size=4, unique=True))
+    return PreferenceDomain(sets)
+
+
+def _first_witness(rule, domain, max_coalition):
+    """The certification's answer, rebuilt from single-base searches without a memo."""
+    cap = len(domain.agents) if max_coalition is None else max_coalition
+    for base in domain.profiles():
+        witness = find_manipulation(rule, domain, base, cap)
+        if witness is not None:
+            return witness
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain=small_2x2_domains())
+def test_certification_matches_the_memo_free_oracle(domain):
+    rules = [mpda_rule(), wpda_rule()]
+    search = exists_stable_sp_rule(domain, "backtracking")
+    if search.exists:
+        rules.append(search.rule)
+    for rule in rules:
+        for cap in (1, 2, None):
+            check = is_group_strategy_proof(rule, domain, max_coalition=cap)
+            if cap == 1:
+                assert is_strategy_proof(rule, domain) == check
+            expected = _first_witness(rule, domain, cap)
+            assert check.holds == (expected is None)
+            if expected is None:
+                assert check.witness is None
+                continue
+            got = check.witness
+            for field in dataclasses.fields(ManipulationWitness):
+                assert getattr(got, field.name) == getattr(expected, field.name), field.name
+            validate_witness(rule, got, domain=domain)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from matchlab import formats, suites
-from matchlab.errors import BudgetExceededError, PreconditionError, UnknownSuiteError
+from matchlab.errors import BudgetExceededError, PreconditionError, SizeGuardError, UnknownSuiteError
 from matchlab.manipulation import mpda_rule, validate_witness
 from matchlab.suites import SUITE_IDS, SuiteParams, run_suite
 
@@ -53,6 +53,15 @@ def test_exhaustive_counts_every_base():
 def test_blocking_lemma_guard():
     with pytest.raises(PreconditionError):
         run_suite("blocking-lemma", SuiteParams(men=1, women=1))
+
+
+@pytest.mark.parametrize("men, women", [(2, 7), (7, 2)])
+def test_blocking_lemma_size_guard(men, women):
+    limit = suites.MAX_BLOCKING_LEMMA_SIDE
+    assert max(men, women) == limit + 1
+    expected = f"300 random {men}x{women} profiles per trial; the limit is {limit}"
+    with pytest.raises(SizeGuardError, match=expected):
+        run_suite("blocking-lemma", SuiteParams(men=men, women=women))
 
 
 def test_prop4_is_a_2x2_statement():
