@@ -76,67 +76,74 @@ def all_preferences(owner: AgentId, n_opposite: int) -> tuple[Preference, ...]:
 
 
 class ProductOrder(NamedTuple):
-    """A domain's profiles as mixed-radix numbers over its agents, men first.
+    """A domain's profiles as mixed-radix numbers over its agents, in agent order.
 
     Digit d of agent i stands for lists[i][d]. A profile's index is the dot
     product of its digits with `strides`, so the last agent varies fastest.
     """
 
-    lists: tuple[tuple[Preference, ...], ...]
+    lists: tuple[tuple, ...]
     strides: tuple[int, ...]
 
     def digits(self) -> Iterator[tuple[int, ...]]:
         """Every digit vector, in index order."""
         return itertools.product(*(range(len(l)) for l in self.lists))
 
-    def preferences(self, digits: Sequence[int]) -> tuple[Preference, ...]:
+    def preferences(self, digits: Sequence[int]) -> tuple:
         return tuple([l[d] for l, d in zip(self.lists, digits)])
 
 
-class PreferenceDomain:
-    """Per-agent admissible preference sets over a fixed p-by-q market."""
+class ProductDomain:
+    """Per-agent admissible preference sets over a two-sided market.
 
-    __slots__ = ("p", "q", "_lists", "_lookups")
+    The admissible profiles are the product of the sets. Agents are ordered
+    by side, then by index. Each market names its two SIDES and supplies
+    `side_of(agent)` (0, 1, or None for an agent of another market),
+    `check_ranking(agent, pref, first)` (raise for a ranking unfit for the
+    market; `first` heads the agent's set) and `make_profile(prefs)` (its
+    profile from one preference per agent, in agent order).
+    """
 
-    def __init__(self, sets: Mapping[AgentId, Iterable[Preference]]):
-        men_idx = sorted(a.index for a in sets if a.side is Side.MAN)
-        women_idx = sorted(a.index for a in sets if a.side is Side.WOMAN)
-        p, q = len(men_idx), len(women_idx)
-        if p == 0 or q == 0:
-            raise ValidationError("domain needs at least one agent per side")
-        if men_idx != list(range(p)) or women_idx != list(range(q)):
+    __slots__ = ("agents", "sizes", "_lists", "_lookups")
+
+    SIDES: tuple[str, str]
+
+    def __init__(self, sets: Mapping):
+        sides: tuple[list, list] = ([], [])
+        for a in sets:
+            side = self.side_of(a)
+            if side is None:
+                raise ValidationError(f"{a!r} is not an agent of this market: expected {' or '.join(self.SIDES)}")
+            sides[side].append(a)
+        first, second = sorted(sides[0]), sorted(sides[1])
+        if not first or not second:
+            raise ValidationError(f"domain needs at least one agent per side: {' and '.join(self.SIDES)}")
+        if any([a.index for a in agents] != list(range(len(agents))) for agents in (first, second)):
             raise ValidationError("domain agent indices must be contiguous from 0")
-        lists: dict[AgentId, tuple[Preference, ...]] = {}
+        self.agents = tuple(first + second)
+        self.sizes = (len(first), len(second))
+        lists: dict = {}
         for a, prefs in sets.items():
             tup = tuple(prefs)
             if not tup:
                 raise ValidationError(f"empty admissible set for {a}")
-            expected = q if a.side is Side.MAN else p
             for pref in tup:
                 if pref.owner != a:
                     raise ValidationError(f"set for {a} contains a preference owned by {pref.owner}")
-                if pref.n_opposite != expected:
-                    raise ValidationError(
-                        f"preference for {a} ranks {pref.n_opposite} opposite agents, market has {expected}"
-                    )
+                self.check_ranking(a, pref, tup[0])
             if len(set(tup)) != len(tup):
                 raise ValidationError(f"duplicate preference in the set for {a}")
             lists[a] = tup
-        self.p, self.q = p, q
         self._lists = lists
         self._lookups = {a: {pref: i for i, pref in enumerate(tup)} for a, tup in lists.items()}
 
-    @property
-    def agents(self) -> tuple[AgentId, ...]:
-        return men(self.p) + women(self.q)
-
-    def admissible(self, agent: AgentId) -> tuple[Preference, ...]:
+    def admissible(self, agent) -> tuple:
         try:
             return self._lists[agent]
         except KeyError:
             raise UnknownOutcomeError(f"no such agent {agent!r} in the domain") from None
 
-    def index_of(self, agent: AgentId, pref: Preference) -> int:
+    def index_of(self, agent, pref) -> int:
         try:
             return self._lookups[agent][pref]
         except KeyError:
@@ -144,12 +151,9 @@ class PreferenceDomain:
 
     @property
     def profile_count(self) -> int:
-        total = 1
-        for a in self.agents:
-            total *= len(self._lists[a])
-        return total
+        return math.prod(len(tup) for tup in self._lists.values())
 
-    def product_order(self) -> "ProductOrder":
+    def product_order(self) -> ProductOrder:
         """The admissible lists in agent order, with the strides that number
         the profiles as in `profiles`."""
         lists = tuple(self._lists[a] for a in self.agents)
@@ -158,28 +162,79 @@ class PreferenceDomain:
             strides[i - 1] = strides[i] * len(lists[i])
         return ProductOrder(lists, tuple(strides))
 
-    def profiles(self) -> Iterator[Profile]:
+    def profiles(self) -> Iterator:
         """All admissible profiles, last agent's coordinate varying fastest."""
         order = self.product_order()
         for digits in order.digits():
-            yield Profile(order.preferences(digits))
+            yield self.make_profile(order.preferences(digits))
 
-    def contains(self, profile: Profile) -> bool:
-        if profile.p != self.p or profile.q != self.q:
+    def contains(self, profile) -> bool:
+        if profile.agents != self.agents:
             return False
         return all(profile[a] in self._lookups[a] for a in self.agents)
 
-    def sample_profile(self, rng: random.Random) -> Profile:
-        return Profile([rng.choice(self._lists[a]) for a in self.agents])
+    def deviations(self, profile) -> tuple[tuple, list[tuple]]:
+        """The profile's reports in agent order, and each agent's admissible
+        reports other than its own, in list order."""
+        if profile.agents != self.agents:
+            raise PreconditionError("base profile is not admissible in the domain")
+        true = tuple(profile[a] for a in self.agents)
+        alternatives = []
+        for a, pref in zip(self.agents, true):
+            d = self._lookups[a].get(pref)
+            if d is None:
+                raise PreconditionError("base profile is not admissible in the domain")
+            tup = self._lists[a]
+            alternatives.append(tup[:d] + tup[d + 1 :])
+        return true, alternatives
+
+    def sample_profile(self, rng: random.Random):
+        return self.make_profile([rng.choice(self._lists[a]) for a in self.agents])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PreferenceDomain):
+        if type(other) is not type(self):
             return NotImplemented
         return self._lists == other._lists
 
     def __repr__(self) -> str:
+        shape = f"{self.sizes[0]} {self.SIDES[0]}, {self.sizes[1]} {self.SIDES[1]}"
         sizes = ", ".join(f"{a}:{len(self._lists[a])}" for a in self.agents)
-        return f"PreferenceDomain({self.p}x{self.q}; {sizes})"
+        return f"{type(self).__name__}({shape}; {sizes})"
+
+    @classmethod
+    def from_profile(cls, profile):
+        """Singleton sets: nobody can deviate."""
+        return cls({a: (profile[a],) for a in profile.agents})
+
+
+class PreferenceDomain(ProductDomain):
+    """Per-agent admissible preference sets over a fixed p-by-q marriage market."""
+
+    __slots__ = ()
+
+    SIDES = ("men", "women")
+
+    @property
+    def p(self) -> int:
+        return self.sizes[0]
+
+    @property
+    def q(self) -> int:
+        return self.sizes[1]
+
+    @staticmethod
+    def side_of(agent) -> Optional[int]:
+        return int(agent.side) if isinstance(agent, AgentId) else None
+
+    def check_ranking(self, agent: AgentId, pref: Preference, first: Preference) -> None:
+        expected = self.q if agent.side is Side.MAN else self.p
+        if pref.n_opposite != expected:
+            raise ValidationError(
+                f"preference for {agent} ranks {pref.n_opposite} opposite agents, market has {expected}"
+            )
+
+    def make_profile(self, prefs: Sequence[Preference]) -> Profile:
+        return Profile(prefs)
 
     @classmethod
     def full(cls, p: int, q: int) -> "PreferenceDomain":
@@ -187,11 +242,6 @@ class PreferenceDomain:
         _rankings_guard(q)
         _rankings_guard(p)
         return cls({a: all_preferences(a, q if a.side is Side.MAN else p) for a in men(p) + women(q)})
-
-    @classmethod
-    def from_profile(cls, profile: Profile) -> "PreferenceDomain":
-        """Singleton sets: nobody can deviate."""
-        return cls({a: (profile[a],) for a in profile.agents})
 
     @classmethod
     def anonymous(

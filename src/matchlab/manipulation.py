@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .core import AgentId, Matching, Preference, Profile, Side
 from .da import RuleId, da_assignment
-from .errors import BudgetExceededError, PreconditionError, ValidationError
+from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
 
 if TYPE_CHECKING:
     from .domains import PreferenceDomain
@@ -116,22 +116,25 @@ class ManipulationWitness:
         return f"Witness[{self.rule_name}: {{{members}}} -> {self.outcome_after!r}]"
 
 
-def validate_witness(
-    rule: MatchingRule,
-    witness: ManipulationWitness,
-    domain: Optional["PreferenceDomain"] = None,
+def _check_witness(
+    witness,
+    domain,
+    evaluate: Callable[[object], object],
+    rank: Callable[[object, object, object], int],
 ) -> None:
-    """Re-derive every witness condition; raise PreconditionError on failure.
-
-    A member may report their true preference as part of the joint deviation,
-    but at least one member's report must differ, and every member must end
-    strictly better off by their true preference.
-    """
+    """Re-derive every condition of a witness on either market; raise
+    PreconditionError on failure. `evaluate(profile)` is the rule's outcome,
+    `rank(base, agent, outcome)` the agent's true rank of its lot (0 is the
+    top)."""
     w = witness
     if not w.coalition:
         raise PreconditionError("empty coalition")
-    if list(w.coalition) != sorted(set(w.coalition)):
-        raise PreconditionError("coalition must be sorted and duplicate-free")
+    position = {a: i for i, a in enumerate(w.base.agents)}
+    at = [position.get(a) for a in w.coalition]
+    if None in at:
+        raise PreconditionError(f"coalition member {w.coalition[at.index(None)]!r} is not an agent of the base")
+    if any(i >= j for i, j in zip(at, at[1:])):
+        raise PreconditionError("coalition must be strictly increasing in the base's agent order")
     reported = dict(w.misreports)
     if set(reported) != set(w.coalition):
         raise PreconditionError("misreports must cover exactly the coalition")
@@ -144,15 +147,27 @@ def validate_witness(
         raise PreconditionError("base profile is not admissible in the domain")
     if all(reported[a] == w.base[a] for a in w.coalition):
         raise PreconditionError("at least one coalition member's report must differ")
-    if rule.apply(w.base) != w.outcome_before:
+    if evaluate(w.base) != w.outcome_before:
         raise PreconditionError("stored outcome_before does not match the rule")
-    after = rule.apply(w.deviated_profile())
-    if after != w.outcome_after:
+    if evaluate(w.deviated_profile()) != w.outcome_after:
         raise PreconditionError("stored outcome_after does not match the rule")
     for a in w.coalition:
-        true_pref = w.base[a]
-        if not true_pref.prefers(w.outcome_after.partner(a), w.outcome_before.partner(a)):
+        if rank(w.base, a, w.outcome_after) >= rank(w.base, a, w.outcome_before):
             raise PreconditionError(f"{a} does not strictly improve")
+
+
+def validate_witness(
+    rule: MatchingRule,
+    witness: ManipulationWitness,
+    domain: Optional["PreferenceDomain"] = None,
+) -> None:
+    """Re-derive every witness condition; raise PreconditionError on failure.
+
+    A member may report their true preference as part of the joint deviation,
+    but at least one member's report must differ, and every member must end
+    strictly better off by their true preference.
+    """
+    _check_witness(witness, domain, rule.apply, lambda base, a, mu: base[a].rank_of(mu.partner(a)))
 
 
 def planned_evaluations(
@@ -215,9 +230,9 @@ def _scan(
     which every member strictly gains; coalitions come from `pool`. The
     exhaustive scan first checks its planned evaluations over the whole pool
     against the budget. `evaluate` must not keep the list it is given."""
+    if max_coalition is not None and max_coalition < 1:
+        raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
     if sampling is None:
-        if max_coalition < 1:
-            raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
         # the floor of 1 only matters for an empty pool, which plans nothing
         max_coalition = max(1, min(max_coalition, len(pool)))
         planned = planned_evaluations((len(alternatives[i]) for i in pool), max_coalition)
@@ -287,18 +302,15 @@ def _marriage_scan(
     sampling: Optional[tuple[random.Random, int]] = None,
 ) -> Iterator[ManipulationWitness]:
     """The coalition scanner on a marriage market, yielding witnesses."""
-    if not domain.contains(base):
-        raise PreconditionError("base profile is not admissible in the domain")
+    true, alternatives = domain.deviations(base)
     p = base.p
-    agents = base.agents
-    true = base.men_prefs + base.women_prefs
-    alternatives: list[tuple] = [()] * len(agents)
+    position = {a: i for i, a in enumerate(domain.agents)}
     pool = []
     # duplicates dropped; the caller's order is kept for the seeded draws
-    for a in dict.fromkeys(agents if coalition_pool is None else coalition_pool):
-        i = a.index if a.side is Side.MAN else p + a.index
-        alternatives[i] = tuple(x for x in domain.admissible(a) if x != true[i])
-        pool.append(i)
+    for a in dict.fromkeys(domain.agents if coalition_pool is None else coalition_pool):
+        if a not in position:
+            raise UnknownOutcomeError(f"no such agent {a!r} in the domain")
+        pool.append(position[a])
     assign = rule.assignment
 
     def evaluate(reports: list) -> tuple:

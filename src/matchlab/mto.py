@@ -16,17 +16,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import OUTSIDE, StrictOrder
+from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Side, StrictOrder
+from .da import _da_engine, _tentative_holdings
+from .domains import ProductDomain, PropertyCheck, utp_missing
 from .errors import (
     NotResponsiveError,
     PreconditionError,
     UnknownOutcomeError,
     ValidationError,
 )
-from .da import _da_engine, _tentative_holdings
-from .manipulation import DEFAULT_EVAL_BUDGET, _scan
-
-# one-to-one translation imports live at the bottom to keep this header light
+from .manipulation import DEFAULT_EVAL_BUDGET, _check_witness, _scan
 
 
 @dataclass(frozen=True, order=True)
@@ -218,8 +217,6 @@ def is_responsive(cp: CollegePreference):
     unacceptable one must hurt, and swapping a member for an outsider must
     follow the singleton comparison.
     """
-    from .domains import PropertyCheck
-
     all_students = students(cp.n_students)
     empty: tuple[StudentId, ...] = ()
     small = [
@@ -507,77 +504,46 @@ def is_stable_mto(profile: MtoProfile, nu: MtoMatching) -> bool:
 # --- domains and manipulation -------------------------------------------------
 
 
-class MtoDomain:
-    """Admissible preference sets per agent; college entries must be responsive."""
+class MtoDomain(ProductDomain):
+    """Admissible preference sets per agent, colleges first. College rankings
+    must be responsive, and all rankings a college may report share its quota."""
 
-    __slots__ = ("n_colleges", "n_students", "_lists")
+    __slots__ = ()
 
-    def __init__(self, sets: Mapping[MtoAgent, Iterable]):
-        c_idx = sorted(a.index for a in sets if isinstance(a, CollegeId))
-        s_idx = sorted(a.index for a in sets if isinstance(a, StudentId))
-        if not c_idx or not s_idx:
-            raise ValidationError("domain needs colleges and students")
-        if c_idx != list(range(len(c_idx))) or s_idx != list(range(len(s_idx))):
-            raise ValidationError("domain agent indices must be contiguous from 0")
-        self.n_colleges, self.n_students = len(c_idx), len(s_idx)
-        lists = {}
-        for agent, prefs in sets.items():
-            tup = tuple(prefs)
-            if not tup:
-                raise ValidationError(f"empty admissible set for {agent}")
-            for pref in tup:
-                if pref.owner != agent:
-                    raise ValidationError(f"set for {agent} contains a preference owned by {pref.owner}")
-                if isinstance(agent, CollegeId):
-                    check = pref.responsiveness()
-                    if not check:
-                        raise NotResponsiveError(
-                            f"admissible set for {agent} contains a non-responsive ranking: {check.detail}"
-                        )
-                    if pref.n_students != self.n_students:
-                        raise ValidationError(f"preference for {agent} sized for {pref.n_students} students")
-                else:
-                    if pref.n_colleges != self.n_colleges:
-                        raise ValidationError(f"preference for {agent} sized for {pref.n_colleges} colleges")
-            if len(set(tup)) != len(tup):
-                raise ValidationError(f"duplicate preference in the set for {agent}")
-            lists[agent] = tup
-        self._lists = lists
+    SIDES = ("colleges", "students")
 
     @property
-    def agents(self) -> tuple[MtoAgent, ...]:
-        return colleges(self.n_colleges) + students(self.n_students)
-
-    def admissible(self, agent: MtoAgent) -> tuple:
-        try:
-            return self._lists[agent]
-        except KeyError:
-            raise UnknownOutcomeError(f"no such agent {agent!r} in the domain") from None
+    def n_colleges(self) -> int:
+        return self.sizes[0]
 
     @property
-    def profile_count(self) -> int:
-        total = 1
-        for tup in self._lists.values():
-            total *= len(tup)
-        return total
+    def n_students(self) -> int:
+        return self.sizes[1]
 
-    def contains(self, profile: MtoProfile) -> bool:
-        if profile.n_colleges != self.n_colleges or profile.n_students != self.n_students:
-            return False
-        return all(profile[a] in self._lists[a] for a in self.agents)
+    @staticmethod
+    def side_of(agent) -> Optional[int]:
+        return {CollegeId: 0, StudentId: 1}.get(type(agent))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MtoDomain):
-            return NotImplemented
-        return self._lists == other._lists
+    def check_ranking(self, agent: MtoAgent, pref, first) -> None:
+        if isinstance(agent, StudentId):
+            if pref.n_colleges != self.n_colleges:
+                raise ValidationError(f"preference for {agent} sized for {pref.n_colleges} colleges")
+            return
+        check = pref.responsiveness()
+        if not check:
+            raise NotResponsiveError(
+                f"admissible set for {agent} contains a non-responsive ranking: {check.detail}"
+            )
+        if pref.n_students != self.n_students:
+            raise ValidationError(f"preference for {agent} sized for {pref.n_students} students")
+        if pref.quota != first.quota:
+            raise ValidationError(
+                f"admissible set for {agent} mixes quota {first.quota} with quota {pref.quota}; "
+                "all rankings a college may report share its quota"
+            )
 
-    def __repr__(self) -> str:
-        sizes = ", ".join(f"{a}:{len(self._lists[a])}" for a in self.agents)
-        return f"MtoDomain({self.n_colleges} colleges, {self.n_students} students; {sizes})"
-
-    @classmethod
-    def from_profile(cls, profile: MtoProfile) -> "MtoDomain":
-        return cls({a: (profile[a],) for a in profile.agents})
+    def make_profile(self, prefs: Sequence) -> MtoProfile:
+        return MtoProfile(prefs[: self.n_colleges], prefs[self.n_colleges :])
 
 
 @dataclass(frozen=True)
@@ -598,7 +564,7 @@ class MtoWitness:
         return f"MtoWitness[{{{members}}} -> {self.outcome_after!r}]"
 
 
-def _true_rank(agent: MtoAgent, base: MtoProfile, nu: MtoMatching) -> int:
+def _true_rank(base: MtoProfile, agent: MtoAgent, nu: MtoMatching) -> int:
     """The agent's true rank of its lot: a college's students, a student's college."""
     lot = nu.students_of(agent) if isinstance(agent, CollegeId) else nu.college_of(agent)
     return base[agent].rank_of(lot)
@@ -606,32 +572,7 @@ def _true_rank(agent: MtoAgent, base: MtoProfile, nu: MtoMatching) -> int:
 
 def validate_mto_witness(witness: MtoWitness, domain: Optional[MtoDomain] = None) -> None:
     """Re-derive every condition of a mixed-coalition witness."""
-    w = witness
-    if not w.coalition:
-        raise PreconditionError("empty coalition")
-    cs = sorted((a for a in w.coalition if isinstance(a, CollegeId)))
-    ss = sorted((a for a in w.coalition if isinstance(a, StudentId)))
-    if list(w.coalition) != cs + ss or len(set(w.coalition)) != len(w.coalition):
-        raise PreconditionError("coalition must list colleges then students, no duplicates")
-    reported = dict(w.misreports)
-    if set(reported) != set(w.coalition):
-        raise PreconditionError("misreports must cover exactly the coalition")
-    for agent, pref in reported.items():
-        if pref.owner != agent:
-            raise PreconditionError(f"misreport for {agent} is owned by {pref.owner}")
-        if domain is not None and pref not in domain.admissible(agent):
-            raise PreconditionError(f"misreport for {agent} is not admissible")
-    if domain is not None and not domain.contains(w.base):
-        raise PreconditionError("base profile is not admissible in the domain")
-    if all(reported[a] == w.base[a] for a in w.coalition):
-        raise PreconditionError("at least one coalition member's report must differ")
-    if spda_matching(w.base) != w.outcome_before:
-        raise PreconditionError("stored outcome_before does not match the rule")
-    if spda_matching(w.deviated_profile()) != w.outcome_after:
-        raise PreconditionError("stored outcome_after does not match the rule")
-    for agent in w.coalition:
-        if _true_rank(agent, w.base, w.outcome_after) >= _true_rank(agent, w.base, w.outcome_before):
-            raise PreconditionError(f"{agent} does not strictly improve")
+    _check_witness(witness, domain, spda_matching, _true_rank)
 
 
 def find_manipulation_mto(
@@ -645,18 +586,14 @@ def find_manipulation_mto(
     Improvement for a college means a strictly better subset by its true
     ranking; for a student a strictly better college.
     """
-    if not domain.contains(base):
-        raise PreconditionError("base profile is not admissible in the domain")
     agents = domain.agents
-    n_c = domain.n_colleges
-    true = base.college_prefs + base.student_prefs
-    alternatives = [tuple(x for x in domain.admissible(a) if x != true[i]) for i, a in enumerate(agents)]
+    true, alternatives = domain.deviations(base)
 
     def evaluate(reports: list) -> MtoMatching:
-        return spda_matching(MtoProfile(reports[:n_c], reports[n_c:]))
+        return spda_matching(domain.make_profile(reports))
 
     def rank(i: int, nu: MtoMatching) -> int:
-        return _true_rank(agents[i], base, nu)
+        return _true_rank(base, agents[i], nu)
 
     for coalition, reports, before, after in _scan(
         true, alternatives, range(len(agents)), evaluate, rank, max_coalition, budget
@@ -674,8 +611,6 @@ def find_manipulation_mto(
 
 def students_satisfy_utp(domain: MtoDomain):
     """Unrestricted top pairs over the students' admissible sets."""
-    from .domains import PropertyCheck, utp_missing
-
     universe = colleges(domain.n_colleges)
     for s in students(domain.n_students):
         missing = utp_missing(domain.admissible(s), universe)
@@ -759,8 +694,6 @@ def mixed_coalition_counterexample() -> MixedCoalitionExample:
 
 def to_marriage_profile(profile: MtoProfile):
     """Quota-one market recast with students as proposers, colleges as receivers."""
-    from .core import AgentId, Preference, Profile, Side
-
     if any(q != 1 for q in profile.quotas):
         raise PreconditionError("translation requires every quota to be 1")
     men_prefs = []
@@ -780,8 +713,6 @@ def to_marriage_profile(profile: MtoProfile):
 
 def to_marriage_matching(nu: MtoMatching):
     """The same assignment with students as men and colleges as women."""
-    from .core import Matching
-
     if any(q != 1 for q in nu.quotas):
         raise PreconditionError("translation requires every quota to be 1")
     woman_of: list[Optional[int]] = [None] * nu.n_students

@@ -13,9 +13,11 @@ import pytest
 from conftest import random_profile
 from matchlab import cli, formats
 from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from matchlab.core import OUTSIDE
 from matchlab.domains import PreferenceDomain
 from matchlab.errors import DimensionMismatchError, UnknownOutcomeError, ValidationError
 from matchlab.manipulation import mpda_rule, validate_witness, wpda_rule
+from matchlab.mto import colleges, responsive_extension, students
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -279,6 +281,39 @@ def test_manipulate_spda_cannot_stream(capsys):
     )
     assert code == EXIT_USAGE
     assert "--all" in err
+
+
+def test_manipulate_spda_rejects_a_mixed_quota_domain(tmp_path, capsys):
+    # c1 may report quota 1 or quota 2; each ranking alone is responsive
+    cs, ss = colleges(2), students(3)
+    order = (ss[0], ss[1], OUTSIDE, ss[2])
+
+    def college_doc(c, quota):
+        return {
+            "quota": quota,
+            "subset_ranking": [[s.name for s in subset] for subset in responsive_extension(c, quota, order).ranking],
+        }
+
+    student_ranking = ["c1", "c2", "@"]
+    domain = {
+        "schema": formats.SCHEMA,
+        "kind": "college-domain",
+        "colleges": {"c1": [college_doc(cs[0], 1), college_doc(cs[0], 2)], "c2": [college_doc(cs[1], 1)]},
+        "students": {s.name: [student_ranking] for s in ss},
+    }
+    market = {
+        "schema": formats.SCHEMA,
+        "kind": "college-market",
+        "colleges": {"c1": college_doc(cs[0], 2), "c2": college_doc(cs[1], 1)},
+        "students": {s.name: student_ranking for s in ss},
+    }
+    (tmp_path / "domain.json").write_text(json.dumps(domain))
+    (tmp_path / "market.json").write_text(json.dumps(market))
+    code, out, err = run(
+        capsys, "manipulate", "--rule", "spda", str(tmp_path / "market.json"), str(tmp_path / "domain.json")
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "quota 1 with quota 2" in err
 
 
 def test_manipulate_bad_coalition_bound(capsys):

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +40,13 @@ from matchlab.errors import (
     UnknownOutcomeError,
     ValidationError,
 )
+from matchlab.formats import mto_domain_from_json
 from matchlab.manipulation import is_strategy_proof, mpda_rule
+from matchlab.mto import MtoDomain, StudentPreference, college, student
 
 from conftest import pref
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 M1, M2 = man(0), man(1)
 W1, W2 = woman(0), woman(1)
@@ -114,6 +120,16 @@ def test_domain_validation_errors(p1):
     short = Preference(M1, (woman(0), OUTSIDE))
     with pytest.raises(ValidationError, match="ranks"):
         PreferenceDomain({M1: [short], M2: [p1[M2]], W1: [p1[W1]], W2: [p1[W2]]})
+
+
+def test_domain_rejects_college_agents(p1):
+    with pytest.raises(ValidationError, match="not an agent of this market"):
+        PreferenceDomain(
+            {
+                **{a: [p1[a]] for a in p1.agents},
+                student(0): [StudentPreference(student(0), (college(0), OUTSIDE))],
+            }
+        )
 
 
 def test_domain_membership_and_lookup(p1, p2):
@@ -541,18 +557,61 @@ def test_backtracking_tables_are_pinned():
         assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == digest, seed
 
 
-def test_product_order_numbers_profiles_in_profile_order():
+def _cut_marriage_domain() -> PreferenceDomain:
     full = PreferenceDomain.full(2, 2)
-    dom = PreferenceDomain({a: full.admissible(a)[: size] for a, size in zip(full.agents, (3, 1, 2, 4))})
-    order = dom.product_order()
-    assert order.strides == (8, 8, 4, 1)
-    expected = list(itertools.product(*(dom.admissible(a) for a in dom.agents)))
-    listed = list(order.digits())
-    assert len(listed) == dom.profile_count == len(expected)
-    for index, digits in enumerate(listed):
-        assert sum(d * s for d, s in zip(digits, order.strides)) == index
-        assert order.preferences(digits) == expected[index]
-    assert [p.men_prefs + p.women_prefs for p in dom.profiles()] == expected
+    return PreferenceDomain({a: full.admissible(a)[:size] for a, size in zip(full.agents, (3, 1, 2, 4))})
+
+
+def _college_fixture_domain() -> MtoDomain:
+    return mto_domain_from_json(json.loads((FIXTURES / "example2_domain.json").read_text()))
+
+
+def _cut_college_domain() -> MtoDomain:
+    """The Example 2 fixture domain with 1 to 3 entries per agent."""
+    full = _college_fixture_domain()
+    sizes = (2, 1, 1, 3, 1, 2, 1, 3)
+    return MtoDomain({a: full.admissible(a)[:size] for a, size in zip(full.agents, sizes)})
+
+
+def test_product_order_numbers_profiles_in_profile_order():
+    cases = [(_cut_marriage_domain(), (8, 8, 4, 1)), (_cut_college_domain(), (18, 18, 18, 6, 6, 3, 3, 1))]
+    for dom, strides in cases:
+        order = dom.product_order()
+        assert order.strides == strides
+        expected = list(itertools.product(*(dom.admissible(a) for a in dom.agents)))
+        listed = list(order.digits())
+        assert len(listed) == dom.profile_count == len(expected)
+        for index, digits in enumerate(listed):
+            assert sum(d * s for d, s in zip(digits, order.strides)) == index
+            assert order.preferences(digits) == expected[index]
+        assert [tuple(p[a] for a in dom.agents) for p in dom.profiles()] == expected
+
+
+@pytest.mark.parametrize(
+    "cut, full",
+    [
+        (_cut_marriage_domain, lambda: PreferenceDomain.full(2, 2)),
+        (_cut_college_domain, _college_fixture_domain),
+    ],
+    ids=["marriage", "college"],
+)
+def test_inherited_domain_methods(cut, full):
+    dom, everything = cut(), full()
+    for a in dom.agents:
+        for d, pref in enumerate(dom.admissible(a)):
+            assert dom.index_of(a, pref) == d
+    # the last agent's first excluded ranking makes a profile outside the cut
+    last = dom.agents[-1]
+    outside = everything.admissible(last)[len(dom.admissible(last))]
+    with pytest.raises(PreconditionError):
+        dom.index_of(last, outside)
+    inside = next(dom.profiles())
+    assert dom.contains(inside)
+    assert not dom.contains(inside.replace({last: outside}))
+    single = type(dom).from_profile(inside)
+    assert single.profile_count == 1 and list(single.profiles()) == [inside]
+    other_kind = _cut_college_domain() if isinstance(dom, PreferenceDomain) else _cut_marriage_domain()
+    assert dom == cut() and dom != single and dom != other_kind
 
 
 def test_search_guards():

@@ -250,6 +250,22 @@ def test_group_certification_rejects_a_coalition_bound_below_one():
             is_group_strategy_proof(mpda_rule(), full, max_coalition=bound)
 
 
+def test_sampled_scan_rejects_a_coalition_bound_below_one(p1):
+    full = PreferenceDomain.full(2, 2)
+    for bound in (0, -3):
+        with pytest.raises(ValidationError, match="at least 1"):
+            find_manipulation_sampled(mpda_rule(), full, p1, 5, random.Random(1), max_coalition=bound)
+
+
+def test_sampled_certification_rejects_a_coalition_bound_below_one():
+    full = PreferenceDomain.full(2, 2)
+    for bound in (0, -3):
+        with pytest.raises(ValidationError, match="at least 1"):
+            is_strategy_proof_sampled(
+                mpda_rule(), full, n_bases=3, deviations_per_base=5, seed=1, max_coalition=bound
+            )
+
+
 def test_empty_coalition_pool_plans_nothing(p1):
     full = PreferenceDomain.full(2, 2)
     assert find_manipulation(mpda_rule(), full, p1, max_coalition=2, coalition_pool=[]) is None

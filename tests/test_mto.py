@@ -360,6 +360,21 @@ def test_counterexample_witness_validates():
     validate_mto_witness(ex.witness, domain=dom)
 
 
+def test_witness_validation_rejects_a_member_outside_the_market():
+    ex = mixed_coalition_counterexample()
+    c9 = college(8)
+    tilde = ex.witness.misreports[0][1]
+    stray = MtoWitness(
+        base=ex.profile,
+        coalition=(c9,),
+        misreports=((c9, CollegePreference(c9, tilde.quota, tilde.n_students, tilde.ranking)),),
+        outcome_before=ex.witness.outcome_before,
+        outcome_after=ex.witness.outcome_after,
+    )
+    with pytest.raises(PreconditionError, match="not an agent"):
+        validate_mto_witness(stray)
+
+
 def test_counterexample_gains_are_mixed_and_strict():
     ex = mixed_coalition_counterexample()
     w = ex.witness
@@ -412,6 +427,32 @@ def test_domain_rejects_non_responsive_college_sets():
                 college(0): [broken],
                 s2[0]: [StudentPreference(s2[0], (college(0), OUTSIDE))],
                 s2[1]: [StudentPreference(s2[1], (college(0), OUTSIDE))],
+            }
+        )
+
+
+def test_domain_rejects_a_college_set_with_mixed_quotas():
+    # every ranking is responsive, but c1 may report quota 1 or quota 2
+    c2, s3 = colleges(2), students(3)
+    order = (s3[0], s3[1], OUTSIDE, s3[2])
+    with pytest.raises(ValidationError, match="quota 1 with quota 2"):
+        MtoDomain(
+            {
+                c2[0]: [responsive_extension(c2[0], 1, order), responsive_extension(c2[0], 2, order)],
+                c2[1]: [responsive_extension(c2[1], 1, order)],
+                **{s: [StudentPreference(s, (c2[0], c2[1], OUTSIDE))] for s in s3},
+            }
+        )
+
+
+def test_domain_rejects_marriage_agents():
+    s1, c1, m1 = student(0), college(0), man(0)
+    with pytest.raises(ValidationError, match="not an agent of this market"):
+        MtoDomain(
+            {
+                c1: [CollegePreference(c1, 1, 1, [(s1,), ()])],
+                s1: [StudentPreference(s1, (c1, OUTSIDE))],
+                m1: [Preference(m1, (woman(0), OUTSIDE))],
             }
         )
 

@@ -1,7 +1,9 @@
 """Reports that must stay byte-identical when their code paths are reworked.
 
-Each digest is the SHA-256 of the command's stdout, recorded before the
-domain certifications and the rule search moved to profile indices.
+Each entry pairs the command's exit code with the SHA-256 of its stdout.
+The marriage entries were recorded before the domain certifications and
+the rule search moved to profile indices; the college-market entries and
+the `manipulate --all` entry before both markets shared one product domain.
 """
 
 import hashlib
@@ -13,29 +15,46 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 REPORT_DIGESTS = {
     ("verify", "--suite", "prop-gsp-existence", "--json"):
-        "68b6d9f74d9109736ecbf7faf18c2d5a1ca4d4f5c4cf31992854ddd9bb10d6a9",
+        (0, "68b6d9f74d9109736ecbf7faf18c2d5a1ca4d4f5c4cf31992854ddd9bb10d6a9"),
     ("verify", "--suite", "theorem2", "--json"):
-        "99ea07785afc419f8628acd3a123604648affbe87c6c5a60c0483918c23b31dd",
+        (0, "99ea07785afc419f8628acd3a123604648affbe87c6c5a60c0483918c23b31dd"),
     ("verify", "--suite", "lemma-c1", "--json"):
-        "36d2809d6ee94228cadb33201dbe9ed9373062a9c85812311813dae8399592f9",
+        (0, "36d2809d6ee94228cadb33201dbe9ed9373062a9c85812311813dae8399592f9"),
     ("verify", "--suite", "lemma-c2", "--json"):
-        "8492bfc9c6ca34ec49da0d007146e0af53aa64b9fcdc6fbd3bddd6c44c41764b",
+        (0, "8492bfc9c6ca34ec49da0d007146e0af53aa64b9fcdc6fbd3bddd6c44c41764b"),
     ("verify", "--suite", "theorem3", "--json"):
-        "ca40f5481b30209ea8b19c04bd8010cbeed979bacccd3a6b5df2319a641acd46",
+        (0, "ca40f5481b30209ea8b19c04bd8010cbeed979bacccd3a6b5df2319a641acd46"),
     ("verify", "--suite", "prop4", "--json"):
-        "153966157e2e74c1a99bcc669a8e19c2f3e8c5d0cca175862869a367696ab16a",
+        (0, "153966157e2e74c1a99bcc669a8e19c2f3e8c5d0cca175862869a367696ab16a"),
     ("stable-set", str(FIXTURES / "example1_p1.json")):
-        "ad3efca636ddaaa385dee0b2baa497cfad8ba90d918264a57a2f0f37b5e152af",
+        (0, "ad3efca636ddaaa385dee0b2baa497cfad8ba90d918264a57a2f0f37b5e152af"),
     ("check-domain", "--property", "utp", "--json", str(FIXTURES / "full_2x2_domain.json")):
-        "e1567bc42e8e046b90ec766fcca6994b55b80a69988e7c0fbfc188c0c69a4edc",
+        (0, "e1567bc42e8e046b90ec766fcca6994b55b80a69988e7c0fbfc188c0c69a4edc"),
+    ("verify", "--suite", "example2", "--json"):
+        (0, "0ac8abbd758d117b3791e9b041560ff6404a9a24eed001471b217c4197651ca4"),
+    ("manipulate", str(FIXTURES / "example2_mto.json"), str(FIXTURES / "example2_domain.json"),
+     "--rule", "spda", "--max-coalition", "1", "--json"):
+        (1, "b9ca9244fa4639a7ad1b0be4d9ffbf905e7ddea75162e98611b5f0f6f1e168a8"),
+    ("manipulate", str(FIXTURES / "example2_mto.json"), str(FIXTURES / "example2_domain.json"),
+     "--rule", "spda", "--max-coalition", "1", "--text"):
+        (1, "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+    ("manipulate", str(FIXTURES / "example2_mto.json"), str(FIXTURES / "example2_domain.json"),
+     "--rule", "spda", "--max-coalition", "2", "--json"):
+        (0, "f20d6d5d7616360a55772baddee05a858ee2908b7a4056d2a0a8b49c6ebda2f4"),
+    ("manipulate", str(FIXTURES / "example2_mto.json"), str(FIXTURES / "example2_domain.json"),
+     "--rule", "spda", "--max-coalition", "2", "--text"):
+        (0, "7a08cc935801bc5bf3885bc7a34cae7232225beb6cb32b85eecbf713b3be384d"),
+    ("manipulate", str(FIXTURES / "example1_p1.json"), str(FIXTURES / "full_2x2_domain.json"),
+     "--rule", "mpda", "--all", "--max-coalition", "2"):
+        (0, "465491698fc0d792f2eddc60cb1b902cbe7b56ab498cb9c16cdf6f4b7cdd753b"),
 }
 
 
 def test_reports_are_byte_identical(capsys):
     changed = []
-    for argv, digest in REPORT_DIGESTS.items():
+    for argv, (expected_code, digest) in REPORT_DIGESTS.items():
         code = main(list(argv))
         out = capsys.readouterr().out
-        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+        if code != expected_code or hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(" ".join(argv[:3]))
     assert changed == []
