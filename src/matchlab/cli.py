@@ -40,7 +40,7 @@ from .manipulation import (
     mpda_rule,
     wpda_rule,
 )
-from .mto import MtoMatching, colleges, find_manipulation_mto, run_spda
+from .mto import MtoMatching, colleges, find_manipulation_mto, run_spda, spda_matching
 from .suites import SUITE_IDS, SuiteParams, run_suite
 
 EXIT_PASS = 0
@@ -178,10 +178,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"--rule {args.rule} needs a marriage market; {args.market} is a college market"
             )
         profile = formats.mto_profile_from_json(doc)
-        matching, steps = run_spda(profile)
         if args.trace:
+            matching, steps = run_spda(profile)
             for step in steps:
                 print(json.dumps(formats.mto_step_to_json(step, profile.n_colleges)))
+        else:
+            matching = spda_matching(profile)
         if args.fmt == "json":
             _emit(formats.mto_matching_to_json(matching))
         else:

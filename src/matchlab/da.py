@@ -1,11 +1,13 @@
 """Deferred acceptance: a fast one-to-one engine and a traced round engine.
 
-Untraced evaluations go through `da_assignment`, the one-proposal-at-a-time
-form of McVitie & Wilson (BIT 11, 1971): a free proposer proposes to the
-best receiver not yet tried, and a receiver who ranks the newcomer above
-the proposer it holds (or above staying unmatched) keeps the newcomer and
-frees the one it held. The outcome does not depend on the order of
-proposals.
+`_sequential_da` is the one-proposal-at-a-time form of McVitie & Wilson
+(BIT 11, 1971): a free proposer proposes to the best receiver not yet
+tried, and a receiver who ranks the newcomer above the proposer it holds
+(or above staying unmatched) keeps the newcomer and frees the one it held.
+The outcome does not depend on the order of proposals. It serves every
+untraced evaluation: marriage ones through `da_assignment` and
+`da_matching`, college ones through `mto.spda_matching` and the college
+coalition scan, which run it on a market of college seats.
 
 `_da_engine` is the simultaneous-round form (Gale & Shapley, 1962) with
 receiver quotas: in each step every free proposer with an untried
@@ -14,8 +16,9 @@ keeps the best acceptable proposals in hand up to its quota (those it holds
 count as standing proposals). Rejected proposers propose again in the next
 step; the run ends when a step has no proposals or no rejections. `run_da`
 runs it with quota 1 per receiver, `mto.run_spda` with the college quotas,
-and both replay its rounds with `_tentative_holdings`. Both forms give the
-proposer-optimal stable matching, so each is the other's oracle.
+and both replay its rounds with `_tentative_holdings`; they serve traced
+runs. Both forms give the proposer-optimal stable matching, so each is the
+other's oracle.
 """
 
 from __future__ import annotations

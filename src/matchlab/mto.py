@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Side, StrictOrder
-from .da import _da_engine, _tentative_holdings
+from .da import _da_engine, _sequential_da, _tentative_holdings
 from .domains import ProductDomain, PropertyCheck, utp_missing
 from .errors import (
     NotResponsiveError,
@@ -219,9 +219,10 @@ def is_responsive(cp: CollegePreference):
     """
     all_students = students(cp.n_students)
     empty: tuple[StudentId, ...] = ()
+    # a base of every student has no one left to add, so larger ones are moot
     small = [
         s
-        for k in range(cp.quota)
+        for k in range(min(cp.quota, cp.n_students))
         for s in itertools.combinations(all_students, k)
     ]
     for base in small:
@@ -244,20 +245,22 @@ def responsive_extension(
 
     Subsets compare by their member ranks padded with the outside option's
     rank up to the quota, sorted; this lexicographic rule is one responsive
-    completion among many.
+    completion among many. Padding only up to the student count keeps the
+    order: it drops the same pads from every key.
     """
     n = sum(1 for x in induced if x is not OUTSIDE)
     rank = {x: pos for pos, x in enumerate(induced)}
     if OUTSIDE not in rank:
         raise ValidationError("induced ranking omits the outside option")
     pad = rank[OUTSIDE]
+    size = min(quota, n)
 
     def key(subset):
-        return tuple(sorted([rank[s] for s in subset] + [pad] * (quota - len(subset))))
+        return tuple(sorted([rank[s] for s in subset] + [pad] * (size - len(subset))))
 
     subsets = [
         s
-        for k in range(quota + 1)
+        for k in range(size + 1)
         for s in itertools.combinations(students(n), k)
     ]
     subsets.sort(key=key)
@@ -437,6 +440,61 @@ def require_responsive(profile: MtoProfile) -> None:
             )
 
 
+# Untraced SPDA runs on seats (Roth & Sotomayor 1990, ch. 5): a college of
+# quota k becomes min(k, n_students) seats that all rank single students as
+# the college does, each student ranks a college's seats consecutively in
+# the college's place, and student-proposing DA on that one-to-one market
+# (`da._sequential_da`) holds SPDA's students once seats are grouped back by
+# college. Seats beyond the student count could never be proposed to.
+
+
+class _Seat:
+    """One seat of a college, as a receiver of `_sequential_da`."""
+
+    __slots__ = ("rank_by_index", "outside_rank")
+
+    def __init__(self, cp: CollegePreference):
+        self.rank_by_index, self.outside_rank = cp.student_ranks()
+
+
+class _Applicant:
+    """A student, as a proposer of `_sequential_da` over the seats."""
+
+    __slots__ = ("acceptable_idx",)
+
+    def __init__(self, sp: StudentPreference, seat_ranges: Sequence[range]):
+        self.acceptable_idx = tuple([j for c in sp.acceptable_idx for j in seat_ranges[c]])
+
+
+def _seats(cp: CollegePreference) -> list:
+    return [_Seat(cp)] * min(cp.quota, cp.n_students)
+
+
+def _seat_ranges(college_prefs: Sequence[CollegePreference]) -> list[range]:
+    """Each college's seat indices; seats are numbered college by college."""
+    ranges, start = [], 0
+    for cp in college_prefs:
+        stop = start + min(cp.quota, cp.n_students)
+        ranges.append(range(start, stop))
+        start = stop
+    return ranges
+
+
+def _seat_spda(seats: list, applicants: list, seat_ranges: Sequence[range]) -> tuple[tuple[int, ...], ...]:
+    """SPDA's assignment: each college's students as a sorted index tuple."""
+    held = _sequential_da(applicants, seats)
+    return tuple([tuple(sorted([i for i in held[r.start : r.stop] if i >= 0])) for r in seat_ranges])
+
+
+def spda_matching(profile: MtoProfile) -> MtoMatching:
+    """Student-proposing deferred acceptance, untraced; `run_spda` is its oracle."""
+    require_responsive(profile)
+    ranges = _seat_ranges(profile.college_prefs)
+    seats = [seat for cp in profile.college_prefs for seat in _seats(cp)]
+    applicants = [_Applicant(sp, ranges) for sp in profile.student_prefs]
+    return MtoMatching(profile.quotas, profile.n_students, _seat_spda(seats, applicants, ranges))
+
+
 def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
     """Student-proposing deferred acceptance with a full round trace.
 
@@ -459,10 +517,6 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
             )
         )
     return MtoMatching(quotas, profile.n_students, held), tuple(steps)
-
-
-def spda_matching(profile: MtoProfile) -> MtoMatching:
-    return run_spda(profile)[0]
 
 
 def is_individually_rational_mto(profile: MtoProfile, nu: MtoMatching) -> bool:
@@ -588,12 +642,34 @@ def find_manipulation_mto(
     """
     agents = domain.agents
     true, alternatives = domain.deviations(base)
+    # the domain holds only responsive, market-sized reports with one quota
+    # per college, so every report's seat view is built once, up front
+    nc = domain.n_colleges
+    ranges = _seat_ranges(true[:nc])
+    views: dict = {}
+    for i, a in enumerate(agents):
+        for pref in domain.admissible(a):
+            views[pref] = _seats(pref) if i < nc else _Applicant(pref, ranges)
 
-    def evaluate(reports: list) -> MtoMatching:
-        return spda_matching(domain.make_profile(reports))
+    def evaluate(reports: list) -> tuple:
+        seats = []
+        for r in reports[:nc]:
+            seats += views[r]
+        return _seat_spda(seats, [views[r] for r in reports[nc:]], ranges)
 
-    def rank(i: int, nu: MtoMatching) -> int:
-        return _true_rank(base, agents[i], nu)
+    college_rank = [
+        {tuple([s.index for s in subset]): pos for pos, subset in enumerate(pref.ranking)}
+        for pref in true[:nc]
+    ]
+
+    def rank(i: int, assignment: tuple) -> int:
+        if i < nc:
+            return college_rank[i][assignment[i]]
+        si, pref = i - nc, true[i]
+        for ci, group in enumerate(assignment):
+            if si in group:
+                return pref.rank_by_index[ci]
+        return pref.outside_rank
 
     for coalition, reports, before, after in _scan(
         true, alternatives, range(len(agents)), evaluate, rank, max_coalition, budget
@@ -603,8 +679,8 @@ def find_manipulation_mto(
             base=base,
             coalition=members,
             misreports=tuple(zip(members, reports)),
-            outcome_before=before,
-            outcome_after=after,
+            outcome_before=MtoMatching(base.quotas, base.n_students, before),
+            outcome_after=MtoMatching(base.quotas, base.n_students, after),
         )
     return None
 

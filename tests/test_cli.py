@@ -148,6 +148,46 @@ def test_solve_large_declared_quota_fails_fast(tmp_path):
     assert "exactly once" in result.stderr
 
 
+def test_spda_commands_on_a_huge_quota_finish_at_once(tmp_path):
+    # a quota of 10^9 over two students: responsiveness checks, subset
+    # orders and seats stop at the student count
+    c1, ss = colleges(1)[0], students(2)
+
+    def college_doc(order):
+        ranking = responsive_extension(c1, 10**9, order).ranking
+        return {"quota": 10**9, "subset_ranking": [[s.name for s in subset] for subset in ranking]}
+
+    market = {
+        "schema": formats.SCHEMA,
+        "kind": "college-market",
+        "colleges": {"c1": college_doc((ss[0], ss[1], OUTSIDE))},
+        "students": {"s1": ["c1", "@"], "s2": ["@", "c1"]},
+    }
+    domain = {
+        "schema": formats.SCHEMA,
+        "kind": "college-domain",
+        "colleges": {"c1": [college_doc((ss[0], ss[1], OUTSIDE)), college_doc((ss[1], OUTSIDE, ss[0]))]},
+        "students": {"s1": [["c1", "@"], ["@", "c1"]], "s2": [["@", "c1"], ["c1", "@"]]},
+    }
+    (tmp_path / "market.json").write_text(json.dumps(market))
+    (tmp_path / "domain.json").write_text(json.dumps(domain))
+    for argv, codes in (
+        (["solve", "--rule", "spda", str(tmp_path / "market.json")], {EXIT_PASS}),
+        (
+            ["manipulate", "--rule", "spda", "--max-coalition", "2",
+             str(tmp_path / "market.json"), str(tmp_path / "domain.json")],
+            {EXIT_PASS, EXIT_FAIL},
+        ),
+    ):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "matchlab.cli", *argv], capture_output=True, text=True, timeout=30
+        )
+        assert result.returncode in codes, result.stderr
+        assert time.perf_counter() - start < 10
+        json.loads(result.stdout)
+
+
 def test_solve_names_only_the_first_unknown_agents(tmp_path, capsys):
     doc = json.loads(Path(P1).read_text())
     doc["preferences"].update({f"x{i}": ["w1", "@"] for i in range(100000)})

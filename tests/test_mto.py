@@ -165,6 +165,24 @@ def test_responsive_extension_is_responsive_and_induces_its_order(data):
     assert ext.induced_order() == induced
 
 
+def test_responsive_extension_past_the_student_count_keeps_the_padded_order():
+    # keys padded to the full quota, as the definition reads, sort alike
+    ss = students(3)
+    induced = (ss[1], OUTSIDE, ss[0], ss[2])
+    rank = {x: pos for pos, x in enumerate(induced)}
+    quota = 6
+    subsets = [s for k in range(4) for s in itertools.combinations(ss, k)]
+    padded = sorted(subsets, key=lambda s: sorted([rank[x] for x in s] + [rank[OUTSIDE]] * (quota - len(s))))
+    assert responsive_extension(college(0), quota, induced).ranking == tuple(padded)
+
+
+def test_responsiveness_and_extension_ignore_a_huge_quota():
+    ss = students(2)
+    ext = responsive_extension(college(0), 10**9, (ss[1], ss[0], OUTSIDE))
+    assert ext.ranking == ((ss[0], ss[1]), (ss[1],), (ss[0],), ())
+    assert is_responsive(ext)
+
+
 def test_extension_differs_from_handwritten_subset_order():
     # the worked example's quota-2 college ranks all pairs of its four
     # acceptable students above the singletons; the canonical lex extension
@@ -537,11 +555,12 @@ def test_random_quota_one_markets_translate_exactly(data):
 
 @st.composite
 def college_markets(draw):
-    """1-3 colleges with quotas 1-3 and canonical responsive rankings, 1-5 students."""
+    """1-3 colleges with quotas 1-7 and canonical responsive rankings, 1-5
+    students; quotas past the student count have more seats than students."""
     cs = colleges(draw(st.integers(1, 3)))
     ss = students(draw(st.integers(1, 5)))
     cps = [
-        responsive_extension(c, draw(st.integers(1, 3)), tuple(draw(st.permutations(ss + (OUTSIDE,)))))
+        responsive_extension(c, draw(st.integers(1, 7)), tuple(draw(st.permutations(ss + (OUTSIDE,)))))
         for c in cs
     ]
     sps = [StudentPreference(s, tuple(draw(st.permutations(cs + (OUTSIDE,))))) for s in ss]
@@ -584,3 +603,9 @@ def _seat_clone_outcome(prof):
 @given(prof=college_markets())
 def test_spda_matches_seat_clone_marriage_da(prof):
     assert spda_matching(prof) == _seat_clone_outcome(prof)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=college_markets())
+def test_untraced_spda_matches_the_round_engine(prof):
+    assert spda_matching(prof) == run_spda(prof)[0]

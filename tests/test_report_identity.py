@@ -3,7 +3,8 @@
 Each entry pairs the command's exit code with the SHA-256 of its stdout.
 The marriage entries were recorded before the domain certifications and
 the rule search moved to profile indices; the college-market entries and
-the `manipulate --all` entry before both markets shared one product domain.
+the `manipulate --all` entry before both markets shared one product domain;
+the `solve --rule spda` entries before untraced SPDA moved onto seats.
 """
 
 import hashlib
@@ -47,6 +48,14 @@ REPORT_DIGESTS = {
     ("manipulate", str(FIXTURES / "example1_p1.json"), str(FIXTURES / "full_2x2_domain.json"),
      "--rule", "mpda", "--all", "--max-coalition", "2"):
         (0, "465491698fc0d792f2eddc60cb1b902cbe7b56ab498cb9c16cdf6f4b7cdd753b"),
+    ("solve", "--rule", "spda", "--json", str(FIXTURES / "example2_mto.json")):
+        (0, "e5237b28c935868d633fa79a6aae7ad12f2fddf875a24a0363fb01a84fe21a58"),
+    ("solve", "--rule", "spda", "--text", str(FIXTURES / "example2_mto.json")):
+        (0, "c795d570b312a86a776e59338bc6bc02d8150a9adecb6816709d983f1f7e8b1b"),
+    ("solve", "--rule", "spda", "--trace", "--json", str(FIXTURES / "example2_mto.json")):
+        (0, "321a4f5a14caaefc1679ef1f99246bc9ec3f53858087f0981fed85b98914b9c9"),
+    ("solve", "--rule", "spda", "--trace", "--text", str(FIXTURES / "example2_mto.json")):
+        (0, "07ec50a2104b60207da130519a265a1d11d4b8b48e1c5fd8bbed260e8175eb0f"),
 }
 
 

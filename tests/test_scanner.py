@@ -26,7 +26,7 @@ from matchlab.manipulation import (
     validate_witness,
     wpda_rule,
 )
-from matchlab.mto import MtoDomain, MtoProfile, MtoWitness, find_manipulation_mto, spda_matching
+from matchlab.mto import MtoDomain, MtoProfile, MtoWitness, find_manipulation_mto, run_spda
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -53,8 +53,9 @@ def oracle_witnesses(rule, domain, base, cap, pool=None):
 
 
 def oracle_first_mto_witness(domain, base, cap):
+    # outcomes come from the traced round engine, not the scan's seat engine
     agents = list(domain.agents)
-    before = spda_matching(base)
+    before = run_spda(base)[0]
 
     def gains(agent, after):
         pref = base[agent]
@@ -67,7 +68,7 @@ def oracle_first_mto_witness(domain, base, cap):
             options = [[x for x in domain.admissible(a) if x != base[a]] for a in coalition]
             for reports in itertools.product(*options):
                 misreports = tuple(zip(coalition, reports))
-                after = spda_matching(base.replace(dict(misreports)))
+                after = run_spda(base.replace(dict(misreports)))[0]
                 if all(gains(a, after) for a in coalition):
                     return MtoWitness(base, coalition, misreports, before, after)
     return None
