@@ -101,10 +101,11 @@ def women(q: int) -> tuple[AgentId, ...]:
 
 
 def outcome_key(x: Outcome) -> tuple[int, int]:
-    """Deterministic sort key; the outside option sorts last."""
+    """Deterministic sort key for the outcomes one agent ranks: agents of
+    one side, of either market, by index; the outside option sorts last."""
     if x is OUTSIDE:
-        return (2, 0)
-    return (int(x.side), x.index)
+        return (1, 0)
+    return (0, x.index)
 
 
 class StrictOrder:
@@ -141,10 +142,6 @@ class StrictOrder:
 
     def top(self):
         return self.ranking[0]
-
-    def top_among(self, outcomes: Iterable):
-        """Best-ranked element of a non-empty collection."""
-        return min(outcomes, key=self.rank_of)
 
 
 class Preference(StrictOrder):
@@ -357,9 +354,6 @@ class Matching:
     def is_empty(self) -> bool:
         return all(j is None for j in self._woman_of)
 
-    def sort_key(self) -> tuple:
-        return tuple(self.q if j is None else j for j in self._woman_of)
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -437,22 +431,21 @@ def count_matchings(p: int, q: int) -> int:
     )
 
 
-def iter_assignments(p: int, q: int, force: bool = False) -> Iterator[tuple[tuple, tuple]]:
+def iter_assignments(p: int, q: int) -> Iterator[tuple[tuple, tuple]]:
     """Every matching of a p-by-q market as (assignment, inverse): each man's
     partner index and each woman's, None when unmatched. The order is by
     size, then men subset, then women subset, then pairing.
 
-    Guarded for p, q <= 6; pass force=True to exceed the guard knowingly.
+    Guarded for p, q <= MAX_ENUMERATION_SIDE.
     """
     if p < 1 or q < 1:
         raise ValidationError("market needs at least one agent per side")
-    if not force:
-        size_guard(
-            f"enumerating a {p}x{q} market without force=True",
-            max(p, q),
-            MAX_ENUMERATION_SIDE,
-            lambda: f"{count_matchings(p, q)} matchings",
-        )
+    size_guard(
+        f"enumerating a {p}x{q} market",
+        max(p, q),
+        MAX_ENUMERATION_SIDE,
+        lambda: f"{count_matchings(p, q)} matchings",
+    )
     for k in range(min(p, q) + 1):
         for men_sub in itertools.combinations(range(p), k):
             for women_sub in itertools.combinations(range(q), k):
@@ -465,12 +458,12 @@ def iter_assignments(p: int, q: int, force: bool = False) -> Iterator[tuple[tupl
                     yield tuple(assignment), tuple(inverse)
 
 
-def enumerate_matchings(p: int, q: int, force: bool = False) -> Iterator[Matching]:
+def enumerate_matchings(p: int, q: int) -> Iterator[Matching]:
     """Yield every matching of a p-by-q market in a fixed deterministic order.
 
-    Guarded for p, q <= 6; pass force=True to exceed the guard knowingly.
+    Guarded for p, q <= MAX_ENUMERATION_SIDE.
     """
-    for assignment, _ in iter_assignments(p, q, force):
+    for assignment, _ in iter_assignments(p, q):
         yield Matching.from_assignment(p, q, assignment)
 
 
@@ -509,8 +502,8 @@ def _blocked(assignment: tuple, inverse: tuple, men_prefs, women_prefs) -> bool:
     return False
 
 
-def stable_set(profile: Profile, force: bool = False) -> list[Matching]:
+def stable_set(profile: Profile) -> list[Matching]:
     """All stable matchings of the profile, in enumeration order. Never empty."""
     p, q = profile.p, profile.q
-    stable = stable_assignments(iter_assignments(p, q, force), profile.men_prefs, profile.women_prefs)
+    stable = stable_assignments(iter_assignments(p, q), profile.men_prefs, profile.women_prefs)
     return [Matching.from_assignment(p, q, assignment) for assignment, _ in stable]

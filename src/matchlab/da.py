@@ -44,10 +44,6 @@ class RuleId(Enum):
     MPDA = "mpda"  # men propose
     WPDA = "wpda"  # women propose
 
-    @property
-    def proposer_side(self) -> Side:
-        return Side.MAN if self is RuleId.MPDA else Side.WOMAN
-
 
 @dataclass(frozen=True)
 class DaStep:
@@ -282,11 +278,11 @@ def replay_trace(trace: DaTrace, p: int, q: int) -> Matching:
     return Matching(p, q, pairs)
 
 
-def proposer_optimality_check(rule: RuleId, profile: Profile, force: bool = False) -> bool:
+def proposer_optimality_check(rule: RuleId, profile: Profile) -> bool:
     """True when the DA outcome weakly tops every stable matching for each proposer."""
     outcome = da_matching(rule, profile)
     side_agents = profile.men if rule is RuleId.MPDA else profile.women
-    for mu in stable_set(profile, force=force):
+    for mu in stable_set(profile):
         for a in side_agents:
             if not profile[a].weakly_prefers(outcome.partner(a), mu.partner(a)):
                 return False

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -188,9 +187,6 @@ class ProductDomain:
             alternatives.append(tup[:d] + tup[d + 1 :])
         return true, alternatives
 
-    def sample_profile(self, rng: random.Random):
-        return self.make_profile([rng.choice(self._lists[a]) for a in self.agents])
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -302,8 +298,8 @@ class PropertyCheck:
 def top_dominance_violation(orders: Sequence[StrictOrder], universe: Sequence) -> Optional[tuple]:
     """Search two orders realizing (x > y > z, y acceptable) and (x > z > y, z acceptable).
 
-    Returns (i, j, x, y, z) over positions into ``orders`` or None. Works on any
-    strict orders that rank ``universe`` plus OUTSIDE.
+    Returns (pi, pj, x, y, z), the two orders and the three outcomes, or None.
+    Works on any strict orders that rank ``universe`` plus OUTSIDE.
     """
     extended = list(universe) + [OUTSIDE]
     for i, pi in enumerate(orders):
@@ -324,7 +320,7 @@ def top_dominance_violation(orders: Sequence[StrictOrder], universe: Sequence) -
                     if x == y or x == z:
                         continue
                     if pi.rank_of(x) < ry_i and pj.rank_of(x) < rz_j:
-                        return (i, j, x, y, z)
+                        return (pi, pj, x, y, z)
     return None
 
 
@@ -359,42 +355,36 @@ def cyclical_inclusion_missing(orders: Sequence[StrictOrder], universe: Sequence
     return None
 
 
-def _side_agents(domain: PreferenceDomain, side: Side) -> tuple[AgentId, ...]:
-    return men(domain.p) if side is Side.MAN else women(domain.q)
+def _sides(domain: ProductDomain, side: int) -> tuple[tuple, tuple]:
+    """The agents of one side (0 or 1) and of the other, in agent order."""
+    n = domain.sizes[0]
+    first, second = domain.agents[:n], domain.agents[n:]
+    return (second, first) if side else (first, second)
 
 
-def _opposite_agents(domain: PreferenceDomain, side: Side) -> tuple[AgentId, ...]:
-    return women(domain.q) if side is Side.MAN else men(domain.p)
+def _check_each_agent(domain: ProductDomain, side: int, missing) -> PropertyCheck:
+    """Run `missing(orders, universe)` on each agent of one side of a product
+    domain, the universe being the other side; the first requirement it
+    reports unmet fails the check, prefixed by its agent."""
+    own, universe = _sides(domain, side)
+    for a in own:
+        hit = missing(domain.admissible(a), universe)
+        if hit is not None:
+            return PropertyCheck(False, (a,) + hit)
+    return PropertyCheck(True)
 
 
 def satisfies_top_dominance(domain: PreferenceDomain, side: Side) -> PropertyCheck:
     """Do the admissible sets of this side's agents satisfy top dominance?"""
-    universe = _opposite_agents(domain, side)
-    for a in _side_agents(domain, side):
-        orders = domain.admissible(a)
-        hit = top_dominance_violation(orders, universe)
-        if hit is not None:
-            i, j, x, y, z = hit
-            return PropertyCheck(False, (a, orders[i], orders[j], x, y, z))
-    return PropertyCheck(True)
+    return _check_each_agent(domain, side, top_dominance_violation)
 
 
 def satisfies_unrestricted_top_pairs(domain: PreferenceDomain, side: Side) -> PropertyCheck:
-    universe = _opposite_agents(domain, side)
-    for a in _side_agents(domain, side):
-        missing = utp_missing(domain.admissible(a), universe)
-        if missing is not None:
-            return PropertyCheck(False, (a,) + missing)
-    return PropertyCheck(True)
+    return _check_each_agent(domain, side, utp_missing)
 
 
 def satisfies_cyclical_inclusion(domain: PreferenceDomain, side: Side) -> PropertyCheck:
-    universe = _opposite_agents(domain, side)
-    for a in _side_agents(domain, side):
-        missing = cyclical_inclusion_missing(domain.admissible(a), universe)
-        if missing is not None:
-            return PropertyCheck(False, (a,) + missing)
-    return PropertyCheck(True)
+    return _check_each_agent(domain, side, cyclical_inclusion_missing)
 
 
 def is_anonymous(
@@ -402,7 +392,7 @@ def is_anonymous(
 ) -> PropertyCheck:
     """Same admissible ranking set (owner erased) within each listed side."""
     for side in sides:
-        agents = _side_agents(domain, side)
+        agents = _sides(domain, side)[0]
         reference = {p.ranking for p in domain.admissible(agents[0])}
         for a in agents[1:]:
             mine = {p.ranking for p in domain.admissible(a)}
@@ -518,7 +508,9 @@ def generate_minimal_utp(p: int, q: int) -> PreferenceDomain:
     return PreferenceDomain(sets)
 
 
-def minimal_utp_rankings(universe: Sequence[AgentId]) -> list[tuple[Outcome, ...]]:
+def minimal_utp_rankings(universe: Sequence) -> list[tuple[Outcome, ...]]:
+    """The fewest rankings of one side's agents (of either market) with
+    unrestricted top pairs, in `preference_sort_key` order."""
     rankings = []
     for u, v in itertools.permutations(universe, 2):
         rest = [x for x in universe if x != u and x != v]

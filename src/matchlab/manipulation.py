@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -190,70 +189,45 @@ def planned_evaluations(
 # lot in an outcome (0 is the top).
 
 
-def _deviations(
-    candidates: list,
-    alternatives: Sequence[tuple],
-    max_coalition: Optional[int],
-    sampling: Optional[tuple[random.Random, int]],
-) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """Joint misreports to try, as (coalition, reports) pairs. Exhaustive:
-    by size, then coalition from the sorted candidates, then reports in list
-    order. Seeded, with sampling = (rng, trials): per trial a size, members
-    drawn from the candidates in the order given and sorted, one report each."""
-    if sampling is None:
-        for size in range(1, max_coalition + 1):
-            for coalition in itertools.combinations(sorted(candidates), size):
-                for reports in itertools.product(*(alternatives[i] for i in coalition)):
-                    yield coalition, reports
-        return
-    rng, trials = sampling
-    if not candidates:
-        return
-    top = len(candidates) if max_coalition is None else min(max_coalition, len(candidates))
-    for _ in range(trials):
-        size = rng.randint(1, top)
-        coalition = tuple(sorted(rng.sample(candidates, size)))
-        yield coalition, tuple(rng.choice(alternatives[i]) for i in coalition)
-
-
 def _scan(
     true_reports: Sequence,
     alternatives: Sequence[tuple],
     pool: Sequence[int],
     evaluate: Callable[[list], object],
     rank: Callable[[int, object], int],
-    max_coalition: Optional[int],
+    max_coalition: int,
     budget: int = DEFAULT_EVAL_BUDGET,
-    sampling: Optional[tuple[random.Random, int]] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
     """Yield (coalition, reports, before, after) for each deviation after
-    which every member strictly gains; coalitions come from `pool`. The
-    exhaustive scan first checks its planned evaluations over the whole pool
-    against the budget. `evaluate` must not keep the list it is given."""
-    if max_coalition is not None and max_coalition < 1:
+    which every member strictly gains: by size, then coalition from `pool`
+    (distinct agent indices, increasing), then reports in list order. The
+    planned evaluations over the whole pool are checked against the budget
+    first. `evaluate` must not keep the list it is given."""
+    if max_coalition < 1:
         raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
-    if sampling is None:
-        # the floor of 1 only matters for an empty pool, which plans nothing
-        max_coalition = max(1, min(max_coalition, len(pool)))
-        planned = planned_evaluations((len(alternatives[i]) for i in pool), max_coalition)
-        if planned > budget:
-            raise BudgetExceededError(
-                f"coalition scan at one base exceeds the evaluation budget of {budget}",
-                planned,
-            )
+    # the floor of 1 only matters for an empty pool, which plans nothing
+    max_coalition = max(1, min(max_coalition, len(pool)))
+    planned = planned_evaluations((len(alternatives[i]) for i in pool), max_coalition)
+    if planned > budget:
+        raise BudgetExceededError(
+            f"coalition scan at one base exceeds the evaluation budget of {budget}",
+            planned,
+        )
     reports = list(true_reports)
     before = evaluate(reports)
     base_rank = {i: rank(i, before) for i in pool}
     # agents at their true top can never strictly improve
     candidates = [i for i in pool if base_rank[i] > 0 and alternatives[i]]
-    for coalition, misreports in _deviations(candidates, alternatives, max_coalition, sampling):
-        for i, r in zip(coalition, misreports):
-            reports[i] = r
-        after = evaluate(reports)
-        for i in coalition:
-            reports[i] = true_reports[i]
-        if all(rank(i, after) < base_rank[i] for i in coalition):
-            yield coalition, misreports, before, after
+    for size in range(1, max_coalition + 1):
+        for coalition in itertools.combinations(candidates, size):
+            for misreports in itertools.product(*(alternatives[i] for i in coalition)):
+                for i, r in zip(coalition, misreports):
+                    reports[i] = r
+                after = evaluate(reports)
+                for i in coalition:
+                    reports[i] = true_reports[i]
+                if all(rank(i, after) < base_rank[i] for i in coalition):
+                    yield coalition, misreports, before, after
 
 
 def _marriage_rank(p: int, true: Sequence[Preference]) -> Callable[[int, tuple], int]:
@@ -297,27 +271,25 @@ def _marriage_scan(
     domain: "PreferenceDomain",
     base: Profile,
     coalition_pool: Optional[Iterable[AgentId]],
-    max_coalition: Optional[int],
+    max_coalition: int,
     budget: int = DEFAULT_EVAL_BUDGET,
-    sampling: Optional[tuple[random.Random, int]] = None,
 ) -> Iterator[ManipulationWitness]:
     """The coalition scanner on a marriage market, yielding witnesses."""
     true, alternatives = domain.deviations(base)
     p = base.p
     position = {a: i for i, a in enumerate(domain.agents)}
-    pool = []
-    # duplicates dropped; the caller's order is kept for the seeded draws
-    for a in dict.fromkeys(domain.agents if coalition_pool is None else coalition_pool):
+    pool = set()
+    for a in domain.agents if coalition_pool is None else coalition_pool:
         if a not in position:
             raise UnknownOutcomeError(f"no such agent {a!r} in the domain")
-        pool.append(position[a])
+        pool.add(position[a])
     assign = rule.assignment
 
     def evaluate(reports: list) -> tuple:
         return assign(tuple(reports[:p]), tuple(reports[p:]))
 
     rank = _marriage_rank(p, true)
-    for hit in _scan(true, alternatives, pool, evaluate, rank, max_coalition, budget, sampling):
+    for hit in _scan(true, alternatives, sorted(pool), evaluate, rank, max_coalition, budget):
         yield _marriage_witness(rule, base, *hit)
 
 
@@ -347,27 +319,6 @@ def iter_manipulations(
     return _marriage_scan(rule, domain, base, coalition_pool, max_coalition, budget)
 
 
-def find_manipulation_sampled(
-    rule: MatchingRule,
-    domain: "PreferenceDomain",
-    base: Profile,
-    trials: int,
-    rng: random.Random,
-    max_coalition: Optional[int] = None,
-    coalition_pool: Optional[Iterable[AgentId]] = None,
-    collect: bool = False,
-) -> list[ManipulationWitness]:
-    """Seeded random deviation scan at one base.
-
-    Draws a coalition size, then members, then one misreport per member.
-    Returns the witnesses found (at most one unless collect=True).
-    """
-    found = _marriage_scan(
-        rule, domain, base, coalition_pool, max_coalition, sampling=(rng, trials)
-    )
-    return list(found if collect else itertools.islice(found, 1))
-
-
 @dataclass(frozen=True)
 class StrategyProofness:
     """Outcome of an exhaustive certification scan."""
@@ -393,8 +344,7 @@ def _certify(
     count = domain.profile_count
     if count > EXHAUSTIVE_PROFILE_BUDGET:
         raise BudgetExceededError(
-            f"exhaustive certification is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles; "
-            "use the sampled variant",
+            f"exhaustive certification is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles",
             count,
         )
     order = domain.product_order()
@@ -445,26 +395,6 @@ def is_group_strategy_proof(
 ) -> StrategyProofness:
     """Exhaustive coalition certification over every admissible profile."""
     return _certify(rule, domain, budget, max_coalition)
-
-
-def is_strategy_proof_sampled(
-    rule: MatchingRule,
-    domain: "PreferenceDomain",
-    n_bases: int,
-    deviations_per_base: int,
-    seed: int,
-    max_coalition: Optional[int] = 1,
-) -> StrategyProofness:
-    """Seeded random certification for domains past the exhaustive budget."""
-    rng = random.Random(seed)
-    for _ in range(n_bases):
-        base = domain.sample_profile(rng)
-        found = find_manipulation_sampled(
-            rule, domain, base, deviations_per_base, rng, max_coalition=max_coalition
-        )
-        if found:
-            return StrategyProofness(False, found[0])
-    return StrategyProofness(True, None)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Side, StrictOrder
 from .da import _da_engine, _sequential_da, _tentative_holdings
-from .domains import ProductDomain, PropertyCheck, utp_missing
+from .domains import ProductDomain, PropertyCheck, _check_each_agent, utp_missing
 from .errors import (
     NotResponsiveError,
     PreconditionError,
@@ -685,14 +685,9 @@ def find_manipulation_mto(
     return None
 
 
-def students_satisfy_utp(domain: MtoDomain):
+def students_satisfy_utp(domain: MtoDomain) -> PropertyCheck:
     """Unrestricted top pairs over the students' admissible sets."""
-    universe = colleges(domain.n_colleges)
-    for s in students(domain.n_students):
-        missing = utp_missing(domain.admissible(s), universe)
-        if missing is not None:
-            return PropertyCheck(False, (s,) + missing)
-    return PropertyCheck(True)
+    return _check_each_agent(domain, 1, utp_missing)
 
 
 # --- the worked counterexample ---------------------------------------------------

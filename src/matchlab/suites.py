@@ -9,7 +9,6 @@ deterministic given the same parameters and seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -858,18 +857,8 @@ def _example2_domain(ex) -> MtoDomain:
     unrestricted-top-pairs rankings, the quota-2 college gets both recorded
     orders, the unit colleges their single order."""
     cs = colleges(3)
-    ss = students(5)
-    rankings = []
-    for u, v in itertools.permutations(cs, 2):
-        rest = [x for x in cs if x != u and x != v]
-        rankings.append((u, v, *rest, OUTSIDE))
-    for u in cs:
-        rest = [x for x in cs if x != u]
-        rankings.append((u, OUTSIDE, *rest))
-    rankings.append((OUTSIDE, *cs))
-    sets: dict = {
-        s: tuple(StudentPreference(s, r) for r in rankings) for s in ss
-    }
+    rankings = minimal_utp_rankings(cs)
+    sets: dict = {s: tuple(StudentPreference(s, r) for r in rankings) for s in students(5)}
     tilde_c1 = dict(ex.witness.misreports)[cs[0]]
     sets[cs[0]] = (ex.profile[cs[0]], tilde_c1)
     sets[cs[1]] = (ex.profile[cs[1]],)

@@ -211,7 +211,6 @@ def test_enumeration_size_guard():
     # the count has too many digits to print; the guard names the limit instead
     with pytest.raises(SizeGuardError, match="limit of 6 agents per side"):
         list(enumerate_matchings(2000, 2000))
-    assert len(list(enumerate_matchings(7, 1, force=True))) == 8
 
 
 # --- stable sets -----------------------------------------------------------

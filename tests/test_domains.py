@@ -144,13 +144,6 @@ def test_domain_membership_and_lookup(p1, p2):
         dom.admissible(man(5))
 
 
-def test_sample_profile_stays_inside(p1):
-    full = PreferenceDomain.full(2, 2)
-    rng = random.Random(3)
-    for _ in range(50):
-        assert full.contains(full.sample_profile(rng))
-
-
 def test_dimension_mismatch_not_contained(p1):
     full3 = PreferenceDomain.full(3, 3)
     assert not full3.contains(p1)
@@ -240,6 +233,15 @@ def test_utp_holds_on_full_and_minimal_sets():
     for side in (Side.MAN, Side.WOMAN):
         assert satisfies_unrestricted_top_pairs(minimal, side)
     assert [len(minimal.admissible(a)) for a in minimal.agents] == [5, 5, 5, 5]
+
+
+def test_utp_reports_the_first_failing_agent_of_the_other_side():
+    # the women's universe is the men: a woman with one ranking misses a pair
+    sets = {a: all_preferences(a, 2) for a in (M1, M2, W1)}
+    sets[W2] = [Preference(W2, (M1, M2, OUTSIDE))]
+    check = satisfies_unrestricted_top_pairs(PreferenceDomain(sets), Side.WOMAN)
+    assert check.detail == (W2, "pair", M2, M1)
+    assert satisfies_unrestricted_top_pairs(PreferenceDomain(sets), Side.MAN)
 
 
 def test_minimal_utp_is_minimal():

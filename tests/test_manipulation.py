@@ -18,10 +18,8 @@ from matchlab.manipulation import (
     ManipulationWitness,
     MatchingRule,
     find_manipulation,
-    find_manipulation_sampled,
     is_group_strategy_proof,
     is_strategy_proof,
-    is_strategy_proof_sampled,
     iter_manipulations,
     mpda_rule,
     planned_evaluations,
@@ -250,22 +248,6 @@ def test_group_certification_rejects_a_coalition_bound_below_one():
             is_group_strategy_proof(mpda_rule(), full, max_coalition=bound)
 
 
-def test_sampled_scan_rejects_a_coalition_bound_below_one(p1):
-    full = PreferenceDomain.full(2, 2)
-    for bound in (0, -3):
-        with pytest.raises(ValidationError, match="at least 1"):
-            find_manipulation_sampled(mpda_rule(), full, p1, 5, random.Random(1), max_coalition=bound)
-
-
-def test_sampled_certification_rejects_a_coalition_bound_below_one():
-    full = PreferenceDomain.full(2, 2)
-    for bound in (0, -3):
-        with pytest.raises(ValidationError, match="at least 1"):
-            is_strategy_proof_sampled(
-                mpda_rule(), full, n_bases=3, deviations_per_base=5, seed=1, max_coalition=bound
-            )
-
-
 def test_empty_coalition_pool_plans_nothing(p1):
     full = PreferenceDomain.full(2, 2)
     assert find_manipulation(mpda_rule(), full, p1, max_coalition=2, coalition_pool=[]) is None
@@ -303,40 +285,6 @@ def test_restricted_domain_mpda_strategy_proof():
     dom = PreferenceDomain.anonymous(2, 2, men_rk, women_rk)
     assert is_strategy_proof(mpda_rule(), dom)
     assert is_group_strategy_proof(mpda_rule(), dom)
-
-
-def test_sampled_certification_finds_witness_on_dense_domain(p1):
-    # men pinned to their true reports, women free: a third of the bases
-    # leave some woman below her top, so sampling finds a deviation fast
-    dense = PreferenceDomain(
-        {
-            M1: [p1[M1]],
-            M2: [p1[M2]],
-            W1: all_preferences(W1, 2),
-            W2: all_preferences(W2, 2),
-        }
-    )
-    check = is_strategy_proof_sampled(mpda_rule(), dense, n_bases=80, deviations_per_base=20, seed=5)
-    assert not check
-    validate_witness(mpda_rule(), check.witness, domain=dense)
-
-
-def test_sampled_certification_stays_clean_on_sp_domain():
-    men_rk = [p.ranking for p in all_preferences(M1, 2)]
-    women_rk = [(M1, M2, OUTSIDE), (M2, M1, OUTSIDE)]
-    dom = PreferenceDomain.anonymous(2, 2, men_rk, women_rk)
-    assert is_strategy_proof_sampled(mpda_rule(), dom, n_bases=80, deviations_per_base=20, seed=5)
-
-
-def test_sampled_search_collects_validated_witnesses(p1):
-    full = PreferenceDomain.full(2, 2)
-    rng = random.Random(11)
-    hits = find_manipulation_sampled(
-        mpda_rule(), full, p1, trials=500, rng=rng, max_coalition=2, collect=True
-    )
-    assert hits
-    for wit in hits:
-        validate_witness(mpda_rule(), wit, domain=full)
 
 
 # --- witness validation rejects broken claims -----------------------------------

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchlab import mto
-from matchlab.core import OUTSIDE, Preference, Profile, man, woman
+from matchlab.core import OUTSIDE, Preference, Profile, man, woman, women
 from matchlab.da import RuleId, da_matching
+from matchlab.domains import minimal_utp_rankings
 from matchlab.errors import (
     BudgetExceededError,
     NotResponsiveError,
@@ -498,6 +499,14 @@ def test_students_utp_checker():
     check = students_satisfy_utp(partial)
     assert not check
     assert check.detail == (s1, "outside-top")
+
+
+def test_minimal_utp_rankings_order_colleges_as_women():
+    # the sort key reads only an agent's index, so colleges sort as women do
+    rename = {OUTSIDE: OUTSIDE, **dict(zip(women(3), colleges(3)))}
+    as_women = minimal_utp_rankings(women(3))
+    assert minimal_utp_rankings(colleges(3)) == [tuple(rename[x] for x in r) for r in as_women]
+    assert len(as_women) == 10
 
 
 # --- quota-one translation ---------------------------------------------------------------

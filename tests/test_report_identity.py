@@ -4,7 +4,10 @@ Each entry pairs the command's exit code with the SHA-256 of its stdout.
 The marriage entries were recorded before the domain certifications and
 the rule search moved to profile indices; the college-market entries and
 the `manipulate --all` entry before both markets shared one product domain;
-the `solve --rule spda` entries before untraced SPDA moved onto seats.
+the `solve --rule spda` entries before untraced SPDA moved onto seats; the
+coalition-scanner entries (marriage `manipulate` at cap 4, `theorem1`,
+`corollary-dubins`, `prop-unmatched`) before the scanner became
+exhaustive-only.
 """
 
 import hashlib
@@ -48,6 +51,18 @@ REPORT_DIGESTS = {
     ("manipulate", str(FIXTURES / "example1_p1.json"), str(FIXTURES / "full_2x2_domain.json"),
      "--rule", "mpda", "--all", "--max-coalition", "2"):
         (0, "465491698fc0d792f2eddc60cb1b902cbe7b56ab498cb9c16cdf6f4b7cdd753b"),
+    ("manipulate", str(FIXTURES / "example1_p1.json"), str(FIXTURES / "full_2x2_domain.json"),
+     "--rule", "wpda", "--all", "--max-coalition", "4", "--json"):
+        (0, "2a79dba72ee5598fc1790322574c301fec1cb99658bd74d6e60ae959ac1358f5"),
+    ("manipulate", str(FIXTURES / "example1_p1.json"), str(FIXTURES / "full_2x2_domain.json"),
+     "--rule", "mpda", "--max-coalition", "4", "--text"):
+        (0, "9582240da58fa3fa83f0084761b2634e89b44cdb0d2518575dc26ccc9155e7ea"),
+    ("verify", "--suite", "theorem1", "--json"):
+        (0, "5b7a23af5bc054877bbddfbc89c5d7d3a426722762de19c231e071f49095f415"),
+    ("verify", "--suite", "corollary-dubins", "--json"):
+        (0, "7a1284a9644e6ac44402a6ae1fb8e0f39dbb4b6aa4b935424d492846421bca38"),
+    ("verify", "--suite", "prop-unmatched", "--men", "3", "--women", "3", "--trials", "20", "--json"):
+        (0, "15b12370cd059a9d2b5197bd91739d3c41baa170ca47d174558549487c36a160"),
     ("solve", "--rule", "spda", "--json", str(FIXTURES / "example2_mto.json")):
         (0, "e5237b28c935868d633fa79a6aae7ad12f2fddf875a24a0363fb01a84fe21a58"),
     ("solve", "--rule", "spda", "--text", str(FIXTURES / "example2_mto.json")):

@@ -8,7 +8,6 @@ find the same witnesses in the same order.
 
 import itertools
 import json
-import random
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -19,8 +18,6 @@ from matchlab.domains import PreferenceDomain, all_preferences
 from matchlab.formats import mto_domain_from_json, mto_profile_from_json
 from matchlab.manipulation import (
     ManipulationWitness,
-    find_manipulation_sampled,
-    is_strategy_proof_sampled,
     iter_manipulations,
     mpda_rule,
     validate_witness,
@@ -75,6 +72,17 @@ def oracle_first_mto_witness(domain, base, cap):
 
 
 # --- marriage markets ------------------------------------------------------------
+
+
+def _p1() -> Profile:
+    return Profile(
+        [
+            Preference(M1, (W1, W2, OUTSIDE)),
+            Preference(M2, (W2, W1, OUTSIDE)),
+            Preference(W1, (M2, M1, OUTSIDE)),
+            Preference(W2, (M1, M2, OUTSIDE)),
+        ]
+    )
 
 
 @st.composite
@@ -148,93 +156,3 @@ def test_college_oracle_finds_the_mixed_pair():
     found = oracle_first_mto_witness(domain, base, 2)
     assert found is not None and len(found.coalition) == 2
     assert find_manipulation_mto(domain, base, max_coalition=2) == found
-
-
-# --- seeded sampling, pinned ------------------------------------------------------
-
-
-def _p1() -> Profile:
-    return Profile(
-        [
-            Preference(M1, (W1, W2, OUTSIDE)),
-            Preference(M2, (W2, W1, OUTSIDE)),
-            Preference(W1, (M2, M1, OUTSIDE)),
-            Preference(W2, (M1, M2, OUTSIDE)),
-        ]
-    )
-
-
-def _token(x) -> str:
-    return "@" if x is OUTSIDE else x.name
-
-
-def _brief(w):
-    return (
-        " ".join(a.name for a in w.coalition),
-        tuple("".join(_token(x) for x in pref.ranking) for _, pref in w.misreports),
-        " ".join(f"{m.name}{f.name}" for m, f in w.outcome_after.pairs),
-    )
-
-
-def _base_text(w) -> str:
-    return " ".join("".join(_token(x) for x in w.base[a].ranking) for a in w.base.agents)
-
-
-# witnesses, and the generator's next draw after the scan, as recorded
-# before the searches shared one scanner: seeded results must not move
-PINNED = {
-    7: {
-        "mpda-collect": (
-            [
-                ("w2", ("m1@m2",), "m1w2 m2w1"),
-                ("w2", ("m1@m2",), "m1w2 m2w1"),
-                ("w1", ("m2@m1",), "m1w2 m2w1"),
-                ("w1 w2", ("m2@m1", "m1@m2"), "m1w2 m2w1"),
-                ("w1 w2", ("m2@m1", "m1@m2"), "m1w2 m2w1"),
-            ],
-            0.10992830500046646,
-        ),
-        "wpda-pool": ([("m1", ("w1@w2",), "m1w1 m2w2")], 0.08594723368917168),
-        "sp-dense": (("w1", ("m2@m1",), "m1w2 m2w1"), "w1w2@ w2w1@ m2m1@ m1m2@"),
-        "sp-3x3": (
-            ("m2", ("w2@w1w3",), "m1w1 m2w2"),
-            "w1w3w2@ w2w1w3@ @w1w2w3 m3m2m1@ m1m2@m3 @m2m3m1",
-        ),
-    },
-    19: {
-        "mpda-collect": ([("w1", ("m2@m1",), "m1w2 m2w1")], 0.6639064231140855),
-        "wpda-pool": ([("m1", ("w1@w2",), "m1w1 m2w2")], 0.9204003751468064),
-        "sp-dense": (("w2", ("m1@m2",), "m1w2 m2w1"), "w1w2@ w2w1@ m2m1@ m1m2@"),
-        "sp-3x3": None,
-    },
-}
-
-
-def test_sampled_witnesses_pinned():
-    p1 = _p1()
-    full = PreferenceDomain.full(2, 2)
-    dense = PreferenceDomain(
-        {M1: [p1[M1]], M2: [p1[M2]], W1: all_preferences(W1, 2), W2: all_preferences(W2, 2)}
-    )
-    for seed, want in PINNED.items():
-        rng = random.Random(seed)
-        hits = find_manipulation_sampled(
-            mpda_rule(), full, p1, trials=40, rng=rng, max_coalition=2, collect=True
-        )
-        assert ([_brief(w) for w in hits], rng.random()) == want["mpda-collect"]
-
-        rng = random.Random(seed)
-        hits = find_manipulation_sampled(wpda_rule(), full, p1, trials=40, rng=rng, coalition_pool=(W2, M1))
-        assert ([_brief(w) for w in hits], rng.random()) == want["wpda-pool"]
-
-        check = is_strategy_proof_sampled(mpda_rule(), dense, n_bases=80, deviations_per_base=20, seed=seed)
-        assert (_brief(check.witness), _base_text(check.witness)) == want["sp-dense"]
-
-        check = is_strategy_proof_sampled(
-            wpda_rule(), PreferenceDomain.full(3, 3), n_bases=40, deviations_per_base=30,
-            seed=seed, max_coalition=None,
-        )
-        if want["sp-3x3"] is None:
-            assert check.holds and check.witness is None
-        else:
-            assert (_brief(check.witness), _base_text(check.witness)) == want["sp-3x3"]
