@@ -9,6 +9,14 @@ untraced evaluation: marriage ones through `da_assignment` and
 `da_matching`, college ones through `mto.spda_matching` and the college
 coalition scan, which run it on a market of college seats.
 
+The engine trusts the shape of the report tuples it is given: position i
+holds agent i's `Preference`, sized for the other side. That shape is
+checked where reports enter from outside: `da_assignment` (so
+`MatchingRule.assignment` of a DA rule), the `Profile` constructor and the
+`ProductDomain` constructor. The coalition scans take every report from a
+domain, so they run the unchecked evaluation `_unchecked_da` returns, once
+per deviation.
+
 `_da_engine` is the simultaneous-round form (Gale & Shapley, 1962) with
 receiver quotas: in each step every free proposer with an untried
 acceptable partner proposes to the best one remaining, and every receiver
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     AgentId,
@@ -132,7 +140,9 @@ def _tentative_holdings(rounds: list, n_receivers: int) -> Iterator[tuple]:
         yield tuple(snapshot)
 
 
-def _held_to_assignment(held: list, rule: RuleId, p: int, q: int) -> tuple:
+def _held_to_assignment(held: list, rule: RuleId, p: int) -> tuple:
+    """Each of the p men's partner index (None = unmatched), from the
+    engine's held list under the given rule."""
     woman_of: list = [None] * p
     if rule is RuleId.MPDA:
         for r, i in enumerate(held):
@@ -195,22 +205,33 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
         i += 1
 
 
+def _mpda_assignment(men_prefs: tuple, women_prefs: tuple) -> tuple:
+    return _held_to_assignment(_sequential_da(men_prefs, women_prefs), RuleId.MPDA, len(men_prefs))
+
+
+def _wpda_assignment(men_prefs: tuple, women_prefs: tuple) -> tuple:
+    return _held_to_assignment(_sequential_da(women_prefs, men_prefs), RuleId.WPDA, len(men_prefs))
+
+
+def _unchecked_da(rule: RuleId) -> Callable[[tuple, tuple], tuple]:
+    """The rule's evaluation on report tuples whose shape is already known
+    to be sound: `da_assignment` without its check."""
+    if rule is RuleId.MPDA:
+        return _mpda_assignment
+    if rule is RuleId.WPDA:
+        return _wpda_assignment
+    raise ValidationError(f"unknown rule {rule!r}")
+
+
 def da_assignment(rule: RuleId, men_prefs: tuple, women_prefs: tuple) -> tuple:
     """The DA outcome as a per-man tuple of woman indices (None = unmatched).
 
     men_prefs[i] must be the preference of man i and women_prefs[j] that of
     woman j; a malformed shape raises ValidationError.
     """
-    p, q = len(men_prefs), len(women_prefs)
-    _check_side(men_prefs, Side.MAN, q)
-    _check_side(women_prefs, Side.WOMAN, p)
-    if rule is RuleId.MPDA:
-        held = _sequential_da(men_prefs, women_prefs)
-    elif rule is RuleId.WPDA:
-        held = _sequential_da(women_prefs, men_prefs)
-    else:
-        raise ValidationError(f"unknown rule {rule!r}")
-    return _held_to_assignment(held, rule, p, q)
+    _check_side(men_prefs, Side.MAN, len(women_prefs))
+    _check_side(women_prefs, Side.WOMAN, len(men_prefs))
+    return _unchecked_da(rule)(men_prefs, women_prefs)
 
 
 def da_matching(rule: RuleId, profile: Profile) -> Matching:
@@ -238,7 +259,7 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
 
     def as_matching(holding) -> Matching:
         single = [kept[0] if kept else -1 for kept in holding]
-        return Matching.from_assignment(p, q, _held_to_assignment(single, rule, p, q))
+        return Matching.from_assignment(p, q, _held_to_assignment(single, rule, p))
 
     steps = []
     holdings = _tentative_holdings(rounds, len(receiver_prefs))

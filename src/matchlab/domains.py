@@ -98,9 +98,13 @@ class ProductDomain:
     The admissible profiles are the product of the sets. Agents are ordered
     by side, then by index. Each market names its two SIDES and supplies
     `side_of(agent)` (0, 1, or None for an agent of another market),
-    `check_ranking(agent, pref, first)` (raise for a ranking unfit for the
-    market; `first` heads the agent's set) and `make_profile(prefs)` (its
-    profile from one preference per agent, in agent order).
+    `check_ranking(agent, pref, first)` (raise ValidationError for a ranking
+    of the wrong type or size for the market; `first` heads the agent's set
+    and is checked before the rest) and `make_profile(prefs)` (its profile
+    from one preference per agent, in agent order).
+
+    Construction checks every shape the DA engine relies on, so reports
+    taken from a domain go to the engine unchecked.
     """
 
     __slots__ = ("agents", "sizes", "_lists", "_lookups")
@@ -127,9 +131,9 @@ class ProductDomain:
             if not tup:
                 raise ValidationError(f"empty admissible set for {a}")
             for pref in tup:
+                self.check_ranking(a, pref, tup[0])
                 if pref.owner != a:
                     raise ValidationError(f"set for {a} contains a preference owned by {pref.owner}")
-                self.check_ranking(a, pref, tup[0])
             if len(set(tup)) != len(tup):
                 raise ValidationError(f"duplicate preference in the set for {a}")
             lists[a] = tup
@@ -223,6 +227,8 @@ class PreferenceDomain(ProductDomain):
         return int(agent.side) if isinstance(agent, AgentId) else None
 
     def check_ranking(self, agent: AgentId, pref: Preference, first: Preference) -> None:
+        if not isinstance(pref, Preference):
+            raise ValidationError(f"set for {agent} holds a {type(pref).__name__}, expected a Preference")
         expected = self.q if agent.side is Side.MAN else self.p
         if pref.n_opposite != expected:
             raise ValidationError(

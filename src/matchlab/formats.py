@@ -205,6 +205,10 @@ def domain_to_json(domain: PreferenceDomain) -> dict:
 
 def domain_from_json(doc: Any) -> PreferenceDomain:
     doc = _require_dict(doc, "domain")
+    kind = doc.get("kind", "domain")
+    if kind != "domain":
+        # the echo is cut short, as the document may be hostile
+        raise FormatError("kind", f"expected a marriage-market domain (kind 'domain'), got kind {kind!r:.40}")
     table = _require_dict(doc.get("agents"), "agents")
     sets: dict[AgentId, list[Preference]] = {}
     for token in table:

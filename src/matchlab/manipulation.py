@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import AgentId, Matching, Preference, Profile, Side
-from .da import RuleId, da_assignment
+from .da import RuleId, _unchecked_da, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
 
 if TYPE_CHECKING:
@@ -32,14 +32,18 @@ class MatchingRule:
     `assignment` maps the men's and the women's preference tuples to each
     man's partner index (None when unmatched). It keeps no results: the
     certifications below keep their own memo for the length of one run.
+    `_evaluate` is the same map for reports taken from a `ProductDomain`,
+    whose construction has checked their shape: a DA rule skips the check
+    there, every other rule evaluates as `assignment` does.
     """
 
-    __slots__ = ("name", "stable", "_assign_fn")
+    __slots__ = ("name", "stable", "_assign_fn", "_evaluate")
 
     def __init__(self, name: str, assign_fn: Callable, stable: bool):
         self.name = name
         self.stable = stable
         self._assign_fn = assign_fn
+        self._evaluate = assign_fn
 
     def assignment(self, men_prefs: tuple, women_prefs: tuple) -> tuple:
         return self._assign_fn(men_prefs, women_prefs)
@@ -60,7 +64,9 @@ class MatchingRule:
         def assign(men_prefs, women_prefs, _rule=rule_id):
             return da_assignment(_rule, men_prefs, women_prefs)
 
-        return cls(rule_id.value, assign, stable=True)
+        rule = cls(rule_id.value, assign, stable=True)
+        rule._evaluate = _unchecked_da(rule_id)
+        return rule
 
     @classmethod
     def from_table(cls, table: dict, name: str, stable: bool) -> "MatchingRule":
@@ -189,6 +195,22 @@ def planned_evaluations(
 # lot in an outcome (0 is the top).
 
 
+def _coalition_cap(alternative_counts: Sequence[int], max_coalition: int, budget: int) -> int:
+    """The coalition size bound clipped to the pool, once the scan it plans
+    at one base (`alternative_counts` per pool agent) fits the budget."""
+    if max_coalition < 1:
+        raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
+    # the floor of 1 only matters for an empty pool, which plans nothing
+    max_coalition = max(1, min(max_coalition, len(alternative_counts)))
+    planned = planned_evaluations(alternative_counts, max_coalition)
+    if planned > budget:
+        raise BudgetExceededError(
+            f"coalition scan at one base exceeds the evaluation budget of {budget}",
+            planned,
+        )
+    return max_coalition
+
+
 def _scan(
     true_reports: Sequence,
     alternatives: Sequence[tuple],
@@ -203,22 +225,26 @@ def _scan(
     (distinct agent indices, increasing), then reports in list order. The
     planned evaluations over the whole pool are checked against the budget
     first. `evaluate` must not keep the list it is given."""
-    if max_coalition < 1:
-        raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
-    # the floor of 1 only matters for an empty pool, which plans nothing
-    max_coalition = max(1, min(max_coalition, len(pool)))
-    planned = planned_evaluations((len(alternatives[i]) for i in pool), max_coalition)
-    if planned > budget:
-        raise BudgetExceededError(
-            f"coalition scan at one base exceeds the evaluation budget of {budget}",
-            planned,
-        )
+    cap = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
+    return _search(true_reports, alternatives, pool, evaluate, rank, cap)
+
+
+def _search(
+    true_reports: Sequence,
+    alternatives: Sequence[tuple],
+    pool: Sequence[int],
+    evaluate: Callable[[list], object],
+    rank: Callable[[int, object], int],
+    cap: int,
+) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
+    """`_scan` at a coalition bound that `_coalition_cap` has already
+    clipped and checked against the budget."""
     reports = list(true_reports)
     before = evaluate(reports)
     base_rank = {i: rank(i, before) for i in pool}
     # agents at their true top can never strictly improve
     candidates = [i for i in pool if base_rank[i] > 0 and alternatives[i]]
-    for size in range(1, max_coalition + 1):
+    for size in range(1, cap + 1):
         for coalition in itertools.combinations(candidates, size):
             for misreports in itertools.product(*(alternatives[i] for i in coalition)):
                 for i, r in zip(coalition, misreports):
@@ -226,7 +252,10 @@ def _scan(
                 after = evaluate(reports)
                 for i in coalition:
                     reports[i] = true_reports[i]
-                if all(rank(i, after) < base_rank[i] for i in coalition):
+                for i in coalition:
+                    if rank(i, after) >= base_rank[i]:
+                        break
+                else:
                     yield coalition, misreports, before, after
 
 
@@ -283,10 +312,11 @@ def _marriage_scan(
         if a not in position:
             raise UnknownOutcomeError(f"no such agent {a!r} in the domain")
         pool.add(position[a])
-    assign = rule.assignment
+    # the domain has checked every report's shape
+    engine = rule._evaluate
 
     def evaluate(reports: list) -> tuple:
-        return assign(tuple(reports[:p]), tuple(reports[p:]))
+        return engine(tuple(reports[:p]), tuple(reports[p:]))
 
     rank = _marriage_rank(p, true)
     for hit in _scan(true, alternatives, sorted(pool), evaluate, rank, max_coalition, budget):
@@ -353,23 +383,28 @@ def _certify(
     # others[i][d]: agent i's digits other than d, in list order
     others = [[tuple(v for v in range(len(l)) if v != d) for d in range(len(l))] for l in lists]
     memo: list = [None] * count
-    assign = rule.assignment
+    # every report comes from the domain, which has checked its shape
+    engine = rule._evaluate
 
     def evaluate(digits: list) -> tuple:
         key = sum(map(operator.mul, digits, strides))
         outcome = memo[key]
         if outcome is None:
             prefs = order.preferences(digits)
-            outcome = memo[key] = assign(prefs[:p], prefs[p:])
+            outcome = memo[key] = engine(prefs[:p], prefs[p:])
         return outcome
 
     pool = range(len(lists))
-    cap = max_coalition if max_coalition is not None else len(pool)
+    # every base has len(list) - 1 alternatives per agent, so one plan
+    # covers the run
+    cap = _coalition_cap(
+        [len(l) - 1 for l in lists], len(pool) if max_coalition is None else max_coalition, budget
+    )
     for digits in order.digits():
         true = order.preferences(digits)
         alternatives = [o[d] for o, d in zip(others, digits)]
         rank = _marriage_rank(p, true)
-        hit = next(_scan(digits, alternatives, pool, evaluate, rank, cap, budget), None)
+        hit = next(_search(digits, alternatives, pool, evaluate, rank, cap), None)
         if hit is not None:
             coalition, reports, before, after = hit
             misreports = tuple(lists[i][d] for i, d in zip(coalition, reports))

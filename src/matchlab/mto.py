@@ -579,7 +579,10 @@ class MtoDomain(ProductDomain):
         return {CollegeId: 0, StudentId: 1}.get(type(agent))
 
     def check_ranking(self, agent: MtoAgent, pref, first) -> None:
-        if isinstance(agent, StudentId):
+        kind = StudentPreference if isinstance(agent, StudentId) else CollegePreference
+        if not isinstance(pref, kind):
+            raise ValidationError(f"set for {agent} holds a {type(pref).__name__}, expected a {kind.__name__}")
+        if kind is StudentPreference:
             if pref.n_colleges != self.n_colleges:
                 raise ValidationError(f"preference for {agent} sized for {pref.n_colleges} colleges")
             return

@@ -511,6 +511,15 @@ def test_check_domain_orderings_only_for_single_peaked(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "document, kind", [(MTO_DOMAIN, "college-domain"), (P1, "market")], ids=["college-domain", "market"]
+)
+def test_check_domain_names_the_kind_it_expects(capsys, document, kind):
+    code, out, err = run(capsys, "check-domain", "--property", "utp", document)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "kind 'domain'" in err and f"got kind {kind!r}" in err
+
+
 def test_check_domain_unknown_property(capsys):
     code, _, err = run(capsys, "check-domain", "--property", "magic", FULL_DOMAIN)
     assert code == EXIT_USAGE

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab.core import OUTSIDE, Preference, Side, man, men, stable_set, woman, women
+from matchlab.core import OUTSIDE, Preference, Side, StrictOrder, man, men, stable_set, woman, women
 from matchlab.domains import (
     AlternatingSequenceWitness,
     PreferenceDomain,
@@ -614,6 +614,19 @@ def test_inherited_domain_methods(cut, full):
     assert single.profile_count == 1 and list(single.profiles()) == [inside]
     other_kind = _cut_college_domain() if isinstance(dom, PreferenceDomain) else _cut_marriage_domain()
     assert dom == cut() and dom != single and dom != other_kind
+
+
+@pytest.mark.parametrize("cut", [_cut_marriage_domain, _cut_college_domain], ids=["marriage", "college"])
+def test_domain_rejects_entries_that_are_not_rankings(cut):
+    # construction checks every shape the DA engine trusts, so a set entry
+    # of the wrong type is a ValidationError on either side and in any place
+    dom = cut()
+    sets = {a: dom.admissible(a) for a in dom.agents}
+    for a in (dom.agents[0], dom.agents[-1]):
+        for bad in ("x", StrictOrder(sets[a][0].ranking)):
+            for entries in ([bad], [*sets[a], bad]):
+                with pytest.raises(ValidationError, match=f"set for {a!r} holds a"):
+                    type(dom)({**sets, a: entries})
 
 
 def test_search_guards():

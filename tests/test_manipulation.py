@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab import manipulation
+from matchlab import da
 from matchlab.core import OUTSIDE, Matching, Profile, man, men, woman, women
-from matchlab.da import RuleId, da_assignment, da_matching
+from matchlab.da import RuleId, da_matching
 from matchlab.domains import PreferenceDomain, all_preferences, exists_stable_sp_rule
 from matchlab.errors import BudgetExceededError, PreconditionError, ValidationError
 from matchlab.manipulation import (
@@ -49,12 +49,13 @@ def test_group_certification_evaluates_each_profile_once(monkeypatch):
     # the certification's memo is indexed by profile, so DA runs at most
     # once per admissible profile however many scans ask for it
     calls = []
+    engine = da._sequential_da
 
-    def counting(rule_id, men_prefs, women_prefs):
-        calls.append((men_prefs, women_prefs))
-        return da_assignment(rule_id, men_prefs, women_prefs)
+    def counting(proposer_prefs, receiver_prefs):
+        calls.append((proposer_prefs, receiver_prefs))
+        return engine(proposer_prefs, receiver_prefs)
 
-    monkeypatch.setattr(manipulation, "da_assignment", counting)
+    monkeypatch.setattr(da, "_sequential_da", counting)
     dom = PreferenceDomain.full(2, 2)
     check = is_group_strategy_proof(mpda_rule(), dom, max_coalition=2)
     assert not check
@@ -66,6 +67,24 @@ def test_group_certification_evaluates_each_profile_once(monkeypatch):
     anon = PreferenceDomain.anonymous(2, 2, men_rk, women_rk)
     assert is_group_strategy_proof(mpda_rule(), anon)
     assert len(calls) == anon.profile_count
+
+
+def test_scans_run_domain_reports_without_the_shape_check(monkeypatch, p1):
+    # a domain checks every report's shape when it is built, so the scans
+    # skip the per-evaluation check that `rule.assignment` keeps
+    def refuse(prefs, side, n_opposite):
+        raise ValidationError("shape checked again")
+
+    monkeypatch.setattr(da, "_check_side", refuse)
+    full = PreferenceDomain.full(2, 2)
+    assert list(iter_manipulations(mpda_rule(), full, p1, max_coalition=2))
+    assert not is_group_strategy_proof(wpda_rule(), full, max_coalition=2)
+    anon = PreferenceDomain.anonymous(
+        2, 2, [p.ranking for p in all_preferences(M1, 2)], [(M1, M2, OUTSIDE), (M2, M1, OUTSIDE)]
+    )
+    assert is_group_strategy_proof(mpda_rule(), anon)
+    with pytest.raises(ValidationError, match="checked again"):
+        mpda_rule().assignment(p1.men_prefs, p1.women_prefs)
 
 
 def test_single_base_scan_stores_nothing_on_the_rule(p1):

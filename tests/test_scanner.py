@@ -1,9 +1,9 @@
 """The one coalition scanner against a naive oracle, for both market kinds.
 
 The oracle tries every coalition and every joint report with no pruning,
-builds each deviated profile with `replace`, runs the rule on it, and keeps
-the deviations after which every member strictly gains. The scanner must
-find the same witnesses in the same order.
+builds each deviated profile with `replace`, runs the traced round engine
+on it, and keeps the deviations after which every member strictly gains.
+The scanner must find the same witnesses in the same order.
 """
 
 import itertools
@@ -13,7 +13,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab.core import OUTSIDE, Preference, Profile, man, woman
+from matchlab.core import OUTSIDE, Preference, Profile, man, men, woman, women
+from matchlab.da import RuleId, run_da
 from matchlab.domains import PreferenceDomain, all_preferences
 from matchlab.formats import mto_domain_from_json, mto_profile_from_json
 from matchlab.manipulation import (
@@ -33,15 +34,17 @@ AGENTS_2X2 = (M1, M2, W1, W2)
 
 
 def oracle_witnesses(rule, domain, base, cap, pool=None):
+    # outcomes come from the traced round engine, not the scan's engine
+    rule_id = RuleId(rule.name)
     agents = list(base.agents if pool is None else sorted(set(pool)))
-    before = rule.apply(base)
+    before = run_da(rule_id, base)[0]
     found = []
     for size in range(1, min(cap, len(agents)) + 1):
         for coalition in itertools.combinations(agents, size):
             options = [[x for x in domain.admissible(a) if x != base[a]] for a in coalition]
             for reports in itertools.product(*options):
                 misreports = tuple(zip(coalition, reports))
-                after = rule.apply(base.replace(dict(misreports)))
+                after = run_da(rule_id, base.replace(dict(misreports)))[0]
                 if all(base[a].prefers(after.partner(a), before.partner(a)) for a in coalition):
                     found.append(
                         ManipulationWitness(rule.name, base, coalition, misreports, before, after)
@@ -114,6 +117,29 @@ def test_iter_manipulations_matches_oracle(drawn, rule_of, cap, pool):
     assert got == oracle_witnesses(rule, domain, base, cap, pool)
     for witness in got:
         validate_witness(rule, witness, domain)
+
+
+def _planted_crossing_base() -> Profile:
+    """3x3: the first two pairs cross (two stable matchings) and the third
+    pair is each other's first choice, so under MPDA the women of the
+    crossing gain by truncating."""
+    m1, m2, m3 = men(3)
+    w1, w2, w3 = women(3)
+    table = {
+        m1: (w1, w2, w3),
+        m2: (w2, w1, w3),
+        m3: (w3, w1, w2),
+        w1: (m2, m1, m3),
+        w2: (m1, m2, m3),
+        w3: (m3, m1, m2),
+    }
+    return Profile(Preference(a, (*r, OUTSIDE)) for a, r in table.items())
+
+
+def test_iter_manipulations_matches_oracle_at_3x3():
+    domain, base, rule = PreferenceDomain.full(3, 3), _planted_crossing_base(), mpda_rule()
+    got = list(iter_manipulations(rule, domain, base, max_coalition=2))
+    assert got and got == oracle_witnesses(rule, domain, base, 2)
 
 
 # --- college markets -------------------------------------------------------------
