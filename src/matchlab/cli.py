@@ -72,6 +72,8 @@ def _load_json(path: str) -> Any:
         raise FormatError(path, exc.strerror or "cannot read file")
     except json.JSONDecodeError as exc:
         raise FormatError(path, f"invalid JSON: {exc.msg} (line {exc.lineno})")
+    except RecursionError:
+        raise FormatError(path, "invalid JSON: nested too deeply")
 
 
 def _is_college_market(doc: Any) -> bool:
@@ -180,8 +182,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         profile = formats.mto_profile_from_json(doc)
         if args.trace:
             matching, steps = run_spda(profile)
+            names = (
+                formats.agent_names("c", profile.n_colleges),
+                formats.agent_names("s", profile.n_students),
+            )
             for step in steps:
-                print(json.dumps(formats.mto_step_to_json(step, profile.n_colleges)))
+                print(json.dumps(formats.mto_step_to_json(step, names)))
         else:
             matching = spda_matching(profile)
         if args.fmt == "json":
@@ -197,8 +203,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     rule = RuleId(args.rule)
     if args.trace:
         matching, trace = run_da(rule, profile)
+        names = (formats.agent_names("m", profile.p), formats.agent_names("w", profile.q))
         for step in trace.steps:
-            print(json.dumps(formats.da_step_to_json(step)))
+            print(json.dumps(formats.da_step_to_json(step, names)))
     else:
         matching = da_matching(rule, profile)
     if args.fmt == "json":

@@ -321,8 +321,22 @@ class Matching:
         """Build from a per-man assignment of woman indices (None = unmatched)."""
         if len(woman_of) != p:
             raise ValidationError(f"assignment covers {len(woman_of)} men, market has {p}")
-        pairs = [(man(i), woman(j)) for i, j in enumerate(woman_of) if j is not None]
-        return cls(p, q, pairs)
+        # the checks of __init__ on the index tuple, with no AgentId built
+        man_of: list = [None] * q
+        for i, j in enumerate(woman_of):
+            if j is None:
+                continue
+            if not 0 <= j < q:
+                raise ValidationError(f"bad woman in pair: {woman(j)!r}")
+            if man_of[j] is not None:
+                raise ValidationError(f"{woman(j)} appears in two pairs")
+            man_of[j] = i
+        self = cls.__new__(cls)
+        self.p, self.q = p, q
+        self._woman_of = tuple(woman_of)
+        self._man_of = tuple(man_of)
+        self._hash = hash((p, q, self._woman_of))
+        return self
 
     def partner(self, agent: AgentId) -> Outcome:
         """mu(agent): the partner, or OUTSIDE when unmatched."""
@@ -337,6 +351,11 @@ class Matching:
     @property
     def assignment(self) -> tuple:
         return self._woman_of
+
+    @property
+    def inverse(self) -> tuple:
+        """Each woman's partner index (None = unmatched)."""
+        return self._man_of
 
     @property
     def pairs(self) -> tuple[tuple[AgentId, AgentId], ...]:

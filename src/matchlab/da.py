@@ -41,9 +41,9 @@ from .core import (
     Preference,
     Profile,
     Side,
-    man,
+    men,
     stable_set,
-    woman,
+    women,
 )
 from .errors import ValidationError
 
@@ -243,19 +243,19 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
     """Run deferred acceptance and keep the whole round-by-round trace."""
     if not isinstance(rule, RuleId):
         raise ValidationError(f"unknown rule {rule!r}")
+    p, q = profile.p, profile.q
     if rule is RuleId.MPDA:
         proposer_prefs, receiver_prefs = profile.men_prefs, profile.women_prefs
-        as_pair = lambda i, r: (man(i), woman(r))
+        proposers, receivers = men(p), women(q)
     else:
         proposer_prefs, receiver_prefs = profile.women_prefs, profile.men_prefs
-        as_pair = lambda i, r: (woman(i), man(r))
+        proposers, receivers = women(q), men(p)
     held, rounds = _da_engine(
         [pref.acceptable_idx for pref in proposer_prefs],
         [pref.rank_by_index for pref in receiver_prefs],
         [pref.outside_rank for pref in receiver_prefs],
         [1] * len(receiver_prefs),
     )
-    p, q = profile.p, profile.q
 
     def as_matching(holding) -> Matching:
         single = [kept[0] if kept else -1 for kept in holding]
@@ -267,8 +267,8 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
         steps.append(
             DaStep(
                 number=number,
-                proposals=tuple([as_pair(i, r) for i, r in proposals]),
-                rejections=tuple([as_pair(i, r) for i, r in rejections]),
+                proposals=tuple([(proposers[i], receivers[r]) for i, r in proposals]),
+                rejections=tuple([(proposers[i], receivers[r]) for i, r in rejections]),
                 tentative=as_matching(holding),
             )
         )

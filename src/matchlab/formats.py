@@ -87,11 +87,37 @@ def _outcome_token(x: Outcome) -> str:
     return "@" if x is OUTSIDE else x.name
 
 
-def _parse_ranking(tokens: Any, field: str, side: Side) -> tuple[Outcome, ...]:
-    """One preference list: names from the given side plus a single '@'."""
+def agent_names(prefix: str, n: int) -> list[str]:
+    """The names of one side's agents by index: prefix1 .. prefix<n>."""
+    return [f"{prefix}{k}" for k in range(1, n + 1)]
+
+
+def _name_tables(p: int, q: int) -> tuple[dict, dict]:
+    """For each side, indexed by `Side`: the names of its first p (men) or
+    q (women) agents and '@', each mapped to the outcome it parses to."""
+    tables = []
+    for side, agents in ((Side.MAN, men(p)), (Side.WOMAN, women(q))):
+        table = dict(zip(agent_names(side.prefix, len(agents)), agents))
+        table["@"] = OUTSIDE
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _parse_ranking(tokens: Any, field: str, side: Side, names: Mapping) -> tuple[Outcome, ...]:
+    """One preference list: names from the given side plus a single '@'.
+
+    A token found in ``names``, a `_name_tables` entry for the side, costs
+    one lookup and reuses its outcome; any other token is parsed in full,
+    so it is accepted or rejected exactly as with an empty table.
+    """
     out: list[Outcome] = []
     prefix = side.prefix
     for tok in _require_list(tokens, field):
+        try:
+            out.append(names[tok])
+            continue
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            pass
         if tok == "@":
             out.append(OUTSIDE)
             continue
@@ -150,21 +176,34 @@ def profile_from_json(doc: Any) -> Profile:
         raise FormatError("preferences", f"missing agents: {_some_names(absent, missing)}")
     if extra:
         raise FormatError("preferences", f"unknown agents: {_some_names(sorted(extra), len(extra))}")
+    # the key check bounds p + q by the table's size
+    tables = _name_tables(p, q)
     prefs = []
     for a in men(p) + women(q):
         field = f"preferences.{a.name}"
-        ranking = _parse_ranking(table[a.name], field, a.side.opposite)
+        opposite = a.side.opposite
+        ranking = _parse_ranking(table[a.name], field, opposite, tables[opposite])
         prefs.append(_wrap(field, Preference, a, ranking))
     return _wrap("preferences", Profile, prefs)
 
 
+def _matching_names(matching: Matching, names: Sequence[Sequence[str]]) -> dict:
+    """The pairs and the unmatched agents (men first) of a matching, by
+    name; names[side][i] is the name of agent i of that side."""
+    man_names, woman_names = names
+    pairs, unmatched = [], []
+    for i, j in enumerate(matching.assignment):
+        if j is None:
+            unmatched.append(man_names[i])
+        else:
+            pairs.append([man_names[i], woman_names[j]])
+    unmatched += [woman_names[j] for j, i in enumerate(matching.inverse) if i is None]
+    return {"pairs": pairs, "unmatched": unmatched}
+
+
 def matching_to_json(matching: Matching) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "matching",
-        "pairs": [[m.name, w.name] for m, w in matching.pairs],
-        "unmatched": [a.name for a in matching.unmatched],
-    }
+    names = (agent_names("m", matching.p), agent_names("w", matching.q))
+    return {"schema": SCHEMA, "kind": "matching", **_matching_names(matching, names)}
 
 
 def matching_from_json(doc: Any, p: int, q: int) -> Matching:
@@ -210,14 +249,17 @@ def domain_from_json(doc: Any) -> PreferenceDomain:
         # the echo is cut short, as the document may be hostile
         raise FormatError("kind", f"expected a marriage-market domain (kind 'domain'), got kind {kind!r:.40}")
     table = _require_dict(doc.get("agents"), "agents")
+    # each side has at most one agent per key
+    tables = _name_tables(len(table), len(table))
     sets: dict[AgentId, list[Preference]] = {}
     for token in table:
         prefix, idx = _parse_name(token, "agents", "mw")
         a = man(idx) if prefix == "m" else woman(idx)
         field = f"agents.{token}"
         prefs = []
+        opposite = a.side.opposite
         for entry in _require_list(table[token], field):
-            ranking = _parse_ranking(entry, field, a.side.opposite)
+            ranking = _parse_ranking(entry, field, opposite, tables[opposite])
             prefs.append(_wrap(field, Preference, a, ranking))
         sets[a] = prefs
     return _wrap("agents", PreferenceDomain, sets)
@@ -410,12 +452,14 @@ def witness_from_json(doc: Any) -> ManipulationWitness:
         for tok in _require_list(doc.get("coalition"), "coalition")
     )
     reports_doc = _require_dict(doc.get("misreports"), "misreports")
+    tables = _name_tables(base.p, base.q)
     misreports = []
     for a in coalition:
         if a.name not in reports_doc:
             raise FormatError("misreports", f"missing report for {a.name}")
         field = f"misreports.{a.name}"
-        ranking = _parse_ranking(reports_doc[a.name], field, a.side.opposite)
+        opposite = a.side.opposite
+        ranking = _parse_ranking(reports_doc[a.name], field, opposite, tables[opposite])
         misreports.append((a, _wrap(field, Preference, a, ranking)))
     return ManipulationWitness(
         rule_name=rule_name,
@@ -476,29 +520,32 @@ def mto_witness_from_json(doc: Any) -> MtoWitness:
 # --- traces ------------------------------------------------------------------------
 
 
-def da_step_to_json(step) -> dict:
-    """One proposal round as a flat record, for line-oriented trace output."""
+def da_step_to_json(step, names: Sequence[Sequence[str]]) -> dict:
+    """One proposal round as a flat record, for line-oriented trace output.
+
+    names[side][i] is the name of agent i of that side, as
+    (agent_names("m", p), agent_names("w", q)).
+    """
     return {
         "step": step.number,
-        "proposals": [[a.name, b.name] for a, b in step.proposals],
+        "proposals": [[names[a][i], names[b][j]] for (a, i), (b, j) in step.proposals],
         # the trace stores (rejected proposer, rejecter); emit rejecter first
         # so both trace dialects read the same way
-        "rejections": [[b.name, a.name] for a, b in step.rejections],
-        "tentative": {
-            "pairs": [[m.name, w.name] for m, w in step.tentative.pairs],
-            "unmatched": [a.name for a in step.tentative.unmatched],
-        },
+        "rejections": [[names[b][j], names[a][i]] for (a, i), (b, j) in step.rejections],
+        "tentative": _matching_names(step.tentative, names),
     }
 
 
-def mto_step_to_json(step, n_colleges: int) -> dict:
+def mto_step_to_json(step, names: Sequence[Sequence[str]]) -> dict:
+    """names is (agent_names("c", n_colleges), agent_names("s", n_students))."""
+    college_names, student_names = names
     return {
         "step": step.number,
-        "proposals": [[student(s).name, college(c).name] for s, c in step.proposals],
-        "rejections": [[college(c).name, student(s).name] for c, s in step.rejections],
+        "proposals": [[student_names[s], college_names[c]] for s, c in step.proposals],
+        "rejections": [[college_names[c], student_names[s]] for c, s in step.rejections],
         "tentative": {
-            college(c).name: [student(s).name for s in group]
-            for c, group in zip(range(n_colleges), step.tentative)
+            college_names[c]: [student_names[s] for s in group]
+            for c, group in enumerate(step.tentative)
         },
     }
 

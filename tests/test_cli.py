@@ -13,7 +13,8 @@ import pytest
 from conftest import random_profile
 from matchlab import cli, formats
 from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
-from matchlab.core import OUTSIDE
+from matchlab.core import OUTSIDE, Preference, Profile, Side, men, women
+from matchlab.da import RuleId, run_da
 from matchlab.domains import PreferenceDomain
 from matchlab.errors import DimensionMismatchError, UnknownOutcomeError, ValidationError
 from matchlab.manipulation import mpda_rule, validate_witness, wpda_rule
@@ -88,6 +89,48 @@ def test_solve_final_matching_same_with_and_without_trace(capsys, tmp_path, rule
         assert [json.loads(line)["step"] for line in steps] == list(range(1, len(steps) + 1))
 
 
+def _step_by_own_names(step) -> dict:
+    """A trace step written from each agent's own `AgentId.name`."""
+    return {
+        "step": step.number,
+        "proposals": [[a.name, b.name] for a, b in step.proposals],
+        "rejections": [[b.name, a.name] for a, b in step.rejections],
+        "tentative": {
+            "pairs": [[m.name, w.name] for m, w in step.tentative.pairs],
+            "unmatched": [a.name for a in step.tentative.unmatched],
+        },
+    }
+
+
+@pytest.mark.parametrize("rule", [RuleId.MPDA, RuleId.WPDA])
+def test_solve_trace_matches_a_writer_of_own_names(capsys, tmp_path, rule):
+    # a master list on the proposing side: 30 rounds, 465 proposals
+    rng = random.Random(2023)
+    n = 30
+    shared = list(women(n) if rule is RuleId.MPDA else men(n))
+    rng.shuffle(shared)
+    prefs = []
+    for a in men(n) + women(n):
+        proposing = (a.side is Side.MAN) == (rule is RuleId.MPDA)
+        ranking = list(shared) if proposing else rng.sample(women(n) if a.side is Side.MAN else men(n), n)
+        prefs.append(Preference(a, ranking + [OUTSIDE]))
+    profile = Profile(prefs)
+    market = tmp_path / "master.json"
+    market.write_text(json.dumps(formats.profile_to_json(profile)))
+    code, out, _ = run(capsys, "solve", "--rule", rule.value, "--trace", str(market))
+    assert code == EXIT_PASS
+    matching, trace = run_da(rule, profile)
+    assert len(trace.steps) == n
+    final = {
+        "schema": formats.SCHEMA,
+        "kind": "matching",
+        "pairs": [[m.name, w.name] for m, w in matching.pairs],
+        "unmatched": [a.name for a in matching.unmatched],
+    }
+    lines = [json.dumps(_step_by_own_names(step)) for step in trace.steps]
+    assert out == "\n".join(lines) + "\n" + json.dumps(final, indent=2) + "\n"
+
+
 def test_solve_spda(capsys):
     code, out, _ = run(capsys, "solve", "--rule", "spda", MTO)
     assert code == EXIT_PASS
@@ -124,6 +167,32 @@ def test_solve_unparseable_file(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--rule", "mpda", str(bad))
     assert code == EXIT_USAGE
     assert "invalid JSON" in err
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "command, deep_role",
+    [
+        (["solve", "--rule", "mpda", "{market}"], "market"),
+        (["stable-set", "{market}"], "market"),
+        (["check-domain", "--property", "utp", "{domain}"], "domain"),
+        (["manipulate", "{market}", FULL_DOMAIN, "--rule", "mpda"], "market"),
+        (["manipulate", P1, "{domain}", "--rule", "mpda"], "domain"),
+    ],
+    ids=["solve", "stable-set", "check-domain", "manipulate-market", "manipulate-domain"],
+)
+def test_deeply_nested_documents_are_format_errors(tmp_path, capsys, command, deep_role):
+    paths = {"market": tmp_path / "deep_market.json", "domain": tmp_path / "deep_domain.json"}
+    paths["market"].write_text(
+        '{"men": 1, "women": 1, "preferences": {"m1": %s, "w1": ["m1", "@"]}}' % DEEP
+    )
+    paths["domain"].write_text('{"kind": "domain", "agents": {"m1": %s}}' % DEEP)
+    argv = [arg.format(**paths) for arg in command]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {paths[deep_role]}: invalid JSON: nested too deeply\n"
 
 
 def test_solve_large_declared_quota_fails_fast(tmp_path):

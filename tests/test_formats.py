@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchlab import formats
-from matchlab.core import OUTSIDE, Matching, Side
+from matchlab.core import OUTSIDE, AgentId, Matching, Preference, Profile, Side, men, women
 from matchlab.da import RuleId, run_da
 from matchlab.domains import PreferenceDomain, PriorOrdering
 from matchlab.errors import FormatError
@@ -53,6 +53,86 @@ def test_profile_roundtrip_random(seed, p, q):
 
 def market_doc():
     return formats.profile_to_json(profile_p1())
+
+
+def _per_token_profile(doc) -> Profile:
+    """`profile_from_json` with every ranking token parsed on its own by
+    `_parse_name`: the oracle for the name-table path."""
+    p, q = doc["men"], doc["women"]
+    prefs = []
+    for a in men(p) + women(q):
+        field = f"preferences.{a.name}"
+        side = a.side.opposite
+        ranking = []
+        for tok in doc["preferences"][a.name]:
+            if tok == "@":
+                ranking.append(OUTSIDE)
+                continue
+            prefix, idx = formats._parse_name(tok, field, "mwcs")
+            if prefix != side.prefix:
+                raise FormatError(field, f"{tok!r} is not on the expected side ({side.prefix}<k>)")
+            ranking.append(AgentId(side, idx))
+        prefs.append(formats._wrap(field, Preference, a, tuple(ranking)))
+    return formats._wrap("preferences", Profile, prefs)
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except FormatError as err:
+        return (err.field, str(err))
+
+
+@st.composite
+def market_documents(draw):
+    p, q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    prefs = {}
+    for prefix, n, other, n_other in (("m", p, "w", q), ("w", q, "m", p)):
+        names = formats.agent_names(other, n_other) + ["@"]
+        for name in formats.agent_names(prefix, n):
+            prefs[name] = draw(st.permutations(names))
+    return {"schema": formats.SCHEMA, "kind": "market", "men": p, "women": q, "preferences": prefs}
+
+
+@settings(max_examples=100)
+@given(doc=market_documents())
+def test_name_tables_parse_as_per_token_names(doc):
+    profile = formats.profile_from_json(doc)
+    assert profile == _per_token_profile(doc)
+
+
+# each maps (owner's side prefix, the other side's prefix and size) to a bad token
+RANKING_MUTATIONS = {
+    "wrong side": lambda own, other, n: f"{own}1",
+    "index 0": lambda own, other, n: f"{other}0",
+    "leading zero": lambda own, other, n: f"{other}01",
+    "out of range": lambda own, other, n: f"{other}{n + 1}",
+    "none": lambda own, other, n: None,
+    "number": lambda own, other, n: 1,
+    "list": lambda own, other, n: [f"{other}1"],
+    "object": lambda own, other, n: {f"{other}1": 1},
+    "second @": lambda own, other, n: "@",
+}
+
+
+@settings(max_examples=100)
+@given(doc=market_documents(), data=st.data())
+def test_bad_ranking_tokens_fail_as_per_token_names(doc, data):
+    name = data.draw(st.sampled_from(sorted(doc["preferences"])))
+    kind = data.draw(st.sampled_from(sorted(RANKING_MUTATIONS)))
+    own, other = name[0], "w" if name[0] == "m" else "m"
+    n = doc["women"] if own == "m" else doc["men"]
+    ranking = list(doc["preferences"][name])
+    where = data.draw(st.integers(0, len(ranking)))
+    bad = RANKING_MUTATIONS[kind](own, other, n)
+    if kind == "second @" or data.draw(st.booleans()):
+        ranking.insert(where, bad)
+    else:
+        ranking[min(where, len(ranking) - 1)] = bad
+    doc["preferences"][name] = ranking
+    with pytest.raises(FormatError):
+        formats.profile_from_json(doc)
+    assert _outcome(formats.profile_from_json, doc) == _outcome(_per_token_profile, doc)
 
 
 def test_profile_missing_agent():
@@ -307,7 +387,8 @@ def test_mto_witness_roundtrip():
 
 def test_da_step_json(p1):
     _, trace = run_da(RuleId.MPDA, p1)
-    doc = roundtrip(formats.da_step_to_json(trace.steps[0]))
+    names = (formats.agent_names("m", 2), formats.agent_names("w", 2))
+    doc = roundtrip(formats.da_step_to_json(trace.steps[0], names))
     assert doc["step"] == 1
     assert doc["proposals"] == [["m1", "w1"], ["m2", "w2"]]
     assert doc["rejections"] == []
@@ -319,14 +400,16 @@ def test_da_step_json_records_rejections():
     base = profile_p1()
     both_want_w1 = base.replace({M2: pref(M2, W1, W2, OUTSIDE)})
     _, trace = run_da(RuleId.MPDA, both_want_w1)
-    step1 = formats.da_step_to_json(trace.steps[0])
+    names = (formats.agent_names("m", 2), formats.agent_names("w", 2))
+    step1 = formats.da_step_to_json(trace.steps[0], names)
     assert ["w1", "m1"] in step1["rejections"]
 
 
 def test_mto_step_json():
     ex = mixed_coalition_counterexample()
     _, steps = run_spda(ex.profile)
-    doc = roundtrip(formats.mto_step_to_json(steps[0], ex.profile.n_colleges))
+    names = (formats.agent_names("c", ex.profile.n_colleges), formats.agent_names("s", ex.profile.n_students))
+    doc = roundtrip(formats.mto_step_to_json(steps[0], names))
     assert doc["step"] == 1
     assert ["s5", "c2"] in doc["proposals"]
     assert doc["rejections"] == [["c1", "s4"]]

@@ -8,6 +8,10 @@ with and without `--trace`), `stable-set` and `manipulate`, the domain of
 `manipulate` and `check-domain`, and the orderings of a single-peakedness
 check. Every run must end in a documented exit code, and no exception may
 escape.
+
+Two more strategies replace one node of a fixture: by arrays or objects
+nested up to 200,000 deep, or by a list of up to 50,000 items that repeats
+a few tokens, most of them names no market defines.
 """
 
 import contextlib
@@ -71,12 +75,23 @@ def _with_child(node, i: int, child):
     return copy
 
 
-def _mutate(draw, node):
-    """One mutation at a node reached by walking down from this one."""
+def _replace_somewhere(draw, node, make):
+    """The tree with one node, reached by walking down from this one,
+    replaced by make(draw, node)."""
     children = _children(node)
     if children and draw(st.integers(0, 3)):
         i = draw(st.integers(0, len(children) - 1))
-        return _with_child(node, i, _mutate(draw, children[i]))
+        return _with_child(node, i, _replace_somewhere(draw, children[i], make))
+    return make(draw, node)
+
+
+def _mutate(draw, node):
+    """One mutation at a node reached by walking down from this one."""
+    return _replace_somewhere(draw, node, _mutate_here)
+
+
+def _mutate_here(draw, node):
+    children = _children(node)
     kinds = ["atom"]
     if children:
         kinds += ["delete", "duplicate", "shuffle"]
@@ -116,15 +131,39 @@ def _run(argv: list) -> None:
     assert elapsed < SECONDS_PER_RUN, (argv, elapsed)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    drawn=mutated_documents(),
-    prop=st.sampled_from(["top-dominance", "utp", "cyclical-inclusion", "anonymity", "single-peaked"]),
-    side=st.sampled_from(["men", "women", "both"]),
-    cap=st.integers(1, 2),
-    data=st.data(),
-)
-def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path_factory, drawn, prop, side, cap, data):
+_HOLE = "\x00deep\x00"  # stands for the deep node until the text is written
+
+
+@st.composite
+def deep_documents(draw):
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = _replace_somewhere(draw, ORIGINALS[name], lambda draw, node: _HOLE)
+    depth = draw(st.sampled_from((10, 500, 990, 5_000, 200_000)))
+    opener, core, closer = draw(st.sampled_from((("[", "", "]"), ('{"m1": ', "1", "}"))))
+    deep = opener * depth + core + closer * depth
+    return name, _dump(doc).replace(json.dumps(_HOLE), deep)
+
+
+# names past any fixture's size, malformed names, names of the wrong kind
+LONG_TOKENS = ("@", "m1", "w1", "s1", "c1", "m0", "w01", "w100000", "m99999", "s70000", "c12345", None, 7, [])
+
+
+@st.composite
+def long_list_documents(draw):
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+
+    def long_list(draw, node):
+        small = tuple(child for child in _children(node) if len(_dump(child)) <= 64)
+        pattern = draw(st.lists(st.sampled_from(LONG_TOKENS + small), min_size=1, max_size=4))
+        return pattern * draw(st.sampled_from((1_000, 12_500)))
+
+    return name, _dump(_replace_somewhere(draw, ORIGINALS[name], long_list))
+
+
+PROPERTIES = ["top-dominance", "utp", "cyclical-inclusion", "anonymity", "single-peaked"]
+
+
+def _run_every_role(tmp_path_factory, drawn, prop, side, cap, data) -> None:
     name, text = drawn
     doc = tmp_path_factory.mktemp("fuzz") / name
     doc.write_text(text)
@@ -142,3 +181,27 @@ def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path_factory, drawn,
     _run(["manipulate", market, str(doc), *manipulate])
     extra = ["--orderings", orderings] if prop == "single-peaked" else ["--side", side]
     _run(["check-domain", "--property", prop, *extra, target])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=mutated_documents(),
+    prop=st.sampled_from(PROPERTIES),
+    side=st.sampled_from(["men", "women", "both"]),
+    cap=st.integers(1, 2),
+    data=st.data(),
+)
+def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path_factory, drawn, prop, side, cap, data):
+    _run_every_role(tmp_path_factory, drawn, prop, side, cap, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drawn=st.one_of(deep_documents(), long_list_documents()),
+    prop=st.sampled_from(PROPERTIES),
+    side=st.sampled_from(["men", "women", "both"]),
+    cap=st.integers(1, 2),
+    data=st.data(),
+)
+def test_deep_and_long_documents_end_in_a_documented_exit_code(tmp_path_factory, drawn, prop, side, cap, data):
+    _run_every_role(tmp_path_factory, drawn, prop, side, cap, data)

@@ -7,7 +7,8 @@ the `manipulate --all` entry before both markets shared one product domain;
 the `solve --rule spda` entries before untraced SPDA moved onto seats; the
 coalition-scanner entries (marriage `manipulate` at cap 4, `theorem1`,
 `corollary-dubins`, `prop-unmatched`) before the scanner became
-exhaustive-only.
+exhaustive-only; the marriage `solve` entries before documents were parsed
+and traces written through per-market name tables.
 """
 
 import hashlib
@@ -71,6 +72,22 @@ REPORT_DIGESTS = {
         (0, "321a4f5a14caaefc1679ef1f99246bc9ec3f53858087f0981fed85b98914b9c9"),
     ("solve", "--rule", "spda", "--trace", "--text", str(FIXTURES / "example2_mto.json")):
         (0, "07ec50a2104b60207da130519a265a1d11d4b8b48e1c5fd8bbed260e8175eb0f"),
+    ("solve", "--rule", "mpda", "--json", str(FIXTURES / "example1_p1.json")):
+        (0, "7d4120bb697595dc88d23b3b31f56337fc81d0576eb711360552fa99309c8ddf"),
+    ("solve", "--rule", "mpda", "--text", str(FIXTURES / "example1_p1.json")):
+        (0, "3a12a9500d23cc879110944fd9de2711f708cd63bb2d19ff2ce50deb0d48060d"),
+    ("solve", "--rule", "mpda", "--trace", "--json", str(FIXTURES / "example1_p1.json")):
+        (0, "30bec384503c9ec56e95d608f29b6d5643847f1733a14a9f99cd4c410341a48c"),
+    ("solve", "--rule", "mpda", "--trace", "--text", str(FIXTURES / "example1_p1.json")):
+        (0, "648244059a991b79e3a9daecdff06073eaa769e0339c9d770ef63c9ac612d92b"),
+    ("solve", "--rule", "wpda", "--json", str(FIXTURES / "example1_p1.json")):
+        (0, "875d2d54fc01195961c54ab7af2b65b9720a4a16a6e03ef78393395aff6a2d4a"),
+    ("solve", "--rule", "wpda", "--text", str(FIXTURES / "example1_p1.json")):
+        (0, "11e2914d37e5faff1e06aa358c483c27421b7951b27bc37107cf4c4775765b2b"),
+    ("solve", "--rule", "wpda", "--trace", "--json", str(FIXTURES / "example1_p1.json")):
+        (0, "8705ac7020170f2db0d551d49a3c6e02fb80ddbf53473bafda4824deaa8a0d3e"),
+    ("solve", "--rule", "wpda", "--trace", "--text", str(FIXTURES / "example1_p1.json")):
+        (0, "831d7d07dc20ed32c02bdacc2eca688c0dda1ebf4d9731bc09dcd636a2e699de"),
 }
 
 
