@@ -10,18 +10,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import formats
-from .core import OUTSIDE, Matching, Side, stable_set
-from .da import RuleId, da_matching, run_da
-from .domains import (
-    domain_is_single_peaked,
-    is_anonymous,
-    satisfies_cyclical_inclusion,
-    satisfies_top_dominance,
-    satisfies_unrestricted_top_pairs,
-)
+from .core import DEFAULT_EVAL_BUDGET, OUTSIDE, SUITE_IDS, Matching, Side, stable_set
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -33,15 +25,11 @@ from .errors import (
     UnknownOutcomeError,
     ValidationError,
 )
-from .manipulation import (
-    DEFAULT_EVAL_BUDGET,
-    find_manipulation,
-    iter_manipulations,
-    mpda_rule,
-    wpda_rule,
-)
-from .mto import MtoMatching, colleges, find_manipulation_mto, run_spda, spda_matching
-from .suites import SUITE_IDS, SuiteParams, run_suite
+
+# Only `core`, `errors` and `formats` (which imports no more) load with this
+# module; each handler imports the engines it runs when it is called.
+if TYPE_CHECKING:
+    from .mto import MtoMatching
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,11 +55,22 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise FormatError(path, exc.strerror or "cannot read file")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, f"invalid JSON: not UTF-8 text ({exc.reason})")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(path, f"invalid JSON: {exc.msg} (line {exc.lineno})")
+    except ValueError:
+        # the decoder's only other ValueError: int() refusing a literal
+        # longer than the interpreter's digit limit
+        raise FormatError(
+            path,
+            f"invalid JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits",
+        )
     except RecursionError:
         raise FormatError(path, "invalid JSON: nested too deeply")
 
@@ -120,6 +119,8 @@ def _matching_text(matching: Matching) -> str:
 
 
 def _mto_matching_text(matching: MtoMatching) -> str:
+    from .mto import colleges
+
     lines = []
     for i, c in enumerate(colleges(len(matching.quotas))):
         names = ", ".join(s.name for s in matching.students_of(c)) or "(empty)"
@@ -179,6 +180,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"--rule {args.rule} needs a marriage market; {args.market} is a college market"
             )
+        from .mto import run_spda, spda_matching
+
         profile = formats.mto_profile_from_json(doc)
         if args.trace:
             matching, steps = run_spda(profile)
@@ -199,6 +202,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--rule spda needs a college market; {args.market} is a marriage market"
         )
+    from .da import RuleId, da_matching, run_da
+
     profile = formats.profile_from_json(doc)
     rule = RuleId(args.rule)
     if args.trace:
@@ -260,6 +265,8 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"--rule spda needs a college market; {args.market} is a marriage market"
             )
+        from .mto import find_manipulation_mto
+
         base = formats.mto_profile_from_json(market_doc)
         domain = formats.mto_domain_from_json(domain_doc)
         witness = find_manipulation_mto(domain, base, args.max_coalition, budget)
@@ -276,6 +283,8 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--rule {args.rule} needs a marriage market; {args.market} is a college market"
         )
+    from .manipulation import find_manipulation, iter_manipulations, mpda_rule, wpda_rule
+
     base = formats.profile_from_json(market_doc)
     domain = formats.domain_from_json(domain_doc)
     rule = mpda_rule() if args.rule == "mpda" else wpda_rule()
@@ -306,10 +315,11 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
 
 _SIDES = {"men": (Side.MAN,), "women": (Side.WOMAN,), "both": (Side.MAN, Side.WOMAN)}
 
+# property -> the name of its one-side checker in `domains`
 _SIDED_CHECKS = {
-    "top-dominance": satisfies_top_dominance,
-    "utp": satisfies_unrestricted_top_pairs,
-    "cyclical-inclusion": satisfies_cyclical_inclusion,
+    "top-dominance": "satisfies_top_dominance",
+    "utp": "satisfies_unrestricted_top_pairs",
+    "cyclical-inclusion": "satisfies_cyclical_inclusion",
 }
 
 
@@ -334,6 +344,8 @@ def _detail_json(detail: Optional[tuple]) -> Any:
 
 
 def _cmd_check_domain(args: argparse.Namespace) -> int:
+    from . import domains
+
     domain = formats.domain_from_json(_load_json(args.domain))
     sides = _SIDES[args.side]
     detail: Optional[tuple] = None
@@ -341,17 +353,17 @@ def _cmd_check_domain(args: argparse.Namespace) -> int:
         if args.orderings is None:
             raise UsageError("--orderings is required for --property single-peaked")
         men_line, women_line = formats.orderings_from_json(_load_json(args.orderings))
-        check = domain_is_single_peaked(domain, men_line, women_line, sides)
+        check = domains.domain_is_single_peaked(domain, men_line, women_line, sides)
         holds, detail = check.holds, check.detail
     elif args.property == "anonymity":
         if args.orderings is not None:
             raise UsageError("--orderings only applies to --property single-peaked")
-        check = is_anonymous(domain, sides)
+        check = domains.is_anonymous(domain, sides)
         holds, detail = check.holds, check.detail
     else:
         if args.orderings is not None:
             raise UsageError("--orderings only applies to --property single-peaked")
-        checker = _SIDED_CHECKS[args.property]
+        checker = getattr(domains, _SIDED_CHECKS[args.property])
         holds = True
         for side in sides:
             check = checker(domain, side)
@@ -380,6 +392,8 @@ def _cmd_check_domain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import SuiteParams, run_suite
+
     for flag, value in (("--men", args.men), ("--women", args.women), ("--trials", args.trials)):
         if value is not None and value < 1:
             raise UsageError(f"{flag}: must be at least 1")

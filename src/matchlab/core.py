@@ -26,6 +26,26 @@ from .errors import (
 
 MAX_ENUMERATION_SIDE = 6
 
+# Defined here, not beside the code that uses them, so that the command
+# line's parser can be built without importing that code; `manipulation`
+# and `suites` re-export them.
+DEFAULT_EVAL_BUDGET = 10_000_000
+SUITE_IDS = (
+    "theorem1",
+    "prop-welfare",
+    "prop-unmatched",
+    "corollary-dubins",
+    "prop-gsp-existence",
+    "theorem2",
+    "example1",
+    "prop4",
+    "theorem3",
+    "blocking-lemma",
+    "lemma-c1",
+    "lemma-c2",
+    "example2",
+)
+
 
 def size_guard(what: str, size: int, limit: int, count: Callable[[], str]) -> None:
     """Raise SizeGuardError when ``what`` needs more than ``limit`` agents per side.

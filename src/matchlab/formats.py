@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .core import (
     OUTSIDE,
@@ -25,23 +25,25 @@ from .core import (
     woman,
     women,
 )
-from .domains import PreferenceDomain, PriorOrdering
 from .errors import FormatError, MatchlabError
-from .manipulation import ManipulationWitness
-from .mto import (
-    CollegeId,
-    CollegePreference,
-    MtoDomain,
-    MtoMatching,
-    MtoProfile,
-    MtoWitness,
-    StudentId,
-    StudentPreference,
-    college,
-    colleges,
-    student,
-    students,
-)
+
+# The marriage-market readers and writers need only `core`. The domain,
+# orderings, witness and college-market ones import `domains`,
+# `manipulation` or `mto` when they are called, so loading this module
+# does not load those.
+if TYPE_CHECKING:
+    from .domains import PreferenceDomain, PriorOrdering
+    from .manipulation import ManipulationWitness
+    from .mto import (
+        CollegeId,
+        CollegePreference,
+        MtoDomain,
+        MtoMatching,
+        MtoProfile,
+        MtoWitness,
+        StudentId,
+        StudentPreference,
+    )
 
 SCHEMA = "matchlab/1"
 _MAX_NAMED = 10  # missing or unknown agents named in an error message
@@ -243,6 +245,8 @@ def domain_to_json(domain: PreferenceDomain) -> dict:
 
 
 def domain_from_json(doc: Any) -> PreferenceDomain:
+    from .domains import PreferenceDomain
+
     doc = _require_dict(doc, "domain")
     kind = doc.get("kind", "domain")
     if kind != "domain":
@@ -275,6 +279,8 @@ def orderings_to_json(men_line: PriorOrdering, women_line: PriorOrdering) -> dic
 
 
 def orderings_from_json(doc: Any) -> tuple[PriorOrdering, PriorOrdering]:
+    from .domains import PriorOrdering
+
     doc = _require_dict(doc, "orderings")
     lines = []
     for field, side in (("men", Side.MAN), ("women", Side.WOMAN)):
@@ -291,18 +297,6 @@ def orderings_from_json(doc: Any) -> tuple[PriorOrdering, PriorOrdering]:
 # --- college admissions markets -------------------------------------------------
 
 
-def _college_agent(token: Any, field: str) -> CollegeId:
-    return college(_parse_name(token, field, "c")[1])
-
-
-def _student_agent(token: Any, field: str) -> StudentId:
-    return student(_parse_name(token, field, "s")[1])
-
-
-def _subset_from_json(entry: Any, field: str) -> tuple[StudentId, ...]:
-    return tuple(_student_agent(tok, field) for tok in _require_list(entry, field))
-
-
 def _college_pref_to_json(cp: CollegePreference) -> dict:
     return {
         "quota": cp.quota,
@@ -311,24 +305,27 @@ def _college_pref_to_json(cp: CollegePreference) -> dict:
 
 
 def _college_pref_from_json(owner: CollegeId, doc: Any, n_students: int, field: str) -> CollegePreference:
+    from .mto import CollegePreference, student
+
     doc = _require_dict(doc, field)
     quota = _require_count(doc, "quota", f"{field}.quota")
+    subsets = f"{field}.subset_ranking"
     ranking = [
-        _subset_from_json(entry, f"{field}.subset_ranking")
-        for entry in _require_list(doc.get("subset_ranking"), f"{field}.subset_ranking")
+        tuple(student(_parse_name(tok, subsets, "s")[1]) for tok in _require_list(entry, subsets))
+        for entry in _require_list(doc.get("subset_ranking"), subsets)
     ]
-    cp = _wrap(f"{field}.subset_ranking", CollegePreference, owner, quota, n_students, ranking)
+    cp = _wrap(subsets, CollegePreference, owner, quota, n_students, ranking)
     check = cp.responsiveness()
     if not check:
-        raise FormatError(
-            f"{field}.subset_ranking", f"ranking is not responsive: {check.detail}"
-        )
+        raise FormatError(subsets, f"ranking is not responsive: {check.detail}")
     return cp
 
 
 def _student_pref_from_json(owner: StudentId, entry: Any, field: str) -> StudentPreference:
+    from .mto import StudentPreference, college
+
     ranking = tuple(
-        OUTSIDE if tok == "@" else _college_agent(tok, field)
+        OUTSIDE if tok == "@" else college(_parse_name(tok, field, "c")[1])
         for tok in _require_list(entry, field)
     )
     return _wrap(field, StudentPreference, owner, ranking)
@@ -355,6 +352,8 @@ def _contiguous(indices: list[int], field: str, prefix: str) -> int:
 
 
 def mto_profile_from_json(doc: Any) -> MtoProfile:
+    from .mto import MtoProfile, college, student
+
     doc = _require_dict(doc, "college-market")
     colleges_doc = _require_dict(doc.get("colleges"), "colleges")
     students_doc = _require_dict(doc.get("students"), "students")
@@ -378,6 +377,8 @@ def mto_profile_from_json(doc: Any) -> MtoProfile:
 
 
 def mto_matching_to_json(matching: MtoMatching) -> dict:
+    from .mto import college
+
     return {
         "schema": SCHEMA,
         "kind": "college-matching",
@@ -393,6 +394,8 @@ def mto_matching_to_json(matching: MtoMatching) -> dict:
 
 
 def mto_matching_from_json(doc: Any) -> MtoMatching:
+    from .mto import MtoMatching, college
+
     doc = _require_dict(doc, "college-matching")
     quotas_doc = _require_dict(doc.get("quotas"), "quotas")
     assign_doc = _require_dict(doc.get("assignments"), "assignments")
@@ -408,13 +411,13 @@ def mto_matching_from_json(doc: Any) -> MtoMatching:
         if name not in assign_doc:
             raise FormatError("assignments", f"missing college {name}")
         group = tuple(
-            _student_agent(tok, f"assignments.{name}").index
+            _parse_name(tok, f"assignments.{name}", "s")[1]
             for tok in _require_list(assign_doc[name], f"assignments.{name}")
         )
         seen.extend(group)
         assignment.append(group)
     unmatched = [
-        _student_agent(tok, "unmatched").index
+        _parse_name(tok, "unmatched", "s")[1]
         for tok in _require_list(doc.get("unmatched", []), "unmatched")
     ]
     n_students = _contiguous(seen + unmatched, "assignments", "s")
@@ -442,6 +445,8 @@ def witness_to_json(witness: ManipulationWitness) -> dict:
 
 
 def witness_from_json(doc: Any) -> ManipulationWitness:
+    from .manipulation import ManipulationWitness
+
     doc = _require_dict(doc, "witness")
     rule_name = doc.get("rule")
     if rule_name not in ("mpda", "wpda"):
@@ -472,6 +477,8 @@ def witness_from_json(doc: Any) -> ManipulationWitness:
 
 
 def mto_witness_to_json(witness: MtoWitness) -> dict:
+    from .mto import CollegeId
+
     reports: dict[str, Any] = {}
     for a, pref in witness.misreports:
         if isinstance(a, CollegeId):
@@ -490,6 +497,8 @@ def mto_witness_to_json(witness: MtoWitness) -> dict:
 
 
 def mto_witness_from_json(doc: Any) -> MtoWitness:
+    from .mto import CollegeId, MtoWitness, college, student
+
     doc = _require_dict(doc, "college-witness")
     base = mto_profile_from_json(doc.get("base"))
     n_students = len(base.student_prefs)
@@ -554,6 +563,8 @@ def mto_step_to_json(step, names: Sequence[Sequence[str]]) -> dict:
 
 
 def mto_domain_to_json(domain: MtoDomain) -> dict:
+    from .mto import colleges, students
+
     colleges_doc = {}
     for c in colleges(domain.n_colleges):
         colleges_doc[c.name] = [_college_pref_to_json(cp) for cp in domain.admissible(c)]
@@ -571,6 +582,8 @@ def mto_domain_to_json(domain: MtoDomain) -> dict:
 
 
 def mto_domain_from_json(doc: Any) -> MtoDomain:
+    from .mto import MtoDomain, college, student
+
     doc = _require_dict(doc, "college-domain")
     colleges_doc = _require_dict(doc.get("colleges"), "colleges")
     students_doc = _require_dict(doc.get("students"), "students")

@@ -15,14 +15,13 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import AgentId, Matching, Preference, Profile, Side
+from .core import DEFAULT_EVAL_BUDGET, AgentId, Matching, Preference, Profile, Side
 from .da import RuleId, _unchecked_da, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
 
 if TYPE_CHECKING:
     from .domains import PreferenceDomain
 
-DEFAULT_EVAL_BUDGET = 10_000_000
 EXHAUSTIVE_PROFILE_BUDGET = 100_000
 
 

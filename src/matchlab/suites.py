@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 from . import formats
 from .core import (
     OUTSIDE,
+    SUITE_IDS,
     Matching,
     Preference,
     Profile,
@@ -77,23 +78,6 @@ from .mto import (
     students_satisfy_utp,
     validate_mto_witness,
 )
-
-SUITE_IDS = (
-    "theorem1",
-    "prop-welfare",
-    "prop-unmatched",
-    "corollary-dubins",
-    "prop-gsp-existence",
-    "theorem2",
-    "example1",
-    "prop4",
-    "theorem3",
-    "blocking-lemma",
-    "lemma-c1",
-    "lemma-c2",
-    "example2",
-)
-
 
 # the sampled blocking lemma draws up to BLOCKING_LEMMA_DRAWS profiles per
 # trial; with two men and many women most draws are vacuous, so the default

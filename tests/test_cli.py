@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_profile
-from matchlab import cli, formats
+from matchlab import formats
 from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from matchlab.core import OUTSIDE, Preference, Profile, Side, men, women
 from matchlab.da import RuleId, run_da
@@ -193,6 +193,58 @@ def test_deeply_nested_documents_are_format_errors(tmp_path, capsys, command, de
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {paths[deep_role]}: invalid JSON: nested too deeply\n"
+
+
+# each file a command reads, in turn the bad one; the others are fixtures
+FILE_ROLES = pytest.mark.parametrize(
+    "command, bad_role",
+    [
+        (["solve", "--rule", "mpda", "{market}"], "market"),
+        (["stable-set", "{market}"], "market"),
+        (["manipulate", "{market}", FULL_DOMAIN, "--rule", "mpda"], "market"),
+        (["manipulate", P1, "{domain}", "--rule", "mpda"], "domain"),
+        (["check-domain", "--property", "utp", "{domain}"], "domain"),
+        (["check-domain", "--property", "single-peaked", "--orderings", "{orderings}", FULL_DOMAIN], "orderings"),
+    ],
+    ids=["solve", "stable-set", "manipulate-market", "manipulate-domain", "check-domain", "check-domain-orderings"],
+)
+
+
+def _bad_files(tmp_path, market: bytes, domain: bytes, orderings: bytes) -> dict:
+    paths = {}
+    for role, data in (("market", market), ("domain", domain), ("orderings", orderings)):
+        paths[role] = tmp_path / f"bad_{role}.json"
+        paths[role].write_bytes(data)
+    return paths
+
+
+@FILE_ROLES
+def test_files_that_are_not_utf8_are_format_errors(tmp_path, capsys, command, bad_role):
+    paths = _bad_files(
+        tmp_path,
+        b'{"men": 1, "women": 1, "preferences": {"m1": ["w1", "@"], "w1": ["m1\xff", "@"]}}',
+        b'{"kind": "domain", "agents": {"m1": [["w1", "@"]], "w1": [["\x80"]]}}',
+        b'{"men": ["m1", "m2"], "women": ["w1", "w\xe2\x82"]}',
+    )
+    argv = [arg.format(**paths) for arg in command]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: {paths[bad_role]}: invalid JSON: not UTF-8 text (")
+
+
+@FILE_ROLES
+def test_overlong_integer_literals_are_format_errors(tmp_path, capsys, command, bad_role):
+    digits = b"1" * 4_301
+    paths = _bad_files(
+        tmp_path,
+        b'{"men": %s, "women": 1, "preferences": {}}' % digits,
+        b'{"kind": "domain", "agents": {"m1": [[-%s]]}}' % digits,
+        b'{"men": ["m1", "m2"], "women": [%s]}' % digits,
+    )
+    argv = [arg.format(**paths) for arg in command]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {paths[bad_role]}: invalid JSON: an integer literal has more than 4300 digits\n"
 
 
 def test_solve_large_declared_quota_fails_fast(tmp_path):
@@ -728,7 +780,8 @@ def test_main_maps_leftover_data_errors_to_usage(capsys, monkeypatch, error):
     def broken(suite, params):
         raise error("bad data")
 
-    monkeypatch.setattr(cli, "run_suite", broken)
+    # `_cmd_verify` looks the runner up in `suites` when it is called
+    monkeypatch.setattr("matchlab.suites.run_suite", broken)
     code, _, err = run(capsys, "verify", "--suite", "example1")
     assert code == EXIT_USAGE
     assert err == "error: bad data\n"

@@ -11,7 +11,10 @@ escape.
 
 Two more strategies replace one node of a fixture: by arrays or objects
 nested up to 200,000 deep, or by a list of up to 50,000 items that repeats
-a few tokens, most of them names no market defines.
+a few tokens, most of them names no market defines. A last one works on
+the file's bytes: it splices bytes that are not UTF-8 into a fixture's
+text, or puts an integer literal longer than the decoder's 4,300-digit
+limit in place of one node.
 """
 
 import contextlib
@@ -160,13 +163,32 @@ def long_list_documents(draw):
     return name, _dump(_replace_somewhere(draw, ORIGINALS[name], long_list))
 
 
+# a lone continuation byte, a byte UTF-8 never uses, truncated 2- to 4-byte sequences
+BAD_UTF8 = (b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98")
+
+
+@st.composite
+def raw_byte_documents(draw):
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    if draw(st.booleans()):
+        data = _dump(ORIGINALS[name]).encode()
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(BAD_UTF8)) + data[at:]
+        return name, data
+    doc = _replace_somewhere(draw, ORIGINALS[name], lambda draw, node: _HOLE)
+    sign = draw(st.sampled_from(("", "-")))
+    literal = sign + draw(st.sampled_from("123456789")) * draw(st.integers(4_301, 20_000))
+    return name, _dump(doc).replace(json.dumps(_HOLE), literal).encode()
+
+
 PROPERTIES = ["top-dominance", "utp", "cyclical-inclusion", "anonymity", "single-peaked"]
 
 
 def _run_every_role(tmp_path_factory, drawn, prop, side, cap, data) -> None:
     name, text = drawn
     doc = tmp_path_factory.mktemp("fuzz") / name
-    doc.write_text(text)
+    doc.write_bytes(text if isinstance(text, bytes) else text.encode())
     market_name, domain_name, rules = DOCUMENTS[name]
     market, domain = str(FIXTURES / market_name), str(FIXTURES / domain_name)
     rule = data.draw(st.sampled_from(rules))
@@ -204,4 +226,16 @@ def test_mutated_fixtures_end_in_a_documented_exit_code(tmp_path_factory, drawn,
     data=st.data(),
 )
 def test_deep_and_long_documents_end_in_a_documented_exit_code(tmp_path_factory, drawn, prop, side, cap, data):
+    _run_every_role(tmp_path_factory, drawn, prop, side, cap, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=raw_byte_documents(),
+    prop=st.sampled_from(PROPERTIES),
+    side=st.sampled_from(["men", "women", "both"]),
+    cap=st.integers(1, 2),
+    data=st.data(),
+)
+def test_raw_byte_documents_end_in_a_documented_exit_code(tmp_path_factory, drawn, prop, side, cap, data):
     _run_every_role(tmp_path_factory, drawn, prop, side, cap, data)

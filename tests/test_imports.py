@@ -1,0 +1,80 @@
+"""What a command imports, and the lazy package namespace.
+
+`cli` and `formats` import only `core`, `errors` and each other at top
+level; every handler and reader imports the engines it runs when it is
+called. These tests run commands in a fresh interpreter with bytecode
+writing off, as the commands start in use, and list the matchlab modules
+each one loaded.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import matchlab
+
+ROOT = Path(__file__).resolve().parent.parent
+P1 = str(ROOT / "fixtures" / "example1_p1.json")
+
+# loaded by the commands that use them, never by a marriage solve or stable-set
+ENGINES = {"matchlab.domains", "matchlab.manipulation", "matchlab.mto", "matchlab.suites"}
+
+# runs its argument as Python, then prints the matchlab modules it loaded
+PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "matchlab")))
+"""
+
+
+def _modules_after(code: str) -> set:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(result.stdout))
+
+
+def test_bare_import_loads_no_submodule():
+    assert _modules_after("import matchlab") == {"matchlab"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--rule", "mpda", P1],
+        ["solve", "--rule", "wpda", P1],
+        ["solve", "--rule", "mpda", "--trace", P1],
+        ["solve", "--rule", "wpda", "--trace", "--text", P1],
+        ["stable-set", P1],
+    ],
+    ids=["mpda", "wpda", "mpda-trace", "wpda-trace", "stable-set"],
+)
+def test_marriage_commands_load_no_engine_they_do_not_run(argv):
+    loaded = _modules_after(f"from matchlab.cli import main; assert main({argv!r}) == 0")
+    assert "matchlab.cli" in loaded
+    assert loaded & ENGINES == set()
+
+
+def test_public_names_are_their_submodules_objects():
+    for name in matchlab.__all__:
+        module = importlib.import_module(f"matchlab.{matchlab._SOURCE[name]}")
+        assert getattr(matchlab, name) is getattr(module, name), name
+    namespace = {}
+    exec("from matchlab import *", namespace)
+    assert set(matchlab.__all__) <= namespace.keys()
+    assert set(matchlab.__all__) <= set(dir(matchlab))
+    # the parser's constants are one object wherever they are imported from
+    from matchlab import core, manipulation, suites
+
+    assert suites.SUITE_IDS is core.SUITE_IDS and matchlab.SUITE_IDS is core.SUITE_IDS
+    assert manipulation.DEFAULT_EVAL_BUDGET is core.DEFAULT_EVAL_BUDGET
+    with pytest.raises(AttributeError):
+        matchlab.no_such_name

@@ -22,6 +22,8 @@ def test_suite_passes_at_defaults(suite_id):
 def test_catalog_is_complete():
     assert len(SUITE_IDS) == 13
     assert len(set(SUITE_IDS)) == 13
+    # the parser's choices live in core; the runners they name, here
+    assert tuple(suites._SUITES) == SUITE_IDS
 
 
 def test_unknown_suite():
