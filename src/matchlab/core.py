@@ -27,9 +27,10 @@ from .errors import (
 MAX_ENUMERATION_SIDE = 6
 
 # Defined here, not beside the code that uses them, so that the command
-# line's parser can be built without importing that code; `manipulation`
-# and `suites` re-export them.
+# line's parser and the domain checks can be loaded without importing that
+# code; `manipulation` and `suites` re-export them.
 DEFAULT_EVAL_BUDGET = 10_000_000
+EXHAUSTIVE_PROFILE_BUDGET = 100_000
 SUITE_IDS = (
     "theorem1",
     "prop-welfare",

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
+    EXHAUSTIVE_PROFILE_BUDGET,
     MAX_ENUMERATION_SIDE,
     OUTSIDE,
     AgentId,
@@ -36,15 +37,9 @@ from .errors import (
     UnknownOutcomeError,
     ValidationError,
 )
-from .manipulation import (
-    EXHAUSTIVE_PROFILE_BUDGET,
-    ManipulationWitness,
-    MatchingRule,
-    is_group_strategy_proof,
-    is_strategy_proof,
-    mpda_rule,
-    wpda_rule,
-)
+
+if TYPE_CHECKING:
+    from .manipulation import ManipulationWitness, MatchingRule
 
 MAX_SINGLE_PEAKED_SIDE = 8
 
@@ -734,6 +729,8 @@ def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> Stabl
     rule can qualify, so it is tested directly; otherwise a backtracking
     search over per-profile stable selections decides existence exactly.
     """
+    from .manipulation import MatchingRule, is_strategy_proof, mpda_rule, wpda_rule
+
     if path not in ("auto", "backtracking"):
         raise ValidationError(f"unknown path {path!r}")
     if path == "auto":
@@ -793,6 +790,8 @@ def theorem3_equivalence_suite(
     Preconditions: the domain is anonymous, single-peaked w.r.t. the given
     lines, and cyclically inclusive on both sides.
     """
+    from .manipulation import is_group_strategy_proof, is_strategy_proof, mpda_rule, wpda_rule
+
     problems = []
     if not is_anonymous(domain):
         problems.append("not anonymous")

@@ -20,6 +20,7 @@ import matchlab
 
 ROOT = Path(__file__).resolve().parent.parent
 P1 = str(ROOT / "fixtures" / "example1_p1.json")
+DOMAIN = str(ROOT / "fixtures" / "full_2x2_domain.json")
 
 # loaded by the commands that use them, never by a marriage solve or stable-set
 ENGINES = {"matchlab.domains", "matchlab.manipulation", "matchlab.mto", "matchlab.suites"}
@@ -63,6 +64,15 @@ def test_marriage_commands_load_no_engine_they_do_not_run(argv):
     assert loaded & ENGINES == set()
 
 
+def test_domain_property_check_loads_no_rule_or_certification():
+    # the property checks run on the domain alone; only the rule searches
+    # and the Theorem 3 clauses import the rules and certifications
+    argv = ["check-domain", "--property", "utp", DOMAIN]
+    loaded = _modules_after(f"from matchlab.cli import main; assert main({argv!r}) == 0")
+    assert "matchlab.domains" in loaded
+    assert loaded & {"matchlab.manipulation", "matchlab.da"} == set()
+
+
 def test_public_names_are_their_submodules_objects():
     for name in matchlab.__all__:
         module = importlib.import_module(f"matchlab.{matchlab._SOURCE[name]}")
@@ -76,5 +86,6 @@ def test_public_names_are_their_submodules_objects():
 
     assert suites.SUITE_IDS is core.SUITE_IDS and matchlab.SUITE_IDS is core.SUITE_IDS
     assert manipulation.DEFAULT_EVAL_BUDGET is core.DEFAULT_EVAL_BUDGET
+    assert manipulation.EXHAUSTIVE_PROFILE_BUDGET is core.EXHAUSTIVE_PROFILE_BUDGET
     with pytest.raises(AttributeError):
         matchlab.no_such_name

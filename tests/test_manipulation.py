@@ -4,11 +4,11 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchlab import da
-from matchlab.core import OUTSIDE, Matching, Profile, man, men, woman, women
+from matchlab.core import OUTSIDE, Matching, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_matching
 from matchlab.domains import PreferenceDomain, all_preferences, exists_stable_sp_rule
 from matchlab.errors import BudgetExceededError, PreconditionError, ValidationError
@@ -67,6 +67,74 @@ def test_group_certification_evaluates_each_profile_once(monkeypatch):
     anon = PreferenceDomain.anonymous(2, 2, men_rk, women_rk)
     assert is_group_strategy_proof(mpda_rule(), anon)
     assert len(calls) == anon.profile_count
+
+
+def _count_evaluations(monkeypatch) -> list:
+    calls = []
+    engine = da._sequential_da
+
+    def counting(proposer_prefs, receiver_prefs):
+        calls.append((proposer_prefs, receiver_prefs))
+        return engine(proposer_prefs, receiver_prefs)
+
+    monkeypatch.setattr(da, "_sequential_da", counting)
+    return calls
+
+
+def test_certification_failing_before_the_switch_evaluates_what_a_plain_walk_does(monkeypatch):
+    # 24 * 24 * 6 * 6 * 3 = 62,208 profiles; MPDA's first witness comes
+    # long before the walk has planned that many evaluations, so no table
+    # is built and the count is a plain walk's
+    sets = {m: all_preferences(m, 3) for m in men(2)}
+    sets.update({w: all_preferences(w, 2)[:size] for w, size in zip(women(3), (6, 6, 3))})
+    dom = PreferenceDomain(sets)
+    assert dom.profile_count == 62_208
+    calls = _count_evaluations(monkeypatch)
+    check = is_strategy_proof(mpda_rule(), dom)
+    assert not check
+    assert len(calls) == 6_137
+
+
+def test_certification_refusals_evaluate_nothing(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        is_strategy_proof(mpda_rule(), PreferenceDomain.full(3, 3))
+    with pytest.raises(ValidationError, match="at least 1"):
+        is_group_strategy_proof(mpda_rule(), PreferenceDomain.full(2, 2), max_coalition=0)
+    assert calls == []
+
+
+def _mpda_table_but_the_last_profile(domain):
+    """MPDA as a table rule on every profile of the domain but the last."""
+    rule = mpda_rule()
+    table = {
+        (b.men_prefs, b.women_prefs): rule.assignment(b.men_prefs, b.women_prefs)
+        for b in domain.profiles()
+    }
+    del table[next(reversed(table))]
+    return MatchingRule.from_table(table, name="partial", stable=True)
+
+
+def test_certification_of_a_partial_table_raises_once_it_fills_the_memo():
+    # no single-agent scan before MPDA's first witness reaches the last
+    # profile; on the full 2x2 domain that witness, at base 84, lies past
+    # the switch at base 65, where the walk evaluates every profile
+    full = PreferenceDomain.full(2, 2)
+    with pytest.raises(PreconditionError, match="outside the table"):
+        is_strategy_proof(_mpda_table_but_the_last_profile(full), full)
+    # a witness before the switch ends the walk as a plain walk would
+    early = PreferenceDomain(
+        {
+            M1: [all_preferences(M1, 2)[i] for i in (0, 3, 2)],
+            M2: [all_preferences(M2, 2)[i] for i in (2, 0)],
+            W1: [all_preferences(W1, 2)[i] for i in (5, 2, 3)],
+            W2: [all_preferences(W2, 2)[i] for i in (0, 5, 2)],
+        }
+    )
+    check = is_strategy_proof(_mpda_table_but_the_last_profile(early), early)
+    plain = is_strategy_proof(mpda_rule(), early)
+    assert not check
+    assert dataclasses.replace(check.witness, rule_name="mpda") == plain.witness
 
 
 def test_scans_run_domain_reports_without_the_shape_check(monkeypatch, p1):
@@ -443,18 +511,35 @@ def test_any_mpda_witness_shifts_welfare_toward_women(seed):
 # --- certification against a memo-free oracle ----------------------------------
 
 
+def _women_limited_to(positions):
+    """full(2, 2) with each woman's set cut to these positions of `all_preferences`."""
+    sets = {m: all_preferences(m, 2) for m in men(2)}
+    sets.update({w: [all_preferences(w, 2)[i] for i in positions] for w in women(2)})
+    return PreferenceDomain(sets)
+
+
+# MPDA and WPDA are group strategy-proof on the first and manipulable on
+# the second, whose first witness sits at or past every switch point
+HOLDS_PAST_THE_SWITCH = _women_limited_to((0, 1))
+FAILS_PAST_THE_SWITCH = _women_limited_to((0, 1, 2))
+
+
 @st.composite
-def small_2x2_domains(draw):
-    """2x2 domains with one to four admissible preferences per agent."""
+def small_domains(draw):
+    """Sub-domains of full(2, 2), full(2, 3) and full(3, 2) with one to four
+    (2x2) or one to three (otherwise) admissible preferences per agent."""
+    p, q = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    most = 4 if (p, q) == (2, 2) else 3
     sets = {}
-    for a in men(2) + women(2):
-        options = all_preferences(a, 2)
-        sets[a] = draw(st.lists(st.sampled_from(options), min_size=1, max_size=4, unique=True))
+    for a in men(p) + women(q):
+        options = all_preferences(a, q if a.side is Side.MAN else p)
+        sets[a] = draw(st.lists(st.sampled_from(options), min_size=1, max_size=most, unique=True))
     return PreferenceDomain(sets)
 
 
 def _first_witness(rule, domain, max_coalition):
-    """The certification's answer, rebuilt from single-base searches without a memo."""
+    """The certification's answer from a plain walk: a single-base search,
+    without a memo or gain sets, at every base in the product order."""
     cap = len(domain.agents) if max_coalition is None else max_coalition
     for base in domain.profiles():
         witness = find_manipulation(rule, domain, base, cap)
@@ -463,8 +548,33 @@ def _first_witness(rule, domain, max_coalition):
     return None
 
 
+def _switch_base(domain, max_coalition):
+    """The base at which a certification starts skipping: the first whose
+    scans before it have planned as many evaluations as there are profiles."""
+    counts = [len(domain.admissible(a)) - 1 for a in domain.agents]
+    cap = len(counts) if max_coalition is None else min(max_coalition, len(counts))
+    return -(-domain.profile_count // max(planned_evaluations(counts, cap), 1))
+
+
+def _base_index(domain, base):
+    strides = domain.product_order().strides
+    return sum(domain.index_of(a, base[a]) * s for a, s in zip(domain.agents, strides))
+
+
+def test_pinned_domains_cross_the_switch_point():
+    for cap in (1, 2, None):
+        for rule in (mpda_rule(), wpda_rule()):
+            assert is_group_strategy_proof(rule, HOLDS_PAST_THE_SWITCH, max_coalition=cap)
+            assert _switch_base(HOLDS_PAST_THE_SWITCH, cap) < HOLDS_PAST_THE_SWITCH.profile_count
+            witness = _first_witness(rule, FAILS_PAST_THE_SWITCH, cap)
+            at = _base_index(FAILS_PAST_THE_SWITCH, witness.base)
+            assert at >= _switch_base(FAILS_PAST_THE_SWITCH, cap)
+
+
 @settings(max_examples=40, deadline=None)
-@given(domain=small_2x2_domains())
+@given(domain=small_domains())
+@example(domain=HOLDS_PAST_THE_SWITCH)
+@example(domain=FAILS_PAST_THE_SWITCH)
 def test_certification_matches_the_memo_free_oracle(domain):
     rules = [mpda_rule(), wpda_rule()]
     search = exists_stable_sp_rule(domain, "backtracking")
