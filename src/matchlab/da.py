@@ -14,8 +14,8 @@ holds agent i's `Preference`, sized for the other side. That shape is
 checked where reports enter from outside: `da_assignment` (so
 `MatchingRule.assignment` of a DA rule), the `Profile` constructor and the
 `ProductDomain` constructor. The coalition scans take every report from a
-domain, so they run the unchecked evaluation `_unchecked_da` returns, once
-per deviation.
+domain, so they run the unchecked evaluation `_unchecked_da` returns for
+each deviation they evaluate.
 
 `_da_engine` is the simultaneous-round form (Gale & Shapley, 1962) with
 receiver quotas: in each step every free proposer with an untried
@@ -170,7 +170,8 @@ def _sequential_da(
         while i >= 0:
             lst = proposer_prefs[i].acceptable_idx
             k = next_choice[i]
-            while k < len(lst):
+            end = len(lst)
+            while k < end:
                 r = lst[k]
                 k += 1
                 rank = receiver_prefs[r].rank_by_index[i]

@@ -5,7 +5,14 @@ every member is strictly better off by their true preference. The search
 enumerates coalitions by size, then lexicographically by agent, then
 misreports in admissible-list order, so the first witness found is
 canonical and runs are reproducible. Searches count their planned rule
-evaluations up front and refuse budgets they would blow through.
+evaluations, one per joint misreport, up front and refuse budgets they
+would blow through.
+
+A DA outcome depends on a report only through its acceptable list, so the
+marriage search evaluates a DA rule once per combination of the members'
+acceptable lists and reads every joint misreport's outcome from its
+combination: the witnesses and their order are those of a search that
+evaluates every joint misreport, and the budget still counts each one.
 """
 
 from __future__ import annotations
@@ -39,17 +46,26 @@ class MatchingRule:
     man's partner index (None when unmatched). It keeps no results: the
     certifications below keep their own memo for the length of one run.
     `_evaluate` is the same map for reports taken from a `ProductDomain`,
-    whose construction has checked their shape: a DA rule skips the check
-    there, every other rule evaluates as `assignment` does.
+    whose construction has checked their shape, given as two lists or
+    tuples: a DA rule runs its engine on them without the check, every
+    other rule passes them to `assignment` as tuples.
+
+    `_class_key`, when set, maps a report to a hashable key such that two
+    reports of one agent with equal keys give the same outcome whatever
+    the others report; the marriage coalition scan then evaluates one
+    report per key. A DA outcome depends on a report only through its
+    acceptable list, the agents ranked above the outside option in order,
+    so a DA rule keys reports by that list.
     """
 
-    __slots__ = ("name", "stable", "_assign_fn", "_evaluate")
+    __slots__ = ("name", "stable", "_assign_fn", "_evaluate", "_class_key")
 
     def __init__(self, name: str, assign_fn: Callable, stable: bool):
         self.name = name
         self.stable = stable
         self._assign_fn = assign_fn
-        self._evaluate = assign_fn
+        self._evaluate = lambda men, women: assign_fn(tuple(men), tuple(women))
+        self._class_key = None
 
     def assignment(self, men_prefs: tuple, women_prefs: tuple) -> tuple:
         return self._assign_fn(men_prefs, women_prefs)
@@ -72,6 +88,7 @@ class MatchingRule:
 
         rule = cls(rule_id.value, assign, stable=True)
         rule._evaluate = _unchecked_da(rule_id)
+        rule._class_key = operator.attrgetter("acceptable_idx")
         return rule
 
     @classmethod
@@ -198,7 +215,9 @@ def planned_evaluations(
 # Marriage and college markets share one search over agent-indexed report
 # vectors: position i holds agent i's report, alternatives[i] its admissible
 # reports other than the true one, and rank(i, outcome) its true rank of its
-# lot in an outcome (0 is the top).
+# lot in an outcome (0 is the top). classes[i], when given, holds a class key
+# for each of alternatives[i]: reports of agent i with equal keys must give
+# the same outcome whatever the others report.
 
 
 def _coalition_cap(alternative_counts: Sequence[int], max_coalition: int, budget: int) -> tuple[int, int]:
@@ -226,14 +245,16 @@ def _scan(
     rank: Callable[[int, object], int],
     max_coalition: int,
     budget: int = DEFAULT_EVAL_BUDGET,
+    classes: Optional[Sequence[tuple]] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
     """Yield (coalition, reports, before, after) for each deviation after
     which every member strictly gains: by size, then coalition from `pool`
     (distinct agent indices, increasing), then reports in list order. The
-    planned evaluations over the whole pool are checked against the budget
-    first. `evaluate` must not keep the list it is given."""
+    planned evaluations over the whole pool, one per joint misreport, are
+    checked against the budget first, with or without classes.
+    `evaluate` must not keep the list it is given."""
     cap, _ = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
-    return _search(true_reports, alternatives, pool, evaluate, rank, cap)
+    return _search(true_reports, alternatives, pool, evaluate, rank, cap, classes)
 
 
 def _search(
@@ -243,18 +264,56 @@ def _search(
     evaluate: Callable[[list], object],
     rank: Callable[[int, object], int],
     cap: int,
+    classes: Optional[Sequence[tuple]] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
     """`_scan` at a coalition bound that `_coalition_cap` has already
-    clipped and checked against the budget."""
+    clipped and checked against the budget.
+
+    Without classes every joint misreport is evaluated, and each hit is
+    yielded as soon as it is found. With classes, a coalition's scan
+    evaluates one joint misreport per combination of its members' classes,
+    the first of each class in list order; a member's true class is a
+    class like any other, since the others' deviation can make it gain.
+    It then walks the joint misreports in list order and yields each one
+    whose combination left every member strictly better off, so the hits
+    and their order are those of the scan without classes.
+    """
     reports = list(true_reports)
     before = evaluate(reports)
     base_rank = {i: rank(i, before) for i in pool}
     # agents at their true top can never strictly improve
     candidates = [i for i in pool if base_rank[i] > 0 and alternatives[i]]
+
+    if classes is not None:
+        # firsts[i] maps each class key of agent i, in list order, to the
+        # first alternative that has it
+        firsts = {}
+        for i in candidates:
+            firsts[i] = first = {}
+            for key, r in zip(classes[i], alternatives[i]):
+                first.setdefault(key, r)
     for size in range(1, cap + 1):
         for coalition in itertools.combinations(candidates, size):
-            for misreports in itertools.product(*(alternatives[i] for i in coalition)):
-                for i, r in zip(coalition, misreports):
+            joint = itertools.product(*(alternatives[i] for i in coalition))
+            if classes is None:
+                for misreports in joint:
+                    for i, r in zip(coalition, misreports):
+                        reports[i] = r
+                    after = evaluate(reports)
+                    for i in coalition:
+                        reports[i] = true_reports[i]
+                    for i in coalition:
+                        if rank(i, after) >= base_rank[i]:
+                            break
+                    else:
+                        yield coalition, misreports, before, after
+                continue
+            # the same evaluation and test, once per combination of classes
+            outcomes = {}
+            keys_of = itertools.product(*(firsts[i] for i in coalition))
+            reps_of = itertools.product(*(firsts[i].values() for i in coalition))
+            for keys, reps in zip(keys_of, reps_of):
+                for i, r in zip(coalition, reps):
                     reports[i] = r
                 after = evaluate(reports)
                 for i in coalition:
@@ -263,7 +322,13 @@ def _search(
                     if rank(i, after) >= base_rank[i]:
                         break
                 else:
-                    yield coalition, misreports, before, after
+                    outcomes[keys] = after
+            if outcomes:
+                keys_of = itertools.product(*(classes[i] for i in coalition))
+                for misreports, keys in zip(joint, keys_of):
+                    after = outcomes.get(keys)
+                    if after is not None:
+                        yield coalition, misreports, before, after
 
 
 def _marriage_rank(p: int, true: Sequence[Preference]) -> Callable[[int, tuple], int]:
@@ -323,10 +388,12 @@ def _marriage_scan(
     engine = rule._evaluate
 
     def evaluate(reports: list) -> tuple:
-        return engine(tuple(reports[:p]), tuple(reports[p:]))
+        return engine(reports[:p], reports[p:])
 
     rank = _marriage_rank(p, true)
-    for hit in _scan(true, alternatives, sorted(pool), evaluate, rank, max_coalition, budget):
+    key = rule._class_key
+    classes = None if key is None else [tuple(map(key, alts)) for alts in alternatives]
+    for hit in _scan(true, alternatives, sorted(pool), evaluate, rank, max_coalition, budget, classes):
         yield _marriage_witness(rule, base, *hit)
 
 

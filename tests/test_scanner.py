@@ -13,14 +13,18 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab.core import OUTSIDE, Preference, Profile, man, men, woman, women
-from matchlab.da import RuleId, run_da
+from matchlab.core import OUTSIDE, Preference, Profile, Side, man, men, woman, women
+from matchlab.da import RuleId, da_matching, run_da
 from matchlab.domains import PreferenceDomain, all_preferences
 from matchlab.formats import mto_domain_from_json, mto_profile_from_json
 from matchlab.manipulation import (
     ManipulationWitness,
+    MatchingRule,
+    _search,
+    find_manipulation,
     iter_manipulations,
     mpda_rule,
+    planned_evaluations,
     validate_witness,
     wpda_rule,
 )
@@ -140,6 +144,142 @@ def test_iter_manipulations_matches_oracle_at_3x3():
     domain, base, rule = PreferenceDomain.full(3, 3), _planted_crossing_base(), mpda_rule()
     got = list(iter_manipulations(rule, domain, base, max_coalition=2))
     assert got and got == oracle_witnesses(rule, domain, base, 2)
+
+
+# --- one evaluation per class of reports -----------------------------------------
+
+
+def _synthetic_scan():
+    """Two agents whose reports act only through a class letter. Agent 0's
+    alternatives x and x2 share its true class T; both agents gain exactly
+    when agent 1 reports z, so x with z is a witness although x alone
+    changes nothing."""
+    letter = {"t0": "T", "x": "T", "y": "Y", "x2": "T", "t1": "U", "z": "Z"}
+    alternatives = [("x", "y", "x2"), ("z",)]
+    classes = [tuple(letter[r] for r in alts) for alts in alternatives]
+    evaluated = []
+
+    def evaluate(reports):
+        evaluated.append(tuple(reports))
+        return tuple(letter[r] for r in reports)
+
+    def rank(i, outcome):
+        return 0 if outcome[1] == "Z" else 1
+
+    return ("t0", "t1"), alternatives, classes, evaluate, rank, evaluated
+
+
+def test_search_yields_a_member_whose_misreport_is_in_its_true_class():
+    true, alternatives, classes, evaluate, rank, evaluated = _synthetic_scan()
+    plain = list(_search(true, alternatives, [0, 1], evaluate, rank, 2))
+    assert len(evaluated) == 1 + 3 + 1 + 3
+    evaluated.clear()
+    grouped = list(_search(true, alternatives, [0, 1], evaluate, rank, 2, classes))
+    assert [(c, r) for c, r, _, _ in grouped] == [
+        ((1,), ("z",)),
+        ((0, 1), ("x", "z")),
+        ((0, 1), ("y", "z")),
+        ((0, 1), ("x2", "z")),
+    ]
+    assert grouped == plain
+    # one evaluation per class: T and Y for agent 0, Z for agent 1
+    assert len(evaluated) == 1 + 2 + 1 + 2
+
+
+def test_search_without_classes_stops_evaluating_at_the_first_hit():
+    true, alternatives, _, evaluate, rank, evaluated = _synthetic_scan()
+    hits = _search(true, alternatives, [0, 1], evaluate, rank, 2)
+    assert next(hits)[:2] == ((1,), ("z",))
+    # the base, agent 0's three alternatives and agent 1's z
+    assert evaluated == [("t0", "t1"), ("x", "t1"), ("y", "t1"), ("x2", "t1"), ("t0", "z")]
+
+
+def _ungrouped(rule_id: RuleId) -> MatchingRule:
+    """The DA rule without report classes, so every joint misreport is evaluated."""
+    return MatchingRule.from_profile_function(
+        lambda profile: da_matching(rule_id, profile), name=rule_id.value, stable=True
+    )
+
+
+# the crossing pattern of `_p1` as the top two of each agent's ranking
+CROSSING_TOPS = {M1: (W1, W2), M2: (W2, W1), W1: (M2, M1), W2: (M1, M2)}
+
+
+@st.composite
+def truncation_domains(draw):
+    """Sub-domains of the full 2x3 or 3x3 domain around a drawn base, which
+    may put the crossing pattern on top of the first two men and women.
+    Each agent also holds rankings that truncate its true acceptable list
+    (the list itself included), one or two per truncation and differing
+    only below the outside option, in a drawn order."""
+    p = draw(st.sampled_from((2, 3)))
+    crossing = draw(st.booleans())
+    agents = men(p) + women(3)
+    sets, base = {}, []
+    for a in agents:
+        options = all_preferences(a, 3 if a.side is Side.MAN else p)
+        by_list = {}
+        for pref in options:
+            by_list.setdefault(pref.acceptable_idx, []).append(pref)
+        ranking = draw(st.sampled_from(options)).ranking
+        if crossing and a in CROSSING_TOPS:
+            top = CROSSING_TOPS[a]
+            ranking = top + tuple(x for x in ranking if x not in top)
+        true = Preference(a, ranking)
+        cuts = [true.acceptable_idx[:k] for k in range(len(true.acceptable_idx) + 1)]
+        picks = [true]
+        for key in draw(st.lists(st.sampled_from(cuts), min_size=1, max_size=2, unique=True)):
+            picks += draw(st.lists(st.sampled_from(by_list[key]), min_size=1, max_size=2, unique=True))
+        sets[a] = draw(st.permutations(list(dict.fromkeys(picks))))
+        base.append(true)
+    return PreferenceDomain(sets), Profile(base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    drawn=truncation_domains(),
+    rule_id=st.sampled_from(RuleId),
+    cap=st.integers(1, 3),
+    pool=st.one_of(st.none(), st.lists(st.integers(0, 5), min_size=1, max_size=4)),
+)
+def test_grouped_scan_matches_the_ungrouped_rule(drawn, rule_id, cap, pool):
+    domain, base = drawn
+    if pool is not None:
+        pool = [domain.agents[k % len(domain.agents)] for k in pool]
+    grouped = MatchingRule.deferred_acceptance(rule_id)
+    plain = _ungrouped(rule_id)
+    assert grouped._class_key is not None and plain._class_key is None
+    got = list(iter_manipulations(grouped, domain, base, max_coalition=cap, coalition_pool=pool))
+    assert got == list(iter_manipulations(plain, domain, base, max_coalition=cap, coalition_pool=pool))
+    first = find_manipulation(grouped, domain, base, max_coalition=cap, coalition_pool=pool)
+    assert first == find_manipulation(plain, domain, base, max_coalition=cap, coalition_pool=pool)
+    assert first == (got[0] if got else None)
+
+
+def test_grouped_scan_evaluates_one_report_per_acceptable_list():
+    domain, base = PreferenceDomain.full(3, 3), _planted_crossing_base()
+    rule = mpda_rule()
+    calls = []
+    engine = rule._evaluate
+
+    def counting(men_prefs, women_prefs):
+        calls.append(None)
+        return engine(men_prefs, women_prefs)
+
+    rule._evaluate = counting
+    got = list(iter_manipulations(rule, domain, base, max_coalition=2))
+    assert got and got == list(iter_manipulations(_ungrouped(RuleId.MPDA), domain, base, max_coalition=2))
+    before = rule.apply(base)
+    # agents at their true top never join a coalition
+    candidates = [a for a in base.agents if base[a].rank_of(before.partner(a)) > 0]
+    lists = {
+        a: len({pref.acceptable_idx for pref in domain.admissible(a) if pref != base[a]})
+        for a in candidates
+    }
+    pairs = itertools.combinations(candidates, 2)
+    expected = 1 + sum(lists.values()) + sum(lists[a] * lists[b] for a, b in pairs)
+    assert len(calls) == expected
+    assert len(calls) < planned_evaluations([23] * 6, 2)
 
 
 # --- college markets -------------------------------------------------------------
