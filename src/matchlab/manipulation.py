@@ -283,7 +283,6 @@ def _search(
     base_rank = {i: rank(i, before) for i in pool}
     # agents at their true top can never strictly improve
     candidates = [i for i in pool if base_rank[i] > 0 and alternatives[i]]
-
     if classes is not None:
         # firsts[i] maps each class key of agent i, in list order, to the
         # first alternative that has it
