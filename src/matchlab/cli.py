@@ -136,38 +136,39 @@ def _ranking_text(ranking) -> str:
     return ", ".join(formats._outcome_token(x) for x in ranking)
 
 
-def _witness_text(witness) -> str:
-    lines = [
-        f"rule: {witness.rule_name}",
-        "coalition: " + ", ".join(a.name for a in witness.coalition),
-    ]
-    for a, pref in witness.misreports:
-        lines.append(f"{a.name} reports: {_ranking_text(pref.ranking)}")
-    lines.append("before:")
-    lines.append("  " + _matching_text(witness.outcome_before).replace("\n", "\n  "))
-    lines.append("after:")
-    lines.append("  " + _matching_text(witness.outcome_after).replace("\n", "\n  "))
+def _witness_block(rule: str, witness, reports: list[str], matching_text) -> str:
+    """A witness as text: rule, coalition, each member's report, then the
+    outcomes before and after the misreports, indented."""
+    lines = [f"rule: {rule}", "coalition: " + ", ".join(a.name for a in witness.coalition)]
+    lines += reports
+    for label, matching in (("before", witness.outcome_before), ("after", witness.outcome_after)):
+        lines.append(f"{label}:")
+        lines.append("  " + matching_text(matching).replace("\n", "\n  "))
     return "\n".join(lines)
 
 
+def _witness_text(witness) -> str:
+    reports = [f"{a.name} reports: {_ranking_text(pref.ranking)}" for a, pref in witness.misreports]
+    return _witness_block(witness.rule_name, witness, reports, _matching_text)
+
+
 def _mto_witness_text(witness) -> str:
-    lines = [
-        "rule: spda",
-        "coalition: " + ", ".join(a.name for a in witness.coalition),
-    ]
+    reports = []
     for a, pref in witness.misreports:
         if hasattr(pref, "quota"):
             ranked = " > ".join(
                 "{" + ", ".join(s.name for s in subset) + "}" for subset in pref.ranking
             )
-            lines.append(f"{a.name} reports (quota {pref.quota}): {ranked}")
+            reports.append(f"{a.name} reports (quota {pref.quota}): {ranked}")
         else:
-            lines.append(f"{a.name} reports: {_ranking_text(pref.ranking)}")
-    lines.append("before:")
-    lines.append("  " + _mto_matching_text(witness.outcome_before).replace("\n", "\n  "))
-    lines.append("after:")
-    lines.append("  " + _mto_matching_text(witness.outcome_after).replace("\n", "\n  "))
-    return "\n".join(lines)
+            reports.append(f"{a.name} reports: {_ranking_text(pref.ranking)}")
+    return _witness_block("spda", witness, reports, _mto_matching_text)
+
+
+def _no_witness(fmt: str) -> int:
+    """Say that the scan found no witness; the exit code that says so."""
+    print(json.dumps("none") if fmt == "json" else "none")
+    return EXIT_FAIL
 
 
 # --- solve -------------------------------------------------------------------------
@@ -271,8 +272,7 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
         domain = formats.mto_domain_from_json(domain_doc)
         witness = find_manipulation_mto(domain, base, args.max_coalition, budget)
         if witness is None:
-            print(json.dumps("none") if args.fmt == "json" else "none")
-            return EXIT_FAIL
+            return _no_witness(args.fmt)
         if args.fmt == "json":
             _emit(formats.mto_witness_to_json(witness))
         else:
@@ -297,13 +297,10 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
             else:
                 print(_witness_text(witness))
                 print()
-        if not found:
-            print(json.dumps("none") if args.fmt == "json" else "none")
-        return EXIT_PASS if found else EXIT_FAIL
+        return EXIT_PASS if found else _no_witness(args.fmt)
     witness = find_manipulation(rule, domain, base, args.max_coalition, budget)
     if witness is None:
-        print(json.dumps("none") if args.fmt == "json" else "none")
-        return EXIT_FAIL
+        return _no_witness(args.fmt)
     if args.fmt == "json":
         _emit(formats.witness_to_json(witness))
     else:

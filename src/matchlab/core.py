@@ -12,10 +12,11 @@ comparison is O(1). All validation happens at construction, never at use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -165,60 +166,78 @@ class StrictOrder:
         return self.ranking[0]
 
 
-class Preference(StrictOrder):
-    """An agent's strict ranking of the whole opposite side plus ``@``.
+@functools.lru_cache(maxsize=32)
+def _index_table(make: Callable[[int], Hashable], n: int) -> dict:
+    """{make(i): i for i < n}: the first n agents of one kind, by index."""
+    return {make(i): i for i in range(n)}
 
-    The ranking must be a permutation of {all opposite-side agents, OUTSIDE};
-    the opposite-side size is inferred from the ranking length.
+
+class Ranking(StrictOrder):
+    """An owner's strict ranking of n agents of one kind plus ``@``.
+
+    The ranked agents are make(0) .. make(n-1), where ``make`` is what the
+    subclass's `_ranks` hook returns for the owner; n is inferred from the
+    ranking's length. One walk of the ranking checks every entry and fills
+    the rank dict, ``outside_rank``, ``acceptable_idx`` (the acceptable
+    agents' indices, best first) and ``rank_by_index``.
     """
 
     __slots__ = ("owner", "outside_rank", "acceptable_idx", "rank_by_index", "_hash")
 
-    def __init__(self, owner: AgentId, ranking: Iterable[Outcome]):
-        super().__init__(ranking)
-        if not isinstance(owner, AgentId):
-            raise ValidationError(f"owner must be an AgentId, got {owner!r}")
-        self.owner = owner
-        opp = owner.side.opposite
-        n = len(self.ranking) - 1
-        if OUTSIDE not in self._rank:
-            raise ValidationError(f"ranking for {owner} lacks the outside option")
-        seen = set()
-        for x in self.ranking:
+    @staticmethod
+    def _ranks(owner) -> Callable[[int], Hashable]:
+        """The constructor of the agents ``owner`` ranks; ValidationError if
+        ``owner`` may not hold this kind of ranking."""
+        raise NotImplementedError
+
+    def __init__(self, owner, ranking: Iterable):
+        ranking = tuple(ranking)
+        index_of = _index_table(self._ranks(owner), len(ranking) - 1)
+        rank: dict = {}
+        by_index = [-1] * len(index_of)
+        acceptable = []
+        outside_rank = -1
+        for pos, x in enumerate(ranking):
             if x is OUTSIDE:
-                continue
-            if not isinstance(x, AgentId) or x.side is not opp:
-                raise ValidationError(f"ranking for {owner} contains {x!r}, expected {opp.prefix}-side agents")
-            seen.add(x.index)
-        if seen != set(range(n)):
-            missing = sorted(set(range(n)) - seen)
-            raise ValidationError(
-                f"ranking for {owner} is not a permutation of the opposite side: "
-                f"missing indices {missing}"
-            )
-        self.outside_rank = self._rank[OUTSIDE]
-        self.acceptable_idx = tuple(x.index for x in self.ranking[: self.outside_rank])
-        arr = [0] * n
-        for pos, x in enumerate(self.ranking):
-            if x is not OUTSIDE:
-                arr[x.index] = pos
-        self.rank_by_index = tuple(arr)
-        self._hash = hash((owner, self.ranking))
+                if outside_rank >= 0:
+                    break
+                outside_rank = pos
+            else:
+                i = index_of.get(x)
+                if i is None or by_index[i] >= 0:
+                    break
+                by_index[i] = pos
+                if outside_rank < 0:
+                    acceptable.append(i)
+            rank[x] = pos
+        else:
+            # n + 1 distinct entries, each @ or one of the n agents, are all
+            # of them unless the ranking is empty
+            if outside_rank >= 0:
+                self.owner = owner
+                self.ranking = ranking
+                self._rank = rank
+                self.outside_rank = outside_rank
+                self.acceptable_idx = tuple(acceptable)
+                self.rank_by_index = tuple(by_index)
+                self._hash = hash((owner, ranking))
+                return
+        raise ValidationError(_ranking_fault(owner, ranking, index_of))
 
     @property
     def n_opposite(self) -> int:
         return len(self.ranking) - 1
 
-    def acceptable(self) -> tuple[AgentId, ...]:
+    def acceptable(self) -> tuple:
         return self.ranking[: self.outside_rank]
 
-    def is_acceptable(self, x: Outcome) -> bool:
+    def is_acceptable(self, x) -> bool:
         return self.rank_of(x) < self.outside_rank
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if not isinstance(other, Preference):
+        if not isinstance(other, Ranking):
             return NotImplemented
         return self.owner == other.owner and self.ranking == other.ranking
 
@@ -226,7 +245,35 @@ class Preference(StrictOrder):
         return self._hash
 
     def __repr__(self) -> str:
-        return f"{self.owner}: " + " ".join(repr(x) for x in self.ranking)
+        return f"{self.owner!r}: " + " ".join(repr(x) for x in self.ranking)
+
+
+def _ranking_fault(owner, ranking: tuple, index_of: dict) -> str:
+    """Why ``ranking`` is not a ranking of the agents in ``index_of`` plus ``@``."""
+    if OUTSIDE not in ranking:
+        return f"ranking of {owner!r} lacks the outside option"
+    seen = set()
+    for x in ranking:
+        if x in seen:
+            return f"duplicate entry {x!r} in the ranking of {owner!r}"
+        if x is not OUTSIDE and x not in index_of:
+            break
+        seen.add(x)
+    # a ranking holding @ and another entry expects at least one agent
+    names = list(index_of)  # by index
+    return f"ranking of {owner!r} contains {x!r}; it must rank each of {names[0]!r}..{names[-1]!r} and @ exactly once"
+
+
+class Preference(Ranking):
+    """A marriage agent's strict ranking of the whole opposite side plus ``@``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _ranks(owner: AgentId) -> Callable[[int], AgentId]:
+        if not isinstance(owner, AgentId):
+            raise ValidationError(f"owner must be an AgentId, got {owner!r}")
+        return woman if owner.side is Side.MAN else man
 
 
 class Profile:

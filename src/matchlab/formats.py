@@ -63,6 +63,14 @@ def _require_list(value: Any, field: str) -> Sequence:
     return value
 
 
+def _require_kind(doc: Mapping, kind: str) -> None:
+    """Reject a document whose ``kind``, which may be omitted, is not ``kind``."""
+    got = doc.get("kind", kind)
+    if got != kind:
+        # the echo is cut short, as the document may be hostile
+        raise FormatError("kind", f"expected kind {kind!r}, got kind {got!r:.40}")
+
+
 def _require_count(doc: Mapping, key: str, label: str | None = None) -> int:
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -162,6 +170,7 @@ def _some_names(names: Iterable[str], count: int) -> str:
 
 def profile_from_json(doc: Any) -> Profile:
     doc = _require_dict(doc, "market")
+    _require_kind(doc, "market")
     p = _require_count(doc, "men")
     q = _require_count(doc, "women")
     table = _require_dict(doc.get("preferences"), "preferences")
@@ -248,10 +257,7 @@ def domain_from_json(doc: Any) -> PreferenceDomain:
     from .domains import PreferenceDomain
 
     doc = _require_dict(doc, "domain")
-    kind = doc.get("kind", "domain")
-    if kind != "domain":
-        # the echo is cut short, as the document may be hostile
-        raise FormatError("kind", f"expected a marriage-market domain (kind 'domain'), got kind {kind!r:.40}")
+    _require_kind(doc, "domain")
     table = _require_dict(doc.get("agents"), "agents")
     # each side has at most one agent per key
     tables = _name_tables(len(table), len(table))
@@ -282,6 +288,7 @@ def orderings_from_json(doc: Any) -> tuple[PriorOrdering, PriorOrdering]:
     from .domains import PriorOrdering
 
     doc = _require_dict(doc, "orderings")
+    _require_kind(doc, "orderings")
     lines = []
     for field, side in (("men", Side.MAN), ("women", Side.WOMAN)):
         order = []
@@ -351,28 +358,27 @@ def _contiguous(indices: list[int], field: str, prefix: str) -> int:
     return len(indices)
 
 
-def mto_profile_from_json(doc: Any) -> MtoProfile:
-    from .mto import MtoProfile, college, student
-
-    doc = _require_dict(doc, "college-market")
+def _college_tables(doc: Any, kind: str) -> tuple[Mapping, Mapping, int, int]:
+    """A college document's ``colleges`` and ``students`` tables, after
+    checking that each is keyed c1..c<n> or s1..s<n>, and the two counts."""
+    doc = _require_dict(doc, kind)
+    _require_kind(doc, kind)
     colleges_doc = _require_dict(doc.get("colleges"), "colleges")
     students_doc = _require_dict(doc.get("students"), "students")
     c_idx = [_parse_name(tok, "colleges", "c")[1] for tok in colleges_doc]
     s_idx = [_parse_name(tok, "students", "s")[1] for tok in students_doc]
-    n_colleges = _contiguous(c_idx, "colleges", "c")
-    n_students = _contiguous(s_idx, "students", "s")
+    return colleges_doc, students_doc, _contiguous(c_idx, "colleges", "c"), _contiguous(s_idx, "students", "s")
+
+
+def mto_profile_from_json(doc: Any) -> MtoProfile:
+    from .mto import MtoProfile, colleges, students
+
+    colleges_doc, students_doc, n_colleges, n_students = _college_tables(doc, "college-market")
     cps = [
-        _college_pref_from_json(
-            college(i), colleges_doc[college(i).name], n_students, f"colleges.{college(i).name}"
-        )
-        for i in range(n_colleges)
+        _college_pref_from_json(c, colleges_doc[c.name], n_students, f"colleges.{c.name}")
+        for c in colleges(n_colleges)
     ]
-    sps = [
-        _student_pref_from_json(
-            student(i), students_doc[student(i).name], f"students.{student(i).name}"
-        )
-        for i in range(n_students)
-    ]
+    sps = [_student_pref_from_json(s, students_doc[s.name], f"students.{s.name}") for s in students(n_students)]
     return _wrap("college-market", MtoProfile, cps, sps)
 
 
@@ -582,28 +588,16 @@ def mto_domain_to_json(domain: MtoDomain) -> dict:
 
 
 def mto_domain_from_json(doc: Any) -> MtoDomain:
-    from .mto import MtoDomain, college, student
+    from .mto import MtoDomain, colleges, students
 
-    doc = _require_dict(doc, "college-domain")
-    colleges_doc = _require_dict(doc.get("colleges"), "colleges")
-    students_doc = _require_dict(doc.get("students"), "students")
-    c_idx = [_parse_name(tok, "colleges", "c")[1] for tok in colleges_doc]
-    s_idx = [_parse_name(tok, "students", "s")[1] for tok in students_doc]
-    n_colleges = _contiguous(c_idx, "colleges", "c")
-    n_students = _contiguous(s_idx, "students", "s")
+    colleges_doc, students_doc, n_colleges, n_students = _college_tables(doc, "college-domain")
     sets: dict = {}
-    for i in range(n_colleges):
-        c = college(i)
+    for c in colleges(n_colleges):
         field = f"colleges.{c.name}"
         entries = _require_list(colleges_doc[c.name], field)
-        sets[c] = [
-            _college_pref_from_json(c, entry, n_students, field) for entry in entries
-        ]
-    for i in range(n_students):
-        s = student(i)
+        sets[c] = [_college_pref_from_json(c, entry, n_students, field) for entry in entries]
+    for s in students(n_students):
         field = f"students.{s.name}"
-        sets[s] = [
-            _student_pref_from_json(s, entry, field)
-            for entry in _require_list(students_doc[s.name], field)
-        ]
+        entries = _require_list(students_doc[s.name], field)
+        sets[s] = [_student_pref_from_json(s, entry, field) for entry in entries]
     return _wrap("college-domain", MtoDomain, sets)

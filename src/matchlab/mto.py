@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Side, StrictOrder
+from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Ranking, Side, StrictOrder
 from .da import _da_engine, _sequential_da, _tentative_holdings
 from .domains import ProductDomain, PropertyCheck, _check_each_agent, utp_missing
 from .errors import (
@@ -71,56 +71,30 @@ def students(n: int) -> tuple[StudentId, ...]:
     return tuple(StudentId(i) for i in range(n))
 
 
-class StudentPreference(StrictOrder):
-    """A student's strict ranking of every college plus the outside option."""
+class StudentPreference(Ranking):
+    """A student's strict ranking of every college plus the outside option:
+    the marriage ranking type over colleges."""
 
-    __slots__ = ("owner", "outside_rank", "acceptable_idx", "rank_by_index", "_hash")
+    __slots__ = ()
 
-    def __init__(self, owner: StudentId, ranking: Sequence):
-        super().__init__(ranking)
+    @staticmethod
+    def _ranks(owner: StudentId) -> Callable[[int], CollegeId]:
         if not isinstance(owner, StudentId):
             raise ValidationError(f"owner must be a student, got {owner!r}")
-        self.owner = owner
-        seen = set()
-        out_at = None
-        for pos, x in enumerate(self.ranking):
-            if x is OUTSIDE:
-                out_at = pos
-                continue
-            if not isinstance(x, CollegeId):
-                raise ValidationError(f"ranking of {owner} contains {x!r}")
-            seen.add(x.index)
-        if out_at is None:
-            raise ValidationError(f"ranking of {owner} omits the outside option")
-        if seen != set(range(len(seen))) or len(seen) != len(self.ranking) - 1:
-            raise ValidationError(f"ranking of {owner} must cover colleges 0..n-1 exactly once")
-        self.outside_rank = out_at
-        self.acceptable_idx = tuple(x.index for x in self.ranking[:out_at])
-        rank_by_index = [0] * len(seen)
-        for pos, x in enumerate(self.ranking):
-            if x is not OUTSIDE:
-                rank_by_index[x.index] = pos
-        self.rank_by_index = tuple(rank_by_index)
-        self._hash = hash((self.owner, self.ranking))
+        return college
 
-    @property
-    def n_colleges(self) -> int:
-        return len(self.ranking) - 1
 
-    def is_acceptable(self, c: CollegeId) -> bool:
-        return self.rank_by_index[c.index] < self.outside_rank
+class CollegeRanking(Ranking):
+    """A college's strict ranking of single students plus the outside option
+    (admitting nobody): the order its subset ranking induces."""
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StudentPreference):
-            return NotImplemented
-        return self.owner == other.owner and self.ranking == other.ranking
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        body = " ".join(repr(x) for x in self.ranking)
-        return f"{self.owner.name}: {body}"
+    @staticmethod
+    def _ranks(owner: CollegeId) -> Callable[[int], StudentId]:
+        if not isinstance(owner, CollegeId):
+            raise ValidationError(f"owner must be a college, got {owner!r}")
+        return student
 
 
 def _normalize_subset(subset: Iterable[StudentId]) -> tuple[StudentId, ...]:
@@ -134,7 +108,7 @@ class CollegePreference(StrictOrder):
     admitting nobody and anything ranked below it is unacceptable as a group.
     """
 
-    __slots__ = ("owner", "quota", "n_students", "_hash", "_responsive", "_student_ranks")
+    __slots__ = ("owner", "quota", "n_students", "induced", "_hash", "_responsive")
 
     def __init__(self, owner: CollegeId, quota: int, n_students: int, ranking: Sequence[Iterable[StudentId]]):
         if not isinstance(owner, CollegeId):
@@ -158,7 +132,10 @@ class CollegePreference(StrictOrder):
         self.n_students = n_students
         self._hash = hash((owner, quota, normalized))
         self._responsive = None
-        self._student_ranks = None
+        # the singletons and () in the order this ranking puts them
+        at = {self._rank[(s,)]: s for s in students(n_students)}
+        at[self._rank[()]] = OUTSIDE
+        self.induced = CollegeRanking(owner, [at[r] for r in sorted(at)])
 
     def rank_of(self, subset: Iterable[StudentId]) -> int:
         try:
@@ -167,29 +144,17 @@ class CollegePreference(StrictOrder):
             raise UnknownOutcomeError(f"{subset!r} is not ranked by {self.owner}") from None
 
     def is_acceptable(self, s: StudentId) -> bool:
-        return self.rank_of((s,)) < self.rank_of(())
+        return self.induced.is_acceptable(s)
 
     def induced_order(self) -> tuple:
         """Singleton comparisons flattened into a ranking of students and OUTSIDE."""
-        singles, nobody = self.student_ranks()
-        items: list[tuple[int, object]] = [(nobody, OUTSIDE)]
-        items += [(rank, StudentId(i)) for i, rank in enumerate(singles)]
-        items.sort(key=lambda t: t[0])
-        return tuple(x for _, x in items)
+        return self.induced.ranking
 
     def responsiveness(self):
         """`is_responsive(self)`, computed on first use and kept."""
         if self._responsive is None:
             self._responsive = is_responsive(self)
         return self._responsive
-
-    def student_ranks(self) -> tuple[tuple[int, ...], int]:
-        """Each student's singleton rank by student index, and the rank of
-        admitting nobody; computed on first use and kept."""
-        if self._student_ranks is None:
-            singles = tuple(self.rank_of((s,)) for s in students(self.n_students))
-            self._student_ranks = (singles, self.rank_of(()))
-        return self._student_ranks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CollegePreference):
@@ -366,9 +331,9 @@ class MtoProfile:
         for i, sp in enumerate(student_prefs):
             if sp.owner.index != i:
                 raise ValidationError(f"student preference {i} is owned by {sp.owner}")
-            if sp.n_colleges != len(college_prefs):
+            if sp.n_opposite != len(college_prefs):
                 raise ValidationError(
-                    f"{sp.owner} ranks {sp.n_colleges} colleges, market has {len(college_prefs)}"
+                    f"{sp.owner} ranks {sp.n_opposite} colleges, market has {len(college_prefs)}"
                 )
         self.college_prefs = college_prefs
         self.student_prefs = student_prefs
@@ -441,20 +406,12 @@ def require_responsive(profile: MtoProfile) -> None:
 
 
 # Untraced SPDA runs on seats (Roth & Sotomayor 1990, ch. 5): a college of
-# quota k becomes min(k, n_students) seats that all rank single students as
-# the college does, each student ranks a college's seats consecutively in
-# the college's place, and student-proposing DA on that one-to-one market
-# (`da._sequential_da`) holds SPDA's students once seats are grouped back by
-# college. Seats beyond the student count could never be proposed to.
-
-
-class _Seat:
-    """One seat of a college, as a receiver of `_sequential_da`."""
-
-    __slots__ = ("rank_by_index", "outside_rank")
-
-    def __init__(self, cp: CollegePreference):
-        self.rank_by_index, self.outside_rank = cp.student_ranks()
+# quota k becomes min(k, n_students) seats, each of which is the college's
+# induced ranking of single students (`CollegePreference.induced`); each
+# student ranks a college's seats consecutively in the college's place, and
+# student-proposing DA on that one-to-one market (`da._sequential_da`) holds
+# SPDA's students once seats are grouped back by college. Seats beyond the
+# student count could never be proposed to.
 
 
 class _Applicant:
@@ -466,8 +423,8 @@ class _Applicant:
         self.acceptable_idx = tuple([j for c in sp.acceptable_idx for j in seat_ranges[c]])
 
 
-def _seats(cp: CollegePreference) -> list:
-    return [_Seat(cp)] * min(cp.quota, cp.n_students)
+def _seats(cp: CollegePreference) -> list[CollegeRanking]:
+    return [cp.induced] * min(cp.quota, cp.n_students)
 
 
 def _seat_ranges(college_prefs: Sequence[CollegePreference]) -> list[range]:
@@ -502,7 +459,9 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
     student ranking their subset order induces.
     """
     require_responsive(profile)
-    ranks, nobody = zip(*[cp.student_ranks() for cp in profile.college_prefs])
+    induced = [cp.induced for cp in profile.college_prefs]
+    ranks = [order.rank_by_index for order in induced]
+    nobody = [order.outside_rank for order in induced]
     quotas = profile.quotas
     held, rounds = _da_engine([sp.acceptable_idx for sp in profile.student_prefs], ranks, nobody, quotas)
     steps = []
@@ -583,8 +542,8 @@ class MtoDomain(ProductDomain):
         if not isinstance(pref, kind):
             raise ValidationError(f"set for {agent} holds a {type(pref).__name__}, expected a {kind.__name__}")
         if kind is StudentPreference:
-            if pref.n_colleges != self.n_colleges:
-                raise ValidationError(f"preference for {agent} sized for {pref.n_colleges} colleges")
+            if pref.n_opposite != self.n_colleges:
+                raise ValidationError(f"preference for {agent} sized for {pref.n_opposite} colleges")
             return
         check = pref.responsiveness()
         if not check:
@@ -770,19 +729,15 @@ def to_marriage_profile(profile: MtoProfile):
     """Quota-one market recast with students as proposers, colleges as receivers."""
     if any(q != 1 for q in profile.quotas):
         raise PreconditionError("translation requires every quota to be 1")
-    men_prefs = []
-    for sp in profile.student_prefs:
-        ranking = tuple(
-            OUTSIDE if x is OUTSIDE else AgentId(Side.WOMAN, x.index) for x in sp.ranking
-        )
-        men_prefs.append(Preference(AgentId(Side.MAN, sp.owner.index), ranking))
-    women_prefs = []
-    for cp in profile.college_prefs:
-        ranking = tuple(
-            OUTSIDE if x is OUTSIDE else AgentId(Side.MAN, x.index) for x in cp.induced_order()
-        )
-        women_prefs.append(Preference(AgentId(Side.WOMAN, cp.owner.index), ranking))
-    return Profile(men_prefs + women_prefs)
+
+    def recast(pref: Ranking, side: Side) -> Preference:
+        # the same ranking, owner and ranked agents renamed index for index
+        opposite = side.opposite
+        ranking = [OUTSIDE if x is OUTSIDE else AgentId(opposite, x.index) for x in pref.ranking]
+        return Preference(AgentId(side, pref.owner.index), ranking)
+
+    men_prefs = [recast(sp, Side.MAN) for sp in profile.student_prefs]
+    return Profile(men_prefs + [recast(cp.induced, Side.WOMAN) for cp in profile.college_prefs])
 
 
 def to_marriage_matching(nu: MtoMatching):

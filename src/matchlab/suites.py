@@ -22,7 +22,6 @@ from .core import (
     Preference,
     Profile,
     Side,
-    StrictOrder,
     enumerate_matchings,
     is_individually_rational,
     is_stable,
@@ -798,8 +797,7 @@ def _suite_example2(params: SuiteParams) -> _Outcome:
     if not students_satisfy_utp(domain):
         return _fail("the fixture domain lost unrestricted top pairs for students")
     for cp_list in (domain.admissible(c) for c in colleges(3)):
-        induced = [StrictOrder(cp.induced_order()) for cp in cp_list]
-        if top_dominance_violation(induced, students(5)) is not None:
+        if top_dominance_violation([cp.induced for cp in cp_list], students(5)) is not None:
             return _fail("induced college preferences lost top dominance")
     try:
         validate_mto_witness(ex.witness, domain=domain)

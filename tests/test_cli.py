@@ -633,12 +633,27 @@ def test_check_domain_orderings_only_for_single_peaked(capsys):
 
 
 @pytest.mark.parametrize(
-    "document, kind", [(MTO_DOMAIN, "college-domain"), (P1, "market")], ids=["college-domain", "market"]
+    "argv, expected, kind",
+    [
+        (["check-domain", "--property", "utp", MTO_DOMAIN], "domain", "college-domain"),
+        (["check-domain", "--property", "utp", P1], "domain", "market"),
+        (["solve", "--rule", "mpda", FULL_DOMAIN], "market", "domain"),
+        (["solve", "--rule", "spda", MTO_DOMAIN], "college-market", "college-domain"),
+        (["manipulate", "--rule", "spda", MTO, FULL_DOMAIN], "college-domain", "domain"),
+        (
+            ["check-domain", "--property", "single-peaked", "--orderings", FULL_DOMAIN, FULL_DOMAIN],
+            "orderings",
+            "domain",
+        ),
+    ],
+    ids=["college-domain", "market", "solve-mpda", "solve-spda", "manipulate-spda", "orderings"],
 )
-def test_check_domain_names_the_kind_it_expects(capsys, document, kind):
-    code, out, err = run(capsys, "check-domain", "--property", "utp", document)
+def test_check_domain_names_the_kind_it_expects(capsys, argv, expected, kind):
+    # every reader checks `kind` before any field, so a wrong file is named
+    # as one rather than failing on a field the two kinds do not share
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert "kind 'domain'" in err and f"got kind {kind!r}" in err
+    assert f"kind {expected!r}" in err and f"got kind {kind!r}" in err
 
 
 def test_check_domain_unknown_property(capsys):

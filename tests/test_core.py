@@ -28,6 +28,7 @@ from matchlab.errors import (
     UnknownOutcomeError,
     ValidationError,
 )
+from matchlab.mto import StudentPreference, college, student
 
 # Matching counts frozen from an independent recursion, computed before the
 # enumerator existed: f(p, q) = f(p-1, q) + q * f(p-1, q-1), f(0, q) = 1.
@@ -103,6 +104,39 @@ def test_preference_acceptable_set_matches_outside_position(order, cut):
     p = Preference(M1, ranking)
     assert set(p.acceptable()) == {woman(i) for i in order[: len(p.acceptable())]}
     assert len(p.acceptable()) == cut
+
+
+# a ranking's shape: a permutation of agents 0..n-1 and @, or one of four faults
+SHAPES = ("permutation", "duplicate", "dropped", "dropped-outside", "own-kind")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_marriage_and_student_rankings_accept_and_reject_the_same_shapes(data):
+    n = data.draw(st.integers(1, 5))
+    shape = data.draw(st.sampled_from(SHAPES))
+    tokens = data.draw(st.permutations(list(range(n)) + ["@"]))
+    if shape == "duplicate":
+        tokens.insert(data.draw(st.integers(0, n + 1)), data.draw(st.sampled_from(tokens)))
+    elif shape == "dropped":
+        tokens.remove(data.draw(st.integers(0, n - 1)))
+    elif shape == "dropped-outside":
+        tokens.remove("@")
+    elif shape == "own-kind":
+        tokens[data.draw(st.integers(0, n))] = "own"
+
+    def build(kind, owner, ranked, own):
+        ranking = [OUTSIDE if t == "@" else own if t == "own" else ranked(t) for t in tokens]
+        try:
+            pref = kind(owner, ranking)
+        except ValidationError:
+            return None
+        return pref.outside_rank, pref.acceptable_idx, pref.rank_by_index
+
+    marriage = build(Preference, man(0), woman, man(1))
+    assert marriage == build(StudentPreference, student(0), college, student(1))
+    # dropping agent n-1 leaves a ranking of the other n-1 agents
+    assert (marriage is not None) == (shape == "permutation" or (shape == "dropped" and n - 1 not in tokens))
 
 
 # --- profiles and matchings ----------------------------------------------

@@ -21,6 +21,8 @@ import matchlab
 ROOT = Path(__file__).resolve().parent.parent
 P1 = str(ROOT / "fixtures" / "example1_p1.json")
 DOMAIN = str(ROOT / "fixtures" / "full_2x2_domain.json")
+MTO = str(ROOT / "fixtures" / "example2_mto.json")
+MTO_DOMAIN = str(ROOT / "fixtures" / "example2_domain.json")
 
 # loaded by the commands that use them, never by a marriage solve or stable-set
 ENGINES = {"matchlab.domains", "matchlab.manipulation", "matchlab.mto", "matchlab.suites"}
@@ -62,6 +64,23 @@ def test_marriage_commands_load_no_engine_they_do_not_run(argv):
     loaded = _modules_after(f"from matchlab.cli import main; assert main({argv!r}) == 0")
     assert "matchlab.cli" in loaded
     assert loaded & ENGINES == set()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "--rule", "spda", MTO], 0),
+        (["solve", "--rule", "spda", "--trace", MTO], 0),
+        (["manipulate", "--rule", "spda", MTO, MTO_DOMAIN], 1),
+    ],
+    ids=["spda", "spda-trace", "manipulate-spda"],
+)
+def test_college_commands_load_no_suites(argv, code):
+    # the college rankings share their type with marriage agents through
+    # `core`, not through the suites that reproduce the paper's examples
+    loaded = _modules_after(f"from matchlab.cli import main; assert main({argv!r}) == {code}")
+    assert "matchlab.mto" in loaded
+    assert "matchlab.suites" not in loaded
 
 
 def test_domain_property_check_loads_no_rule_or_certification():

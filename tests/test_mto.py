@@ -2,12 +2,14 @@
 stability, and the mixed-coalition counterexample."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab import mto
+from matchlab import formats, mto
 from matchlab.core import OUTSIDE, Preference, Profile, man, woman, women
 from matchlab.da import RuleId, da_matching
 from matchlab.domains import minimal_utp_rankings
@@ -48,6 +50,7 @@ from matchlab.mto import (
 
 C = colleges(3)
 S = students(5)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # --- identities ---------------------------------------------------------------
@@ -70,7 +73,7 @@ def test_student_preference_validation():
     assert p.top() == C[2]
     assert p.acceptable_idx == (2, 0, 1)
     assert p.outside_rank == 3
-    assert p.is_acceptable(C[1]) and p.n_colleges == 3
+    assert p.is_acceptable(C[1]) and p.n_opposite == 3
     with pytest.raises(ValidationError, match="outside"):
         StudentPreference(s1, (C[0], C[1], C[2]))
     with pytest.raises(ValidationError, match="contains"):
@@ -164,6 +167,26 @@ def test_responsive_extension_is_responsive_and_induces_its_order(data):
     ext = responsive_extension(college(0), quota, induced)
     assert is_responsive(ext)
     assert ext.induced_order() == induced
+    _assert_induced_follows_singletons(ext)
+
+
+def _assert_induced_follows_singletons(cp):
+    # each student's induced rank, and that of @, is where its singleton,
+    # or (), stands among the singletons and () in the subset ranking
+    singles = [cp.rank_of((s,)) for s in students(cp.n_students)]
+    nobody = cp.rank_of(())
+    order = sorted(singles + [nobody])
+    assert cp.induced.rank_by_index == tuple(order.index(rank) for rank in singles)
+    assert cp.induced.outside_rank == order.index(nobody)
+
+
+def test_fixture_colleges_induce_the_order_of_their_singletons():
+    market = formats.mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
+    domain = formats.mto_domain_from_json(json.loads((FIXTURES / "example2_domain.json").read_text()))
+    rankings = list(market.college_prefs)
+    rankings += [cp for c in colleges(domain.n_colleges) for cp in domain.admissible(c)]
+    for cp in rankings:
+        _assert_induced_follows_singletons(cp)
 
 
 def test_responsive_extension_past_the_student_count_keeps_the_padded_order():
