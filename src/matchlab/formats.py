@@ -48,7 +48,8 @@ if TYPE_CHECKING:
 SCHEMA = "matchlab/1"
 _MAX_NAMED = 10  # missing or unknown agents named in an error message
 
-_AGENT_NAME = re.compile(r"^([mwcs])([1-9][0-9]*)$")
+# an index has at most 4,300 digits, the most `int` converts by default
+_AGENT_NAME = re.compile(r"^([mwcs])([1-9][0-9]{0,4299})$")
 
 
 def _require_dict(doc: Any, field: str) -> Mapping:
@@ -63,12 +64,14 @@ def _require_list(value: Any, field: str) -> Sequence:
     return value
 
 
-def _require_kind(doc: Mapping, kind: str) -> None:
-    """Reject a document whose ``kind``, which may be omitted, is not ``kind``."""
+def _require_kind(doc: Any, kind: str) -> Mapping:
+    """The document, an object whose ``kind``, which may be omitted, is ``kind``."""
+    doc = _require_dict(doc, kind)
     got = doc.get("kind", kind)
     if got != kind:
         # the echo is cut short, as the document may be hostile
         raise FormatError("kind", f"expected kind {kind!r}, got kind {got!r:.40}")
+    return doc
 
 
 def _require_count(doc: Mapping, key: str, label: str | None = None) -> int:
@@ -169,8 +172,7 @@ def _some_names(names: Iterable[str], count: int) -> str:
 
 
 def profile_from_json(doc: Any) -> Profile:
-    doc = _require_dict(doc, "market")
-    _require_kind(doc, "market")
+    doc = _require_kind(doc, "market")
     p = _require_count(doc, "men")
     q = _require_count(doc, "women")
     table = _require_dict(doc.get("preferences"), "preferences")
@@ -218,7 +220,7 @@ def matching_to_json(matching: Matching) -> dict:
 
 
 def matching_from_json(doc: Any, p: int, q: int) -> Matching:
-    doc = _require_dict(doc, "matching")
+    doc = _require_kind(doc, "matching")
     pairs = []
     for i, entry in enumerate(_require_list(doc.get("pairs"), "pairs")):
         field = f"pairs[{i}]"
@@ -256,8 +258,7 @@ def domain_to_json(domain: PreferenceDomain) -> dict:
 def domain_from_json(doc: Any) -> PreferenceDomain:
     from .domains import PreferenceDomain
 
-    doc = _require_dict(doc, "domain")
-    _require_kind(doc, "domain")
+    doc = _require_kind(doc, "domain")
     table = _require_dict(doc.get("agents"), "agents")
     # each side has at most one agent per key
     tables = _name_tables(len(table), len(table))
@@ -287,8 +288,7 @@ def orderings_to_json(men_line: PriorOrdering, women_line: PriorOrdering) -> dic
 def orderings_from_json(doc: Any) -> tuple[PriorOrdering, PriorOrdering]:
     from .domains import PriorOrdering
 
-    doc = _require_dict(doc, "orderings")
-    _require_kind(doc, "orderings")
+    doc = _require_kind(doc, "orderings")
     lines = []
     for field, side in (("men", Side.MAN), ("women", Side.WOMAN)):
         order = []
@@ -361,8 +361,7 @@ def _contiguous(indices: list[int], field: str, prefix: str) -> int:
 def _college_tables(doc: Any, kind: str) -> tuple[Mapping, Mapping, int, int]:
     """A college document's ``colleges`` and ``students`` tables, after
     checking that each is keyed c1..c<n> or s1..s<n>, and the two counts."""
-    doc = _require_dict(doc, kind)
-    _require_kind(doc, kind)
+    doc = _require_kind(doc, kind)
     colleges_doc = _require_dict(doc.get("colleges"), "colleges")
     students_doc = _require_dict(doc.get("students"), "students")
     c_idx = [_parse_name(tok, "colleges", "c")[1] for tok in colleges_doc]
@@ -402,7 +401,7 @@ def mto_matching_to_json(matching: MtoMatching) -> dict:
 def mto_matching_from_json(doc: Any) -> MtoMatching:
     from .mto import MtoMatching, college
 
-    doc = _require_dict(doc, "college-matching")
+    doc = _require_kind(doc, "college-matching")
     quotas_doc = _require_dict(doc.get("quotas"), "quotas")
     assign_doc = _require_dict(doc.get("assignments"), "assignments")
     c_idx = [_parse_name(tok, "quotas", "c")[1] for tok in quotas_doc]
@@ -453,7 +452,7 @@ def witness_to_json(witness: ManipulationWitness) -> dict:
 def witness_from_json(doc: Any) -> ManipulationWitness:
     from .manipulation import ManipulationWitness
 
-    doc = _require_dict(doc, "witness")
+    doc = _require_kind(doc, "witness")
     rule_name = doc.get("rule")
     if rule_name not in ("mpda", "wpda"):
         raise FormatError("rule", f"unknown rule {rule_name!r}, expected mpda or wpda")
@@ -505,7 +504,7 @@ def mto_witness_to_json(witness: MtoWitness) -> dict:
 def mto_witness_from_json(doc: Any) -> MtoWitness:
     from .mto import CollegeId, MtoWitness, college, student
 
-    doc = _require_dict(doc, "college-witness")
+    doc = _require_kind(doc, "college-witness")
     base = mto_profile_from_json(doc.get("base"))
     n_students = len(base.student_prefs)
     coalition = []

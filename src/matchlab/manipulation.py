@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -36,7 +37,7 @@ from .da import RuleId, _unchecked_da, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
 
 if TYPE_CHECKING:
-    from .domains import PreferenceDomain
+    from .domains import PreferenceDomain, ProductDomain
 
 
 class MatchingRule:
@@ -211,13 +212,34 @@ def planned_evaluations(
 
 
 # --- the coalition scanner -----------------------------------------------------
-#
-# Marriage and college markets share one search over agent-indexed report
-# vectors: position i holds agent i's report, alternatives[i] its admissible
-# reports other than the true one, and rank(i, outcome) its true rank of its
-# lot in an outcome (0 is the top). classes[i], when given, holds a class key
-# for each of alternatives[i]: reports of agent i with equal keys must give
-# the same outcome whatever the others report.
+
+
+class _Market:
+    """One market and rule as the scans and certifications see them, over
+    report vectors whose position i holds agent i's report.
+
+    `evaluate(reports)` is the rule's outcome; it must not keep the list.
+    `ranks(true)` returns rank(i, outcome), agent i's rank by true[i] of its
+    lot (0 is the top). `witness(base, coalition, reports, before, after)`
+    builds the witness of one hit of `_search`. `lots(outcomes, lists)`,
+    which the certification walk needs, gives every agent's lot code at
+    each outcome and the codes in the order of each of its admissible
+    reports in `lists`, as `_gain_sets` takes them.
+    """
+
+    def __init__(self, evaluate: Callable, ranks: Callable, witness: Callable, lots: Optional[Callable] = None):
+        self.evaluate, self.ranks, self.witness, self.lots = evaluate, ranks, witness, lots
+
+
+def _witnesses(make: Callable, outcome: Callable) -> Callable:
+    """A `_Market.witness` that names the coalition's agents by the base and
+    calls make(base, members, misreports, outcome(before), outcome(after))."""
+
+    def witness(base, coalition: tuple, reports: tuple, before, after):
+        members = tuple(base.agents[i] for i in coalition)
+        return make(base, members, tuple(zip(members, reports)), outcome(before), outcome(after))
+
+    return witness
 
 
 def _coalition_cap(alternative_counts: Sequence[int], max_coalition: int, budget: int) -> tuple[int, int]:
@@ -238,23 +260,26 @@ def _coalition_cap(alternative_counts: Sequence[int], max_coalition: int, budget
 
 
 def _scan(
-    true_reports: Sequence,
-    alternatives: Sequence[tuple],
+    market: _Market,
+    domain: "ProductDomain",
+    base,
     pool: Sequence[int],
-    evaluate: Callable[[list], object],
-    rank: Callable[[int, object], int],
     max_coalition: int,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    classes: Optional[Sequence[tuple]] = None,
-) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
-    """Yield (coalition, reports, before, after) for each deviation after
-    which every member strictly gains: by size, then coalition from `pool`
-    (distinct agent indices, increasing), then reports in list order. The
-    planned evaluations over the whole pool, one per joint misreport, are
-    checked against the budget first, with or without classes.
-    `evaluate` must not keep the list it is given."""
+    budget: int,
+    class_key: Optional[Callable[[object], object]] = None,
+) -> Iterator:
+    """Yield the witness of each deviation at `base` after which every
+    member strictly gains: by size, then coalition from `pool` (increasing
+    agent indices), then reports in list order. The planned evaluations
+    over the whole pool, one per joint misreport, are checked against the
+    budget first. `class_key` keys each report for `_search`'s classes:
+    reports of one agent with equal keys must give the same outcome
+    whatever the others report."""
+    true, alternatives = domain.deviations(base)
     cap, _ = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
-    return _search(true_reports, alternatives, pool, evaluate, rank, cap, classes)
+    classes = None if class_key is None else [tuple(map(class_key, alts)) for alts in alternatives]
+    for hit in _search(true, alternatives, pool, market.evaluate, market.ranks(true), cap, classes):
+        yield market.witness(base, *hit)
 
 
 def _search(
@@ -266,8 +291,11 @@ def _search(
     cap: int,
     classes: Optional[Sequence[tuple]] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
-    """`_scan` at a coalition bound that `_coalition_cap` has already
-    clipped and checked against the budget.
+    """Yield (coalition, reports, before, after) for each deviation after
+    which every member strictly gains, in `_scan`'s order, at a coalition
+    bound that `_coalition_cap` has already clipped and checked against
+    the budget. alternatives[i] holds agent i's admissible reports other
+    than true_reports[i], and classes[i], when given, the class key of each.
 
     Without classes every joint misreport is evaluated, and each hit is
     yielded as soon as it is found. With classes, a coalition's scan
@@ -330,40 +358,38 @@ def _search(
                         yield coalition, misreports, before, after
 
 
-def _marriage_rank(p: int, true: Sequence[Preference]) -> Callable[[int, tuple], int]:
-    """rank(i, assignment) for `_scan`: agent i's true rank of its partner,
-    men first, then women."""
+def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
+    """The market record of a rule on a p-by-q marriage market, whose agents
+    are numbered men first and whose reports the domain has checked."""
+    engine = rule._evaluate
 
-    def rank(i: int, assignment: tuple) -> int:
-        if i < p:
-            partner = assignment[i]
-        else:
-            partner = assignment.index(i - p) if i - p in assignment else None
-        pref = true[i]
-        return pref.outside_rank if partner is None else pref.rank_by_index[partner]
+    def evaluate(reports: Sequence) -> tuple:
+        return engine(reports[:p], reports[p:])
 
-    return rank
+    def ranks(true: Sequence[Preference]) -> Callable[[int, tuple], int]:
+        def rank(i: int, assignment: tuple) -> int:
+            if i < p:
+                partner = assignment[i]
+            else:
+                partner = assignment.index(i - p) if i - p in assignment else None
+            pref = true[i]
+            return pref.outside_rank if partner is None else pref.rank_by_index[partner]
 
+        return rank
 
-def _marriage_witness(
-    rule: MatchingRule,
-    base: Profile,
-    coalition: tuple[int, ...],
-    reports: tuple[Preference, ...],
-    before: tuple,
-    after: tuple,
-) -> ManipulationWitness:
-    """The witness for one hit of `_scan`, whose agents are numbered men first."""
-    agents = base.agents
-    members = tuple(agents[i] for i in coalition)
-    return ManipulationWitness(
-        rule_name=rule.name,
-        base=base,
-        coalition=members,
-        misreports=tuple(zip(members, reports)),
-        outcome_before=Matching.from_assignment(base.p, base.q, before),
-        outcome_after=Matching.from_assignment(base.p, base.q, after),
-    )
+    def lots(outcomes: Sequence[tuple], lists: Sequence[tuple]) -> tuple[list, list]:
+        # an agent's lot code is its partner's index, or the size of the
+        # other side when it is unmatched
+        codes = [bytes([q if a[m] is None else a[m] for a in outcomes]) for m in range(p)]
+        codes += [bytes([a.index(w) if w in a else p for a in outcomes]) for w in range(q)]
+        ranked = [
+            [[pref.n_opposite if x is OUTSIDE else x.index for x in pref.ranking] for pref in l]
+            for l in lists
+        ]
+        return codes, ranked
+
+    witness = _witnesses(partial(ManipulationWitness, rule.name), partial(Matching.from_assignment, p, q))
+    return _Market(evaluate, ranks, witness, lots)
 
 
 def _marriage_scan(
@@ -375,25 +401,14 @@ def _marriage_scan(
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> Iterator[ManipulationWitness]:
     """The coalition scanner on a marriage market, yielding witnesses."""
-    true, alternatives = domain.deviations(base)
-    p = base.p
     position = {a: i for i, a in enumerate(domain.agents)}
     pool = set()
     for a in domain.agents if coalition_pool is None else coalition_pool:
         if a not in position:
             raise UnknownOutcomeError(f"no such agent {a!r} in the domain")
         pool.add(position[a])
-    # the domain has checked every report's shape
-    engine = rule._evaluate
-
-    def evaluate(reports: list) -> tuple:
-        return engine(reports[:p], reports[p:])
-
-    rank = _marriage_rank(p, true)
-    key = rule._class_key
-    classes = None if key is None else [tuple(map(key, alts)) for alts in alternatives]
-    for hit in _scan(true, alternatives, sorted(pool), evaluate, rank, max_coalition, budget, classes):
-        yield _marriage_witness(rule, base, *hit)
+    market = _marriage_market(rule, domain.p, domain.q)
+    yield from _scan(market, domain, base, sorted(pool), max_coalition, budget, rule._class_key)
 
 
 def find_manipulation(
@@ -492,8 +507,8 @@ def _gain_sets(
 
 
 def _certify(
-    rule: MatchingRule,
-    domain: "PreferenceDomain",
+    market: _Market,
+    domain: "ProductDomain",
     budget: int,
     max_coalition: Optional[int],
 ) -> StrategyProofness:
@@ -528,19 +543,16 @@ def _certify(
         )
     order = domain.product_order()
     lists, strides = order.lists, order.strides
-    p, q = domain.p, domain.q
     # others[i][d]: agent i's digits other than d, in list order
     others = [[tuple(v for v in range(len(l)) if v != d) for d in range(len(l))] for l in lists]
     memo: list = [None] * count
-    # every report comes from the domain, which has checked its shape
-    engine = rule._evaluate
+    outcome_of = market.evaluate
 
-    def evaluate(digits: list) -> tuple:
+    def evaluate(digits: list) -> object:
         key = sum(map(operator.mul, digits, strides))
         outcome = memo[key]
         if outcome is None:
-            prefs = order.preferences(digits)
-            outcome = memo[key] = engine(prefs[:p], prefs[p:])
+            outcome = memo[key] = outcome_of(order.preferences(digits))
         return outcome
 
     pool = range(len(lists))
@@ -558,26 +570,17 @@ def _certify(
             # the product of the lists runs in index order
             for k, prefs in enumerate(itertools.product(*lists)):
                 if memo[k] is None:
-                    memo[k] = engine(prefs[:p], prefs[p:])
-            # an agent's lot code is its partner's index, or the size of the
-            # other side when it is unmatched
-            codes = [bytes([q if a[m] is None else a[m] for a in memo]) for m in range(p)]
-            codes += [bytes([a.index(w) if w in a else p for a in memo]) for w in range(q)]
-            ranked = [
-                [[pref.n_opposite if x is OUTSIDE else x.index for x in pref.ranking] for pref in l]
-                for l in lists
-            ]
-            reachable = _gain_sets(codes, ranked, strides)
+                    memo[k] = outcome_of(prefs)
+            reachable = _gain_sets(*market.lots(memo, lists), strides)
         if reachable is not None and reachable(digits, key) == 1 << key:
             continue
         true = order.preferences(digits)
         alternatives = [o[d] for o, d in zip(others, digits)]
-        rank = _marriage_rank(p, true)
-        hit = next(_search(digits, alternatives, pool, evaluate, rank, cap), None)
+        hit = next(_search(digits, alternatives, pool, evaluate, market.ranks(true), cap), None)
         if hit is not None:
             coalition, reports, before, after = hit
             misreports = tuple(lists[i][d] for i, d in zip(coalition, reports))
-            witness = _marriage_witness(rule, Profile(true), coalition, misreports, before, after)
+            witness = market.witness(domain.make_profile(true), coalition, misreports, before, after)
             return StrategyProofness(False, witness)
     return StrategyProofness(True, None)
 
@@ -588,7 +591,7 @@ def is_strategy_proof(
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> StrategyProofness:
     """Exhaustive single-agent certification over every admissible profile."""
-    return _certify(rule, domain, budget, 1)
+    return _certify(_marriage_market(rule, domain.p, domain.q), domain, budget, 1)
 
 
 def is_group_strategy_proof(
@@ -598,7 +601,7 @@ def is_group_strategy_proof(
     max_coalition: Optional[int] = None,
 ) -> StrategyProofness:
     """Exhaustive coalition certification over every admissible profile."""
-    return _certify(rule, domain, budget, max_coalition)
+    return _certify(_marriage_market(rule, domain.p, domain.q), domain, budget, max_coalition)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Ranking, Side, StrictOrder
@@ -25,7 +26,7 @@ from .errors import (
     UnknownOutcomeError,
     ValidationError,
 )
-from .manipulation import DEFAULT_EVAL_BUDGET, _check_witness, _scan
+from .manipulation import DEFAULT_EVAL_BUDGET, _check_witness, _Market, _scan, _witnesses
 
 
 @dataclass(frozen=True, order=True)
@@ -602,14 +603,14 @@ def find_manipulation_mto(
     Improvement for a college means a strictly better subset by its true
     ranking; for a student a strictly better college.
     """
-    agents = domain.agents
-    true, alternatives = domain.deviations(base)
     # the domain holds only responsive, market-sized reports with one quota
-    # per college, so every report's seat view is built once, up front
+    # per college, so every report's seat view is built once, up front, and
+    # each college's first report gives its seats
     nc = domain.n_colleges
-    ranges = _seat_ranges(true[:nc])
+    heads = [domain.admissible(c)[0] for c in domain.agents[:nc]]
+    ranges = _seat_ranges(heads)
     views: dict = {}
-    for i, a in enumerate(agents):
+    for i, a in enumerate(domain.agents):
         for pref in domain.admissible(a):
             views[pref] = _seats(pref) if i < nc else _Applicant(pref, ranges)
 
@@ -619,32 +620,26 @@ def find_manipulation_mto(
             seats += views[r]
         return _seat_spda(seats, [views[r] for r in reports[nc:]], ranges)
 
-    college_rank = [
-        {tuple([s.index for s in subset]): pos for pos, subset in enumerate(pref.ranking)}
-        for pref in true[:nc]
-    ]
+    def ranks(true: Sequence) -> Callable[[int, tuple], int]:
+        college_rank = [
+            {tuple([s.index for s in subset]): pos for pos, subset in enumerate(pref.ranking)}
+            for pref in true[:nc]
+        ]
 
-    def rank(i: int, assignment: tuple) -> int:
-        if i < nc:
-            return college_rank[i][assignment[i]]
-        si, pref = i - nc, true[i]
-        for ci, group in enumerate(assignment):
-            if si in group:
-                return pref.rank_by_index[ci]
-        return pref.outside_rank
+        def rank(i: int, assignment: tuple) -> int:
+            if i < nc:
+                return college_rank[i][assignment[i]]
+            si, pref = i - nc, true[i]
+            for ci, group in enumerate(assignment):
+                if si in group:
+                    return pref.rank_by_index[ci]
+            return pref.outside_rank
 
-    for coalition, reports, before, after in _scan(
-        true, alternatives, range(len(agents)), evaluate, rank, max_coalition, budget
-    ):
-        members = tuple(agents[i] for i in coalition)
-        return MtoWitness(
-            base=base,
-            coalition=members,
-            misreports=tuple(zip(members, reports)),
-            outcome_before=MtoMatching(base.quotas, base.n_students, before),
-            outcome_after=MtoMatching(base.quotas, base.n_students, after),
-        )
-    return None
+        return rank
+
+    witness = _witnesses(MtoWitness, partial(MtoMatching, [cp.quota for cp in heads], domain.n_students))
+    market = _Market(evaluate, ranks, witness)
+    return next(_scan(market, domain, base, range(len(domain.agents)), max_coalition, budget), None)
 
 
 def students_satisfy_utp(domain: MtoDomain) -> PropertyCheck:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import formats
 from .core import (
@@ -137,9 +137,9 @@ class _Outcome:
     notes: str
 
 
-def _trial_seeds(seed: int, n: int) -> list[int]:
+def _trial_seeds(seed: int, n: int) -> Iterator[int]:
     rng = random.Random(seed)
-    return [rng.randrange(2**62) for _ in range(n)]
+    return (rng.randrange(2**62) for _ in range(n))
 
 
 def _sampled(

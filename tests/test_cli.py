@@ -16,7 +16,7 @@ from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 from matchlab.core import OUTSIDE, Preference, Profile, Side, men, women
 from matchlab.da import RuleId, run_da
 from matchlab.domains import PreferenceDomain
-from matchlab.errors import DimensionMismatchError, UnknownOutcomeError, ValidationError
+from matchlab.errors import DimensionMismatchError, FormatError, UnknownOutcomeError, ValidationError
 from matchlab.manipulation import mpda_rule, validate_witness, wpda_rule
 from matchlab.mto import colleges, responsive_extension, students
 
@@ -245,6 +245,43 @@ def test_overlong_integer_literals_are_format_errors(tmp_path, capsys, command, 
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {paths[bad_role]}: invalid JSON: an integer literal has more than 4300 digits\n"
+
+
+def _renamed_student(old: str, new: str) -> dict:
+    doc = json.loads(Path(MTO).read_text())
+    doc["students"] = {new if name == old else name: ranking for name, ranking in doc["students"].items()}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        (
+            ["solve", "--rule", "mpda"],
+            {"men": 1, "women": 1, "preferences": {"m1": ["w1", "@"], "w1": ["m1", "@"], "m" + "1" * 5000: []}},
+            "preferences",
+        ),
+        (
+            ["solve", "--rule", "mpda"],
+            {"men": 1, "women": 1, "preferences": {"m1": ["w" + "1" * 5000, "@"], "w1": ["m1", "@"]}},
+            "preferences.m1",
+        ),
+        (
+            ["check-domain", "--property", "utp"],
+            {"kind": "domain", "agents": {"m" + "2" * 5000: [["w1", "@"]]}},
+            "agents",
+        ),
+        (["solve", "--rule", "spda"], _renamed_student("s5", "s" + "1" * 5000), "students"),
+    ],
+    ids=["market-key", "ranking-token", "domain-key", "college-market-student"],
+)
+def test_agent_names_past_the_integer_digit_limit_are_format_errors(tmp_path, capsys, argv, doc, field):
+    # an index int() refuses to convert is a bad name, not a traceback
+    path = tmp_path / "long_name.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_solve_large_declared_quota_fails_fast(tmp_path):
@@ -654,6 +691,24 @@ def test_check_domain_names_the_kind_it_expects(capsys, argv, expected, kind):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert f"kind {expected!r}" in err and f"got kind {kind!r}" in err
+
+
+@pytest.mark.parametrize(
+    "read, path, expected, kind",
+    [
+        (formats.witness_from_json, P1, "witness", "market"),
+        (formats.mto_witness_from_json, MTO, "college-witness", "college-market"),
+        (lambda doc: formats.matching_from_json(doc, 2, 2), FULL_DOMAIN, "matching", "domain"),
+        (formats.mto_matching_from_json, MTO_DOMAIN, "college-matching", "college-domain"),
+    ],
+    ids=["witness", "college-witness", "matching", "college-matching"],
+)
+def test_witness_and_matching_readers_name_the_kind_they_expect(read, path, expected, kind):
+    # the same kind check as the commands' readers, before any field
+    with pytest.raises(FormatError) as caught:
+        read(json.loads(Path(path).read_text()))
+    assert caught.value.field == "kind"
+    assert f"kind {expected!r}" in str(caught.value) and f"got kind {kind!r}" in str(caught.value)
 
 
 def test_check_domain_unknown_property(capsys):

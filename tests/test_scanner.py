@@ -13,7 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab.core import OUTSIDE, Preference, Profile, Side, man, men, woman, women
+from matchlab.core import OUTSIDE, AgentId, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_matching, run_da
 from matchlab.domains import PreferenceDomain, all_preferences
 from matchlab.formats import mto_domain_from_json, mto_profile_from_json
@@ -28,7 +28,20 @@ from matchlab.manipulation import (
     validate_witness,
     wpda_rule,
 )
-from matchlab.mto import MtoDomain, MtoProfile, MtoWitness, find_manipulation_mto, run_spda
+from matchlab.mto import (
+    CollegePreference,
+    MtoDomain,
+    MtoProfile,
+    MtoWitness,
+    StudentId,
+    StudentPreference,
+    colleges,
+    find_manipulation_mto,
+    run_spda,
+    students,
+    to_marriage_matching,
+    to_marriage_profile,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -322,3 +335,82 @@ def test_college_oracle_finds_the_mixed_pair():
     found = oracle_first_mto_witness(domain, base, 2)
     assert found is not None and len(found.coalition) == 2
     assert find_manipulation_mto(domain, base, max_coalition=2) == found
+
+
+# --- both markets at quota one -----------------------------------------------------
+#
+# With every quota 1, SPDA is student-proposing DA: MPDA with the students as
+# men and the colleges as women. The two scans share only the search, so each
+# market's evaluation, ranks and witnesses are checked against the other's.
+
+
+@st.composite
+def quota_one_domains(draw):
+    """Two colleges of quota 1 and two or three students, each agent with
+    one or two admissible rankings."""
+    cs, ss = colleges(2), students(draw(st.integers(2, 3)))
+    sets = {}
+    for c in cs:
+        orders = st.permutations([(s,) for s in ss] + [()])
+        picks = draw(st.lists(orders, min_size=1, max_size=2, unique_by=tuple))
+        sets[c] = [CollegePreference(c, 1, len(ss), order) for order in picks]
+    for s in ss:
+        picks = draw(st.lists(st.permutations(cs + (OUTSIDE,)), min_size=1, max_size=2, unique_by=tuple))
+        sets[s] = [StudentPreference(s, tuple(order)) for order in picks]
+    domain = MtoDomain(sets)
+    reports = [draw(st.sampled_from(domain.admissible(a))) for a in domain.agents]
+    return domain, MtoProfile(reports[:2], reports[2:])
+
+
+def _crossing_quota_one() -> tuple[MtoDomain, MtoProfile]:
+    """Two students who want different colleges, each wanted by the other
+    college: SPDA gives the students their favorites, and either college
+    gains by cutting the student it gets below the outside option."""
+    (c1, c2), (s1, s2) = colleges(2), students(2)
+    student_prefs = [StudentPreference(s1, (c1, c2, OUTSIDE)), StudentPreference(s2, (c2, c1, OUTSIDE))]
+    college_prefs = [CollegePreference(c1, 1, 2, [(s2,), (s1,), ()]), CollegePreference(c2, 1, 2, [(s1,), (s2,), ()])]
+    cuts = [CollegePreference(c1, 1, 2, [(s2,), (), (s1,)]), CollegePreference(c2, 1, 2, [(s1,), (), (s2,)])]
+    sets = {cp.owner: [cp, cut] for cp, cut in zip(college_prefs, cuts)}
+    sets.update((sp.owner, [sp]) for sp in student_prefs)
+    return MtoDomain(sets), MtoProfile(college_prefs, student_prefs)
+
+
+def _as_marriage_agent(agent) -> AgentId:
+    return man(agent.index) if isinstance(agent, StudentId) else woman(agent.index)
+
+
+def _marriage_twin(domain: MtoDomain, base: MtoProfile) -> tuple[PreferenceDomain, Profile]:
+    """The marriage domain and base, each ranking translated by `to_marriage_profile`."""
+    sets = {}
+    for a in domain.agents:
+        m = _as_marriage_agent(a)
+        sets[m] = [to_marriage_profile(base.replace({a: pref}))[m] for pref in domain.admissible(a)]
+    return PreferenceDomain(sets), to_marriage_profile(base)
+
+
+def _renamed(witness: MtoWitness) -> ManipulationWitness:
+    deviated = to_marriage_profile(witness.deviated_profile())
+    coalition = tuple(sorted(_as_marriage_agent(a) for a in witness.coalition))
+    return ManipulationWitness(
+        "mpda",
+        to_marriage_profile(witness.base),
+        coalition,
+        tuple((m, deviated[m]) for m in coalition),
+        to_marriage_matching(witness.outcome_before),
+        to_marriage_matching(witness.outcome_after),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # random draws rarely admit a witness; the planted crossing always does
+    drawn=st.one_of(quota_one_domains(), st.builds(_crossing_quota_one)),
+    cap=st.integers(1, 2),
+)
+def test_college_scan_agrees_with_the_marriage_scan_at_quota_one(drawn, cap):
+    domain, base = drawn
+    twin, twin_base = _marriage_twin(domain, base)
+    found = find_manipulation_mto(domain, base, max_coalition=cap)
+    assert (found is None) == (find_manipulation(mpda_rule(), twin, twin_base, max_coalition=cap) is None)
+    if found is not None:
+        validate_witness(mpda_rule(), _renamed(found), twin)

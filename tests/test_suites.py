@@ -1,6 +1,9 @@
 """Verification-suite harness behavior: verdicts, determinism, guards."""
 
+import itertools
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -149,6 +152,20 @@ def test_failing_survey_stops_at_its_first_failing_trial(monkeypatch):
     assert outcome.verdict == "fail" and outcome.trials == 5 and outcome.notes == ""
     # the first trial is a planted base that admits a witness
     assert len(scans) == 1
+
+
+def test_trial_seeds_are_drawn_one_trial_at_a_time():
+    # a run asks for seeds as its trials start, so a huge --trials costs
+    # nothing before the first trial
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(suites._trial_seeds(42, 10**6), 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    rng = random.Random(42)
+    assert first == [rng.randrange(2**62) for _ in range(5)]
 
 
 def test_lemma_c1_reports_rule_hits():
