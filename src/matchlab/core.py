@@ -261,7 +261,7 @@ def _ranking_fault(owner, ranking: tuple, index_of: dict) -> str:
         seen.add(x)
     # a ranking holding @ and another entry expects at least one agent
     names = list(index_of)  # by index
-    return f"ranking of {owner!r} contains {x!r}; it must rank each of {names[0]!r}..{names[-1]!r} and @ exactly once"
+    return f"ranking of {owner!r} contains {x!r:.40}; it must rank each of {names[0]!r}..{names[-1]!r} and @ exactly once"
 
 
 class Preference(Ranking):

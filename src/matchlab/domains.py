@@ -28,7 +28,6 @@ from .core import (
     men,
     outcome_key,
     size_guard,
-    stable_assignments,
     women,
 )
 from .errors import (
@@ -642,84 +641,129 @@ class StableSpSearch:
         return self.rule is not None
 
 
-def _rank_of_index(pref: Preference, idx) -> int:
-    return pref.outside_rank if idx is None else pref.rank_by_index[idx]
+def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tuple[list, list, list, list]:
+    """The stable matchings of every profile of a p-by-q product domain.
+
+    ``lists`` holds the admissible reports of each agent, men then women,
+    as in `ProductDomain.product_order`. Returns the matchings of
+    `iter_assignments`, in its order; ``lots[a][k]``, the partner of agent
+    position a (man a, or woman a - p) in matching k, with the size of the
+    other side for unmatched; ``ranks[a][d]``, report d's rank of each lot
+    code; and ``options``, for each profile in product order the indices of
+    its stable matchings, ascending, exactly as `stable_assignments` keeps
+    them.
+
+    Per agent and report, one bitmask over the matchings holds those whose
+    lot the report accepts, and one per opposite agent x those where the
+    report ranks x above the lot. A profile's stable set is the AND of its
+    agents' accept masks, less every matching where some man and woman each
+    want the other.
+    """
+    matchings = list(iter_assignments(p, q))
+    bits = [1 << k for k in range(len(matchings))]
+    lots = [[q if j is None else j for j in column] for column in zip(*(m[0] for m in matchings))]
+    lots += [[p if i is None else i for i in column] for column in zip(*(m[1] for m in matchings))]
+    ranks, accepts, wants = [], [], []
+    for lot, prefs in zip(lots, lists):
+        rows = [pref.rank_by_index + (pref.outside_rank,) for pref in prefs]
+        ranks.append(rows)
+        accepts.append([sum(b for b, c in zip(bits, lot) if r[c] <= r[-1]) for r in rows])
+        wants.append(
+            [tuple(sum(b for b, c in zip(bits, lot) if r[x] < r[c]) for x in range(len(r) - 1)) for r in rows]
+        )
+
+    # layer by layer in product order: each men's digit vector, with what
+    # each man wants, then per woman and report the matchings it leaves
+    men_layer = [(sum(bits), ())]
+    for a in range(p):
+        men_layer = [
+            (mask & accepts[a][d], rows + (wants[a][d],))
+            for mask, rows in men_layer
+            for d in range(len(lists[a]))
+        ]
+    masks: list[int] = []
+    for mask, men_wants in men_layer:
+        layer = [mask]
+        for j in range(q):
+            allowed = []
+            for accept, want in zip(accepts[p + j], wants[p + j]):
+                blocked = 0
+                for i, row in enumerate(men_wants):
+                    blocked |= row[j] & want[i]
+                allowed.append(accept & ~blocked)
+            layer = [m & x for m in layer for x in allowed]
+        masks.extend(layer)
+
+    memo: dict[int, tuple[int, ...]] = {}
+    options = []
+    for mask in masks:
+        opts = memo.get(mask)
+        if opts is None:
+            opts = memo[mask] = tuple(k for k, b in enumerate(bits) if mask & b)
+        options.append(opts)
+    return matchings, lots, ranks, options
 
 
 def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     """Chronological backtracking over per-profile stable selections.
 
-    Profiles are walked by index in the domain's product order. Assigning
-    profile t checks, against every already assigned profile t' differing in
-    one agent's coordinate, that the deviating agent gains in neither
-    direction. Returns a full table or None when provably none exists.
+    Profiles are walked by index in the domain's product order, each with
+    its stable options from `_stable_options`. Assigning profile t checks,
+    against every already assigned profile t' differing in one agent's
+    coordinate, that the deviating agent gains in neither direction, by
+    comparing the ranks of its lot codes. Returns a full table or None when
+    provably none exists; preference tuples are built only for the table's
+    keys.
     """
     total = domain.profile_count
     if total > EXHAUSTIVE_PROFILE_BUDGET:
         raise BudgetExceededError(
             f"backtracking search is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles", total
         )
-    agents = domain.agents
-    n_agents = len(agents)
+    p = domain.p
     order = domain.product_order()
     lists, strides = order.lists, order.strides
+    matchings, lots, ranks, options = _stable_options(p, domain.q, lists)
     digit_tuples = list(order.digits())
-    men_count = domain.p
-    matchings = list(iter_assignments(domain.p, domain.q))
+    chosen = [-1] * total  # index into options[pos]
+    picked = [0] * total  # the matching chosen at pos
 
-    keys: list[tuple] = []
-    options: list[list[tuple]] = []
-    for digits in digit_tuples:
-        prefs = order.preferences(digits)
-        men_prefs, women_prefs = prefs[:men_count], prefs[men_count:]
-        keys.append((men_prefs, women_prefs))
-        options.append(stable_assignments(matchings, men_prefs, women_prefs))
-
-    def outcome_of(agent_pos: int, option: tuple):
-        a = agents[agent_pos]
-        return option[0][a.index] if a.side is Side.MAN else option[1][a.index]
-
-    chosen = [-1] * len(digit_tuples)
-
-    def consistent(pos: int, option: tuple) -> bool:
-        digits = digit_tuples[pos]
-        for ai in range(n_agents):
-            d = digits[ai]
+    def consistent(pos: int, k: int) -> bool:
+        for a, d in enumerate(digit_tuples[pos]):
             if d == 0:
                 continue
-            here = outcome_of(ai, option)
-            pref_here = lists[ai][d]
-            stride = strides[ai]
-            for v in range(d):
-                nb = pos + (v - d) * stride
-                there = outcome_of(ai, options[nb][chosen[nb]])
-                if _rank_of_index(pref_here, there) < _rank_of_index(pref_here, here):
-                    return False  # misreporting v would gain at this profile
-                pref_there = lists[ai][v]
-                if _rank_of_index(pref_there, here) < _rank_of_index(pref_there, there):
-                    return False  # misreporting d would gain at the neighbor
+            lot = lots[a]
+            here = lot[k]
+            rank_here = ranks[a][d]
+            mine = rank_here[here]
+            stride = strides[a]
+            nb = pos - d * stride  # the profile where agent a reports 0
+            for rank_there in ranks[a][:d]:
+                there = lot[picked[nb]]
+                if rank_here[there] < mine:
+                    return False  # its report at nb would gain at this profile
+                if rank_there[here] < rank_there[there]:
+                    return False  # its report here would gain at nb
+                nb += stride
         return True
 
     pos = 0
-    n_profiles = len(digit_tuples)
-    while True:
-        if pos == n_profiles:
-            break
-        advanced = False
-        for opt_idx in range(chosen[pos] + 1, len(options[pos])):
-            if consistent(pos, options[pos][opt_idx]):
+    while pos < total:
+        opts = options[pos]
+        for opt_idx in range(chosen[pos] + 1, len(opts)):
+            if consistent(pos, opts[opt_idx]):
                 chosen[pos] = opt_idx
-                advanced = True
+                picked[pos] = opts[opt_idx]
+                pos += 1
                 break
-        if advanced:
-            pos += 1
         else:
             chosen[pos] = -1
             pos -= 1
             if pos < 0:
                 return None
 
-    return {key: options[pos][chosen[pos]][0] for pos, key in enumerate(keys)}
+    keys = itertools.product(list(itertools.product(*lists[:p])), list(itertools.product(*lists[p:])))
+    return {key: matchings[k][0] for key, k in zip(keys, picked)}
 
 
 def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> StableSpSearch:

@@ -82,12 +82,13 @@ def _require_count(doc: Mapping, key: str, label: str | None = None) -> int:
 
 
 def _parse_name(token: Any, field: str, prefixes: str) -> tuple[str, int]:
+    # a token echoed in an error is cut short, as the document may be hostile
     if not isinstance(token, str):
-        raise FormatError(field, f"expected an agent name string, got {token!r}")
+        raise FormatError(field, f"expected an agent name string, got {token!r:.40}")
     m = _AGENT_NAME.match(token)
     if not m or m.group(1) not in prefixes:
         wanted = " or ".join(f"{c}<k>" for c in prefixes)
-        raise FormatError(field, f"bad agent name {token!r}, expected {wanted}")
+        raise FormatError(field, f"bad agent name {token!r:.40}, expected {wanted}")
     return m.group(1), int(m.group(2)) - 1
 
 
@@ -136,7 +137,7 @@ def _parse_ranking(tokens: Any, field: str, side: Side, names: Mapping) -> tuple
             continue
         got, idx = _parse_name(tok, field, "mwcs")
         if got != prefix:
-            raise FormatError(field, f"{tok!r} is not on the expected side ({prefix}<k>)")
+            raise FormatError(field, f"{tok!r:.40} is not on the expected side ({prefix}<k>)")
         out.append(AgentId(side, idx))
     return tuple(out)
 
@@ -165,8 +166,9 @@ def profile_to_json(profile: Profile) -> dict:
 
 
 def _some_names(names: Iterable[str], count: int) -> str:
-    """The first _MAX_NAMED of ``count`` names, then how many more there are."""
-    shown = list(itertools.islice(names, _MAX_NAMED))
+    """The first _MAX_NAMED of ``count`` names, each cut to 40 characters,
+    then how many more there are."""
+    shown = [f"{name:.40}" for name in itertools.islice(names, _MAX_NAMED)]
     tail = f" and {count - len(shown)} more" if count > len(shown) else ""
     return ", ".join(shown) + tail
 
@@ -295,7 +297,7 @@ def orderings_from_json(doc: Any) -> tuple[PriorOrdering, PriorOrdering]:
         for tok in _require_list(doc.get(field), field):
             a = _marriage_agent(tok, field)
             if a.side is not side:
-                raise FormatError(field, f"{tok!r} does not belong on the {field} line")
+                raise FormatError(field, f"{tok!r:.40} does not belong on the {field} line")
             order.append(a)
         lines.append(_wrap(field, PriorOrdering, side, tuple(order)))
     return lines[0], lines[1]
@@ -455,7 +457,7 @@ def witness_from_json(doc: Any) -> ManipulationWitness:
     doc = _require_kind(doc, "witness")
     rule_name = doc.get("rule")
     if rule_name not in ("mpda", "wpda"):
-        raise FormatError("rule", f"unknown rule {rule_name!r}, expected mpda or wpda")
+        raise FormatError("rule", f"unknown rule {rule_name!r:.40}, expected mpda or wpda")
     base = profile_from_json(doc.get("base"))
     coalition = tuple(
         _marriage_agent(tok, "coalition")

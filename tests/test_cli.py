@@ -821,6 +821,28 @@ def test_solve_rejects_a_huge_declared_market_without_building_it(capsys, tmp_pa
     assert "missing agents: m1, m2, m3, m4, m5, m6, m7, m8, m9, m10 and 999999991 more" in err
 
 
+def test_solve_cuts_hostile_agent_names_in_errors(capsys, tmp_path):
+    # a name past the 4,300 digits an index may have, a well-formed name of
+    # an agent past the market, and seven long unknown keys
+    def market(m1_ranking):
+        return {"men": 1, "women": 1, "preferences": {"m1": m1_ranking, "w1": ["m1", "@"]}}
+
+    long_keys = market(["w1", "@"])
+    long_keys["preferences"].update({str(k) * 20000: [] for k in range(7)})
+    cases = (
+        (market(["w" + "1" * 100000, "@"]), "bad agent name 'w111"),
+        (market(["w" + "1" * 4300, "@"]), "ranking of m1 contains w111"),
+        (long_keys, "unknown agents: 0000"),
+    )
+    for doc, message in cases:
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--rule", "mpda", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert message in err
+        assert len(err) < 400
+
+
 def test_verify_bad_jobs(capsys):
     # trials run in one thread; the flag that asked for more is gone
     code, _, err = run(capsys, "verify", "--suite", "example1", "--jobs", "4")

@@ -10,9 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab.core import OUTSIDE, Preference, Side, StrictOrder, man, men, stable_set, woman, women
+from matchlab.core import (
+    OUTSIDE,
+    Preference,
+    Side,
+    StrictOrder,
+    iter_assignments,
+    man,
+    men,
+    stable_assignments,
+    stable_set,
+    woman,
+    women,
+)
 from matchlab.domains import (
     AlternatingSequenceWitness,
+    _backtracking_table,
+    _stable_options,
     PreferenceDomain,
     PriorOrdering,
     all_preferences,
@@ -557,6 +571,91 @@ def test_backtracking_tables_are_pinned():
     for seed, digest in TABLE_DIGESTS.items():
         table = exists_stable_sp_rule(_seeded_domain(seed), "backtracking").table
         assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == digest, seed
+
+
+def _reference_table(domain):
+    """The rule search as first written: per profile, the stable matchings
+    that `stable_assignments` keeps, and consistency from rank lookups."""
+    p = domain.p
+    order = domain.product_order()
+    digit_tuples = list(order.digits())
+    matchings = list(iter_assignments(p, domain.q))
+    keys, options = [], []
+    for digits in digit_tuples:
+        prefs = order.preferences(digits)
+        keys.append((prefs[:p], prefs[p:]))
+        options.append(stable_assignments(matchings, prefs[:p], prefs[p:]))
+
+    def rank(pref, option, a):
+        idx = option[0][a.index] if a.side is Side.MAN else option[1][a.index]
+        return pref.outside_rank if idx is None else pref.rank_by_index[idx]
+
+    chosen = [-1] * len(keys)
+
+    def consistent(pos, option):
+        for ai, (a, d) in enumerate(zip(domain.agents, digit_tuples[pos])):
+            for v in range(d):
+                there = options[pos + (v - d) * order.strides[ai]]
+                there = there[chosen[pos + (v - d) * order.strides[ai]]]
+                here_pref, there_pref = order.lists[ai][d], order.lists[ai][v]
+                if rank(here_pref, there, a) < rank(here_pref, option, a):
+                    return False
+                if rank(there_pref, option, a) < rank(there_pref, there, a):
+                    return False
+        return True
+
+    pos = 0
+    while pos < len(keys):
+        for opt_idx in range(chosen[pos] + 1, len(options[pos])):
+            if consistent(pos, options[pos][opt_idx]):
+                chosen[pos] = opt_idx
+                pos += 1
+                break
+        else:
+            chosen[pos] = -1
+            pos -= 1
+            if pos < 0:
+                return None
+    return {key: options[pos][chosen[pos]][0] for pos, key in enumerate(keys)}
+
+
+def _random_sub_domain(rng, p, q, largest):
+    full = PreferenceDomain.full(p, q)
+    return PreferenceDomain(
+        {a: rng.sample(full.admissible(a), rng.randint(1, min(largest, len(full.admissible(a))))) for a in full.agents}
+    )
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2)])
+def test_backtracking_table_matches_the_reference_search(p, q):
+    found = []
+    for seed in range(30):
+        domain = _random_sub_domain(random.Random(seed), p, q, 6)
+        table = _backtracking_table(domain)
+        assert repr(table) == repr(_reference_table(domain)), seed
+        found.append(table is not None)
+    # the seeds hold domains with a rule and domains without one
+    assert any(found) and not all(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stable_options_match_stable_assignments(data):
+    p = data.draw(st.integers(min_value=1, max_value=3), label="men")
+    q = data.draw(st.integers(min_value=1, max_value=3), label="women")
+    sets = {}
+    for a in men(p) + women(q):
+        prefs = all_preferences(a, q if a.side is Side.MAN else p)
+        sets[a] = data.draw(st.lists(st.sampled_from(prefs), min_size=1, max_size=3, unique=True), label=a.name)
+    domain = PreferenceDomain(sets)
+    order = domain.product_order()
+    matchings, _, _, options = _stable_options(p, q, order.lists)
+    assert matchings == list(iter_assignments(p, q))
+    listed = list(order.digits())
+    assert len(options) == len(listed)
+    for digits, opts in zip(listed, options):
+        prefs = order.preferences(digits)
+        assert [matchings[k] for k in opts] == stable_assignments(iter_assignments(p, q), prefs[:p], prefs[p:])
 
 
 def _cut_marriage_domain() -> PreferenceDomain:

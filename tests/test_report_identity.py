@@ -10,7 +10,9 @@ coalition-scanner entries (marriage `manipulate` at cap 4, `theorem1`,
 exhaustive-only; the marriage `solve` entries before documents were parsed
 and traces written through per-market name tables; the `--help` entries
 (argparse exits through SystemExit, and wraps lines at COLUMNS=80) before
-the parser's suite list and budget default moved into `core`.
+the parser's suite list and budget default moved into `core`; the
+off-2x2 `lemma-c1` entries before the rule search moved to per-agent
+stability bitmasks.
 """
 
 import hashlib
@@ -27,6 +29,10 @@ REPORT_DIGESTS = {
         (0, "99ea07785afc419f8628acd3a123604648affbe87c6c5a60c0483918c23b31dd"),
     ("verify", "--suite", "lemma-c1", "--json"):
         (0, "36d2809d6ee94228cadb33201dbe9ed9373062a9c85812311813dae8399592f9"),
+    ("verify", "--suite", "lemma-c1", "--men", "2", "--women", "3", "--json"):
+        (0, "ec0663f4bf977e1f75c03d5de6850b6e77b36641e87f42bec32e4cd123a5618b"),
+    ("verify", "--suite", "lemma-c1", "--men", "3", "--women", "2", "--json"):
+        (0, "3d1ba5e08a50b85ee12faee6b537a1b0d143f78205ac66c035bac9a4eb73de38"),
     ("verify", "--suite", "lemma-c2", "--json"):
         (0, "8492bfc9c6ca34ec49da0d007146e0af53aa64b9fcdc6fbd3bddd6c44c41764b"),
     ("verify", "--suite", "theorem3", "--json"):
