@@ -31,9 +31,8 @@ other's oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
     AgentId,
@@ -53,8 +52,7 @@ class RuleId(Enum):
     WPDA = "wpda"  # women propose
 
 
-@dataclass(frozen=True)
-class DaStep:
+class DaStep(NamedTuple):
     """One simultaneous round: who proposed to whom, who got rejected by whom."""
 
     number: int
@@ -63,8 +61,7 @@ class DaStep:
     tentative: Matching
 
 
-@dataclass(frozen=True)
-class DaTrace:
+class DaTrace(NamedTuple):
     rule: RuleId
     steps: tuple[DaStep, ...]
 

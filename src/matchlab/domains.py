@@ -778,18 +778,16 @@ def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> Stabl
     if path not in ("auto", "backtracking"):
         raise ValidationError(f"unknown path {path!r}")
     if path == "auto":
-        if satisfies_unrestricted_top_pairs(domain, Side.MAN):
-            rule = mpda_rule()
-            check = is_strategy_proof(rule, domain)
-            if check:
-                return StableSpSearch(rule=rule, path="shortcut-mpda")
-            return StableSpSearch(rule=None, path="shortcut-mpda", sp_witness=check.witness)
-        if satisfies_unrestricted_top_pairs(domain, Side.WOMAN):
-            rule = wpda_rule()
-            check = is_strategy_proof(rule, domain)
-            if check:
-                return StableSpSearch(rule=rule, path="shortcut-wpda")
-            return StableSpSearch(rule=None, path="shortcut-wpda", sp_witness=check.witness)
+        for side, make_rule, shortcut in (
+            (Side.MAN, mpda_rule, "shortcut-mpda"),
+            (Side.WOMAN, wpda_rule, "shortcut-wpda"),
+        ):
+            if satisfies_unrestricted_top_pairs(domain, side):
+                rule = make_rule()
+                check = is_strategy_proof(rule, domain)
+                if check:
+                    return StableSpSearch(rule=rule, path=shortcut)
+                return StableSpSearch(rule=None, path=shortcut, sp_witness=check.witness)
     table = _backtracking_table(domain)
     if table is None:
         return StableSpSearch(rule=None, path="backtracking")

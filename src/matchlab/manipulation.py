@@ -45,7 +45,7 @@ class MatchingRule:
 
     `assignment` maps the men's and the women's preference tuples to each
     man's partner index (None when unmatched). It keeps no results: the
-    certifications below keep their own memo for the length of one run.
+    certifications below keep their own outcome table for one run.
     `_evaluate` is the same map for reports taken from a `ProductDomain`,
     whose construction has checked their shape, given as two lists or
     tuples: a DA rule runs its engine on them without the check, every
@@ -242,10 +242,10 @@ def _witnesses(make: Callable, outcome: Callable) -> Callable:
     return witness
 
 
-def _coalition_cap(alternative_counts: Sequence[int], max_coalition: int, budget: int) -> tuple[int, int]:
-    """The coalition size bound clipped to the pool, and the evaluations
+def _coalition_cap(alternative_counts: Sequence[int], max_coalition: int, budget: int) -> int:
+    """The coalition size bound clipped to the pool, once the evaluations
     the scan at one base (`alternative_counts` per pool agent) plans with
-    it, once they fit the budget."""
+    it fit the budget."""
     if max_coalition < 1:
         raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
     # the floor of 1 only matters for an empty pool, which plans nothing
@@ -256,7 +256,7 @@ def _coalition_cap(alternative_counts: Sequence[int], max_coalition: int, budget
             f"coalition scan at one base exceeds the evaluation budget of {budget}",
             planned,
         )
-    return max_coalition, planned
+    return max_coalition
 
 
 def _scan(
@@ -276,7 +276,7 @@ def _scan(
     reports of one agent with equal keys must give the same outcome
     whatever the others report."""
     true, alternatives = domain.deviations(base)
-    cap, _ = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
+    cap = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
     classes = None if class_key is None else [tuple(map(class_key, alts)) for alts in alternatives]
     for hit in _search(true, alternatives, pool, market.evaluate, market.ranks(true), cap, classes):
         yield market.witness(base, *hit)
@@ -512,28 +512,24 @@ def _certify(
     budget: int,
     max_coalition: Optional[int],
 ) -> StrategyProofness:
-    """Scan every admissible profile as a digit vector in the domain's
-    product order. Reports are digits, so a profile's index is its memo key:
-    the run's one outcome memo never holds more than `profile_count`
-    outcomes, and preferences are looked up only to evaluate a new profile
-    or to build the witness.
+    """Certify the rule on every admissible profile, taken as a digit vector
+    in the domain's product order. Reports are digits, so a profile's index
+    is its key in the run's outcome table.
 
-    Once the scans have planned as many evaluations as the domain has
-    profiles, the walk fills the rest of the memo and builds every agent's
-    gain sets (`_gain_sets`). From there it skips each base from which no
-    deviation, by a coalition of any size, leaves every deviator strictly
-    better off; a witness needs such a deviation, so skipping changes
-    neither the verdict nor the first witness. The other bases are scanned
-    as before. A certification that fails early thus costs what a plain
-    walk costs, and any other about twice the cheaper of a plain walk and
-    the complete table at most.
+    The walk first evaluates the rule once at every profile, in index
+    order, and builds every agent's gain sets (`_gain_sets`) from that
+    table. It then skips each base from which no deviation, by a coalition
+    of any size, leaves every deviator strictly better off; a witness needs
+    such a deviation, so skipping changes neither the verdict nor the first
+    witness. Every other base is scanned by `_search`, which reads its
+    outcomes from the table. A certification thus costs one evaluation per
+    profile, whether it holds or fails at its first base, and preferences
+    are looked up only to build the table, to rank a scanned base's lots or
+    to build the witness.
 
-    Filling the memo evaluates the rule at every admissible profile. A rule
-    that is not total on the domain, such as a table rule built from a
-    partial table, raises PreconditionError there, even when a plain walk
-    would have found a witness before reaching the missing profile; a
-    certification that ends before the switch raises only as a plain walk
-    does.
+    A rule that is not total on the domain, such as a table rule built from
+    a partial table, raises PreconditionError while the table is built,
+    before any base is scanned.
     """
     count = domain.profile_count
     if count > EXHAUSTIVE_PROFILE_BUDGET:
@@ -545,34 +541,21 @@ def _certify(
     lists, strides = order.lists, order.strides
     # others[i][d]: agent i's digits other than d, in list order
     others = [[tuple(v for v in range(len(l)) if v != d) for d in range(len(l))] for l in lists]
-    memo: list = [None] * count
-    outcome_of = market.evaluate
-
-    def evaluate(digits: list) -> object:
-        key = sum(map(operator.mul, digits, strides))
-        outcome = memo[key]
-        if outcome is None:
-            outcome = memo[key] = outcome_of(order.preferences(digits))
-        return outcome
-
     pool = range(len(lists))
     # every base has len(list) - 1 alternatives per agent, so one plan
     # covers the run
-    cap, planned = _coalition_cap(
+    cap = _coalition_cap(
         [len(l) - 1 for l in lists], len(pool) if max_coalition is None else max_coalition, budget
     )
-    # the first base at which the scans before it have planned `count`
-    # evaluations
-    switch = -(-count // max(planned, 1))
-    reachable = None
+    # the product of the lists runs in index order
+    table = list(map(market.evaluate, itertools.product(*lists)))
+    reachable = _gain_sets(*market.lots(table, lists), strides)
+
+    def evaluate(digits: list) -> object:
+        return table[sum(map(operator.mul, digits, strides))]
+
     for key, digits in enumerate(order.digits()):
-        if key == switch:
-            # the product of the lists runs in index order
-            for k, prefs in enumerate(itertools.product(*lists)):
-                if memo[k] is None:
-                    memo[k] = outcome_of(prefs)
-            reachable = _gain_sets(*market.lots(memo, lists), strides)
-        if reachable is not None and reachable(digits, key) == 1 << key:
+        if reachable(digits, key) == 1 << key:
             continue
         true = order.preferences(digits)
         alternatives = [o[d] for o, d in zip(others, digits)]

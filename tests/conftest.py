@@ -1,6 +1,8 @@
 """Shared builders for the canonical 2x2 market used throughout the tests."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,11 @@ from matchlab.core import (
 
 M1, M2 = man(0), man(1)
 W1, W2 = woman(0), woman(1)
+
+# the commands that tests run in a child interpreter import the package
+# from the same source tree as the tests
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def pref(owner, *ranking):

@@ -27,22 +27,26 @@ MTO_DOMAIN = str(ROOT / "fixtures" / "example2_domain.json")
 # loaded by the commands that use them, never by a marriage solve or stable-set
 ENGINES = {"matchlab.domains", "matchlab.manipulation", "matchlab.mto", "matchlab.suites"}
 
-# runs its argument as Python, then prints the matchlab modules it loaded
+# runs its argument as Python, then prints the modules it loaded
 PROBE = """
 import contextlib, io, json, sys
 with contextlib.redirect_stdout(io.StringIO()):
     exec(sys.argv[1])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "matchlab")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _modules_after(code: str) -> set:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+def _loaded_after(code: str) -> set:
+    # conftest has put the source tree on PYTHONPATH
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
         [sys.executable, "-c", PROBE, code], env=env, capture_output=True, text=True, check=True
     )
     return set(json.loads(result.stdout))
+
+
+def _modules_after(code: str) -> set:
+    return {m for m in _loaded_after(code) if m.split(".")[0] == "matchlab"}
 
 
 def test_bare_import_loads_no_submodule():
@@ -64,6 +68,19 @@ def test_marriage_commands_load_no_engine_they_do_not_run(argv):
     loaded = _modules_after(f"from matchlab.cli import main; assert main({argv!r}) == 0")
     assert "matchlab.cli" in loaded
     assert loaded & ENGINES == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--rule", "mpda", P1], ["solve", "--rule", "mpda", "--trace", P1]],
+    ids=["mpda", "mpda-trace"],
+)
+def test_marriage_solve_leaves_dataclasses_unloaded(argv):
+    # DA's trace records are named tuples: `dataclasses` costs a solve
+    # several milliseconds of imports (`inspect`, `ast`, `dis`)
+    loaded = _loaded_after(f"from matchlab.cli import main; assert main({argv!r}) == 0")
+    assert "matchlab.da" in loaded
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -46,8 +46,8 @@ def test_rule_apply_matches_da(p1):
 
 
 def test_group_certification_evaluates_each_profile_once(monkeypatch):
-    # the certification's memo is indexed by profile, so DA runs at most
-    # once per admissible profile however many scans ask for it
+    # the certification's outcome table is indexed by profile, so DA runs
+    # once per admissible profile however many scans read it
     calls = []
     engine = da._sequential_da
 
@@ -59,8 +59,7 @@ def test_group_certification_evaluates_each_profile_once(monkeypatch):
     dom = PreferenceDomain.full(2, 2)
     check = is_group_strategy_proof(mpda_rule(), dom, max_coalition=2)
     assert not check
-    assert 0 < len(calls) <= dom.profile_count
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == dom.profile_count == len(set(calls))
     calls.clear()
     men_rk = [p.ranking for p in all_preferences(M1, 2)]
     women_rk = [(M1, M2, OUTSIDE), (M2, M1, OUTSIDE)]
@@ -81,18 +80,19 @@ def _count_evaluations(monkeypatch) -> list:
     return calls
 
 
-def test_certification_failing_before_the_switch_evaluates_what_a_plain_walk_does(monkeypatch):
-    # 24 * 24 * 6 * 6 * 3 = 62,208 profiles; MPDA's first witness comes
-    # long before the walk has planned that many evaluations, so no table
-    # is built and the count is a plain walk's
+def test_certification_evaluates_every_profile_once_even_when_it_fails_early(monkeypatch):
+    # 24 * 24 * 6 * 6 * 3 = 62,208 profiles; MPDA fails at an early base,
+    # yet the walk builds its whole outcome table before it scans any base
     sets = {m: all_preferences(m, 3) for m in men(2)}
     sets.update({w: all_preferences(w, 2)[:size] for w, size in zip(women(3), (6, 6, 3))})
     dom = PreferenceDomain(sets)
     assert dom.profile_count == 62_208
     calls = _count_evaluations(monkeypatch)
-    check = is_strategy_proof(mpda_rule(), dom)
-    assert not check
-    assert len(calls) == 6_137
+    assert not is_strategy_proof(mpda_rule(), dom)
+    assert len(calls) == dom.profile_count == len(set(calls))
+    calls.clear()
+    assert not is_group_strategy_proof(mpda_rule(), dom)
+    assert len(calls) == dom.profile_count == len(set(calls))
 
 
 def test_certification_refusals_evaluate_nothing(monkeypatch):
@@ -115,14 +115,13 @@ def _mpda_table_but_the_last_profile(domain):
     return MatchingRule.from_table(table, name="partial", stable=True)
 
 
-def test_certification_of_a_partial_table_raises_once_it_fills_the_memo():
-    # no single-agent scan before MPDA's first witness reaches the last
-    # profile; on the full 2x2 domain that witness, at base 84, lies past
-    # the switch at base 65, where the walk evaluates every profile
+def test_certification_of_a_partial_table_raises_before_scanning_any_base():
+    # the walk evaluates every profile before it scans a base, so a missing
+    # profile raises even where MPDA's first witness comes long before it:
+    # at base 84 of the full 2x2 domain, and early in `early`
     full = PreferenceDomain.full(2, 2)
     with pytest.raises(PreconditionError, match="outside the table"):
         is_strategy_proof(_mpda_table_but_the_last_profile(full), full)
-    # a witness before the switch ends the walk as a plain walk would
     early = PreferenceDomain(
         {
             M1: [all_preferences(M1, 2)[i] for i in (0, 3, 2)],
@@ -131,10 +130,9 @@ def test_certification_of_a_partial_table_raises_once_it_fills_the_memo():
             W2: [all_preferences(W2, 2)[i] for i in (0, 5, 2)],
         }
     )
-    check = is_strategy_proof(_mpda_table_but_the_last_profile(early), early)
-    plain = is_strategy_proof(mpda_rule(), early)
-    assert not check
-    assert dataclasses.replace(check.witness, rule_name="mpda") == plain.witness
+    assert not is_strategy_proof(mpda_rule(), early)
+    with pytest.raises(PreconditionError, match="outside the table"):
+        is_strategy_proof(_mpda_table_but_the_last_profile(early), early)
 
 
 def test_scans_run_domain_reports_without_the_shape_check(monkeypatch, p1):
@@ -519,9 +517,9 @@ def _women_limited_to(positions):
 
 
 # MPDA and WPDA are group strategy-proof on the first and manipulable on
-# the second, whose first witness sits at or past every switch point
-HOLDS_PAST_THE_SWITCH = _women_limited_to((0, 1))
-FAILS_PAST_THE_SWITCH = _women_limited_to((0, 1, 2))
+# the second, whose first witness comes late in the product order
+GSP_DOMAIN = _women_limited_to((0, 1))
+LATE_WITNESS_DOMAIN = _women_limited_to((0, 1, 2))
 
 
 @st.composite
@@ -548,33 +546,20 @@ def _first_witness(rule, domain, max_coalition):
     return None
 
 
-def _switch_base(domain, max_coalition):
-    """The base at which a certification starts skipping: the first whose
-    scans before it have planned as many evaluations as there are profiles."""
-    counts = [len(domain.admissible(a)) - 1 for a in domain.agents]
-    cap = len(counts) if max_coalition is None else min(max_coalition, len(counts))
-    return -(-domain.profile_count // max(planned_evaluations(counts, cap), 1))
-
-
-def _base_index(domain, base):
-    strides = domain.product_order().strides
-    return sum(domain.index_of(a, base[a]) * s for a, s in zip(domain.agents, strides))
-
-
-def test_pinned_domains_cross_the_switch_point():
-    for cap in (1, 2, None):
+@pytest.mark.parametrize("cap", [1, 2, None])
+def test_certification_evaluates_every_profile_once_at_every_cap(monkeypatch, cap):
+    calls = _count_evaluations(monkeypatch)
+    for domain, holds in ((GSP_DOMAIN, True), (LATE_WITNESS_DOMAIN, False)):
         for rule in (mpda_rule(), wpda_rule()):
-            assert is_group_strategy_proof(rule, HOLDS_PAST_THE_SWITCH, max_coalition=cap)
-            assert _switch_base(HOLDS_PAST_THE_SWITCH, cap) < HOLDS_PAST_THE_SWITCH.profile_count
-            witness = _first_witness(rule, FAILS_PAST_THE_SWITCH, cap)
-            at = _base_index(FAILS_PAST_THE_SWITCH, witness.base)
-            assert at >= _switch_base(FAILS_PAST_THE_SWITCH, cap)
+            calls.clear()
+            assert is_group_strategy_proof(rule, domain, max_coalition=cap).holds == holds
+            assert len(calls) == domain.profile_count == len(set(calls))
 
 
 @settings(max_examples=40, deadline=None)
 @given(domain=small_domains())
-@example(domain=HOLDS_PAST_THE_SWITCH)
-@example(domain=FAILS_PAST_THE_SWITCH)
+@example(domain=GSP_DOMAIN)
+@example(domain=LATE_WITNESS_DOMAIN)
 def test_certification_matches_the_memo_free_oracle(domain):
     rules = [mpda_rule(), wpda_rule()]
     search = exists_stable_sp_rule(domain, "backtracking")

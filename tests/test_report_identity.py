@@ -12,7 +12,9 @@ and traces written through per-market name tables; the `--help` entries
 (argparse exits through SystemExit, and wraps lines at COLUMNS=80) before
 the parser's suite list and budget default moved into `core`; the
 off-2x2 `lemma-c1` entries before the rule search moved to per-agent
-stability bitmasks.
+stability bitmasks; the off-2x2 `theorem2`, `theorem3` and
+`prop-gsp-existence` entries before certifications built their whole
+outcome table ahead of the first scan.
 """
 
 import hashlib
@@ -33,6 +35,16 @@ REPORT_DIGESTS = {
         (0, "ec0663f4bf977e1f75c03d5de6850b6e77b36641e87f42bec32e4cd123a5618b"),
     ("verify", "--suite", "lemma-c1", "--men", "3", "--women", "2", "--json"):
         (0, "3d1ba5e08a50b85ee12faee6b537a1b0d143f78205ac66c035bac9a4eb73de38"),
+    ("verify", "--suite", "prop-gsp-existence", "--men", "2", "--women", "3", "--json"):
+        (0, "ac1276ca680b6783295ee3c6b11a23097639b71c96c266b4b0af037d002adca6"),
+    ("verify", "--suite", "prop-gsp-existence", "--men", "3", "--women", "2", "--json"):
+        (0, "cfad88592b6f881873ecad6a8b8fe6cf73806bf6372ec1c4a2b9e9e0ad7b20f0"),
+    ("verify", "--suite", "theorem2", "--men", "2", "--women", "3", "--json"):
+        (0, "87047cf676aa538f6b91dc040692ebe5712e45e2ec2546dfd98558522ae551a4"),
+    ("verify", "--suite", "theorem2", "--men", "3", "--women", "2", "--json"):
+        (0, "e071457884e9d70f3e877f660bb16efc01a9e9057b946d918da30922602e8107"),
+    ("verify", "--suite", "theorem3", "--men", "2", "--women", "3", "--json"):
+        (0, "8eb59f15e477278fa248a69ef16f28fc3666f3fb633895e8662da9c3cb47be91"),
     ("verify", "--suite", "lemma-c2", "--json"):
         (0, "8492bfc9c6ca34ec49da0d007146e0af53aa64b9fcdc6fbd3bddd6c44c41764b"),
     ("verify", "--suite", "theorem3", "--json"):
