@@ -8,10 +8,12 @@ canonical and runs are reproducible. Searches count their planned rule
 evaluations, one per joint misreport, up front and refuse budgets they
 would blow through.
 
-A DA outcome depends on a report only through its acceptable list, so the
-marriage search evaluates a DA rule once per combination of the members'
-acceptable lists and reads every joint misreport's outcome from its
-combination: the witnesses and their order are those of a search that
+Every search runs one loop over classes of reports. A report's class is
+the report itself, except under a DA rule, whose outcome depends on a
+report only through its acceptable list: that list is the class. For each
+coalition the search evaluates the rule once per combination of the
+members' classes and reads every joint misreport's outcome from its
+combination, so the witnesses and their order are those of a search that
 evaluates every joint misreport, and the budget still counts each one.
 """
 
@@ -54,9 +56,10 @@ class MatchingRule:
     `_class_key`, when set, maps a report to a hashable key such that two
     reports of one agent with equal keys give the same outcome whatever
     the others report; the marriage coalition scan then evaluates one
-    report per key. A DA outcome depends on a report only through its
-    acceptable list, the agents ranked above the outside option in order,
-    so a DA rule keys reports by that list.
+    report per key, and one per report when it is None. A DA outcome
+    depends on a report only through its acceptable list, the agents
+    ranked above the outside option in order, so a DA rule keys reports by
+    that list.
     """
 
     __slots__ = ("name", "stable", "_assign_fn", "_evaluate", "_class_key")
@@ -274,7 +277,7 @@ def _scan(
     over the whole pool, one per joint misreport, are checked against the
     budget first. `class_key` keys each report for `_search`'s classes:
     reports of one agent with equal keys must give the same outcome
-    whatever the others report."""
+    whatever the others report. Without it each report is its own class."""
     true, alternatives = domain.deviations(base)
     cap = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
     classes = None if class_key is None else [tuple(map(class_key, alts)) for alts in alternatives]
@@ -295,53 +298,38 @@ def _search(
     which every member strictly gains, in `_scan`'s order, at a coalition
     bound that `_coalition_cap` has already clipped and checked against
     the budget. alternatives[i] holds agent i's admissible reports other
-    than true_reports[i], and classes[i], when given, the class key of each.
+    than true_reports[i], and classes[i], when given, the class key of
+    each; without classes every report is its own class.
 
-    Without classes every joint misreport is evaluated, and each hit is
-    yielded as soon as it is found. With classes, a coalition's scan
-    evaluates one joint misreport per combination of its members' classes,
-    the first of each class in list order; a member's true class is a
-    class like any other, since the others' deviation can make it gain.
-    It then walks the joint misreports in list order and yields each one
-    whose combination left every member strictly better off, so the hits
-    and their order are those of the scan without classes.
+    A coalition's scan evaluates one joint misreport per combination of
+    its members' classes, the first of each class in list order; a
+    member's true class is a class like any other, since the others'
+    deviation can make it gain. Only when some combination left every
+    member strictly better off does it walk the joint misreports in list
+    order and yield each one whose combination did, so the hits and their
+    order are those of a scan that evaluates every joint misreport.
     """
     reports = list(true_reports)
     before = evaluate(reports)
     base_rank = {i: rank(i, before) for i in pool}
     # agents at their true top can never strictly improve
     candidates = [i for i in pool if base_rank[i] > 0 and alternatives[i]]
-    if classes is not None:
-        # firsts[i] maps each class key of agent i, in list order, to the
-        # first alternative that has it
-        firsts = {}
-        for i in candidates:
-            firsts[i] = first = {}
-            for key, r in zip(classes[i], alternatives[i]):
-                first.setdefault(key, r)
+    # firsts[i]: the first report of each of agent i's classes, in list
+    # order; number[i]: the class number of each of its reports
+    firsts, number = {}, {}
+    for i in candidates:
+        if classes is None:
+            firsts[i], number[i] = alternatives[i], range(len(alternatives[i]))
+            continue
+        index = {}
+        number[i] = [index.setdefault(key, len(index)) for key in classes[i]]
+        firsts[i] = [alternatives[i][number[i].index(n)] for n in range(len(index))]
     for size in range(1, cap + 1):
         for coalition in itertools.combinations(candidates, size):
-            joint = itertools.product(*(alternatives[i] for i in coalition))
-            if classes is None:
-                for misreports in joint:
-                    for i, r in zip(coalition, misreports):
-                        reports[i] = r
-                    after = evaluate(reports)
-                    for i in coalition:
-                        reports[i] = true_reports[i]
-                    for i in coalition:
-                        if rank(i, after) >= base_rank[i]:
-                            break
-                    else:
-                        yield coalition, misreports, before, after
-                continue
-            # the same evaluation and test, once per combination of classes
             outcomes = {}
-            keys_of = itertools.product(*(firsts[i] for i in coalition))
-            reps_of = itertools.product(*(firsts[i].values() for i in coalition))
-            for keys, reps in zip(keys_of, reps_of):
-                for i, r in zip(coalition, reps):
-                    reports[i] = r
+            for numbers in itertools.product(*(range(len(firsts[i])) for i in coalition)):
+                for i, n in zip(coalition, numbers):
+                    reports[i] = firsts[i][n]
                 after = evaluate(reports)
                 for i in coalition:
                     reports[i] = true_reports[i]
@@ -349,11 +337,11 @@ def _search(
                     if rank(i, after) >= base_rank[i]:
                         break
                 else:
-                    outcomes[keys] = after
+                    outcomes[numbers] = after
             if outcomes:
-                keys_of = itertools.product(*(classes[i] for i in coalition))
-                for misreports, keys in zip(joint, keys_of):
-                    after = outcomes.get(keys)
+                joint = itertools.product(*(alternatives[i] for i in coalition))
+                for misreports, numbers in zip(joint, itertools.product(*(number[i] for i in coalition))):
+                    after = outcomes.get(numbers)
                     if after is not None:
                         yield coalition, misreports, before, after
 
@@ -527,9 +515,11 @@ def _certify(
     are looked up only to build the table, to rank a scanned base's lots or
     to build the witness.
 
-    A rule that is not total on the domain, such as a table rule built from
-    a partial table, raises PreconditionError while the table is built,
-    before any base is scanned.
+    Before it evaluates anything, the walk refuses a budget below what one
+    base's scan plans, or below the profile count, which is what the table
+    costs. A rule that is not total on the domain, such as a table rule
+    built from a partial table, raises PreconditionError while the table is
+    built, before any base is scanned.
     """
     count = domain.profile_count
     if count > EXHAUSTIVE_PROFILE_BUDGET:
@@ -547,6 +537,11 @@ def _certify(
     cap = _coalition_cap(
         [len(l) - 1 for l in lists], len(pool) if max_coalition is None else max_coalition, budget
     )
+    if count > budget:
+        raise BudgetExceededError(
+            f"certification evaluates the rule at {count} profiles, over the budget of {budget}",
+            count,
+        )
     # the product of the lists runs in index order
     table = list(map(market.evaluate, itertools.product(*lists)))
     reachable = _gain_sets(*market.lots(table, lists), strides)

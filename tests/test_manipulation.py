@@ -312,6 +312,24 @@ def test_certification_budget_too_small_for_one_base_carries_planned_count(p1):
     assert str(certified.value) == str(single.value)
 
 
+def test_certification_budget_counts_every_profile(monkeypatch):
+    # each base's scan fits these budgets, but the walk evaluates the rule
+    # at all 1,296 profiles of the domain
+    full = PreferenceDomain.full(2, 2)
+    verdicts = {cap: is_group_strategy_proof(mpda_rule(), full, max_coalition=cap) for cap in (1, 2)}
+    calls = _count_evaluations(monkeypatch)
+    for budget, cap in ((200, 2), (25, 1)):
+        with pytest.raises(BudgetExceededError) as err:
+            is_group_strategy_proof(mpda_rule(), full, budget=budget, max_coalition=cap)
+        assert err.value.count == full.profile_count == 1296
+    with pytest.raises(BudgetExceededError) as err:
+        is_strategy_proof(mpda_rule(), full, budget=25)
+    assert err.value.count == 1296
+    assert calls == []
+    for cap, verdict in verdicts.items():
+        assert is_group_strategy_proof(mpda_rule(), full, budget=1296, max_coalition=cap) == verdict
+
+
 def test_find_manipulation_rejects_a_coalition_bound_below_one(p1):
     full = PreferenceDomain.full(2, 2)
     for bound in (0, -5):

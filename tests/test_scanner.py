@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchlab import mto
 from matchlab.core import OUTSIDE, AgentId, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_matching, run_da
 from matchlab.domains import PreferenceDomain, all_preferences
@@ -199,12 +200,16 @@ def test_search_yields_a_member_whose_misreport_is_in_its_true_class():
     assert len(evaluated) == 1 + 2 + 1 + 2
 
 
-def test_search_without_classes_stops_evaluating_at_the_first_hit():
+def test_search_evaluates_every_class_combination_before_yielding():
     true, alternatives, _, evaluate, rank, evaluated = _synthetic_scan()
     hits = _search(true, alternatives, [0, 1], evaluate, rank, 2)
     assert next(hits)[:2] == ((1,), ("z",))
     # the base, agent 0's three alternatives and agent 1's z
     assert evaluated == [("t0", "t1"), ("x", "t1"), ("y", "t1"), ("x2", "t1"), ("t0", "z")]
+    evaluated.clear()
+    # the pair's first hit comes only after all of its joint misreports
+    assert next(hits)[:2] == ((0, 1), ("x", "z"))
+    assert evaluated == [("x", "z"), ("y", "z"), ("x2", "z")]
 
 
 def _ungrouped(rule_id: RuleId) -> MatchingRule:
@@ -335,6 +340,28 @@ def test_college_oracle_finds_the_mixed_pair():
     found = oracle_first_mto_witness(domain, base, 2)
     assert found is not None and len(found.coalition) == 2
     assert find_manipulation_mto(domain, base, max_coalition=2) == found
+
+
+def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeypatch):
+    domain = _fixture_domain()
+    base = mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
+    calls = []
+    engine = mto._seat_spda
+
+    def counting(*args):
+        calls.append(None)
+        return engine(*args)
+
+    monkeypatch.setattr(mto, "_seat_spda", counting)
+    assert find_manipulation_mto(domain, base, max_coalition=1) is None
+    before = run_spda(base)[0]
+
+    def lot(agent):
+        return before.students_of(agent) if hasattr(base[agent], "quota") else before.college_of(agent)
+
+    # agents at their true top never join a coalition
+    candidates = [a for a in domain.agents if base[a].rank_of(lot(a)) > 0]
+    assert len(calls) == 1 + sum(len(domain.admissible(a)) - 1 for a in candidates)
 
 
 # --- both markets at quota one -----------------------------------------------------

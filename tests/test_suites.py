@@ -1,5 +1,6 @@
 """Verification-suite harness behavior: verdicts, determinism, guards."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -9,7 +10,8 @@ import pytest
 
 from matchlab import formats, suites
 from matchlab.errors import BudgetExceededError, PreconditionError, SizeGuardError, UnknownSuiteError
-from matchlab.manipulation import mpda_rule, validate_witness
+from matchlab.domains import exists_stable_sp_rule
+from matchlab.manipulation import StrategyProofness, mpda_rule, validate_witness, wpda_rule
 from matchlab.suites import SUITE_IDS, SuiteParams, run_suite
 
 
@@ -166,6 +168,56 @@ def test_trial_seeds_are_drawn_one_trial_at_a_time():
     assert peak < 1 << 20
     rng = random.Random(42)
     assert first == [rng.randrange(2**62) for _ in range(5)]
+
+
+def test_theorem2_fail_path_carries_a_validated_coalition_witness(monkeypatch):
+    # with every rule deemed single-agent proof, the first coalition
+    # witness a certification finds fails the suite
+    monkeypatch.setattr(suites, "is_strategy_proof", lambda rule, domain, budget: StrategyProofness(True, None))
+    report = run_suite("theorem2", SuiteParams())
+    assert report.verdict == "fail" and report.mode == "sampled"
+    doc = report.counterexample
+    assert doc["reason"] == "rule wpda is single-agent proof but a coalition manipulates"
+    witness = formats.witness_from_json(json.loads(json.dumps(doc["witness"])))
+    assert witness.rule_name == "wpda"
+    validate_witness(wpda_rule(), witness)
+
+
+def _lemma_c1_fail(monkeypatch, change) -> tuple:
+    """Run lemma-c1 with `change(found, path)` applied to each search result;
+    return its counterexample and the domain read back from it."""
+    search = suites.exists_stable_sp_rule
+
+    def changed(domain, path="auto"):
+        return change(search(domain, path), path)
+
+    monkeypatch.setattr(suites, "exists_stable_sp_rule", changed)
+    report = run_suite("lemma-c1", SuiteParams())
+    assert report.verdict == "fail" and report.mode == "sampled"
+    doc = json.loads(json.dumps(report.counterexample))
+    return doc, formats.domain_from_json(doc["domain"])
+
+
+def test_lemma_c1_fail_path_when_the_searches_disagree(monkeypatch):
+    def drop_shortcut(found, path):
+        return found if path == "backtracking" else dataclasses.replace(found, rule=None)
+
+    doc, domain = _lemma_c1_fail(monkeypatch, drop_shortcut)
+    assert doc["reason"] == "shortcut and table searches disagree about existence"
+    assert (doc["shortcut"], doc["table"]) == (False, True)
+    assert exists_stable_sp_rule(domain, path="backtracking").exists
+
+
+def test_lemma_c1_fail_path_when_the_table_rule_is_not_proposing_da(monkeypatch):
+    def swap_table(found, path):
+        return dataclasses.replace(found, rule=wpda_rule()) if path == "backtracking" and found.exists else found
+
+    doc, domain = _lemma_c1_fail(monkeypatch, swap_table)
+    assert doc["reason"] == "a stable single-agent-proof rule differs from the proposing DA rule"
+    profile = formats.profile_from_json(doc["profile"])
+    assert domain.contains(profile)
+    assert exists_stable_sp_rule(domain).exists
+    assert wpda_rule().apply(profile) != mpda_rule().apply(profile)
 
 
 def test_lemma_c1_reports_rule_hits():
