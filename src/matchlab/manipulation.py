@@ -15,11 +15,16 @@ coalition the search evaluates the rule once per combination of the
 members' classes and reads every joint misreport's outcome from its
 combination, so the witnesses and their order are those of a search that
 evaluates every joint misreport, and the budget still counts each one.
+Certifications of a DA rule share one step further: on a small market they
+read every outcome from a memo per engine and shape, keyed by the
+profile's acceptable lists, so DA runs once per vector of lists however
+many domains are certified.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -46,8 +51,12 @@ class MatchingRule:
     """A deterministic total map from profiles to matchings.
 
     `assignment` maps the men's and the women's preference tuples to each
-    man's partner index (None when unmatched). It keeps no results: the
-    certifications below keep their own outcome table for one run.
+    man's partner index (None when unmatched). A rule keeps no results. A
+    certification of a DA rule on a market shape with at most
+    EXHAUSTIVE_PROFILE_BUDGET vectors of acceptable lists reads its
+    outcomes from the engine's memo for that shape (`_OutcomeMemo`), which
+    every such certification in the process shares; every other
+    certification keeps its own outcome table for one run.
     `_evaluate` is the same map for reports taken from a `ProductDomain`,
     whose construction has checked their shape, given as two lists or
     tuples: a DA rule runs its engine on them without the check, every
@@ -224,14 +233,23 @@ class _Market:
     `evaluate(reports)` is the rule's outcome; it must not keep the list.
     `ranks(true)` returns rank(i, outcome), agent i's rank by true[i] of its
     lot (0 is the top). `witness(base, coalition, reports, before, after)`
-    builds the witness of one hit of `_search`. `lots(outcomes, lists)`,
-    which the certification walk needs, gives every agent's lot code at
-    each outcome and the codes in the order of each of its admissible
-    reports in `lists`, as `_gain_sets` takes them.
+    builds the witness of one hit of `_search`. The certification walk
+    also needs `table(lists)`, the outcome at every report vector of the
+    product of `lists`, in product order, and `lots(outcomes, lists)`,
+    every agent's lot code at each outcome and the codes in the order of
+    each of its admissible reports in `lists`, as `_gain_sets` takes them.
     """
 
-    def __init__(self, evaluate: Callable, ranks: Callable, witness: Callable, lots: Optional[Callable] = None):
-        self.evaluate, self.ranks, self.witness, self.lots = evaluate, ranks, witness, lots
+    def __init__(
+        self,
+        evaluate: Callable,
+        ranks: Callable,
+        witness: Callable,
+        table: Optional[Callable] = None,
+        lots: Optional[Callable] = None,
+    ):
+        self.evaluate, self.ranks, self.witness = evaluate, ranks, witness
+        self.table, self.lots = table, lots
 
 
 def _witnesses(make: Callable, outcome: Callable) -> Callable:
@@ -346,13 +364,84 @@ def _search(
                         yield coalition, misreports, before, after
 
 
+class _OutcomeMemo:
+    """A DA engine's outcomes on a p-by-q market, keyed by acceptable lists.
+
+    A DA outcome depends on a report only through its acceptable list, so
+    two profiles with the same lists have the same outcome, whatever domain
+    each comes from. Each side numbers every list its agents can hold, the
+    ordered selections of the other side's indices, shortest first
+    (`numbers[i]` for agent i); a profile's key reads its agents' list
+    numbers, in agent order, as the digits of one mixed-radix number.
+    `outcomes[key]` stays None until a table needs it.
+    """
+
+    __slots__ = ("numbers", "outcomes")
+
+    def __init__(self, p: int, q: int):
+        per_side = []
+        for n in (q, p):
+            lists = itertools.chain.from_iterable(itertools.permutations(range(n), k) for k in range(n + 1))
+            per_side.append({l: number for number, l in enumerate(lists)})
+        self.numbers = (per_side[0],) * p + (per_side[1],) * q
+        self.outcomes = [None] * (len(per_side[0]) ** p * len(per_side[1]) ** q)
+
+    def table(self, evaluate: Callable, lists: Sequence[tuple]) -> list:
+        """The outcome at every report vector of the product of `lists`, in
+        product order; `evaluate` runs the engine for the keys not yet
+        known, once per key."""
+        keys = [0]
+        for l, number in zip(lists, self.numbers):
+            digits = [number[pref.acceptable_idx] for pref in l]
+            radix = len(number)
+            keys = [k * radix + d for k in keys for d in digits]
+        memo = self.outcomes
+        table = [memo[k] for k in keys]
+        if None in table:
+            for index, reports in enumerate(itertools.product(*lists)):
+                if table[index] is None:
+                    key = keys[index]
+                    if memo[key] is None:
+                        memo[key] = evaluate(reports)
+                    table[index] = memo[key]
+        return table
+
+
+# (engine, p, q) -> the engine's `_OutcomeMemo` on that shape, or None where
+# the shape has more list vectors than EXHAUSTIVE_PROFILE_BUDGET
+_OUTCOME_MEMOS: dict = {}
+
+
+def _outcome_memo(engine: Callable, p: int, q: int) -> Optional[_OutcomeMemo]:
+    shape = (engine, p, q)
+    if shape not in _OUTCOME_MEMOS:
+        # count the list vectors agent by agent, stopping past the budget
+        vectors = 1
+        for n in (q,) * p + (p,) * q:
+            vectors *= sum(math.perm(n, k) for k in range(n + 1))
+            if vectors > EXHAUSTIVE_PROFILE_BUDGET:
+                break
+        _OUTCOME_MEMOS[shape] = _OutcomeMemo(p, q) if vectors <= EXHAUSTIVE_PROFILE_BUDGET else None
+    return _OUTCOME_MEMOS[shape]
+
+
 def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     """The market record of a rule on a p-by-q marriage market, whose agents
-    are numbered men first and whose reports the domain has checked."""
+    are numbered men first and whose reports the domain has checked.
+
+    A DA rule's `table` reads the engine's `_OutcomeMemo` for the shape,
+    when there is one; every other table evaluates the rule once per report
+    vector."""
     engine = rule._evaluate
 
     def evaluate(reports: Sequence) -> tuple:
         return engine(reports[:p], reports[p:])
+
+    def table(lists: Sequence[tuple]) -> list:
+        memo = None if rule._class_key is None else _outcome_memo(engine, p, q)
+        if memo is None:
+            return list(map(evaluate, itertools.product(*lists)))
+        return memo.table(evaluate, lists)
 
     def ranks(true: Sequence[Preference]) -> Callable[[int, tuple], int]:
         def rank(i: int, assignment: tuple) -> int:
@@ -377,7 +466,7 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
         return codes, ranked
 
     witness = _witnesses(partial(ManipulationWitness, rule.name), partial(Matching.from_assignment, p, q))
-    return _Market(evaluate, ranks, witness, lots)
+    return _Market(evaluate, ranks, witness, table, lots)
 
 
 def _marriage_scan(
@@ -504,22 +593,25 @@ def _certify(
     in the domain's product order. Reports are digits, so a profile's index
     is its key in the run's outcome table.
 
-    The walk first evaluates the rule once at every profile, in index
-    order, and builds every agent's gain sets (`_gain_sets`) from that
-    table. It then skips each base from which no deviation, by a coalition
-    of any size, leaves every deviator strictly better off; a witness needs
-    such a deviation, so skipping changes neither the verdict nor the first
-    witness. Every other base is scanned by `_search`, which reads its
-    outcomes from the table. A certification thus costs one evaluation per
-    profile, whether it holds or fails at its first base, and preferences
-    are looked up only to build the table, to rank a scanned base's lots or
-    to build the witness.
+    The walk first reads the rule's outcome at every profile, in index
+    order, from the market's `table`, and builds every agent's gain sets
+    (`_gain_sets`) from that table. It then skips each base from which no
+    deviation, by a coalition of any size, leaves every deviator strictly
+    better off; a witness needs such a deviation, so skipping changes
+    neither the verdict nor the first witness. Every other base is scanned
+    by `_search`, which reads its outcomes from the table. A certification
+    thus evaluates the rule at most once per profile, whether it holds or
+    fails at its first base: a DA rule's table evaluates only the lists not
+    yet in its outcome memo, so after the first certification on a shape
+    it usually evaluates none. Preferences are looked up only to build the
+    table, to rank a scanned base's lots or to build the witness.
 
-    Before it evaluates anything, the walk refuses a budget below what one
-    base's scan plans, or below the profile count, which is what the table
-    costs. A rule that is not total on the domain, such as a table rule
-    built from a partial table, raises PreconditionError while the table is
-    built, before any base is scanned.
+    Before it evaluates anything, the walk refuses a budget below the
+    profile count, which is what the table may cost. One base's scan plans
+    fewer evaluations than that: its joint misreports reach each other
+    profile once. A rule that is not total on the domain, such as a table
+    rule built from a partial table, raises PreconditionError while the
+    table is built, before any base is scanned.
     """
     count = domain.profile_count
     if count > EXHAUSTIVE_PROFILE_BUDGET:
@@ -533,17 +625,17 @@ def _certify(
     others = [[tuple(v for v in range(len(l)) if v != d) for d in range(len(l))] for l in lists]
     pool = range(len(lists))
     # every base has len(list) - 1 alternatives per agent, so one plan
-    # covers the run
+    # covers the run; its joint misreports reach each other profile once,
+    # so it stays below the profile count, the one figure the budget meets
     cap = _coalition_cap(
-        [len(l) - 1 for l in lists], len(pool) if max_coalition is None else max_coalition, budget
+        [len(l) - 1 for l in lists], len(pool) if max_coalition is None else max_coalition, count
     )
     if count > budget:
         raise BudgetExceededError(
-            f"certification evaluates the rule at {count} profiles, over the budget of {budget}",
+            f"certification may evaluate the rule at all {count} profiles, over the budget of {budget}",
             count,
         )
-    # the product of the lists runs in index order
-    table = list(map(market.evaluate, itertools.product(*lists)))
+    table = market.table(lists)
     reachable = _gain_sets(*market.lots(table, lists), strides)
 
     def evaluate(digits: list) -> object:

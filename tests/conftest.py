@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from matchlab import manipulation
 from matchlab.core import (
     OUTSIDE,
     Matching,
@@ -69,6 +70,13 @@ def random_profile(rng: random.Random, p: int, q: int) -> Profile:
         rng.shuffle(ranking)
         prefs.append(Preference(a, ranking))
     return Profile(prefs)
+
+
+@pytest.fixture(autouse=True)
+def empty_outcome_memos():
+    """Every test starts with no DA outcome remembered, so the DA runs a
+    test counts do not depend on which tests ran before it."""
+    manipulation._OUTCOME_MEMOS.clear()
 
 
 @pytest.fixture

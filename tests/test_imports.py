@@ -109,6 +109,14 @@ def test_domain_property_check_loads_no_rule_or_certification():
     assert loaded & {"matchlab.manipulation", "matchlab.da"} == set()
 
 
+def test_manipulation_loads_no_domain_module():
+    # the DA outcome memo numbers acceptable lists from `core` alone; only
+    # the certifications' callers hand it a domain
+    loaded = _modules_after("import matchlab.manipulation")
+    assert "matchlab.manipulation" in loaded
+    assert "matchlab.domains" not in loaded
+
+
 def test_public_names_are_their_submodules_objects():
     for name in matchlab.__all__:
         module = importlib.import_module(f"matchlab.{matchlab._SOURCE[name]}")

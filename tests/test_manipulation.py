@@ -1,15 +1,17 @@
 """Rules, manipulation witnesses, and strategy-proofness certification."""
 
 import dataclasses
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchlab import da
+from matchlab import da, manipulation
 from matchlab.core import OUTSIDE, Matching, Profile, Side, man, men, woman, women
-from matchlab.da import RuleId, da_matching
+from matchlab.da import RuleId, da_assignment, da_matching
 from matchlab.domains import PreferenceDomain, all_preferences, exists_stable_sp_rule
 from matchlab.errors import BudgetExceededError, PreconditionError, ValidationError
 from matchlab.manipulation import (
@@ -45,54 +47,94 @@ def test_rule_apply_matches_da(p1):
     assert rule.stable
 
 
-def test_group_certification_evaluates_each_profile_once(monkeypatch):
-    # the certification's outcome table is indexed by profile, so DA runs
-    # once per admissible profile however many scans read it
-    calls = []
-    engine = da._sequential_da
-
-    def counting(proposer_prefs, receiver_prefs):
-        calls.append((proposer_prefs, receiver_prefs))
-        return engine(proposer_prefs, receiver_prefs)
-
-    monkeypatch.setattr(da, "_sequential_da", counting)
-    dom = PreferenceDomain.full(2, 2)
-    check = is_group_strategy_proof(mpda_rule(), dom, max_coalition=2)
-    assert not check
-    assert len(calls) == dom.profile_count == len(set(calls))
-    calls.clear()
-    men_rk = [p.ranking for p in all_preferences(M1, 2)]
-    women_rk = [(M1, M2, OUTSIDE), (M2, M1, OUTSIDE)]
-    anon = PreferenceDomain.anonymous(2, 2, men_rk, women_rk)
-    assert is_group_strategy_proof(mpda_rule(), anon)
-    assert len(calls) == anon.profile_count
-
-
 def _count_evaluations(monkeypatch) -> list:
+    """Record the acceptable lists of every DA run, proposers first."""
     calls = []
     engine = da._sequential_da
 
     def counting(proposer_prefs, receiver_prefs):
-        calls.append((proposer_prefs, receiver_prefs))
+        calls.append(tuple(pref.acceptable_idx for pref in proposer_prefs + receiver_prefs))
         return engine(proposer_prefs, receiver_prefs)
 
     monkeypatch.setattr(da, "_sequential_da", counting)
     return calls
 
 
-def test_certification_evaluates_every_profile_once_even_when_it_fails_early(monkeypatch):
-    # 24 * 24 * 6 * 6 * 3 = 62,208 profiles; MPDA fails at an early base,
-    # yet the walk builds its whole outcome table before it scans any base
+def _list_vectors(domain) -> int:
+    """How many vectors of acceptable lists the domain's profiles hold."""
+    return math.prod(len({pref.acceptable_idx for pref in domain.admissible(a)}) for a in domain.agents)
+
+
+def test_certification_runs_da_once_per_list_vector_of_the_shape(monkeypatch):
+    # the 1,296 profiles of full(2, 2) hold 5 ** 4 = 625 vectors of
+    # acceptable lists; the engine's outcome memo runs DA once for each, and
+    # every later certification by that engine on a 2x2 domain runs none
+    calls = _count_evaluations(monkeypatch)
+    full = PreferenceDomain.full(2, 2)
+    assert not is_group_strategy_proof(mpda_rule(), full, max_coalition=2)
+    assert len(calls) == _list_vectors(full) == 625 == len(set(calls))
+    calls.clear()
+    men_rk = [p.ranking for p in all_preferences(M1, 2)]
+    women_rk = [(M1, M2, OUTSIDE), (M2, M1, OUTSIDE)]
+    anon = PreferenceDomain.anonymous(2, 2, men_rk, women_rk)
+    assert is_group_strategy_proof(mpda_rule(), anon)
+    assert not is_strategy_proof(mpda_rule(), full)
+    assert calls == []
+    # WPDA's engine has its own memo
+    assert not is_strategy_proof(wpda_rule(), full)
+    assert len(calls) == 625 == len(set(calls))
+
+
+def test_certification_runs_da_once_per_list_vector_even_when_it_fails_early(monkeypatch):
+    # 24 * 24 * 6 * 6 * 3 = 62,208 profiles over 16 * 16 * 5 * 5 * 3 list
+    # vectors; MPDA fails at an early base, yet the walk reads its whole
+    # outcome table before it scans any base
     sets = {m: all_preferences(m, 3) for m in men(2)}
     sets.update({w: all_preferences(w, 2)[:size] for w, size in zip(women(3), (6, 6, 3))})
     dom = PreferenceDomain(sets)
     assert dom.profile_count == 62_208
+    assert _list_vectors(dom) == 19_200
     calls = _count_evaluations(monkeypatch)
     assert not is_strategy_proof(mpda_rule(), dom)
-    assert len(calls) == dom.profile_count == len(set(calls))
+    assert len(calls) == 19_200 == len(set(calls))
     calls.clear()
     assert not is_group_strategy_proof(mpda_rule(), dom)
-    assert len(calls) == dom.profile_count == len(set(calls))
+    assert calls == []
+
+
+def test_certification_past_the_memo_shapes_runs_da_at_every_profile(monkeypatch):
+    # a 3x3 market has 16 ** 6 list vectors, over EXHAUSTIVE_PROFILE_BUDGET,
+    # so each 3x3 certification evaluates every profile of its domain
+    assert 16**6 > EXHAUSTIVE_PROFILE_BUDGET
+    dom = PreferenceDomain({a: all_preferences(a, 3)[::8] for a in men(3) + women(3)})
+    assert dom.profile_count == 729
+    calls = _count_evaluations(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        is_group_strategy_proof(mpda_rule(), dom)
+        assert len(calls) == dom.profile_count
+    assert manipulation._OUTCOME_MEMOS == {(mpda_rule()._evaluate, 3, 3): None}
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2)])
+def test_memo_outcomes_match_the_checked_engine(p, q):
+    # every profile of full(2, 2), then seeded sub-domains with two
+    # rankings per agent, which read outcomes other domains put in the
+    # memo; each table is read twice, the second time from the memo alone
+    rng = random.Random(2023 + 10 * p + q)
+    agents = men(p) + women(q)
+    domains = [PreferenceDomain.full(2, 2)] if (p, q) == (2, 2) else []
+    domains += [
+        PreferenceDomain({a: rng.sample(all_preferences(a, q if a.side is Side.MAN else p), 2) for a in agents})
+        for _ in range(12)
+    ]
+    for rule_id in RuleId:
+        market = manipulation._marriage_market(MatchingRule.deferred_acceptance(rule_id), p, q)
+        for domain in domains:
+            lists = domain.product_order().lists
+            expected = [da_assignment(rule_id, r[:p], r[p:]) for r in itertools.product(*lists)]
+            assert market.table(lists) == expected
+            assert market.table(lists) == expected
 
 
 def test_certification_refusals_evaluate_nothing(monkeypatch):
@@ -300,16 +342,19 @@ def test_budget_exceeded_carries_planned_count(p1):
 
 
 def test_certification_budget_too_small_for_one_base_carries_planned_count(p1):
-    # the certification scans the first profile of the product order first,
-    # and plans exactly what a single-base search there plans
+    # a single-base search at the first profile plans 170 evaluations, but
+    # the certification refuses once, naming its 1,296 profiles: one base's
+    # plan never exceeds the profile count
     full = PreferenceDomain.full(2, 2)
     first = next(full.profiles())
     with pytest.raises(BudgetExceededError) as single:
         find_manipulation(mpda_rule(), full, first, max_coalition=2, budget=10)
+    assert single.value.count == 4 * 5 + 6 * 25
     with pytest.raises(BudgetExceededError) as certified:
         is_group_strategy_proof(mpda_rule(), full, budget=10, max_coalition=2)
-    assert certified.value.count == single.value.count == 4 * 5 + 6 * 25
-    assert str(certified.value) == str(single.value)
+    assert certified.value.count == full.profile_count == 1296
+    assert "(required 1296)" in str(certified.value)
+    assert not is_group_strategy_proof(mpda_rule(), full, budget=1296, max_coalition=2)
 
 
 def test_certification_budget_counts_every_profile(monkeypatch):
@@ -565,13 +610,20 @@ def _first_witness(rule, domain, max_coalition):
 
 
 @pytest.mark.parametrize("cap", [1, 2, None])
-def test_certification_evaluates_every_profile_once_at_every_cap(monkeypatch, cap):
+def test_certification_runs_da_only_for_list_vectors_not_yet_in_the_memo(monkeypatch, cap):
+    # LATE_WITNESS_DOMAIN holds GSP_DOMAIN, so certifying it second runs DA
+    # for its extra list vectors alone
     calls = _count_evaluations(monkeypatch)
-    for domain, holds in ((GSP_DOMAIN, True), (LATE_WITNESS_DOMAIN, False)):
-        for rule in (mpda_rule(), wpda_rule()):
+    for rule in (mpda_rule(), wpda_rule()):
+        for domain, holds, runs in (
+            (GSP_DOMAIN, True, _list_vectors(GSP_DOMAIN)),
+            (LATE_WITNESS_DOMAIN, False, _list_vectors(LATE_WITNESS_DOMAIN) - _list_vectors(GSP_DOMAIN)),
+            (GSP_DOMAIN, True, 0),
+            (LATE_WITNESS_DOMAIN, False, 0),
+        ):
             calls.clear()
             assert is_group_strategy_proof(rule, domain, max_coalition=cap).holds == holds
-            assert len(calls) == domain.profile_count == len(set(calls))
+            assert len(calls) == runs == len(set(calls))
 
 
 @settings(max_examples=40, deadline=None)

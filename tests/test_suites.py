@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from matchlab import formats, suites
+from matchlab import da, formats, suites
+from matchlab.core import Side
 from matchlab.errors import BudgetExceededError, PreconditionError, SizeGuardError, UnknownSuiteError
 from matchlab.domains import exists_stable_sp_rule
 from matchlab.manipulation import StrategyProofness, mpda_rule, validate_witness, wpda_rule
@@ -168,6 +169,24 @@ def test_trial_seeds_are_drawn_one_trial_at_a_time():
     assert peak < 1 << 20
     rng = random.Random(42)
     assert first == [rng.randrange(2**62) for _ in range(5)]
+
+
+@pytest.mark.parametrize("trials", [None, 100])
+def test_theorem2_runs_da_at_most_once_per_2x2_list_vector_per_rule(monkeypatch, trials):
+    # theorem2 certifies MPDA and WPDA twice on every domain it draws; the
+    # DA outcome memo of each engine holds the 5 ** 4 = 625 vectors of
+    # acceptable lists a 2x2 profile can have, however many domains it draws
+    runs = {Side.MAN: 0, Side.WOMAN: 0}
+    engine = da._sequential_da
+
+    def counting(proposer_prefs, receiver_prefs):
+        runs[proposer_prefs[0].owner.side] += 1
+        return engine(proposer_prefs, receiver_prefs)
+
+    monkeypatch.setattr(da, "_sequential_da", counting)
+    report = run_suite("theorem2", SuiteParams(trials=trials))
+    assert report.verdict == "pass" and report.trials == (15 if trials is None else trials)
+    assert 0 < runs[Side.MAN] <= 625 and 0 < runs[Side.WOMAN] <= 625
 
 
 def test_theorem2_fail_path_carries_a_validated_coalition_witness(monkeypatch):
