@@ -179,10 +179,11 @@ class Ranking(StrictOrder):
     subclass's `_ranks` hook returns for the owner; n is inferred from the
     ranking's length. One walk of the ranking checks every entry and fills
     the rank dict, ``outside_rank``, ``acceptable_idx`` (the acceptable
-    agents' indices, best first) and ``rank_by_index``.
+    agents' indices, best first) and ``rank_by_index``. ``ranking_idx`` is
+    derived on first use and kept.
     """
 
-    __slots__ = ("owner", "outside_rank", "acceptable_idx", "rank_by_index", "_hash")
+    __slots__ = ("owner", "outside_rank", "acceptable_idx", "rank_by_index", "_hash", "_ranking_idx")
 
     @staticmethod
     def _ranks(owner) -> Callable[[int], Hashable]:
@@ -227,6 +228,16 @@ class Ranking(StrictOrder):
     @property
     def n_opposite(self) -> int:
         return len(self.ranking) - 1
+
+    @property
+    def ranking_idx(self) -> tuple[int, ...]:
+        """The ranking best first, each agent by its index and ``@`` by n."""
+        try:
+            return self._ranking_idx
+        except AttributeError:
+            n = len(self.rank_by_index)
+            self._ranking_idx = tuple([n if x is OUTSIDE else x.index for x in self.ranking])
+            return self._ranking_idx
 
     def acceptable(self) -> tuple:
         return self.ranking[: self.outside_rank]
@@ -594,3 +605,84 @@ def stable_set(profile: Profile) -> list[Matching]:
     p, q = profile.p, profile.q
     stable = stable_assignments(iter_assignments(p, q), profile.men_prefs, profile.women_prefs)
     return [Matching.from_assignment(p, q, assignment) for assignment, _ in stable]
+
+
+# --- single-agent gains over a product of report lists ------------------------
+#
+# A product domain numbers its profiles by the dot product of their digit
+# vectors (one report index per agent) with the strides, the last agent
+# varying fastest. Sets of profiles are Python integers, bit k standing for
+# profile k. An agent's lot is a small code at each profile: in a marriage
+# market, its partner's index, or the other side's size when unmatched.
+
+
+def lot_codes(ids: Sequence[int], lots: Sequence[Sequence[int]]) -> list[bytes]:
+    """Each agent's lot code at every profile, as bytes: ids[k] numbers the
+    matching at profile k and lots[i][m] is agent i's code in matching m.
+
+    With at most 256 matchings the numbers are bytes, and one `translate`
+    per agent reads its codes; more matchings are looked up one by one.
+    """
+    if len(lots[0]) > 256:
+        return [bytes(map(lot.__getitem__, ids)) for lot in lots]
+    ids = bytes(ids)
+    return [ids.translate(bytes(lot).ljust(256, b"\0")) for lot in lots]
+
+
+def lot_sets(codes: bytes, wanted: Iterable[int], mask: int = -1) -> dict[int, int]:
+    """{c: the profiles in `mask` where the agent's code is c} for each
+    wanted code c."""
+    # int() reads the most significant digit first: reversed, profile k
+    # lands on bit k
+    backwards = codes[::-1]
+    return {c: int(backwards.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2) & mask for c in wanted}
+
+
+def axis_gains(
+    codes: Sequence[bytes],
+    orders: Sequence[Sequence[Sequence[int]]],
+    strides: Sequence[int],
+    mask: int,
+) -> int:
+    """The profiles x in `mask` at which some agent i strictly gains, by its
+    report at x, from switching to another report alone, when the profile
+    it lands on is also in `mask`.
+
+    codes[i][k] is agent i's lot code at profile k, and orders[i][d] lists
+    the codes best first by agent i's d-th report, so agent i has
+    len(orders[i]) reports. Agent i's deviations from x are the profiles
+    on its axis line through x, which differ from x in digit i alone.
+
+    With same(i, d) the profiles where i reports d and L(i, c) those where
+    its lot is c, the answer is the OR over agents, reports d and codes c
+    of same(i, d) & L(i, c) & spread(L(i, c')) over the codes c' that
+    report d ranks above c. spread(S) holds every profile whose axis line
+    meets S: the digit blocks of S are folded onto digit 0, then copied to
+    every digit by one multiplication. No profile is visited one by one.
+    """
+    full = (1 << len(codes[0])) - 1
+    gains = 0
+    for lots, ranked, stride in zip(codes, orders, strides):
+        n = len(ranked)
+        if n == 1:
+            continue
+        period = stride * n
+        # same(i, 0): the first `stride` profiles of every period of the
+        # digit; same(i, d) is that shifted by d strides
+        first = ((1 << stride) - 1) * (full // ((1 << period) - 1))
+        # copies a set of digit-0 profiles to all n digits of their lines
+        copies = ((1 << period) - 1) // ((1 << stride) - 1)
+        sets = lot_sets(lots, ranked[0], mask)
+        spreads = {}
+        for c, s in sets.items():
+            folded = s & first
+            for e in range(1, n):
+                folded |= s >> e * stride & first
+            spreads[c] = folded * copies
+        for d, order in enumerate(ranked):
+            above = hits = 0
+            for c in order:
+                hits |= sets[c] & above
+                above |= spreads[c]
+            gains |= hits & first << d * stride
+    return gains

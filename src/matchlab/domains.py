@@ -24,7 +24,9 @@ from .core import (
     Profile,
     Side,
     StrictOrder,
+    axis_gains,
     iter_assignments,
+    lot_codes,
     men,
     outcome_key,
     size_guard,
@@ -81,6 +83,10 @@ class ProductOrder(NamedTuple):
     def digits(self) -> Iterator[tuple[int, ...]]:
         """Every digit vector, in index order."""
         return itertools.product(*(range(len(l)) for l in self.lists))
+
+    def digits_at(self, index: int) -> list[int]:
+        """The digit vector of the profile with this index."""
+        return [index // stride % len(l) for l, stride in zip(self.lists, self.strides)]
 
     def preferences(self, digits: Sequence[int]) -> tuple:
         return tuple([l[d] for l, d in zip(self.lists, digits)])
@@ -651,7 +657,9 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
     other side for unmatched; ``ranks[a][d]``, report d's rank of each lot
     code; and ``options``, for each profile in product order the indices of
     its stable matchings, ascending, exactly as `stable_assignments` keeps
-    them.
+    them. `lots` is what `core.lot_codes` reads an agent's code at every
+    profile from, given one matching number per profile; a profile with a
+    single option is one the rule search forces.
 
     Per agent and report, one bitmask over the matchings holds those whose
     lot the report accepts, and one per opposite agent x those where the
@@ -705,15 +713,22 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
 
 
 def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
-    """Chronological backtracking over per-profile stable selections.
+    """The first stable strategy-proof table in lexicographic order, or None
+    when provably none exists.
 
-    Profiles are walked by index in the domain's product order, each with
-    its stable options from `_stable_options`. Assigning profile t checks,
-    against every already assigned profile t' differing in one agent's
-    coordinate, that the deviating agent gains in neither direction, by
-    comparing the ranks of its lot codes. Returns a full table or None when
-    provably none exists; preference tuples are built only for the table's
-    keys.
+    A table picks one stable option (`_stable_options`) per profile, and is
+    strategy-proof when no agent gains, in either direction, between two
+    profiles that differ in its report alone. The search runs in three steps
+    over the domain's product order:
+    1. every profile with exactly one stable option is forced to take it;
+    2. `core.axis_gains`, masked to the forced profiles, finds every forced
+       pair that conflicts at once, and any conflict means no table exists;
+    3. chronological backtracking walks the free profiles by index, checking
+       each option against every forced or already assigned profile on the
+       agents' axis lines, by the ranks of the agents' lot codes.
+    Forced profiles have one option, so this is the first table of a walk
+    over every profile by index. Preference tuples are built only for the
+    table's keys.
     """
     total = domain.profile_count
     if total > EXHAUSTIVE_PROFILE_BUDGET:
@@ -724,46 +739,54 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     order = domain.product_order()
     lists, strides = order.lists, order.strides
     matchings, lots, ranks, options = _stable_options(p, domain.q, lists)
-    digit_tuples = list(order.digits())
-    chosen = [-1] * total  # index into options[pos]
-    picked = [0] * total  # the matching chosen at pos
+    # the matching at each profile: its first option, until the walk over
+    # the free profiles picks another
+    picked = [opts[0] for opts in options]
+    free = [k for k, opts in enumerate(options) if len(opts) > 1]
+    forced = ((1 << total) - 1) ^ sum(1 << k for k in free)
+    orders = [[pref.ranking_idx for pref in l] for l in lists]
+    if axis_gains(lot_codes(picked, lots), orders, strides, forced):
+        return None
+    free_set = set(free)
 
-    def consistent(pos: int, k: int) -> bool:
-        for a, d in enumerate(digit_tuples[pos]):
-            if d == 0:
-                continue
-            lot = lots[a]
+    def consistent(pos: int, k: int, digits: Sequence[int]) -> bool:
+        for a, d in enumerate(digits):
+            lot, rows, stride = lots[a], ranks[a], strides[a]
             here = lot[k]
-            rank_here = ranks[a][d]
+            rank_here = rows[d]
             mine = rank_here[here]
-            stride = strides[a]
             nb = pos - d * stride  # the profile where agent a reports 0
-            for rank_there in ranks[a][:d]:
-                there = lot[picked[nb]]
-                if rank_here[there] < mine:
-                    return False  # its report at nb would gain at this profile
-                if rank_there[here] < rank_there[there]:
-                    return False  # its report here would gain at nb
+            for v, rank_there in enumerate(rows):
+                # free profiles past pos have no option yet
+                if v < d or v > d and nb not in free_set:
+                    there = lot[picked[nb]]
+                    if rank_here[there] < mine:
+                        return False  # its report at nb would gain at this profile
+                    if rank_there[here] < rank_there[there]:
+                        return False  # its report here would gain at nb
                 nb += stride
         return True
 
-    pos = 0
-    while pos < total:
+    chosen = [-1] * len(free)  # index into the options of free[at]
+    at = 0
+    while at < len(free):
+        pos = free[at]
         opts = options[pos]
-        for opt_idx in range(chosen[pos] + 1, len(opts)):
-            if consistent(pos, opts[opt_idx]):
-                chosen[pos] = opt_idx
+        digits = order.digits_at(pos)
+        for opt_idx in range(chosen[at] + 1, len(opts)):
+            if consistent(pos, opts[opt_idx], digits):
+                chosen[at] = opt_idx
                 picked[pos] = opts[opt_idx]
-                pos += 1
+                at += 1
                 break
         else:
-            chosen[pos] = -1
-            pos -= 1
-            if pos < 0:
+            chosen[at] = -1
+            at -= 1
+            if at < 0:
                 return None
 
     keys = itertools.product(list(itertools.product(*lists[:p])), list(itertools.product(*lists[p:])))
-    return {key: matchings[k][0] for key, k in zip(keys, picked)}
+    return dict(zip(keys, [matchings[k][0] for k in picked]))
 
 
 def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> StableSpSearch:

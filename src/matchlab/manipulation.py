@@ -39,6 +39,10 @@ from .core import (
     Preference,
     Profile,
     Side,
+    axis_gains,
+    iter_assignments,
+    lot_codes,
+    lot_sets,
 )
 from .da import RuleId, _unchecked_da, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
@@ -234,10 +238,11 @@ class _Market:
     `ranks(true)` returns rank(i, outcome), agent i's rank by true[i] of its
     lot (0 is the top). `witness(base, coalition, reports, before, after)`
     builds the witness of one hit of `_search`. The certification walk
-    also needs `table(lists)`, the outcome at every report vector of the
-    product of `lists`, in product order, and `lots(outcomes, lists)`,
-    every agent's lot code at each outcome and the codes in the order of
-    each of its admissible reports in `lists`, as `_gain_sets` takes them.
+    also needs `table(lists)`, which returns (ids, outcomes): ids[k]
+    numbers the outcome at the k-th report vector of the product of
+    `lists`, in product order, and outcomes[n] is the outcome numbered n;
+    and `lots(outcomes)`, whose [i][n] entry is agent i's lot code in
+    outcomes[n], the code its reports' `ranking_idx` gives that lot.
     """
 
     def __init__(
@@ -373,10 +378,14 @@ class _OutcomeMemo:
     ordered selections of the other side's indices, shortest first
     (`numbers[i]` for agent i); a profile's key reads its agents' list
     numbers, in agent order, as the digits of one mixed-radix number.
-    `outcomes[key]` stays None until a table needs it.
+    `ids[key]` numbers the outcome at that key among `matchings`, the
+    shape's matchings in `iter_assignments` order (at most 13 on a memo
+    shape), and stays UNKNOWN until a table needs it.
     """
 
-    __slots__ = ("numbers", "outcomes")
+    __slots__ = ("numbers", "matchings", "index", "ids")
+
+    UNKNOWN = 255
 
     def __init__(self, p: int, q: int):
         per_side = []
@@ -384,26 +393,26 @@ class _OutcomeMemo:
             lists = itertools.chain.from_iterable(itertools.permutations(range(n), k) for k in range(n + 1))
             per_side.append({l: number for number, l in enumerate(lists)})
         self.numbers = (per_side[0],) * p + (per_side[1],) * q
-        self.outcomes = [None] * (len(per_side[0]) ** p * len(per_side[1]) ** q)
+        self.matchings = [assignment for assignment, _ in iter_assignments(p, q)]
+        self.index = {assignment: n for n, assignment in enumerate(self.matchings)}
+        self.ids = bytearray([self.UNKNOWN]) * (len(per_side[0]) ** p * len(per_side[1]) ** q)
 
-    def table(self, evaluate: Callable, lists: Sequence[tuple]) -> list:
-        """The outcome at every report vector of the product of `lists`, in
-        product order; `evaluate` runs the engine for the keys not yet
-        known, once per key."""
+    def table(self, evaluate: Callable, lists: Sequence[tuple]) -> bytes:
+        """The number of the outcome at every report vector of the product
+        of `lists`, in product order; `evaluate` runs the engine for the
+        keys not yet known, once per key."""
         keys = [0]
         for l, number in zip(lists, self.numbers):
             digits = [number[pref.acceptable_idx] for pref in l]
             radix = len(number)
             keys = [k * radix + d for k in keys for d in digits]
-        memo = self.outcomes
-        table = [memo[k] for k in keys]
-        if None in table:
-            for index, reports in enumerate(itertools.product(*lists)):
-                if table[index] is None:
-                    key = keys[index]
-                    if memo[key] is None:
-                        memo[key] = evaluate(reports)
-                    table[index] = memo[key]
+        memo = self.ids
+        table = bytes(map(memo.__getitem__, keys))
+        if self.UNKNOWN in table:
+            for key, reports in zip(keys, itertools.product(*lists)):
+                if memo[key] == self.UNKNOWN:
+                    memo[key] = self.index[evaluate(reports)]
+            table = bytes(map(memo.__getitem__, keys))
         return table
 
 
@@ -430,18 +439,21 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     are numbered men first and whose reports the domain has checked.
 
     A DA rule's `table` reads the engine's `_OutcomeMemo` for the shape,
-    when there is one; every other table evaluates the rule once per report
-    vector."""
+    when there is one, and numbers outcomes among the shape's matchings;
+    every other table evaluates the rule once per report vector and
+    numbers its outcomes in the order they first appear."""
     engine = rule._evaluate
 
     def evaluate(reports: Sequence) -> tuple:
         return engine(reports[:p], reports[p:])
 
-    def table(lists: Sequence[tuple]) -> list:
+    def table(lists: Sequence[tuple]) -> tuple[Sequence[int], list]:
         memo = None if rule._class_key is None else _outcome_memo(engine, p, q)
-        if memo is None:
-            return list(map(evaluate, itertools.product(*lists)))
-        return memo.table(evaluate, lists)
+        if memo is not None:
+            return memo.table(evaluate, lists), memo.matchings
+        number: dict = {}
+        ids = [number.setdefault(a, len(number)) for a in map(evaluate, itertools.product(*lists))]
+        return ids, list(number)
 
     def ranks(true: Sequence[Preference]) -> Callable[[int, tuple], int]:
         def rank(i: int, assignment: tuple) -> int:
@@ -454,16 +466,12 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
 
         return rank
 
-    def lots(outcomes: Sequence[tuple], lists: Sequence[tuple]) -> tuple[list, list]:
+    def lots(outcomes: Sequence[tuple]) -> list[list[int]]:
         # an agent's lot code is its partner's index, or the size of the
         # other side when it is unmatched
-        codes = [bytes([q if a[m] is None else a[m] for a in outcomes]) for m in range(p)]
-        codes += [bytes([a.index(w) if w in a else p for a in outcomes]) for w in range(q)]
-        ranked = [
-            [[pref.n_opposite if x is OUTSIDE else x.index for x in pref.ranking] for pref in l]
-            for l in lists
-        ]
-        return codes, ranked
+        codes = [[q if a[m] is None else a[m] for a in outcomes] for m in range(p)]
+        codes += [[a.index(w) if w in a else p for a in outcomes] for w in range(q)]
+        return codes
 
     witness = _witnesses(partial(ManipulationWitness, rule.name), partial(Matching.from_assignment, p, q))
     return _Market(evaluate, ranks, witness, table, lots)
@@ -526,8 +534,8 @@ class StrategyProofness:
 
 
 def _gain_sets(
-    lot_codes: Sequence[bytes],
-    lot_orders: Sequence[Sequence[Sequence[int]]],
+    codes: Sequence[bytes],
+    orders: Sequence[Sequence[Sequence[int]]],
     strides: Sequence[int],
 ) -> Callable[[Sequence[int], int], int]:
     """Return `reachable(digits, key)`: the bitset (bit k for profile k) of
@@ -535,49 +543,44 @@ def _gain_sets(
     deviate so that every agent whose report differs strictly gains by its
     report at x. It always holds x itself.
 
-    `lot_codes[i][k]` is agent i's lot at profile k as a small code (a byte),
-    `lot_orders[i][d]` the codes in the order agent i's d-th admissible
-    report ranks them, best first, and `strides` number the profiles. The set
-    is the AND over agents i of same(i, x_i) | better(i, x_i, lot_i(x)): the
-    profiles where i reports x_i, or where i gets a lot that x_i ranks above
-    its lot at x.
+    `codes`, `orders` and `strides` are as `core.axis_gains` takes them:
+    codes[i][k] is agent i's lot code at profile k and orders[i][d] the
+    codes best first by its d-th report. The set is the AND over agents i
+    of same(i, x_i) | better(i, x_i, lot_i(x)): the profiles where i
+    reports x_i, or where i gets a lot that x_i ranks above its lot at x.
+    A coalition walk needs this set base by base; a single agent's gains
+    are read for every base at once by `core.axis_gains`.
     """
-    count = len(lot_codes[0])
-    n_codes = 1 + max(max(orders[0]) for orders in lot_orders)
-    zeros = b"0" * 256
-    # ones[c] translates code c to the digit 1 and every other code to 0
-    ones = [zeros[:c] + b"1" + zeros[c + 1 :] for c in range(n_codes)]
+    count = len(codes[0])
+    n_codes = 1 + max(max(ranked[0]) for ranked in orders)
     firsts, better = [], []
-    for codes, orders, stride in zip(lot_codes, lot_orders, strides):
-        # int() reads the most significant digit first: reversed, profile k
-        # lands on bit k
-        backwards = codes[::-1]
-        lots = {c: int(backwards.translate(ones[c]), 2) for c in orders[0]}
+    for lots, ranked, stride in zip(codes, orders, strides):
+        sets = lot_sets(lots, ranked[0])
         # same(i, 0): the first `stride` profiles of every period of the
         # digit; same(i, d) is that shifted by d strides
-        period = stride * len(orders)
+        period = stride * len(ranked)
         firsts.append(((1 << stride) - 1) * (((1 << count) - 1) // ((1 << period) - 1)))
         # better(i, d, c) ORs the lots that list d ranks above c; the lists
         # share one OR per set of codes, so an agent keeps at most
         # 2 ** n_codes of them however many lists it has
         unions = {0: 0}
         rows = []
-        for order in orders:
+        for order in ranked:
             row = [0] * n_codes
             above = 0
             for c in order:
                 row[c] = unions[above]
                 grown = above | 1 << c
                 if grown not in unions:
-                    unions[grown] = unions[above] | lots[c]
+                    unions[grown] = unions[above] | sets[c]
                 above = grown
             rows.append(row)
         better.append(rows)
 
     def reachable(digits: Sequence[int], key: int) -> int:
         w = -1
-        for d, stride, first, rows, codes in zip(digits, strides, firsts, better, lot_codes):
-            w &= first << d * stride | rows[d][codes[key]]
+        for d, stride, first, rows, lots in zip(digits, strides, firsts, better, codes):
+            w &= first << d * stride | rows[d][lots[key]]
         return w
 
     return reachable
@@ -594,17 +597,24 @@ def _certify(
     is its key in the run's outcome table.
 
     The walk first reads the rule's outcome at every profile, in index
-    order, from the market's `table`, and builds every agent's gain sets
-    (`_gain_sets`) from that table. It then skips each base from which no
-    deviation, by a coalition of any size, leaves every deviator strictly
-    better off; a witness needs such a deviation, so skipping changes
-    neither the verdict nor the first witness. Every other base is scanned
-    by `_search`, which reads its outcomes from the table. A certification
-    thus evaluates the rule at most once per profile, whether it holds or
-    fails at its first base: a DA rule's table evaluates only the lists not
-    yet in its outcome memo, so after the first certification on a shape
-    it usually evaluates none. Preferences are looked up only to build the
-    table, to rank a scanned base's lots or to build the witness.
+    order, from the market's `table`, and every agent's lot code at every
+    profile from those outcomes (`core.lot_codes`). It then picks the bases
+    that can hold a witness; every other base is skipped, which changes
+    neither the verdict nor the first witness:
+    - at a coalition bound of 1, the bases where some agent gains by a
+      report of its own, all read at once along the agents' axis lines
+      (`core.axis_gains`); the search runs at the first of them, where it
+      finds its hit, or nowhere when the rule is strategy-proof;
+    - at a larger bound, each base from which some deviation, by a
+      coalition of any size, leaves every deviator strictly better off
+      (`_gain_sets`), one base at a time.
+    Each picked base is scanned by `_search`, which reads its outcomes from
+    the table. A certification thus evaluates the rule at most once per
+    profile, whether it holds or fails at its first base: a DA rule's table
+    evaluates only the lists not yet in its outcome memo, so after the
+    first certification on a shape it usually evaluates none. Preferences
+    are looked up only to build the table and each report's code order, to
+    rank a scanned base's lots or to build the witness.
 
     Before it evaluates anything, the walk refuses a budget below the
     profile count, which is what the table may cost. One base's scan plans
@@ -621,8 +631,6 @@ def _certify(
         )
     order = domain.product_order()
     lists, strides = order.lists, order.strides
-    # others[i][d]: agent i's digits other than d, in list order
-    others = [[tuple(v for v in range(len(l)) if v != d) for d in range(len(l))] for l in lists]
     pool = range(len(lists))
     # every base has len(list) - 1 alternatives per agent, so one plan
     # covers the run; its joint misreports reach each other profile once,
@@ -635,17 +643,23 @@ def _certify(
             f"certification may evaluate the rule at all {count} profiles, over the budget of {budget}",
             count,
         )
-    table = market.table(lists)
-    reachable = _gain_sets(*market.lots(table, lists), strides)
+    ids, outcomes = market.table(lists)
+    codes = lot_codes(ids, market.lots(outcomes))
+    orders = [[pref.ranking_idx for pref in l] for l in lists]
+    if cap == 1:
+        gains = axis_gains(codes, orders, strides, (1 << count) - 1)
+        bases = [(gains & -gains).bit_length() - 1] if gains else []
+    else:
+        reachable = _gain_sets(codes, orders, strides)
+        bases = (key for key, digits in enumerate(order.digits()) if reachable(digits, key) != 1 << key)
 
     def evaluate(digits: list) -> object:
-        return table[sum(map(operator.mul, digits, strides))]
+        return outcomes[ids[sum(map(operator.mul, digits, strides))]]
 
-    for key, digits in enumerate(order.digits()):
-        if reachable(digits, key) == 1 << key:
-            continue
+    for key in bases:
+        digits = order.digits_at(key)
         true = order.preferences(digits)
-        alternatives = [o[d] for o, d in zip(others, digits)]
+        alternatives = [tuple(range(d)) + tuple(range(d + 1, len(l))) for l, d in zip(lists, digits)]
         hit = next(_search(digits, alternatives, pool, evaluate, market.ranks(true), cap), None)
         if hit is not None:
             coalition, reports, before, after = hit

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,11 +14,13 @@ from matchlab.core import (
     Preference,
     Profile,
     Side,
+    axis_gains,
     blocking_pairs,
     count_matchings,
     enumerate_matchings,
     is_individually_rational,
     is_stable,
+    lot_codes,
     man,
     stable_set,
     woman,
@@ -355,3 +358,50 @@ def test_is_stable_agrees_with_definition_scan(p, q):
         for m in matchings:
             expected = is_individually_rational(m, profile) and not blocking_pairs(m, profile)
             assert is_stable(m, profile) == expected
+
+
+# --- single-agent gains over a product of report lists ----------------------
+
+
+def test_ranking_idx_reads_the_ranking_by_index():
+    p = Preference(M1, (W2, OUTSIDE, W1))
+    assert p.ranking_idx == (1, 2, 0)
+    assert p.ranking_idx is p.ranking_idx
+    s = StudentPreference(student(0), (college(1), college(0), OUTSIDE))
+    assert s.ranking_idx == (1, 0, 2)
+
+
+@pytest.mark.parametrize("matchings", [7, 256, 257])
+def test_lot_codes_read_each_agents_code_at_every_profile(matchings):
+    rng = random.Random(matchings)
+    lots = [[rng.randrange(6) for _ in range(matchings)] for _ in range(3)]
+    ids = [rng.randrange(matchings) for _ in range(400)]
+    assert lot_codes(ids, lots) == [bytes([lot[m] for m in ids]) for lot in lots]
+
+
+def _axis_gains_by_walk(codes, orders, strides, mask):
+    """`axis_gains` from its definition: every profile in the mask, every
+    agent and every other report of that agent."""
+    gains = 0
+    for k in range(len(codes[0])):
+        for lots, ranked, stride in zip(codes, orders, strides):
+            d = k // stride % len(ranked)
+            rank = ranked[d].index
+            for v in range(len(ranked)):
+                y = k + (v - d) * stride
+                if mask >> k & 1 and mask >> y & 1 and rank(lots[y]) < rank(lots[k]):
+                    gains |= 1 << k
+    return gains
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_axis_gains_match_a_walk_over_every_profile(data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="reports")
+    n_codes = data.draw(st.integers(1, 4), label="codes")
+    count = math.prod(sizes)
+    strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    codes = [bytes(data.draw(st.lists(st.integers(0, n_codes - 1), min_size=count, max_size=count))) for _ in sizes]
+    orders = [[data.draw(st.permutations(range(n_codes))) for _ in range(n)] for n in sizes]
+    mask = data.draw(st.one_of(st.just((1 << count) - 1), st.integers(0, (1 << count) - 1)), label="mask")
+    assert axis_gains(codes, orders, strides, mask) == _axis_gains_by_walk(codes, orders, strides, mask)

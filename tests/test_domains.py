@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchlab import domains
 from matchlab.core import (
     OUTSIDE,
     Preference,
     Side,
     StrictOrder,
+    count_matchings,
     iter_assignments,
     man,
     men,
@@ -29,6 +31,7 @@ from matchlab.domains import (
     _stable_options,
     PreferenceDomain,
     PriorOrdering,
+    ProductOrder,
     all_preferences,
     cyclical_inclusion_missing,
     domain_is_single_peaked,
@@ -626,16 +629,84 @@ def _random_sub_domain(rng, p, q, largest):
     )
 
 
+def _watch_search(monkeypatch) -> tuple[list, list]:
+    """Record what each `_backtracking_table` call sees: the forced
+    profiles' conflicts (`axis_gains`) and each free profile the walk
+    visits, once per arrival (`ProductOrder.digits_at`)."""
+    conflicts, visits = [], []
+    gains, digits_at = domains.axis_gains, ProductOrder.digits_at
+
+    def watched_gains(*args):
+        conflicts.append(gains(*args))
+        return conflicts[-1]
+
+    def watched_digits(order, index):
+        visits.append(index)
+        return digits_at(order, index)
+
+    monkeypatch.setattr(domains, "axis_gains", watched_gains)
+    monkeypatch.setattr(ProductOrder, "digits_at", watched_digits)
+    return conflicts, visits
+
+
 @pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2)])
-def test_backtracking_table_matches_the_reference_search(p, q):
-    found = []
+def test_backtracking_table_matches_the_reference_search(monkeypatch, p, q):
+    conflicts, visits = _watch_search(monkeypatch)
+    found, backtracked = [], []
     for seed in range(30):
         domain = _random_sub_domain(random.Random(seed), p, q, 6)
+        conflicts.clear()
+        visits.clear()
         table = _backtracking_table(domain)
         assert repr(table) == repr(_reference_table(domain)), seed
         found.append(table is not None)
-    # the seeds hold domains with a rule and domains without one
+        # the walk stepped back: it gave up, or came to a profile twice
+        backtracked.append(table is None or len(visits) > len(set(visits)))
+        # DA is strategy-proof for its proposers (Dubins and Freedman 1981,
+        # Roth 1982), and a profile with one stable matching is DA's outcome
+        # for either side, so forced profiles never conflict
+        assert conflicts == [0], seed
+    # the seeds hold domains with a rule and domains without one, and the
+    # walk over the free profiles backtracks on some of them
     assert any(found) and not all(found)
+    assert any(backtracked)
+
+
+def test_forced_profiles_that_conflict_end_the_search_before_the_walk(monkeypatch):
+    # force every profile to its MPDA matching: where women manipulate
+    # MPDA the forced profiles conflict, and the search gives up without
+    # visiting a free profile; where MPDA is strategy-proof the table is
+    # MPDA's
+    full = PreferenceDomain.full(2, 2)
+    # each woman holds her first two rankings, both topped by m1
+    cut = PreferenceDomain({a: full.admissible(a)[: 6 if a.side is Side.MAN else 2] for a in full.agents})
+    assert not is_strategy_proof(mpda_rule(), full)
+    assert is_strategy_proof(mpda_rule(), cut)
+    conflicts, visits = _watch_search(monkeypatch)
+    stable_options = domains._stable_options
+
+    def mpda_only(p, q, lists):
+        matchings, lots, ranks, _ = stable_options(p, q, lists)
+        index = {m[0]: k for k, m in enumerate(matchings)}
+        options = [(index[mpda_rule().assignment(r[:p], r[p:])],) for r in itertools.product(*lists)]
+        return matchings, lots, ranks, options
+
+    monkeypatch.setattr(domains, "_stable_options", mpda_only)
+    assert _backtracking_table(full) is None
+    assert conflicts[0] != 0 and visits == []
+    table = _backtracking_table(cut)
+    assert conflicts[1] == 0
+    lists = cut.product_order().lists
+    assert table == {(r[:2], r[2:]): mpda_rule().assignment(r[:2], r[2:]) for r in itertools.product(*lists)}
+
+
+def test_backtracking_table_past_256_matchings_matches_the_reference_search():
+    # a 4x5 market has 501 matchings, more than a byte can number, so the
+    # search reads each agent's lot codes one profile at a time
+    assert count_matchings(4, 5) == 501
+    for seed in range(3):
+        domain = _random_sub_domain(random.Random(seed), 4, 5, 2)
+        assert repr(_backtracking_table(domain)) == repr(_reference_table(domain)), seed
 
 
 @settings(max_examples=60, deadline=None)

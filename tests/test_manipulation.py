@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -120,7 +121,8 @@ def test_certification_past_the_memo_shapes_runs_da_at_every_profile(monkeypatch
 def test_memo_outcomes_match_the_checked_engine(p, q):
     # every profile of full(2, 2), then seeded sub-domains with two
     # rankings per agent, which read outcomes other domains put in the
-    # memo; each table is read twice, the second time from the memo alone
+    # memo; each table is read twice, the second time from the memo alone.
+    # A table numbers its outcomes: outcomes[ids[k]] is the one at profile k
     rng = random.Random(2023 + 10 * p + q)
     agents = men(p) + women(q)
     domains = [PreferenceDomain.full(2, 2)] if (p, q) == (2, 2) else []
@@ -133,8 +135,9 @@ def test_memo_outcomes_match_the_checked_engine(p, q):
         for domain in domains:
             lists = domain.product_order().lists
             expected = [da_assignment(rule_id, r[:p], r[p:]) for r in itertools.product(*lists)]
-            assert market.table(lists) == expected
-            assert market.table(lists) == expected
+            for _ in range(2):
+                ids, outcomes = market.table(lists)
+                assert [outcomes[n] for n in ids] == expected
 
 
 def test_certification_refusals_evaluate_nothing(monkeypatch):
@@ -649,3 +652,51 @@ def test_certification_matches_the_memo_free_oracle(domain):
             for field in dataclasses.fields(ManipulationWitness):
                 assert getattr(got, field.name) == getattr(expected, field.name), field.name
             validate_witness(rule, got, domain=domain)
+
+
+@pytest.mark.parametrize(
+    "certify", [is_strategy_proof, partial(is_group_strategy_proof, max_coalition=1)], ids=["sp", "gsp-cap-1"]
+)
+def test_single_agent_certification_searches_the_first_failing_base_alone(monkeypatch, certify):
+    # at a coalition bound of 1 the failing bases are read from the table
+    # along the agents' axis lines, so the search runs at none of them when
+    # the rule is strategy-proof and at the first one when it is not
+    bases = []
+    search = manipulation._search
+
+    def counting(true_reports, *args):
+        bases.append(tuple(true_reports))
+        return search(true_reports, *args)
+
+    monkeypatch.setattr(manipulation, "_search", counting)
+    order = LATE_WITNESS_DOMAIN.product_order()
+    for rule in (mpda_rule(), wpda_rule()):
+        bases.clear()
+        assert certify(rule, GSP_DOMAIN)
+        assert bases == []
+        check = certify(rule, LATE_WITNESS_DOMAIN)
+        assert not check and len(bases) == 1
+        assert LATE_WITNESS_DOMAIN.make_profile(order.preferences(bases[0])) == check.witness.base
+        assert check.witness == _first_witness(rule, LATE_WITNESS_DOMAIN, 1)
+    # a rule that only the two men together can manipulate: at a bound of
+    # 1 no base is searched, although a coalition walk would search the
+    # base where the pair gains
+    bases.clear()
+    rule, domain = _pair_only_rule()
+    assert certify(rule, domain)
+    assert bases == []
+    assert is_group_strategy_proof(rule, domain).witness.coalition == (M1, M2)
+
+
+def _pair_only_rule():
+    """A rule on a 2x2 domain where each man reports a or b, that no single
+    agent manipulates and the two men manipulate together at (a, a): the
+    men get (w2, w1) there and (w1, w2) at (b, b), the man who keeps a
+    gets his a-top at (a, b) and (b, a), and the other stays unmatched."""
+    a1, b1 = pref(M1, W1, W2, OUTSIDE), pref(M1, W1, OUTSIDE, W2)
+    a2, b2 = pref(M2, W2, W1, OUTSIDE), pref(M2, W2, OUTSIDE, W1)
+    women_prefs = (pref(W1, M1, M2, OUTSIDE), pref(W2, M1, M2, OUTSIDE))
+    outcomes = {(a1, a2): (1, 0), (a1, b2): (0, None), (b1, a2): (None, 1), (b1, b2): (0, 1)}
+    table = {(men_prefs, women_prefs): outcome for men_prefs, outcome in outcomes.items()}
+    domain = PreferenceDomain({M1: [a1, b1], M2: [a2, b2], W1: women_prefs[:1], W2: women_prefs[1:]})
+    return MatchingRule.from_table(table, "pair-only", stable=False), domain
