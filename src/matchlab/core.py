@@ -607,13 +607,34 @@ def stable_set(profile: Profile) -> list[Matching]:
     return [Matching.from_assignment(p, q, assignment) for assignment, _ in stable]
 
 
-# --- single-agent gains over a product of report lists ------------------------
+# --- outcome codes and gains over a product of report lists ------------------
 #
 # A product domain numbers its profiles by the dot product of their digit
 # vectors (one report index per agent) with the strides, the last agent
 # varying fastest. Sets of profiles are Python integers, bit k standing for
 # profile k. An agent's lot is a small code at each profile: in a marriage
 # market, its partner's index, or the other side's size when unmatched.
+
+MAX_LOT_SIDE = 255  # codes are bytes, so neither side may be larger
+
+
+def assignment_lots(p: int, q: int, assignments: Sequence[tuple]) -> list[tuple[int, ...]]:
+    """lots[i][m]: the lot code of agent i, men first, in the p-by-q
+    matching assignments[m], each man's partner index or None."""
+    return [tuple([q if a[i] is None else a[i] for a in assignments]) for i in range(p)] + [
+        tuple([a.index(j) if j in a else p for a in assignments]) for j in range(q)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def market_shape(p: int, q: int) -> tuple[tuple[tuple, ...], dict, list[tuple[int, ...]]]:
+    """(assignments, index, lots) for every matching m of a p-by-q market,
+    in `iter_assignments` order and under its guard: m as each man's partner
+    index or None, m's number by assignment, and lots[i][m] from
+    `assignment_lots`. Built once and shared (the guard passes at most 36
+    shapes); callers must not change it."""
+    assignments = tuple([assignment for assignment, _ in iter_assignments(p, q)])
+    return assignments, {a: m for m, a in enumerate(assignments)}, assignment_lots(p, q, assignments)
 
 
 def lot_codes(ids: Sequence[int], lots: Sequence[Sequence[int]]) -> list[bytes]:
@@ -629,13 +650,22 @@ def lot_codes(ids: Sequence[int], lots: Sequence[Sequence[int]]) -> list[bytes]:
     return [ids.translate(bytes(lot).ljust(256, b"\0")) for lot in lots]
 
 
-def lot_sets(codes: bytes, wanted: Iterable[int], mask: int = -1) -> dict[int, int]:
-    """{c: the profiles in `mask` where the agent's code is c} for each
-    wanted code c."""
-    # int() reads the most significant digit first: reversed, profile k
-    # lands on bit k
-    backwards = codes[::-1]
-    return {c: int(backwards.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2) & mask for c in wanted}
+def _axes(codes: Sequence[bytes], orders: Sequence, strides: Sequence[int], mask: int) -> Iterator[tuple]:
+    """Yield the setup that `axis_gains` and `gain_sets` share for each agent
+    i with more than one report, in order: (i, orders[i], strides[i],
+    same(i, 0), {c: L(i, c) & mask}). An agent with one report never deviates."""
+    full = (1 << len(codes[0])) - 1
+    for i, (ranked, stride) in enumerate(zip(orders, strides)):
+        if len(ranked) > 1:
+            # same(i, 0): the first `stride` profiles of every period of the
+            # digit; same(i, d) is that shifted by d strides
+            first = ((1 << stride) - 1) * (full // ((1 << stride * len(ranked)) - 1))
+            # int() reads the most significant digit first: reversed, profile k
+            # lands on bit k
+            backwards = codes[i][::-1]
+            yield i, ranked, stride, first, {
+                c: int(backwards.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2) & mask for c in ranked[0]
+            }
 
 
 def axis_gains(
@@ -660,19 +690,11 @@ def axis_gains(
     meets S: the digit blocks of S are folded onto digit 0, then copied to
     every digit by one multiplication. No profile is visited one by one.
     """
-    full = (1 << len(codes[0])) - 1
     gains = 0
-    for lots, ranked, stride in zip(codes, orders, strides):
+    for _, ranked, stride, first, sets in _axes(codes, orders, strides, mask):
         n = len(ranked)
-        if n == 1:
-            continue
-        period = stride * n
-        # same(i, 0): the first `stride` profiles of every period of the
-        # digit; same(i, d) is that shifted by d strides
-        first = ((1 << stride) - 1) * (full // ((1 << period) - 1))
         # copies a set of digit-0 profiles to all n digits of their lines
-        copies = ((1 << period) - 1) // ((1 << stride) - 1)
-        sets = lot_sets(lots, ranked[0], mask)
+        copies = ((1 << stride * n) - 1) // ((1 << stride) - 1)
         spreads = {}
         for c, s in sets.items():
             folded = s & first
@@ -686,3 +708,48 @@ def axis_gains(
                 above |= spreads[c]
             gains |= hits & first << d * stride
     return gains
+
+
+def gain_sets(
+    codes: Sequence[bytes],
+    orders: Sequence[Sequence[Sequence[int]]],
+    strides: Sequence[int],
+) -> Callable[[Sequence[int], int], int]:
+    """Return `reachable(digits, key)`: the bitset (bit k for profile k) of
+    the profiles y to which the base x with these digits and this index can
+    deviate so that every agent whose report differs strictly gains by its
+    report at x. It always holds x itself.
+
+    `codes`, `orders` and `strides` are as `axis_gains` takes them. The set
+    is the AND over agents i of same(i, x_i) | better(i, x_i, lot_i(x)):
+    the profiles where i reports x_i, or where i gets a lot that x_i ranks
+    above its lot at x. A coalition walk needs this set base by base; a
+    single agent's gains are read for every base at once by `axis_gains`.
+    """
+    full = (1 << len(codes[0])) - 1
+    axes = []
+    for i, ranked, stride, first, sets in _axes(codes, orders, strides, full):
+        # better(i, d, c) ORs the lots that list d ranks above c; the lists
+        # share one OR per set of codes, so an agent keeps at most
+        # 2 ** (number of codes) of them however many lists it has
+        unions = {0: 0}
+        rows = []
+        for order in ranked:
+            row = {}
+            above = 0
+            for c in order:
+                row[c] = unions[above]
+                grown = above | 1 << c
+                if grown not in unions:
+                    unions[grown] = unions[above] | sets[c]
+                above = grown
+            rows.append(row)
+        axes.append((i, stride, first, rows, codes[i]))
+
+    def reachable(digits: Sequence[int], key: int) -> int:
+        w = full
+        for i, stride, first, rows, lots in axes:
+            w &= first << digits[i] * stride | rows[digits[i]][lots[key]]
+        return w
+
+    return reachable

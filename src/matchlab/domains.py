@@ -25,8 +25,8 @@ from .core import (
     Side,
     StrictOrder,
     axis_gains,
-    iter_assignments,
     lot_codes,
+    market_shape,
     men,
     outcome_key,
     size_guard,
@@ -647,19 +647,17 @@ class StableSpSearch:
         return self.rule is not None
 
 
-def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tuple[list, list, list, list]:
+def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tuple[list, list]:
     """The stable matchings of every profile of a p-by-q product domain.
 
     ``lists`` holds the admissible reports of each agent, men then women,
-    as in `ProductDomain.product_order`. Returns the matchings of
-    `iter_assignments`, in its order; ``lots[a][k]``, the partner of agent
-    position a (man a, or woman a - p) in matching k, with the size of the
-    other side for unmatched; ``ranks[a][d]``, report d's rank of each lot
-    code; and ``options``, for each profile in product order the indices of
-    its stable matchings, ascending, exactly as `stable_assignments` keeps
-    them. `lots` is what `core.lot_codes` reads an agent's code at every
-    profile from, given one matching number per profile; a profile with a
-    single option is one the rule search forces.
+    as in `ProductDomain.product_order`. The matchings are the shape's
+    record (`core.market_shape`), numbered in `iter_assignments` order,
+    with each agent's lot code in each. Returns ``ranks[a][d]``, report d's
+    rank of each lot code; and ``options``, for each profile in product
+    order the numbers of its stable matchings, ascending, exactly as
+    `stable_assignments` keeps them. A profile with a single option is one
+    the rule search forces.
 
     Per agent and report, one bitmask over the matchings holds those whose
     lot the report accepts, and one per opposite agent x those where the
@@ -667,10 +665,8 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
     agents' accept masks, less every matching where some man and woman each
     want the other.
     """
-    matchings = list(iter_assignments(p, q))
-    bits = [1 << k for k in range(len(matchings))]
-    lots = [[q if j is None else j for j in column] for column in zip(*(m[0] for m in matchings))]
-    lots += [[p if i is None else i for i in column] for column in zip(*(m[1] for m in matchings))]
+    _, _, lots = market_shape(p, q)
+    bits = [1 << k for k in range(len(lots[0]))]
     ranks, accepts, wants = [], [], []
     for lot, prefs in zip(lots, lists):
         rows = [pref.rank_by_index + (pref.outside_rank,) for pref in prefs]
@@ -709,7 +705,7 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
         if opts is None:
             opts = memo[mask] = tuple(k for k, b in enumerate(bits) if mask & b)
         options.append(opts)
-    return matchings, lots, ranks, options
+    return ranks, options
 
 
 def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
@@ -738,7 +734,8 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     p = domain.p
     order = domain.product_order()
     lists, strides = order.lists, order.strides
-    matchings, lots, ranks, options = _stable_options(p, domain.q, lists)
+    assignments, _, lots = market_shape(p, domain.q)
+    ranks, options = _stable_options(p, domain.q, lists)
     # the matching at each profile: its first option, until the walk over
     # the free profiles picks another
     picked = [opts[0] for opts in options]
@@ -786,7 +783,7 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
                 return None
 
     keys = itertools.product(list(itertools.product(*lists[:p])), list(itertools.product(*lists[p:])))
-    return dict(zip(keys, [matchings[k][0] for k in picked]))
+    return dict(zip(keys, [assignments[k] for k in picked]))
 
 
 def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> StableSpSearch:

@@ -33,16 +33,19 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .core import (
     DEFAULT_EVAL_BUDGET,
     EXHAUSTIVE_PROFILE_BUDGET,
+    MAX_LOT_SIDE,
     OUTSIDE,
     AgentId,
     Matching,
     Preference,
     Profile,
     Side,
+    assignment_lots,
     axis_gains,
-    iter_assignments,
+    gain_sets,
     lot_codes,
-    lot_sets,
+    market_shape,
+    size_guard,
 )
 from .da import RuleId, _unchecked_da, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
@@ -238,23 +241,15 @@ class _Market:
     `ranks(true)` returns rank(i, outcome), agent i's rank by true[i] of its
     lot (0 is the top). `witness(base, coalition, reports, before, after)`
     builds the witness of one hit of `_search`. The certification walk
-    also needs `table(lists)`, which returns (ids, outcomes): ids[k]
+    also needs `table(lists)`, which returns (ids, outcomes, lots): ids[k]
     numbers the outcome at the k-th report vector of the product of
-    `lists`, in product order, and outcomes[n] is the outcome numbered n;
-    and `lots(outcomes)`, whose [i][n] entry is agent i's lot code in
-    outcomes[n], the code its reports' `ranking_idx` gives that lot.
+    `lists`, in product order, outcomes[n] is the outcome numbered n, and
+    lots[i][n] is agent i's lot code in outcomes[n], the code its reports'
+    `ranking_idx` gives that lot.
     """
 
-    def __init__(
-        self,
-        evaluate: Callable,
-        ranks: Callable,
-        witness: Callable,
-        table: Optional[Callable] = None,
-        lots: Optional[Callable] = None,
-    ):
-        self.evaluate, self.ranks, self.witness = evaluate, ranks, witness
-        self.table, self.lots = table, lots
+    def __init__(self, evaluate: Callable, ranks: Callable, witness: Callable, table: Optional[Callable] = None):
+        self.evaluate, self.ranks, self.witness, self.table = evaluate, ranks, witness, table
 
 
 def _witnesses(make: Callable, outcome: Callable) -> Callable:
@@ -378,12 +373,12 @@ class _OutcomeMemo:
     ordered selections of the other side's indices, shortest first
     (`numbers[i]` for agent i); a profile's key reads its agents' list
     numbers, in agent order, as the digits of one mixed-radix number.
-    `ids[key]` numbers the outcome at that key among `matchings`, the
-    shape's matchings in `iter_assignments` order (at most 13 on a memo
-    shape), and stays UNKNOWN until a table needs it.
+    `ids[key]` numbers the outcome at that key among the shape's matchings
+    (`core.market_shape`, at most 13 on a memo shape), and stays UNKNOWN
+    until a table needs it.
     """
 
-    __slots__ = ("numbers", "matchings", "index", "ids")
+    __slots__ = ("numbers", "matchings", "index", "lots", "ids")
 
     UNKNOWN = 255
 
@@ -393,14 +388,13 @@ class _OutcomeMemo:
             lists = itertools.chain.from_iterable(itertools.permutations(range(n), k) for k in range(n + 1))
             per_side.append({l: number for number, l in enumerate(lists)})
         self.numbers = (per_side[0],) * p + (per_side[1],) * q
-        self.matchings = [assignment for assignment, _ in iter_assignments(p, q)]
-        self.index = {assignment: n for n, assignment in enumerate(self.matchings)}
+        self.matchings, self.index, self.lots = market_shape(p, q)
         self.ids = bytearray([self.UNKNOWN]) * (len(per_side[0]) ** p * len(per_side[1]) ** q)
 
-    def table(self, evaluate: Callable, lists: Sequence[tuple]) -> bytes:
-        """The number of the outcome at every report vector of the product
-        of `lists`, in product order; `evaluate` runs the engine for the
-        keys not yet known, once per key."""
+    def table(self, evaluate: Callable, lists: Sequence[tuple]) -> tuple[bytes, tuple, list]:
+        """A `_Market` table of the product of `lists` whose outcomes are the
+        shape's matchings; `evaluate` runs the engine for the keys not yet
+        known, once per key."""
         keys = [0]
         for l, number in zip(lists, self.numbers):
             digits = [number[pref.acceptable_idx] for pref in l]
@@ -413,7 +407,7 @@ class _OutcomeMemo:
                 if memo[key] == self.UNKNOWN:
                     memo[key] = self.index[evaluate(reports)]
             table = bytes(map(memo.__getitem__, keys))
-        return table
+        return table, self.matchings, self.lots
 
 
 # (engine, p, q) -> the engine's `_OutcomeMemo` on that shape, or None where
@@ -440,20 +434,22 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
 
     A DA rule's `table` reads the engine's `_OutcomeMemo` for the shape,
     when there is one, and numbers outcomes among the shape's matchings;
-    every other table evaluates the rule once per report vector and
-    numbers its outcomes in the order they first appear."""
+    every other table evaluates the rule once per report vector, numbers
+    its outcomes in the order they first appear and codes their lots with
+    `core.assignment_lots`."""
     engine = rule._evaluate
 
     def evaluate(reports: Sequence) -> tuple:
         return engine(reports[:p], reports[p:])
 
-    def table(lists: Sequence[tuple]) -> tuple[Sequence[int], list]:
+    def table(lists: Sequence[tuple]) -> tuple[Sequence[int], Sequence[tuple], list]:
         memo = None if rule._class_key is None else _outcome_memo(engine, p, q)
         if memo is not None:
-            return memo.table(evaluate, lists), memo.matchings
+            return memo.table(evaluate, lists)
         number: dict = {}
         ids = [number.setdefault(a, len(number)) for a in map(evaluate, itertools.product(*lists))]
-        return ids, list(number)
+        outcomes = list(number)
+        return ids, outcomes, assignment_lots(p, q, outcomes)
 
     def ranks(true: Sequence[Preference]) -> Callable[[int, tuple], int]:
         def rank(i: int, assignment: tuple) -> int:
@@ -466,15 +462,8 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
 
         return rank
 
-    def lots(outcomes: Sequence[tuple]) -> list[list[int]]:
-        # an agent's lot code is its partner's index, or the size of the
-        # other side when it is unmatched
-        codes = [[q if a[m] is None else a[m] for a in outcomes] for m in range(p)]
-        codes += [[a.index(w) if w in a else p for a in outcomes] for w in range(q)]
-        return codes
-
     witness = _witnesses(partial(ManipulationWitness, rule.name), partial(Matching.from_assignment, p, q))
-    return _Market(evaluate, ranks, witness, table, lots)
+    return _Market(evaluate, ranks, witness, table)
 
 
 def _marriage_scan(
@@ -533,59 +522,6 @@ class StrategyProofness:
         return self.holds
 
 
-def _gain_sets(
-    codes: Sequence[bytes],
-    orders: Sequence[Sequence[Sequence[int]]],
-    strides: Sequence[int],
-) -> Callable[[Sequence[int], int], int]:
-    """Return `reachable(digits, key)`: the bitset (bit k for profile k) of
-    the profiles y to which the base x with these digits and this index can
-    deviate so that every agent whose report differs strictly gains by its
-    report at x. It always holds x itself.
-
-    `codes`, `orders` and `strides` are as `core.axis_gains` takes them:
-    codes[i][k] is agent i's lot code at profile k and orders[i][d] the
-    codes best first by its d-th report. The set is the AND over agents i
-    of same(i, x_i) | better(i, x_i, lot_i(x)): the profiles where i
-    reports x_i, or where i gets a lot that x_i ranks above its lot at x.
-    A coalition walk needs this set base by base; a single agent's gains
-    are read for every base at once by `core.axis_gains`.
-    """
-    count = len(codes[0])
-    n_codes = 1 + max(max(ranked[0]) for ranked in orders)
-    firsts, better = [], []
-    for lots, ranked, stride in zip(codes, orders, strides):
-        sets = lot_sets(lots, ranked[0])
-        # same(i, 0): the first `stride` profiles of every period of the
-        # digit; same(i, d) is that shifted by d strides
-        period = stride * len(ranked)
-        firsts.append(((1 << stride) - 1) * (((1 << count) - 1) // ((1 << period) - 1)))
-        # better(i, d, c) ORs the lots that list d ranks above c; the lists
-        # share one OR per set of codes, so an agent keeps at most
-        # 2 ** n_codes of them however many lists it has
-        unions = {0: 0}
-        rows = []
-        for order in ranked:
-            row = [0] * n_codes
-            above = 0
-            for c in order:
-                row[c] = unions[above]
-                grown = above | 1 << c
-                if grown not in unions:
-                    unions[grown] = unions[above] | sets[c]
-                above = grown
-            rows.append(row)
-        better.append(rows)
-
-    def reachable(digits: Sequence[int], key: int) -> int:
-        w = -1
-        for d, stride, first, rows, lots in zip(digits, strides, firsts, better, codes):
-            w &= first << d * stride | rows[d][lots[key]]
-        return w
-
-    return reachable
-
-
 def _certify(
     market: _Market,
     domain: "ProductDomain",
@@ -596,18 +532,18 @@ def _certify(
     in the domain's product order. Reports are digits, so a profile's index
     is its key in the run's outcome table.
 
-    The walk first reads the rule's outcome at every profile, in index
-    order, from the market's `table`, and every agent's lot code at every
-    profile from those outcomes (`core.lot_codes`). It then picks the bases
-    that can hold a witness; every other base is skipped, which changes
-    neither the verdict nor the first witness:
+    The walk first reads from the market's `table` the rule's outcome at
+    every profile, in index order, and each agent's lot code in each
+    outcome, hence at every profile (`core.lot_codes`). It then picks the
+    bases that can hold a witness; every other base is skipped, which
+    changes neither the verdict nor the first witness:
     - at a coalition bound of 1, the bases where some agent gains by a
       report of its own, all read at once along the agents' axis lines
       (`core.axis_gains`); the search runs at the first of them, where it
       finds its hit, or nowhere when the rule is strategy-proof;
     - at a larger bound, each base from which some deviation, by a
       coalition of any size, leaves every deviator strictly better off
-      (`_gain_sets`), one base at a time.
+      (`core.gain_sets`), one base at a time.
     Each picked base is scanned by `_search`, which reads its outcomes from
     the table. A certification thus evaluates the rule at most once per
     profile, whether it holds or fails at its first base: a DA rule's table
@@ -616,12 +552,13 @@ def _certify(
     are looked up only to build the table and each report's code order, to
     rank a scanned base's lots or to build the witness.
 
-    Before it evaluates anything, the walk refuses a budget below the
-    profile count, which is what the table may cost. One base's scan plans
-    fewer evaluations than that: its joint misreports reach each other
-    profile once. A rule that is not total on the domain, such as a table
-    rule built from a partial table, raises PreconditionError while the
-    table is built, before any base is scanned.
+    Before it evaluates anything, the walk refuses a coalition bound below
+    1, a budget below the profile count, which is what the table may cost,
+    and a side past MAX_LOT_SIDE agents. It plans no scan: a base's joint
+    misreports reach each other profile once, so no plan passes the count.
+    A rule that is not total on the domain, such as a table rule built from
+    a partial table, raises PreconditionError while the table is built,
+    before any base is scanned.
     """
     count = domain.profile_count
     if count > EXHAUSTIVE_PROFILE_BUDGET:
@@ -632,25 +569,23 @@ def _certify(
     order = domain.product_order()
     lists, strides = order.lists, order.strides
     pool = range(len(lists))
-    # every base has len(list) - 1 alternatives per agent, so one plan
-    # covers the run; its joint misreports reach each other profile once,
-    # so it stays below the profile count, the one figure the budget meets
-    cap = _coalition_cap(
-        [len(l) - 1 for l in lists], len(pool) if max_coalition is None else max_coalition, count
-    )
+    if max_coalition is not None and max_coalition < 1:
+        raise ValidationError(f"coalition size bound must be at least 1, got {max_coalition}")
+    cap = len(pool) if max_coalition is None else min(max_coalition, len(pool))
     if count > budget:
         raise BudgetExceededError(
             f"certification may evaluate the rule at all {count} profiles, over the budget of {budget}",
             count,
         )
-    ids, outcomes = market.table(lists)
-    codes = lot_codes(ids, market.lots(outcomes))
+    size_guard("certifying this domain", max(domain.sizes), MAX_LOT_SIDE, lambda: "lot codes past a byte")
+    ids, outcomes, lots = market.table(lists)
+    codes = lot_codes(ids, lots)
     orders = [[pref.ranking_idx for pref in l] for l in lists]
     if cap == 1:
         gains = axis_gains(codes, orders, strides, (1 << count) - 1)
         bases = [(gains & -gains).bit_length() - 1] if gains else []
     else:
-        reachable = _gain_sets(codes, orders, strides)
+        reachable = gain_sets(codes, orders, strides)
         bases = (key for key, digits in enumerate(order.digits()) if reachable(digits, key) != 1 << key)
 
     def evaluate(digits: list) -> object:

@@ -18,6 +18,7 @@ from matchlab.core import (
     blocking_pairs,
     count_matchings,
     enumerate_matchings,
+    gain_sets,
     is_individually_rational,
     is_stable,
     lot_codes,
@@ -394,14 +395,51 @@ def _axis_gains_by_walk(codes, orders, strides, mask):
     return gains
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_axis_gains_match_a_walk_over_every_profile(data):
-    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="reports")
+def _draw_lots(data, sizes):
+    """Strides, each agent's lot code at every profile and each report's
+    code order, for agents with these report counts."""
     n_codes = data.draw(st.integers(1, 4), label="codes")
     count = math.prod(sizes)
     strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
     codes = [bytes(data.draw(st.lists(st.integers(0, n_codes - 1), min_size=count, max_size=count))) for _ in sizes]
     orders = [[data.draw(st.permutations(range(n_codes))) for _ in range(n)] for n in sizes]
+    return strides, codes, orders
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_axis_gains_match_a_walk_over_every_profile(data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="reports")
+    strides, codes, orders = _draw_lots(data, sizes)
+    count = math.prod(sizes)
     mask = data.draw(st.one_of(st.just((1 << count) - 1), st.integers(0, (1 << count) - 1)), label="mask")
     assert axis_gains(codes, orders, strides, mask) == _axis_gains_by_walk(codes, orders, strides, mask)
+
+
+def _gain_sets_by_walk(codes, orders, strides, x):
+    """`gain_sets`' reachable set at base x from its definition: every
+    profile y at which each agent whose report differs from x strictly
+    gains, by its report at x."""
+    reach = 0
+    for y in range(len(codes[0])):
+        for lots, ranked, stride in zip(codes, orders, strides):
+            d = x // stride % len(ranked)
+            rank = ranked[d].index
+            if y // stride % len(ranked) != d and rank(lots[y]) >= rank(lots[x]):
+                break
+        else:
+            reach |= 1 << y
+    return reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gain_sets_match_a_walk_over_every_profile(data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="reports")
+    # an agent with one report never deviates, so the builder skips it
+    sizes.insert(data.draw(st.integers(0, len(sizes)), label="one-report agent"), 1)
+    strides, codes, orders = _draw_lots(data, sizes)
+    reachable = gain_sets(codes, orders, strides)
+    for x in range(math.prod(sizes)):
+        digits = [x // stride % n for stride, n in zip(strides, sizes)]
+        assert reachable(digits, x) == _gain_sets_by_walk(codes, orders, strides, x)

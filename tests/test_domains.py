@@ -19,6 +19,7 @@ from matchlab.core import (
     count_matchings,
     iter_assignments,
     man,
+    market_shape,
     men,
     stable_assignments,
     stable_set,
@@ -686,10 +687,10 @@ def test_forced_profiles_that_conflict_end_the_search_before_the_walk(monkeypatc
     stable_options = domains._stable_options
 
     def mpda_only(p, q, lists):
-        matchings, lots, ranks, _ = stable_options(p, q, lists)
-        index = {m[0]: k for k, m in enumerate(matchings)}
+        ranks, _ = stable_options(p, q, lists)
+        _, index, _ = market_shape(p, q)
         options = [(index[mpda_rule().assignment(r[:p], r[p:])],) for r in itertools.product(*lists)]
-        return matchings, lots, ranks, options
+        return ranks, options
 
     monkeypatch.setattr(domains, "_stable_options", mpda_only)
     assert _backtracking_table(full) is None
@@ -720,13 +721,15 @@ def test_stable_options_match_stable_assignments(data):
         sets[a] = data.draw(st.lists(st.sampled_from(prefs), min_size=1, max_size=3, unique=True), label=a.name)
     domain = PreferenceDomain(sets)
     order = domain.product_order()
-    matchings, _, _, options = _stable_options(p, q, order.lists)
-    assert matchings == list(iter_assignments(p, q))
+    _, options = _stable_options(p, q, order.lists)
+    matchings, _, _ = market_shape(p, q)
+    assert matchings == tuple(assignment for assignment, _ in iter_assignments(p, q))
     listed = list(order.digits())
     assert len(options) == len(listed)
     for digits, opts in zip(listed, options):
         prefs = order.preferences(digits)
-        assert [matchings[k] for k in opts] == stable_assignments(iter_assignments(p, q), prefs[:p], prefs[p:])
+        stable = stable_assignments(iter_assignments(p, q), prefs[:p], prefs[p:])
+        assert [matchings[k] for k in opts] == [assignment for assignment, _ in stable]
 
 
 def _cut_marriage_domain() -> PreferenceDomain:

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchlab import da, manipulation
-from matchlab.core import OUTSIDE, Matching, Profile, Side, man, men, woman, women
+from matchlab.core import MAX_LOT_SIDE, OUTSIDE, Matching, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_assignment, da_matching
 from matchlab.domains import PreferenceDomain, all_preferences, exists_stable_sp_rule
-from matchlab.errors import BudgetExceededError, PreconditionError, ValidationError
+from matchlab.errors import BudgetExceededError, PreconditionError, SizeGuardError, ValidationError
 from matchlab.manipulation import (
     DEFAULT_EVAL_BUDGET,
     EXHAUSTIVE_PROFILE_BUDGET,
@@ -117,12 +117,15 @@ def test_certification_past_the_memo_shapes_runs_da_at_every_profile(monkeypatch
     assert manipulation._OUTCOME_MEMOS == {(mpda_rule()._evaluate, 3, 3): None}
 
 
-@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_memo_outcomes_match_the_checked_engine(p, q):
     # every profile of full(2, 2), then seeded sub-domains with two
     # rankings per agent, which read outcomes other domains put in the
     # memo; each table is read twice, the second time from the memo alone.
-    # A table numbers its outcomes: outcomes[ids[k]] is the one at profile k
+    # A 3x3 market has no memo, so its tables evaluate the rule each time.
+    # A table numbers its outcomes: outcomes[ids[k]] is the one at profile
+    # k, and lots[i][n] is agent i's partner's index in outcomes[n], or the
+    # other side's size when it is unmatched
     rng = random.Random(2023 + 10 * p + q)
     agents = men(p) + women(q)
     domains = [PreferenceDomain.full(2, 2)] if (p, q) == (2, 2) else []
@@ -136,8 +139,23 @@ def test_memo_outcomes_match_the_checked_engine(p, q):
             lists = domain.product_order().lists
             expected = [da_assignment(rule_id, r[:p], r[p:]) for r in itertools.product(*lists)]
             for _ in range(2):
-                ids, outcomes = market.table(lists)
+                ids, outcomes, lots = market.table(lists)
                 assert [outcomes[n] for n in ids] == expected
+                for n, assignment in enumerate(outcomes):
+                    matching = Matching.from_assignment(p, q, assignment)
+                    for a, lot in zip(agents, lots, strict=True):
+                        partner = matching.partner(a)
+                        other = q if a.side is Side.MAN else p
+                        assert lot[n] == (other if partner is OUTSIDE else partner.index)
+
+
+def _one_man_domain(q: int) -> PreferenceDomain:
+    """A 1-by-q domain of two profiles: the man ranks every woman in order,
+    or none of them, and each woman accepts him."""
+    m, ws = man(0), women(q)
+    sets = {m: [Preference(m, ws + (OUTSIDE,)), Preference(m, (OUTSIDE,) + ws)]}
+    sets.update({w: [Preference(w, (m, OUTSIDE))] for w in ws})
+    return PreferenceDomain(sets)
 
 
 def test_certification_refusals_evaluate_nothing(monkeypatch):
@@ -146,7 +164,19 @@ def test_certification_refusals_evaluate_nothing(monkeypatch):
         is_strategy_proof(mpda_rule(), PreferenceDomain.full(3, 3))
     with pytest.raises(ValidationError, match="at least 1"):
         is_group_strategy_proof(mpda_rule(), PreferenceDomain.full(2, 2), max_coalition=0)
+    # the unmatched man's lot code is the women's count, past a byte here
+    for certify in (is_strategy_proof, is_group_strategy_proof):
+        with pytest.raises(SizeGuardError, match=f"limit .*{MAX_LOT_SIDE} agents per side"):
+            certify(mpda_rule(), _one_man_domain(MAX_LOT_SIDE + 1))
     assert calls == []
+
+
+def test_certification_codes_the_largest_side_a_byte_holds():
+    # the unmatched man's lot code is the women's count, the largest byte
+    domain = _one_man_domain(MAX_LOT_SIDE)
+    for rule in (mpda_rule(), wpda_rule()):
+        assert is_strategy_proof(rule, domain)
+        assert is_group_strategy_proof(rule, domain)
 
 
 def _mpda_table_but_the_last_profile(domain):

@@ -14,7 +14,9 @@ the parser's suite list and budget default moved into `core`; the
 off-2x2 `lemma-c1` entries before the rule search moved to per-agent
 stability bitmasks; the off-2x2 `theorem2`, `theorem3` and
 `prop-gsp-existence` entries before certifications built their whole
-outcome table ahead of the first scan.
+outcome table ahead of the first scan; the off-2x2 `theorem3` and
+`lemma-c2` entries before certification, the DA outcome memo and the rule
+search read one shape record from `core`.
 """
 
 import hashlib
@@ -47,6 +49,12 @@ REPORT_DIGESTS = {
         (0, "8eb59f15e477278fa248a69ef16f28fc3666f3fb633895e8662da9c3cb47be91"),
     ("verify", "--suite", "lemma-c2", "--json"):
         (0, "8492bfc9c6ca34ec49da0d007146e0af53aa64b9fcdc6fbd3bddd6c44c41764b"),
+    ("verify", "--suite", "theorem3", "--men", "3", "--women", "2", "--json"):
+        (0, "ec0374b02c7974875e9474dedb16f0bf336e7446933887adf1e77c2da6bf2767"),
+    ("verify", "--suite", "lemma-c2", "--men", "2", "--women", "3", "--json"):
+        (0, "8c8d35a3a70d2d204ae2040bf0fea305b560a7d8316974375612123ea91a5c18"),
+    ("verify", "--suite", "lemma-c2", "--men", "3", "--women", "2", "--json"):
+        (0, "97d50af4d71b079b63d6aaea9e23e5ffb8090eac97a010ce24d61f1b99b2c237"),
     ("verify", "--suite", "theorem3", "--json"):
         (0, "ca40f5481b30209ea8b19c04bd8010cbeed979bacccd3a6b5df2319a641acd46"),
     ("verify", "--suite", "prop4", "--json"):
