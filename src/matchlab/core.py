@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from enum import IntEnum
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -635,6 +635,55 @@ def market_shape(p: int, q: int) -> tuple[tuple[tuple, ...], dict, list[tuple[in
     shapes); callers must not change it."""
     assignments = tuple([assignment for assignment, _ in iter_assignments(p, q)])
     return assignments, {a: m for m, a in enumerate(assignments)}, assignment_lots(p, q, assignments)
+
+
+class ListKeys:
+    """The keys of a p-by-q market's profiles by acceptable lists.
+
+    A DA outcome, and a profile's set of stable matchings, depend on a
+    report only through its acceptable list, the agents it ranks above the
+    outside option in order; two profiles with the same lists share them,
+    whatever domain each comes from. Each side numbers every list its
+    agents can hold, the ordered selections of the other side's indices,
+    shortest first (``numbers[i]`` for agent i, men first, in number
+    order); a profile's key reads its agents' list numbers, in agent order,
+    as the digits of one mixed-radix number below ``size``. So the keys of
+    a product of lists come in its product order, and the product of every
+    list, one report per list, holds every key in ascending order.
+    """
+
+    __slots__ = ("numbers", "size")
+
+    def __init__(self, p: int, q: int):
+        per_side = []
+        for n in (q, p):
+            lists = itertools.chain.from_iterable(itertools.permutations(range(n), k) for k in range(n + 1))
+            per_side.append({l: number for number, l in enumerate(lists)})
+        self.numbers = (per_side[0],) * p + (per_side[1],) * q
+        self.size = len(per_side[0]) ** p * len(per_side[1]) ** q
+
+    def keys(self, lists: Sequence[Sequence[Preference]]) -> list[int]:
+        """The key of every profile of the product of ``lists``, each
+        agent's reports, in product order."""
+        keys = [0]
+        for l, number in zip(lists, self.numbers):
+            digits = [number[pref.acceptable_idx] for pref in l]
+            radix = len(number)
+            keys = [k * radix + d for k in keys for d in digits]
+        return keys
+
+
+@functools.lru_cache(maxsize=64)
+def list_keys(p: int, q: int) -> Optional[ListKeys]:
+    """The shared `ListKeys` of a p-by-q market, or None when the market
+    has more than EXHAUSTIVE_PROFILE_BUDGET keys."""
+    # count the keys agent by agent, stopping past the budget
+    size = 1
+    for n in (q,) * p + (p,) * q:
+        size *= sum(math.perm(n, k) for k in range(n + 1))
+        if size > EXHAUSTIVE_PROFILE_BUDGET:
+            return None
+    return ListKeys(p, q)
 
 
 def lot_codes(ids: Sequence[int], lots: Sequence[Sequence[int]]) -> list[bytes]:

@@ -9,6 +9,7 @@ such a rule as an explicit table or prove none exists.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,12 +20,14 @@ from .core import (
     MAX_ENUMERATION_SIDE,
     OUTSIDE,
     AgentId,
+    ListKeys,
     Outcome,
     Preference,
     Profile,
     Side,
     StrictOrder,
     axis_gains,
+    list_keys,
     lot_codes,
     market_shape,
     men,
@@ -659,6 +662,50 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
     `stable_assignments` keeps them. A profile with a single option is one
     the rule search forces.
 
+    A profile's stable matchings depend on its reports only through their
+    acceptable lists, so on a shape that `core.list_keys` keys they are
+    remembered by the profiles' keys (`_stable_table`): a domain whose keys
+    are all known reads its options from there; otherwise
+    `_stable_option_pass` runs on the domain's own ranks and its options
+    are added. On a larger shape the pass runs on every call.
+    """
+    ranks = [[pref.rank_by_index + (pref.outside_rank,) for pref in l] for l in lists]
+    table = _stable_table(p, q)
+    if table is None:
+        return ranks, _stable_option_pass(p, q, ranks)
+    keys, known = table
+    profile_keys = keys.keys(lists)
+    try:
+        return ranks, list(map(known.__getitem__, profile_keys))
+    except KeyError:
+        options = _stable_option_pass(p, q, ranks)
+        known.update(zip(profile_keys, options))
+        return ranks, options
+
+
+@functools.lru_cache(maxsize=None)
+def _stable_table(p: int, q: int) -> Optional[tuple[ListKeys, dict]]:
+    """(keys, known) for a p-by-q market that `core.list_keys` keys, or None:
+    known[key] numbers the stable matchings of every profile with that
+    key, as `_stable_options` returns them, for each key some search of
+    the shape has met.
+
+    Starts empty on a shape's first search and is filled only by
+    `_stable_option_pass` on searched domains' own reports, so a process
+    pays for no profile it never searches and the table never reads a DA
+    outcome. It holds at most one entry per key. Shared by every search in
+    the process (a search passes the market shape's guard first, which
+    lets at most 36 shapes through); callers must not change it.
+    """
+    keys = list_keys(p, q)
+    return None if keys is None else (keys, {})
+
+
+def _stable_option_pass(p: int, q: int, ranks: Sequence[Sequence[tuple]]) -> list[tuple[int, ...]]:
+    """The options of every profile of a p-by-q product, in product order,
+    as `_stable_options` returns them; ``ranks[a][d]`` is agent a's report
+    d given as its rank of each lot code, men first.
+
     Per agent and report, one bitmask over the matchings holds those whose
     lot the report accepts, and one per opposite agent x those where the
     report ranks x above the lot. A profile's stable set is the AND of its
@@ -667,10 +714,8 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
     """
     _, _, lots = market_shape(p, q)
     bits = [1 << k for k in range(len(lots[0]))]
-    ranks, accepts, wants = [], [], []
-    for lot, prefs in zip(lots, lists):
-        rows = [pref.rank_by_index + (pref.outside_rank,) for pref in prefs]
-        ranks.append(rows)
+    accepts, wants = [], []
+    for lot, rows in zip(lots, ranks):
         accepts.append([sum(b for b, c in zip(bits, lot) if r[c] <= r[-1]) for r in rows])
         wants.append(
             [tuple(sum(b for b, c in zip(bits, lot) if r[x] < r[c]) for x in range(len(r) - 1)) for r in rows]
@@ -683,7 +728,7 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
         men_layer = [
             (mask & accepts[a][d], rows + (wants[a][d],))
             for mask, rows in men_layer
-            for d in range(len(lists[a]))
+            for d in range(len(ranks[a]))
         ]
     masks: list[int] = []
     for mask, men_wants in men_layer:
@@ -705,14 +750,15 @@ def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tu
         if opts is None:
             opts = memo[mask] = tuple(k for k, b in enumerate(bits) if mask & b)
         options.append(opts)
-    return ranks, options
+    return options
 
 
 def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     """The first stable strategy-proof table in lexicographic order, or None
     when provably none exists.
 
-    A table picks one stable option (`_stable_options`) per profile, and is
+    A table picks one stable option (`_stable_options`, remembered per
+    shape by acceptable lists where the shape has a table) per profile, and is
     strategy-proof when no agent gains, in either direction, between two
     profiles that differ in its report alone. The search runs in three steps
     over the domain's product order:

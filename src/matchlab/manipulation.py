@@ -24,7 +24,6 @@ many domains are certified.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -36,6 +35,7 @@ from .core import (
     MAX_LOT_SIDE,
     OUTSIDE,
     AgentId,
+    ListKeys,
     Matching,
     Preference,
     Profile,
@@ -43,6 +43,7 @@ from .core import (
     assignment_lots,
     axis_gains,
     gain_sets,
+    list_keys,
     lot_codes,
     market_shape,
     size_guard,
@@ -63,7 +64,9 @@ class MatchingRule:
     EXHAUSTIVE_PROFILE_BUDGET vectors of acceptable lists reads its
     outcomes from the engine's memo for that shape (`_OutcomeMemo`), which
     every such certification in the process shares; every other
-    certification keeps its own outcome table for one run.
+    certification keeps its own outcome table for one run. The memo is
+    keyed by `core.list_keys`, as the rule search's table of stable
+    options is, but neither reads the other: the search never runs DA.
     `_evaluate` is the same map for reports taken from a `ProductDomain`,
     whose construction has checked their shape, given as two lists or
     tuples: a DA rule runs its engine on them without the check, every
@@ -369,37 +372,26 @@ class _OutcomeMemo:
 
     A DA outcome depends on a report only through its acceptable list, so
     two profiles with the same lists have the same outcome, whatever domain
-    each comes from. Each side numbers every list its agents can hold, the
-    ordered selections of the other side's indices, shortest first
-    (`numbers[i]` for agent i); a profile's key reads its agents' list
-    numbers, in agent order, as the digits of one mixed-radix number.
-    `ids[key]` numbers the outcome at that key among the shape's matchings
+    each comes from. `keys` is the shape's `core.ListKeys`; `ids[key]`
+    numbers the outcome at that key among the shape's matchings
     (`core.market_shape`, at most 13 on a memo shape), and stays UNKNOWN
     until a table needs it.
     """
 
-    __slots__ = ("numbers", "matchings", "index", "lots", "ids")
+    __slots__ = ("keys", "matchings", "index", "lots", "ids")
 
     UNKNOWN = 255
 
-    def __init__(self, p: int, q: int):
-        per_side = []
-        for n in (q, p):
-            lists = itertools.chain.from_iterable(itertools.permutations(range(n), k) for k in range(n + 1))
-            per_side.append({l: number for number, l in enumerate(lists)})
-        self.numbers = (per_side[0],) * p + (per_side[1],) * q
+    def __init__(self, keys: ListKeys, p: int, q: int):
+        self.keys = keys
         self.matchings, self.index, self.lots = market_shape(p, q)
-        self.ids = bytearray([self.UNKNOWN]) * (len(per_side[0]) ** p * len(per_side[1]) ** q)
+        self.ids = bytearray([self.UNKNOWN]) * keys.size
 
     def table(self, evaluate: Callable, lists: Sequence[tuple]) -> tuple[bytes, tuple, list]:
         """A `_Market` table of the product of `lists` whose outcomes are the
         shape's matchings; `evaluate` runs the engine for the keys not yet
         known, once per key."""
-        keys = [0]
-        for l, number in zip(lists, self.numbers):
-            digits = [number[pref.acceptable_idx] for pref in l]
-            radix = len(number)
-            keys = [k * radix + d for k in keys for d in digits]
+        keys = self.keys.keys(lists)
         memo = self.ids
         table = bytes(map(memo.__getitem__, keys))
         if self.UNKNOWN in table:
@@ -418,13 +410,8 @@ _OUTCOME_MEMOS: dict = {}
 def _outcome_memo(engine: Callable, p: int, q: int) -> Optional[_OutcomeMemo]:
     shape = (engine, p, q)
     if shape not in _OUTCOME_MEMOS:
-        # count the list vectors agent by agent, stopping past the budget
-        vectors = 1
-        for n in (q,) * p + (p,) * q:
-            vectors *= sum(math.perm(n, k) for k in range(n + 1))
-            if vectors > EXHAUSTIVE_PROFILE_BUDGET:
-                break
-        _OUTCOME_MEMOS[shape] = _OutcomeMemo(p, q) if vectors <= EXHAUSTIVE_PROFILE_BUDGET else None
+        keys = list_keys(p, q)
+        _OUTCOME_MEMOS[shape] = None if keys is None else _OutcomeMemo(keys, p, q)
     return _OUTCOME_MEMOS[shape]
 
 

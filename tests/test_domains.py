@@ -18,6 +18,7 @@ from matchlab.core import (
     StrictOrder,
     count_matchings,
     iter_assignments,
+    list_keys,
     man,
     market_shape,
     men,
@@ -710,11 +711,18 @@ def test_backtracking_table_past_256_matchings_matches_the_reference_search():
         assert repr(_backtracking_table(domain)) == repr(_reference_table(domain)), seed
 
 
-@settings(max_examples=60, deadline=None)
+# every shape with 1 to 3 men and 1 to 3 women, longer one-agent sides and
+# a 2x4 market; `core.list_keys` tells those whose options `_stable_options`
+# remembers by key (2x2, 2x3, 3x2, 1xn and nx1 up to n = 5) from those
+# where it runs the pass on every call (3x3, 2x4)
+OPTION_SHAPES = [(p, q) for p in range(1, 4) for q in range(1, 4)] + [(1, 4), (1, 5), (4, 1), (5, 1), (2, 4)]
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_stable_options_match_stable_assignments(data):
-    p = data.draw(st.integers(min_value=1, max_value=3), label="men")
-    q = data.draw(st.integers(min_value=1, max_value=3), label="women")
+    p, q = data.draw(st.sampled_from(OPTION_SHAPES), label="shape")
+    assert (domains._stable_table(p, q) is None) == (list_keys(p, q) is None)
     sets = {}
     for a in men(p) + women(q):
         prefs = all_preferences(a, q if a.side is Side.MAN else p)
@@ -722,6 +730,8 @@ def test_stable_options_match_stable_assignments(data):
     domain = PreferenceDomain(sets)
     order = domain.product_order()
     _, options = _stable_options(p, q, order.lists)
+    # a second call reads the options the first one added to the table
+    assert _stable_options(p, q, order.lists)[1] == options
     matchings, _, _ = market_shape(p, q)
     assert matchings == tuple(assignment for assignment, _ in iter_assignments(p, q))
     listed = list(order.digits())
@@ -730,6 +740,67 @@ def test_stable_options_match_stable_assignments(data):
         prefs = order.preferences(digits)
         stable = stable_assignments(iter_assignments(p, q), prefs[:p], prefs[p:])
         assert [matchings[k] for k in opts] == [assignment for assignment, _ in stable]
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record the report count of each agent in every `_stable_option_pass`."""
+    passes = []
+    option_pass = domains._stable_option_pass
+
+    def counting(p, q, ranks):
+        passes.append([len(rows) for rows in ranks])
+        return option_pass(p, q, ranks)
+
+    monkeypatch.setattr(domains, "_stable_option_pass", counting)
+    return passes
+
+
+def test_stable_table_runs_the_pass_only_on_unseen_keys(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    # the full 2x2 domain holds every key, so one pass fills the table and
+    # no later 2x2 search runs one
+    _stable_options(2, 2, PreferenceDomain.full(2, 2).product_order().lists)
+    keys, known = domains._stable_table(2, 2)
+    assert passes == [[6] * 4] and len(known) == keys.size == 625
+    rng = random.Random(23)
+    for _ in range(6):
+        domain = _random_sub_domain(rng, 2, 2, 3)
+        assert repr(_backtracking_table(domain)) == repr(_reference_table(domain))
+    assert len(passes) == 1
+    # elsewhere a search passes over its own reports when one of its keys
+    # is new, and searching the same domains again runs no pass
+    for p, q in [(2, 3), (3, 2), (1, 5)]:
+        passes.clear()
+        keys, seen, expected = list_keys(p, q), set(), []
+        searched = [_random_sub_domain(rng, p, q, 3) for _ in range(8)]
+        for domain in searched:
+            profile_keys = set(keys.keys(domain.product_order().lists))
+            if not profile_keys <= seen:
+                expected.append([len(domain.admissible(a)) for a in domain.agents])
+                seen |= profile_keys
+            _backtracking_table(domain)
+        assert passes == expected and len(domains._stable_table(p, q)[1]) == len(seen)
+        for domain in searched:
+            assert repr(_backtracking_table(domain)) == repr(_reference_table(domain))
+        assert passes == expected
+
+
+def test_stable_table_is_never_built_past_the_budget(monkeypatch):
+    # 3x3 and 2x4 markets have 16 ** 6 and 65 ** 2 * 5 ** 4 list vectors,
+    # over EXHAUSTIVE_PROFILE_BUDGET: each search passes over its own reports
+    past_budget = [(p, q) for p, q in OPTION_SHAPES if list_keys(p, q) is None]
+    assert past_budget == [(3, 3), (2, 4)]
+    passes = _count_passes(monkeypatch)
+    rng = random.Random(29)
+    for p, q in past_budget:
+        searched = []
+        for _ in range(3):
+            domain = _random_sub_domain(rng, p, q, 2)
+            searched.append([len(domain.admissible(a)) for a in domain.agents])
+            _backtracking_table(domain)
+        assert passes == searched
+        assert domains._stable_table(p, q) is None
+        passes.clear()
 
 
 def _cut_marriage_domain() -> PreferenceDomain:

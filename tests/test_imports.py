@@ -109,6 +109,27 @@ def test_domain_property_check_loads_no_rule_or_certification():
     assert loaded & {"matchlab.manipulation", "matchlab.da"} == set()
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import matchlab",
+        "import matchlab; from matchlab import core, domains",
+        f"from matchlab.cli import main; assert main({['solve', '--rule', 'mpda', P1]!r}) == 0",
+    ],
+    ids=["import", "import-domains", "solve"],
+)
+def test_no_list_keys_or_stable_table_are_built_before_a_search(code):
+    # the rule search's per-shape table of stable options, and the list
+    # keys it and the DA outcome memo share, are built on first use
+    probe = code + (
+        "\nimport sys"
+        "\ncore, domains = sys.modules.get('matchlab.core'), sys.modules.get('matchlab.domains')"
+        "\nassert core is None or core.list_keys.cache_info().currsize == 0"
+        "\nassert domains is None or domains._stable_table.cache_info().currsize == 0"
+    )
+    _loaded_after(probe)
+
+
 def test_manipulation_loads_no_domain_module():
     # the DA outcome memo numbers acceptable lists from `core` alone; only
     # the certifications' callers hand it a domain
