@@ -638,7 +638,8 @@ def market_shape(p: int, q: int) -> tuple[tuple[tuple, ...], dict, list[tuple[in
 
 
 class ListKeys:
-    """The keys of a p-by-q market's profiles by acceptable lists.
+    """The keys of a p-by-q market's profiles by acceptable lists, and the
+    values remembered at them.
 
     A DA outcome, and a profile's set of stable matchings, depend on a
     report only through its acceptable list, the agents it ranks above the
@@ -650,9 +651,13 @@ class ListKeys:
     as the digits of one mixed-radix number below ``size``. So the keys of
     a product of lists come in its product order, and the product of every
     list, one report per list, holds every key in ascending order.
+
+    `values` remembers one dict per kind of value, such as a DA engine's
+    outcomes or the stable options, keyed by profile key and filled only
+    by the callers that read it.
     """
 
-    __slots__ = ("numbers", "size")
+    __slots__ = ("numbers", "size", "_memos")
 
     def __init__(self, p: int, q: int):
         per_side = []
@@ -661,6 +666,7 @@ class ListKeys:
             per_side.append({l: number for number, l in enumerate(lists)})
         self.numbers = (per_side[0],) * p + (per_side[1],) * q
         self.size = len(per_side[0]) ** p * len(per_side[1]) ** q
+        self._memos: dict = {}
 
     def keys(self, lists: Sequence[Sequence[Preference]]) -> list[int]:
         """The key of every profile of the product of ``lists``, each
@@ -672,11 +678,23 @@ class ListKeys:
             keys = [k * radix + d for k in keys for d in digits]
         return keys
 
+    def values(self, kind: Hashable, keys: Sequence[int], fill: Callable[[dict], None]) -> list:
+        """The value of ``kind`` remembered at each of ``keys``, in order.
+        When some key has none, ``fill(memo)`` first adds to the kind's
+        memo, a dict from key to value, at least the missing keys."""
+        memo = self._memos.setdefault(kind, {})
+        try:
+            return list(map(memo.__getitem__, keys))
+        except KeyError:
+            fill(memo)
+            return list(map(memo.__getitem__, keys))
 
-@functools.lru_cache(maxsize=64)
+
+@functools.lru_cache(maxsize=None)
 def list_keys(p: int, q: int) -> Optional[ListKeys]:
     """The shared `ListKeys` of a p-by-q market, or None when the market
-    has more than EXHAUSTIVE_PROFILE_BUDGET keys."""
+    has more than EXHAUSTIVE_PROFILE_BUDGET keys. Kept for the process, so
+    what its `values` remember is too."""
     # count the keys agent by agent, stopping past the budget
     size = 1
     for n in (q,) * p + (p,) * q:

@@ -9,7 +9,6 @@ such a rule as an explicit table or prove none exists.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,6 @@ from .core import (
     MAX_ENUMERATION_SIDE,
     OUTSIDE,
     AgentId,
-    ListKeys,
     Outcome,
     Preference,
     Profile,
@@ -107,10 +105,11 @@ class ProductDomain:
     from one preference per agent, in agent order).
 
     Construction checks every shape the DA engine relies on, so reports
-    taken from a domain go to the engine unchecked.
+    taken from a domain go to the engine unchecked. A domain does not change
+    once built, so its product order is built on first use and kept.
     """
 
-    __slots__ = ("agents", "sizes", "_lists", "_lookups")
+    __slots__ = ("agents", "sizes", "_lists", "_lookups", "_order")
 
     SIDES: tuple[str, str]
 
@@ -162,11 +161,15 @@ class ProductDomain:
     def product_order(self) -> ProductOrder:
         """The admissible lists in agent order, with the strides that number
         the profiles as in `profiles`."""
-        lists = tuple(self._lists[a] for a in self.agents)
-        strides = [1] * len(lists)
-        for i in range(len(lists) - 1, 0, -1):
-            strides[i - 1] = strides[i] * len(lists[i])
-        return ProductOrder(lists, tuple(strides))
+        try:
+            return self._order
+        except AttributeError:
+            lists = tuple(self._lists[a] for a in self.agents)
+            strides = [1] * len(lists)
+            for i in range(len(lists) - 1, 0, -1):
+                strides[i - 1] = strides[i] * len(lists[i])
+            self._order = ProductOrder(lists, tuple(strides))
+            return self._order
 
     def profiles(self) -> Iterator:
         """All admissible profiles, last agent's coordinate varying fastest."""
@@ -213,7 +216,7 @@ class ProductDomain:
 class PreferenceDomain(ProductDomain):
     """Per-agent admissible preference sets over a fixed p-by-q marriage market."""
 
-    __slots__ = ()
+    __slots__ = ("_keys",)
 
     SIDES = ("men", "women")
 
@@ -240,6 +243,18 @@ class PreferenceDomain(ProductDomain):
 
     def make_profile(self, prefs: Sequence[Preference]) -> Profile:
         return Profile(prefs)
+
+    def profile_keys(self) -> Optional[list[int]]:
+        """Each profile's key by acceptable lists (`core.list_keys`), in
+        product order, or None when the market has more than
+        EXHAUSTIVE_PROFILE_BUDGET keys. Built on first use and kept, so
+        every certification and rule search of the domain reads one."""
+        try:
+            return self._keys
+        except AttributeError:
+            keys = list_keys(self.p, self.q)
+            self._keys = None if keys is None else keys.keys(self.product_order().lists)
+            return self._keys
 
     @classmethod
     def full(cls, p: int, q: int) -> "PreferenceDomain":
@@ -650,55 +665,35 @@ class StableSpSearch:
         return self.rule is not None
 
 
-def _stable_options(p: int, q: int, lists: Sequence[Sequence[Preference]]) -> tuple[list, list]:
-    """The stable matchings of every profile of a p-by-q product domain.
+def _stable_options(domain: PreferenceDomain) -> tuple[list, list]:
+    """The stable matchings of every profile of a marriage domain.
 
-    ``lists`` holds the admissible reports of each agent, men then women,
-    as in `ProductDomain.product_order`. The matchings are the shape's
-    record (`core.market_shape`), numbered in `iter_assignments` order,
-    with each agent's lot code in each. Returns ``ranks[a][d]``, report d's
-    rank of each lot code; and ``options``, for each profile in product
-    order the numbers of its stable matchings, ascending, exactly as
+    The matchings are the shape's record (`core.market_shape`), numbered in
+    `iter_assignments` order, with each agent's lot code in each. Returns
+    ``ranks[a][d]``, the rank that agent a's report d, men first, gives
+    each lot code; and ``options``, for each profile in product order the
+    numbers of its stable matchings, ascending, exactly as
     `stable_assignments` keeps them. A profile with a single option is one
     the rule search forces.
 
     A profile's stable matchings depend on its reports only through their
-    acceptable lists, so on a shape that `core.list_keys` keys they are
-    remembered by the profiles' keys (`_stable_table`): a domain whose keys
-    are all known reads its options from there; otherwise
-    `_stable_option_pass` runs on the domain's own ranks and its options
-    are added. On a larger shape the pass runs on every call.
+    acceptable lists, so where the domain has keys (`profile_keys`) they
+    are read from the shape's `core.ListKeys` store: a domain whose keys
+    are all known reads them there; otherwise `_stable_option_pass` runs
+    on the domain's own ranks and its options are added. Elsewhere the pass
+    runs on every call. The options come from rankings alone, never from
+    DA outcomes.
     """
-    ranks = [[pref.rank_by_index + (pref.outside_rank,) for pref in l] for l in lists]
-    table = _stable_table(p, q)
-    if table is None:
+    p, q = domain.p, domain.q
+    ranks = [[pref.rank_by_index + (pref.outside_rank,) for pref in l] for l in domain.product_order().lists]
+    keys = domain.profile_keys()
+    if keys is None:
         return ranks, _stable_option_pass(p, q, ranks)
-    keys, known = table
-    profile_keys = keys.keys(lists)
-    try:
-        return ranks, list(map(known.__getitem__, profile_keys))
-    except KeyError:
-        options = _stable_option_pass(p, q, ranks)
-        known.update(zip(profile_keys, options))
-        return ranks, options
 
+    def fill(memo: dict) -> None:
+        memo.update(zip(keys, _stable_option_pass(p, q, ranks)))
 
-@functools.lru_cache(maxsize=None)
-def _stable_table(p: int, q: int) -> Optional[tuple[ListKeys, dict]]:
-    """(keys, known) for a p-by-q market that `core.list_keys` keys, or None:
-    known[key] numbers the stable matchings of every profile with that
-    key, as `_stable_options` returns them, for each key some search of
-    the shape has met.
-
-    Starts empty on a shape's first search and is filled only by
-    `_stable_option_pass` on searched domains' own reports, so a process
-    pays for no profile it never searches and the table never reads a DA
-    outcome. It holds at most one entry per key. Shared by every search in
-    the process (a search passes the market shape's guard first, which
-    lets at most 36 shapes through); callers must not change it.
-    """
-    keys = list_keys(p, q)
-    return None if keys is None else (keys, {})
+    return ranks, list_keys(p, q).values("stable options", keys, fill)
 
 
 def _stable_option_pass(p: int, q: int, ranks: Sequence[Sequence[tuple]]) -> list[tuple[int, ...]]:
@@ -757,8 +752,8 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     """The first stable strategy-proof table in lexicographic order, or None
     when provably none exists.
 
-    A table picks one stable option (`_stable_options`, remembered per
-    shape by acceptable lists where the shape has a table) per profile, and is
+    A table picks one stable option (`_stable_options`, remembered by
+    acceptable lists where the domain has keys) per profile, and is
     strategy-proof when no agent gains, in either direction, between two
     profiles that differ in its report alone. The search runs in three steps
     over the domain's product order:
@@ -781,7 +776,7 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     order = domain.product_order()
     lists, strides = order.lists, order.strides
     assignments, _, lots = market_shape(p, domain.q)
-    ranks, options = _stable_options(p, domain.q, lists)
+    ranks, options = _stable_options(domain)
     # the matching at each profile: its first option, until the walk over
     # the free profiles picks another
     picked = [opts[0] for opts in options]

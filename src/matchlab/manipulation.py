@@ -16,9 +16,9 @@ members' classes and reads every joint misreport's outcome from its
 combination, so the witnesses and their order are those of a search that
 evaluates every joint misreport, and the budget still counts each one.
 Certifications of a DA rule share one step further: on a small market they
-read every outcome from a memo per engine and shape, keyed by the
-profile's acceptable lists, so DA runs once per vector of lists however
-many domains are certified.
+read every outcome from the shape's store in `core.ListKeys`, one memo per
+engine keyed by the profile's acceptable lists, so DA runs once per vector
+of lists however many domains are certified.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .core import (
     MAX_LOT_SIDE,
     OUTSIDE,
     AgentId,
-    ListKeys,
     Matching,
     Preference,
     Profile,
@@ -62,11 +61,11 @@ class MatchingRule:
     man's partner index (None when unmatched). A rule keeps no results. A
     certification of a DA rule on a market shape with at most
     EXHAUSTIVE_PROFILE_BUDGET vectors of acceptable lists reads its
-    outcomes from the engine's memo for that shape (`_OutcomeMemo`), which
-    every such certification in the process shares; every other
-    certification keeps its own outcome table for one run. The memo is
-    keyed by `core.list_keys`, as the rule search's table of stable
-    options is, but neither reads the other: the search never runs DA.
+    outcomes from the shape's `core.ListKeys` store, in the engine's own
+    memo, which every such certification in the process shares; every
+    other certification keeps its own outcome table for one run. The rule
+    search keeps its stable options in the same store under its own kind,
+    and neither reads the other's: the search never runs DA.
     `_evaluate` is the same map for reports taken from a `ProductDomain`,
     whose construction has checked their shape, given as two lists or
     tuples: a DA rule runs its engine on them without the check, every
@@ -244,11 +243,10 @@ class _Market:
     `ranks(true)` returns rank(i, outcome), agent i's rank by true[i] of its
     lot (0 is the top). `witness(base, coalition, reports, before, after)`
     builds the witness of one hit of `_search`. The certification walk
-    also needs `table(lists)`, which returns (ids, outcomes, lots): ids[k]
-    numbers the outcome at the k-th report vector of the product of
-    `lists`, in product order, outcomes[n] is the outcome numbered n, and
-    lots[i][n] is agent i's lot code in outcomes[n], the code its reports'
-    `ranking_idx` gives that lot.
+    also needs `table(domain)`, which returns (ids, outcomes, lots): ids[k]
+    numbers the outcome at the domain's k-th profile in product order,
+    outcomes[n] is the outcome numbered n, and lots[i][n] is agent i's lot
+    code in outcomes[n], the code its reports' `ranking_idx` gives that lot.
     """
 
     def __init__(self, evaluate: Callable, ranks: Callable, witness: Callable, table: Optional[Callable] = None):
@@ -367,72 +365,33 @@ def _search(
                         yield coalition, misreports, before, after
 
 
-class _OutcomeMemo:
-    """A DA engine's outcomes on a p-by-q market, keyed by acceptable lists.
-
-    A DA outcome depends on a report only through its acceptable list, so
-    two profiles with the same lists have the same outcome, whatever domain
-    each comes from. `keys` is the shape's `core.ListKeys`; `ids[key]`
-    numbers the outcome at that key among the shape's matchings
-    (`core.market_shape`, at most 13 on a memo shape), and stays UNKNOWN
-    until a table needs it.
-    """
-
-    __slots__ = ("keys", "matchings", "index", "lots", "ids")
-
-    UNKNOWN = 255
-
-    def __init__(self, keys: ListKeys, p: int, q: int):
-        self.keys = keys
-        self.matchings, self.index, self.lots = market_shape(p, q)
-        self.ids = bytearray([self.UNKNOWN]) * keys.size
-
-    def table(self, evaluate: Callable, lists: Sequence[tuple]) -> tuple[bytes, tuple, list]:
-        """A `_Market` table of the product of `lists` whose outcomes are the
-        shape's matchings; `evaluate` runs the engine for the keys not yet
-        known, once per key."""
-        keys = self.keys.keys(lists)
-        memo = self.ids
-        table = bytes(map(memo.__getitem__, keys))
-        if self.UNKNOWN in table:
-            for key, reports in zip(keys, itertools.product(*lists)):
-                if memo[key] == self.UNKNOWN:
-                    memo[key] = self.index[evaluate(reports)]
-            table = bytes(map(memo.__getitem__, keys))
-        return table, self.matchings, self.lots
-
-
-# (engine, p, q) -> the engine's `_OutcomeMemo` on that shape, or None where
-# the shape has more list vectors than EXHAUSTIVE_PROFILE_BUDGET
-_OUTCOME_MEMOS: dict = {}
-
-
-def _outcome_memo(engine: Callable, p: int, q: int) -> Optional[_OutcomeMemo]:
-    shape = (engine, p, q)
-    if shape not in _OUTCOME_MEMOS:
-        keys = list_keys(p, q)
-        _OUTCOME_MEMOS[shape] = None if keys is None else _OutcomeMemo(keys, p, q)
-    return _OUTCOME_MEMOS[shape]
-
-
 def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     """The market record of a rule on a p-by-q marriage market, whose agents
     are numbered men first and whose reports the domain has checked.
 
-    A DA rule's `table` reads the engine's `_OutcomeMemo` for the shape,
-    when there is one, and numbers outcomes among the shape's matchings;
-    every other table evaluates the rule once per report vector, numbers
-    its outcomes in the order they first appear and codes their lots with
-    `core.assignment_lots`."""
+    A DA rule's `table`, on a domain with keys (`profile_keys`), reads the
+    engine's outcomes from the shape's `core.ListKeys` store, running DA
+    only at keys it does not hold yet, and numbers them among the shape's
+    matchings (`core.market_shape`); every other table evaluates the rule
+    once per profile, numbers its outcomes in the order they first appear
+    and codes their lots with `core.assignment_lots`."""
     engine = rule._evaluate
 
     def evaluate(reports: Sequence) -> tuple:
         return engine(reports[:p], reports[p:])
 
-    def table(lists: Sequence[tuple]) -> tuple[Sequence[int], Sequence[tuple], list]:
-        memo = None if rule._class_key is None else _outcome_memo(engine, p, q)
-        if memo is not None:
-            return memo.table(evaluate, lists)
+    def table(domain: "PreferenceDomain") -> tuple[Sequence[int], Sequence[tuple], list]:
+        lists = domain.product_order().lists
+        keys = None if rule._class_key is None else domain.profile_keys()
+        if keys is not None:
+            matchings, index, lots = market_shape(p, q)
+
+            def fill(memo: dict) -> None:
+                for key, reports in zip(keys, itertools.product(*lists)):
+                    if key not in memo:
+                        memo[key] = index[evaluate(reports)]
+
+            return list_keys(p, q).values(engine, keys, fill), matchings, lots
         number: dict = {}
         ids = [number.setdefault(a, len(number)) for a in map(evaluate, itertools.product(*lists))]
         outcomes = list(number)
@@ -511,7 +470,7 @@ class StrategyProofness:
 
 def _certify(
     market: _Market,
-    domain: "ProductDomain",
+    domain: "PreferenceDomain",
     budget: int,
     max_coalition: Optional[int],
 ) -> StrategyProofness:
@@ -534,8 +493,9 @@ def _certify(
     Each picked base is scanned by `_search`, which reads its outcomes from
     the table. A certification thus evaluates the rule at most once per
     profile, whether it holds or fails at its first base: a DA rule's table
-    evaluates only the lists not yet in its outcome memo, so after the
-    first certification on a shape it usually evaluates none. Preferences
+    evaluates only the lists its engine's memo in the shape's
+    `core.ListKeys` store does not hold yet, so after the first
+    certification on a shape it usually evaluates none. Preferences
     are looked up only to build the table and each report's code order, to
     rank a scanned base's lots or to build the witness.
 
@@ -565,7 +525,7 @@ def _certify(
             count,
         )
     size_guard("certifying this domain", max(domain.sizes), MAX_LOT_SIDE, lambda: "lot codes past a byte")
-    ids, outcomes, lots = market.table(lists)
+    ids, outcomes, lots = market.table(domain)
     codes = lot_codes(ids, lots)
     orders = [[pref.ranking_idx for pref in l] for l in lists]
     if cap == 1:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from matchlab import domains, manipulation
+from matchlab import core
 from matchlab.core import (
     OUTSIDE,
     Matching,
@@ -74,11 +74,10 @@ def random_profile(rng: random.Random, p: int, q: int) -> Profile:
 
 @pytest.fixture(autouse=True)
 def empty_outcome_memos():
-    """Every test starts with no DA outcome and no stable-option table
-    remembered, so the DA runs and the option passes a test counts do not
-    depend on which tests ran before it."""
-    manipulation._OUTCOME_MEMOS.clear()
-    domains._stable_table.cache_clear()
+    """Every test starts with no DA outcome and no stable options
+    remembered by acceptable lists, so the DA runs and the option passes a
+    test counts do not depend on which tests ran before it."""
+    core.list_keys.cache_clear()
 
 
 @pytest.fixture

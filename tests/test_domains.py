@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from matchlab import domains
 from matchlab.core import (
     OUTSIDE,
+    ListKeys,
     Preference,
     Side,
     StrictOrder,
@@ -60,7 +61,7 @@ from matchlab.errors import (
     ValidationError,
 )
 from matchlab.formats import mto_domain_from_json
-from matchlab.manipulation import is_strategy_proof, mpda_rule
+from matchlab.manipulation import is_group_strategy_proof, is_strategy_proof, mpda_rule
 from matchlab.mto import MtoDomain, StudentPreference, college, student
 
 from conftest import pref
@@ -687,9 +688,10 @@ def test_forced_profiles_that_conflict_end_the_search_before_the_walk(monkeypatc
     conflicts, visits = _watch_search(monkeypatch)
     stable_options = domains._stable_options
 
-    def mpda_only(p, q, lists):
-        ranks, _ = stable_options(p, q, lists)
-        _, index, _ = market_shape(p, q)
+    def mpda_only(domain):
+        ranks, _ = stable_options(domain)
+        p, lists = domain.p, domain.product_order().lists
+        _, index, _ = market_shape(p, domain.q)
         options = [(index[mpda_rule().assignment(r[:p], r[p:])],) for r in itertools.product(*lists)]
         return ranks, options
 
@@ -722,16 +724,23 @@ OPTION_SHAPES = [(p, q) for p in range(1, 4) for q in range(1, 4)] + [(1, 4), (1
 @given(data=st.data())
 def test_stable_options_match_stable_assignments(data):
     p, q = data.draw(st.sampled_from(OPTION_SHAPES), label="shape")
-    assert (domains._stable_table(p, q) is None) == (list_keys(p, q) is None)
     sets = {}
     for a in men(p) + women(q):
         prefs = all_preferences(a, q if a.side is Side.MAN else p)
         sets[a] = data.draw(st.lists(st.sampled_from(prefs), min_size=1, max_size=3, unique=True), label=a.name)
     domain = PreferenceDomain(sets)
     order = domain.product_order()
-    _, options = _stable_options(p, q, order.lists)
-    # a second call reads the options the first one added to the table
-    assert _stable_options(p, q, order.lists)[1] == options
+    keys = list_keys(p, q)
+    if keys is None:
+        assert domain.profile_keys() is None
+    else:
+        assert domain.profile_keys() == keys.keys(order.lists)
+    _, options = _stable_options(domain)
+    # a second call reads the options the first one added to the store
+    assert _stable_options(domain)[1] == options
+    if keys is not None:
+        known = keys._memos["stable options"]
+        assert [known[k] for k in domain.profile_keys()] == options
     matchings, _, _ = market_shape(p, q)
     assert matchings == tuple(assignment for assignment, _ in iter_assignments(p, q))
     listed = list(order.digits())
@@ -759,9 +768,9 @@ def test_stable_table_runs_the_pass_only_on_unseen_keys(monkeypatch):
     passes = _count_passes(monkeypatch)
     # the full 2x2 domain holds every key, so one pass fills the table and
     # no later 2x2 search runs one
-    _stable_options(2, 2, PreferenceDomain.full(2, 2).product_order().lists)
-    keys, known = domains._stable_table(2, 2)
-    assert passes == [[6] * 4] and len(known) == keys.size == 625
+    _stable_options(PreferenceDomain.full(2, 2))
+    keys = list_keys(2, 2)
+    assert passes == [[6] * 4] and len(keys._memos["stable options"]) == keys.size == 625
     rng = random.Random(23)
     for _ in range(6):
         domain = _random_sub_domain(rng, 2, 2, 3)
@@ -779,7 +788,7 @@ def test_stable_table_runs_the_pass_only_on_unseen_keys(monkeypatch):
                 expected.append([len(domain.admissible(a)) for a in domain.agents])
                 seen |= profile_keys
             _backtracking_table(domain)
-        assert passes == expected and len(domains._stable_table(p, q)[1]) == len(seen)
+        assert passes == expected and keys._memos["stable options"].keys() == seen
         for domain in searched:
             assert repr(_backtracking_table(domain)) == repr(_reference_table(domain))
         assert passes == expected
@@ -787,7 +796,8 @@ def test_stable_table_runs_the_pass_only_on_unseen_keys(monkeypatch):
 
 def test_stable_table_is_never_built_past_the_budget(monkeypatch):
     # 3x3 and 2x4 markets have 16 ** 6 and 65 ** 2 * 5 ** 4 list vectors,
-    # over EXHAUSTIVE_PROFILE_BUDGET: each search passes over its own reports
+    # over EXHAUSTIVE_PROFILE_BUDGET: each search passes over its own reports,
+    # and no store of options is kept for them
     past_budget = [(p, q) for p, q in OPTION_SHAPES if list_keys(p, q) is None]
     assert past_budget == [(3, 3), (2, 4)]
     passes = _count_passes(monkeypatch)
@@ -798,9 +808,57 @@ def test_stable_table_is_never_built_past_the_budget(monkeypatch):
             domain = _random_sub_domain(rng, p, q, 2)
             searched.append([len(domain.admissible(a)) for a in domain.agents])
             _backtracking_table(domain)
+            assert domain.profile_keys() is None
         assert passes == searched
-        assert domains._stable_table(p, q) is None
         passes.clear()
+
+
+def test_a_certification_unit_keys_its_domain_once(monkeypatch):
+    # a seeded 2x2 domain where the men hold the unrestricted top pairs:
+    # both search paths and the found rule's group certification read the
+    # one key list the domain keeps, and DA's outcomes and the stable
+    # options from one store
+    rng = random.Random(1)
+    sets = {m: [Preference(m, r) for r in minimal_utp_rankings(women(2))] for m in men(2)}
+    sets.update({w: rng.sample(all_preferences(w, 2), 4) for w in women(2)})
+    domain = PreferenceDomain(sets)
+    assert satisfies_unrestricted_top_pairs(domain, Side.MAN)
+    calls = []
+    keys = ListKeys.keys
+
+    def counting(self, lists):
+        calls.append(len(lists))
+        return keys(self, lists)
+
+    monkeypatch.setattr(ListKeys, "keys", counting)
+    auto = exists_stable_sp_rule(domain, "auto")
+    table = exists_stable_sp_rule(domain, "backtracking")
+    assert auto.path == "shortcut-mpda" and auto.exists and table.exists
+    assert is_group_strategy_proof(auto.rule, domain)
+    assert calls == [4]
+    assert domain.product_order() is domain.product_order()
+    assert domain.profile_keys() is domain.profile_keys()
+    store = list_keys(2, 2)._memos
+    assert store.keys() == {mpda_rule()._evaluate, "stable options"}
+    assert all(k in store[kind] for kind in store for k in domain.profile_keys())
+
+
+def test_college_domains_build_their_product_order_once():
+    # the Example 2 fixture: 200,000 profiles, of which the first 50 and
+    # the last are compared with the product of the admissible sets
+    fixture = _college_fixture_domain()
+    assert fixture == _college_fixture_domain() and fixture != _cut_college_domain()
+    order = fixture.product_order()
+    assert fixture.product_order() is order
+    assert order.strides == (100_000, 100_000, 100_000, 10_000, 1_000, 100, 10, 1)
+    expected = itertools.product(*(fixture.admissible(a) for a in fixture.agents))
+    profiles = fixture.profiles()
+    for index, prefs in enumerate(itertools.islice(expected, 50)):
+        assert order.preferences(order.digits_at(index)) == prefs
+        profile = next(profiles)
+        assert tuple(profile[a] for a in fixture.agents) == prefs
+    last = tuple(fixture.admissible(a)[-1] for a in fixture.agents)
+    assert order.preferences(order.digits_at(fixture.profile_count - 1)) == last
 
 
 def _cut_marriage_domain() -> PreferenceDomain:

@@ -119,13 +119,12 @@ def test_domain_property_check_loads_no_rule_or_certification():
     ids=["import", "import-domains", "solve"],
 )
 def test_no_list_keys_or_stable_table_are_built_before_a_search(code):
-    # the rule search's per-shape table of stable options, and the list
-    # keys it and the DA outcome memo share, are built on first use
+    # the list keys, and the store of DA outcomes and stable options they
+    # hold, are built on first use
     probe = code + (
         "\nimport sys"
-        "\ncore, domains = sys.modules.get('matchlab.core'), sys.modules.get('matchlab.domains')"
+        "\ncore = sys.modules.get('matchlab.core')"
         "\nassert core is None or core.list_keys.cache_info().currsize == 0"
-        "\nassert domains is None or domains._stable_table.cache_info().currsize == 0"
     )
     _loaded_after(probe)
 

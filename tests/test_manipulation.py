@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchlab import da, manipulation
+from matchlab import core, da, manipulation
 from matchlab.core import MAX_LOT_SIDE, OUTSIDE, Matching, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_assignment, da_matching
 from matchlab.domains import PreferenceDomain, all_preferences, exists_stable_sp_rule
@@ -114,7 +114,9 @@ def test_certification_past_the_memo_shapes_runs_da_at_every_profile(monkeypatch
         calls.clear()
         is_group_strategy_proof(mpda_rule(), dom)
         assert len(calls) == dom.profile_count
-    assert manipulation._OUTCOME_MEMOS == {(mpda_rule()._evaluate, 3, 3): None}
+    # the only shape whose store was looked up is 3x3, which has none
+    assert core.list_keys.cache_info().currsize == 1
+    assert core.list_keys(3, 3) is None and dom.profile_keys() is None
 
 
 @pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -139,7 +141,7 @@ def test_memo_outcomes_match_the_checked_engine(p, q):
             lists = domain.product_order().lists
             expected = [da_assignment(rule_id, r[:p], r[p:]) for r in itertools.product(*lists)]
             for _ in range(2):
-                ids, outcomes, lots = market.table(lists)
+                ids, outcomes, lots = market.table(domain)
                 assert [outcomes[n] for n in ids] == expected
                 for n, assignment in enumerate(outcomes):
                     matching = Matching.from_assignment(p, q, assignment)
