@@ -330,7 +330,7 @@ def _detail_json(detail: Optional[tuple]) -> Any:
         if isinstance(x, Side):
             return "men" if x is Side.MAN else "women"
         if hasattr(x, "ranking"):
-            return [formats._outcome_token(t) for t in x.ranking]
+            return formats._ranking_tokens(x)
         if hasattr(x, "name"):
             return x.name
         if isinstance(x, (tuple, list, frozenset, set)):

@@ -22,11 +22,12 @@ receiver quotas: in each step every free proposer with an untried
 acceptable partner proposes to the best one remaining, and every receiver
 keeps the best acceptable proposals in hand up to its quota (those it holds
 count as standing proposals). Rejected proposers propose again in the next
-step; the run ends when a step has no proposals or no rejections. `run_da`
-runs it with quota 1 per receiver, `mto.run_spda` with the college quotas,
-and both replay its rounds with `_tentative_holdings`; they serve traced
-runs. Both forms give the proposer-optimal stable matching, so each is the
-other's oracle.
+step; the run ends when a step has no proposals or no rejections. It serves
+traced runs through `_traced_da`, which replays its rounds with
+`_tentative_holdings` and checks that the replay ends on what the engine
+holds: `run_da` runs it with quota 1 per receiver, `mto.run_spda` with the
+college quotas. Both forms give the proposer-optimal stable matching, so
+each is the other's oracle.
 """
 
 from __future__ import annotations
@@ -117,10 +118,12 @@ def _da_engine(lists: Sequence, ranks: Sequence, outside: Sequence, quotas: Sequ
     return held, rounds
 
 
-def _tentative_holdings(rounds: list, n_receivers: int) -> Iterator[tuple]:
-    """Replay the engine's rounds: after each one, every receiver's tentative
-    holding as a sorted tuple of proposer indices."""
-    snapshot = [()] * n_receivers
+def _tentative_holdings(rounds: list, held: list) -> Iterator[tuple]:
+    """Replay the engine's rounds: yield each one's proposals and rejections
+    with every receiver's tentative holding after it, as a sorted tuple of
+    proposer indices. Raises RuntimeError when the replay does not end on
+    the engine's held lists."""
+    snapshot = [()] * len(held)
     for proposals, rejections in rounds:
         pools: dict[int, list[int]] = {}
         for i, r in proposals:
@@ -134,7 +137,24 @@ def _tentative_holdings(rounds: list, n_receivers: int) -> Iterator[tuple]:
         for r, pool in pools.items():
             pool.sort()
             snapshot[r] = tuple(pool)
-        yield tuple(snapshot)
+        yield proposals, rejections, tuple(snapshot)
+    final = [tuple(sorted(kept)) for kept in held]
+    if snapshot != final:
+        raise RuntimeError(f"trace replays to {tuple(snapshot)}, engine holds {tuple(final)}")
+
+
+def _traced_da(proposer_prefs: Sequence, receiver_prefs: Sequence, quotas: Sequence, step: Callable) -> tuple:
+    """Run `_da_engine` on the proposers' acceptable lists and the receivers'
+    ranks; return one step per round, step(number, proposals, rejections,
+    holding) of the round's index pairs and its `_tentative_holdings` replay,
+    which checks that the last step's holding is the engine's outcome."""
+    held, rounds = _da_engine(
+        [pref.acceptable_idx for pref in proposer_prefs],
+        [pref.rank_by_index for pref in receiver_prefs],
+        [pref.outside_rank for pref in receiver_prefs],
+        quotas,
+    )
+    return tuple([step(n, *replayed) for n, replayed in enumerate(_tentative_holdings(rounds, held), start=1)])
 
 
 def _held_to_assignment(held: list, rule: RuleId, p: int) -> tuple:
@@ -248,33 +268,18 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
     else:
         proposer_prefs, receiver_prefs = profile.women_prefs, profile.men_prefs
         proposers, receivers = women(q), men(p)
-    held, rounds = _da_engine(
-        [pref.acceptable_idx for pref in proposer_prefs],
-        [pref.rank_by_index for pref in receiver_prefs],
-        [pref.outside_rank for pref in receiver_prefs],
-        [1] * len(receiver_prefs),
-    )
 
-    def as_matching(holding) -> Matching:
+    def step(number: int, proposals: list, rejections: list, holding: tuple) -> DaStep:
         single = [kept[0] if kept else -1 for kept in holding]
-        return Matching.from_assignment(p, q, _held_to_assignment(single, rule, p))
-
-    steps = []
-    holdings = _tentative_holdings(rounds, len(receiver_prefs))
-    for number, ((proposals, rejections), holding) in enumerate(zip(rounds, holdings), start=1):
-        steps.append(
-            DaStep(
-                number=number,
-                proposals=tuple([(proposers[i], receivers[r]) for i, r in proposals]),
-                rejections=tuple([(proposers[i], receivers[r]) for i, r in rejections]),
-                tentative=as_matching(holding),
-            )
+        return DaStep(
+            number=number,
+            proposals=tuple([(proposers[i], receivers[r]) for i, r in proposals]),
+            rejections=tuple([(proposers[i], receivers[r]) for i, r in rejections]),
+            tentative=Matching.from_assignment(p, q, _held_to_assignment(single, rule, p)),
         )
-    final = as_matching(held)
-    trace = DaTrace(rule=rule, steps=tuple(steps))
-    if trace.final != final:
-        raise RuntimeError(f"{rule.value} trace replays to {trace.final}, engine holds {final}")
-    return final, trace
+
+    trace = DaTrace(rule=rule, steps=_traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step))
+    return trace.final, trace
 
 
 def replay_trace(trace: DaTrace, p: int, q: int) -> Matching:

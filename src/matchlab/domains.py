@@ -158,6 +158,14 @@ class ProductDomain:
     def profile_count(self) -> int:
         return math.prod(len(tup) for tup in self._lists.values())
 
+    def exhaustive_count(self, walk: str) -> int:
+        """The profile count, once it is within EXHAUSTIVE_PROFILE_BUDGET:
+        past it, BudgetExceededError refuses the named walk over them all."""
+        count = self.profile_count
+        if count > EXHAUSTIVE_PROFILE_BUDGET:
+            raise BudgetExceededError(f"{walk} is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles", count)
+        return count
+
     def product_order(self) -> ProductOrder:
         """The admissible lists in agent order, with the strides that number
         the profiles as in `profiles`."""
@@ -523,13 +531,7 @@ def generate_minimal_utp(p: int, q: int) -> PreferenceDomain:
 
     Completions are canonical: remaining agents ascending, outside last.
     """
-    sets: dict[AgentId, tuple[Preference, ...]] = {}
-    for a in men(p) + women(q):
-        universe = women(q) if a.side is Side.MAN else men(p)
-        sets[a] = tuple(
-            Preference(a, r) for r in minimal_utp_rankings(universe)
-        )
-    return PreferenceDomain(sets)
+    return PreferenceDomain.anonymous(p, q, minimal_utp_rankings(women(q)), minimal_utp_rankings(men(p)))
 
 
 def minimal_utp_rankings(universe: Sequence) -> list[tuple[Outcome, ...]]:
@@ -767,11 +769,7 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     over every profile by index. Preference tuples are built only for the
     table's keys.
     """
-    total = domain.profile_count
-    if total > EXHAUSTIVE_PROFILE_BUDGET:
-        raise BudgetExceededError(
-            f"backtracking search is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles", total
-        )
+    total = domain.exhaustive_count("backtracking search")
     p = domain.p
     order = domain.product_order()
     lists, strides = order.lists, order.strides

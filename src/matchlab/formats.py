@@ -101,6 +101,10 @@ def _outcome_token(x: Outcome) -> str:
     return "@" if x is OUTSIDE else x.name
 
 
+def _ranking_tokens(pref) -> list[str]:
+    return [_outcome_token(x) for x in pref.ranking]
+
+
 def agent_names(prefix: str, n: int) -> list[str]:
     """The names of one side's agents by index: prefix1 .. prefix<n>."""
     return [f"{prefix}{k}" for k in range(1, n + 1)]
@@ -155,7 +159,7 @@ def _wrap(field: str, fn, *args):
 def profile_to_json(profile: Profile) -> dict:
     prefs = {}
     for a in profile.agents:
-        prefs[a.name] = [_outcome_token(x) for x in profile[a].ranking]
+        prefs[a.name] = _ranking_tokens(profile[a])
     return {
         "schema": SCHEMA,
         "kind": "market",
@@ -251,9 +255,7 @@ def matching_from_json(doc: Any, p: int, q: int) -> Matching:
 def domain_to_json(domain: PreferenceDomain) -> dict:
     agents = {}
     for a in domain.agents:
-        agents[a.name] = [
-            [_outcome_token(x) for x in pref.ranking] for pref in domain.admissible(a)
-        ]
+        agents[a.name] = [_ranking_tokens(pref) for pref in domain.admissible(a)]
     return {"schema": SCHEMA, "kind": "domain", "agents": agents}
 
 
@@ -347,10 +349,7 @@ def mto_profile_to_json(profile: MtoProfile) -> dict:
         "colleges": {
             cp.owner.name: _college_pref_to_json(cp) for cp in profile.college_prefs
         },
-        "students": {
-            sp.owner.name: [_outcome_token(x) for x in sp.ranking]
-            for sp in profile.student_prefs
-        },
+        "students": {sp.owner.name: _ranking_tokens(sp) for sp in profile.student_prefs},
     }
 
 
@@ -434,21 +433,38 @@ def mto_matching_from_json(doc: Any) -> MtoMatching:
 # --- manipulation witnesses ------------------------------------------------------
 
 
-def witness_to_json(witness: ManipulationWitness) -> dict:
-    """Self-contained record: base profile, deviation, and both outcomes."""
+def _witness_to_json(witness, profile_doc, report_doc, matching_doc, **head) -> dict:
+    """The one witness layout: the schema, ``head`` (the kind, then a marriage
+    witness's rule), the base, the coalition, each member's misreport and
+    both outcomes, each part written by the market's own writer."""
     return {
         "schema": SCHEMA,
-        "kind": "witness",
-        "rule": witness.rule_name,
-        "base": profile_to_json(witness.base),
+        **head,
+        "base": profile_doc(witness.base),
         "coalition": [a.name for a in witness.coalition],
-        "misreports": {
-            a.name: [_outcome_token(x) for x in pref.ranking]
-            for a, pref in witness.misreports
-        },
-        "before": matching_to_json(witness.outcome_before),
-        "after": matching_to_json(witness.outcome_after),
+        "misreports": {a.name: report_doc(pref) for a, pref in witness.misreports},
+        "before": matching_doc(witness.outcome_before),
+        "after": matching_doc(witness.outcome_after),
     }
+
+
+def _misreports_from_json(doc: Mapping, coalition: Sequence, report) -> tuple:
+    """Each coalition member's misreport in a witness document, in coalition
+    order, read by report(member, entry, field)."""
+    reports_doc = _require_dict(doc.get("misreports"), "misreports")
+    misreports = []
+    for a in coalition:
+        if a.name not in reports_doc:
+            raise FormatError("misreports", f"missing report for {a.name}")
+        misreports.append((a, report(a, reports_doc[a.name], f"misreports.{a.name}")))
+    return tuple(misreports)
+
+
+def witness_to_json(witness: ManipulationWitness) -> dict:
+    """Self-contained record: base profile, deviation, and both outcomes."""
+    return _witness_to_json(
+        witness, profile_to_json, _ranking_tokens, matching_to_json, kind="witness", rule=witness.rule_name
+    )
 
 
 def witness_from_json(doc: Any) -> ManipulationWitness:
@@ -463,44 +479,31 @@ def witness_from_json(doc: Any) -> ManipulationWitness:
         _marriage_agent(tok, "coalition")
         for tok in _require_list(doc.get("coalition"), "coalition")
     )
-    reports_doc = _require_dict(doc.get("misreports"), "misreports")
     tables = _name_tables(base.p, base.q)
-    misreports = []
-    for a in coalition:
-        if a.name not in reports_doc:
-            raise FormatError("misreports", f"missing report for {a.name}")
-        field = f"misreports.{a.name}"
+
+    def report(a: AgentId, entry: Any, field: str) -> Preference:
         opposite = a.side.opposite
-        ranking = _parse_ranking(reports_doc[a.name], field, opposite, tables[opposite])
-        misreports.append((a, _wrap(field, Preference, a, ranking)))
+        return _wrap(field, Preference, a, _parse_ranking(entry, field, opposite, tables[opposite]))
+
     return ManipulationWitness(
         rule_name=rule_name,
         base=base,
         coalition=coalition,
-        misreports=tuple(misreports),
+        misreports=_misreports_from_json(doc, coalition, report),
         outcome_before=matching_from_json(doc.get("before"), base.p, base.q),
         outcome_after=matching_from_json(doc.get("after"), base.p, base.q),
     )
 
 
 def mto_witness_to_json(witness: MtoWitness) -> dict:
-    from .mto import CollegeId
+    from .mto import CollegePreference
 
-    reports: dict[str, Any] = {}
-    for a, pref in witness.misreports:
-        if isinstance(a, CollegeId):
-            reports[a.name] = _college_pref_to_json(pref)
-        else:
-            reports[a.name] = [_outcome_token(x) for x in pref.ranking]
-    return {
-        "schema": SCHEMA,
-        "kind": "college-witness",
-        "base": mto_profile_to_json(witness.base),
-        "coalition": [a.name for a in witness.coalition],
-        "misreports": reports,
-        "before": mto_matching_to_json(witness.outcome_before),
-        "after": mto_matching_to_json(witness.outcome_after),
-    }
+    def report(pref) -> Any:
+        if isinstance(pref, CollegePreference):
+            return _college_pref_to_json(pref)
+        return _ranking_tokens(pref)
+
+    return _witness_to_json(witness, mto_profile_to_json, report, mto_matching_to_json, kind="college-witness")
 
 
 def mto_witness_from_json(doc: Any) -> MtoWitness:
@@ -513,21 +516,16 @@ def mto_witness_from_json(doc: Any) -> MtoWitness:
     for tok in _require_list(doc.get("coalition"), "coalition"):
         prefix, idx = _parse_name(tok, "coalition", "cs")
         coalition.append(college(idx) if prefix == "c" else student(idx))
-    reports_doc = _require_dict(doc.get("misreports"), "misreports")
-    misreports = []
-    for a in coalition:
-        if a.name not in reports_doc:
-            raise FormatError("misreports", f"missing report for {a.name}")
-        field = f"misreports.{a.name}"
-        entry = reports_doc[a.name]
+
+    def report(a: CollegeId | StudentId, entry: Any, field: str) -> CollegePreference | StudentPreference:
         if isinstance(a, CollegeId):
-            misreports.append((a, _college_pref_from_json(a, entry, n_students, field)))
-        else:
-            misreports.append((a, _student_pref_from_json(a, entry, field)))
+            return _college_pref_from_json(a, entry, n_students, field)
+        return _student_pref_from_json(a, entry, field)
+
     return MtoWitness(
         base=base,
         coalition=tuple(coalition),
-        misreports=tuple(misreports),
+        misreports=_misreports_from_json(doc, coalition, report),
         outcome_before=mto_matching_from_json(doc.get("before")),
         outcome_after=mto_matching_from_json(doc.get("after")),
     )
@@ -577,9 +575,7 @@ def mto_domain_to_json(domain: MtoDomain) -> dict:
         colleges_doc[c.name] = [_college_pref_to_json(cp) for cp in domain.admissible(c)]
     students_doc = {}
     for s in students(domain.n_students):
-        students_doc[s.name] = [
-            [_outcome_token(x) for x in sp.ranking] for sp in domain.admissible(s)
-        ]
+        students_doc[s.name] = [_ranking_tokens(sp) for sp in domain.admissible(s)]
     return {
         "schema": SCHEMA,
         "kind": "college-domain",

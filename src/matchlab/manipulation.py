@@ -507,12 +507,7 @@ def _certify(
     a partial table, raises PreconditionError while the table is built,
     before any base is scanned.
     """
-    count = domain.profile_count
-    if count > EXHAUSTIVE_PROFILE_BUDGET:
-        raise BudgetExceededError(
-            f"exhaustive certification is limited to {EXHAUSTIVE_PROFILE_BUDGET} profiles",
-            count,
-        )
+    count = domain.exhaustive_count("exhaustive certification")
     order = domain.product_order()
     lists, strides = order.lists, order.strides
     pool = range(len(lists))

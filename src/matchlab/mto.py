@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Ranking, Side, StrictOrder
-from .da import _da_engine, _sequential_da, _tentative_holdings
+from .da import _sequential_da, _traced_da
 from .domains import ProductDomain, PropertyCheck, _check_each_agent, utp_missing
 from .errors import (
     NotResponsiveError,
@@ -460,23 +460,18 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
     student ranking their subset order induces.
     """
     require_responsive(profile)
-    induced = [cp.induced for cp in profile.college_prefs]
-    ranks = [order.rank_by_index for order in induced]
-    nobody = [order.outside_rank for order in induced]
-    quotas = profile.quotas
-    held, rounds = _da_engine([sp.acceptable_idx for sp in profile.student_prefs], ranks, nobody, quotas)
-    steps = []
-    holdings = _tentative_holdings(rounds, len(quotas))
-    for number, ((proposals, rejections), holding) in enumerate(zip(rounds, holdings), start=1):
-        steps.append(
-            MtoStep(
-                number=number,
-                proposals=tuple(proposals),
-                rejections=tuple([(ci, si) for si, ci in rejections]),
-                tentative=holding,
-            )
+
+    def step(number: int, proposals: list, rejections: list, holding: tuple) -> MtoStep:
+        return MtoStep(
+            number=number,
+            proposals=tuple(proposals),
+            rejections=tuple([(ci, si) for si, ci in rejections]),
+            tentative=holding,
         )
-    return MtoMatching(quotas, profile.n_students, held), tuple(steps)
+
+    induced = [cp.induced for cp in profile.college_prefs]
+    steps = _traced_da(profile.student_prefs, induced, profile.quotas, step)
+    return MtoMatching(profile.quotas, profile.n_students, steps[-1].tentative), steps
 
 
 def is_individually_rational_mto(profile: MtoProfile, nu: MtoMatching) -> bool:
@@ -522,7 +517,7 @@ class MtoDomain(ProductDomain):
     """Admissible preference sets per agent, colleges first. College rankings
     must be responsive, and all rankings a college may report share its quota."""
 
-    __slots__ = ()
+    __slots__ = ("_spda",)
 
     SIDES = ("colleges", "students")
 
@@ -561,6 +556,51 @@ class MtoDomain(ProductDomain):
 
     def make_profile(self, prefs: Sequence) -> MtoProfile:
         return MtoProfile(prefs[: self.n_colleges], prefs[self.n_colleges :])
+
+    def spda_market(self) -> _Market:
+        """SPDA's market record (`manipulation._Market`) for the coalition
+        scan, built on first use and kept. The domain holds only responsive,
+        market-sized reports with one quota per college, so each report's
+        seat view and each college report's rank of every student set (a
+        sorted index tuple) are built once; a college's first report gives
+        its seats."""
+        try:
+            return self._spda
+        except AttributeError:
+            pass
+        nc = self.n_colleges
+        lists = self.product_order().lists
+        ranges = _seat_ranges([l[0] for l in lists[:nc]])
+        views = {pref: _seats(pref) for l in lists[:nc] for pref in l}
+        views.update({pref: _Applicant(pref, ranges) for l in lists[nc:] for pref in l})
+        subset_ranks = {
+            pref: {tuple([s.index for s in subset]): pos for pos, subset in enumerate(pref.ranking)}
+            for l in lists[:nc] for pref in l
+        }
+
+        def evaluate(reports: list) -> tuple:
+            seats = []
+            for r in reports[:nc]:
+                seats += views[r]
+            return _seat_spda(seats, [views[r] for r in reports[nc:]], ranges)
+
+        def ranks(true: Sequence) -> Callable[[int, tuple], int]:
+            college_rank = [subset_ranks[pref] for pref in true[:nc]]
+
+            def rank(i: int, assignment: tuple) -> int:
+                if i < nc:
+                    return college_rank[i][assignment[i]]
+                si, pref = i - nc, true[i]
+                for ci, group in enumerate(assignment):
+                    if si in group:
+                        return pref.rank_by_index[ci]
+                return pref.outside_rank
+
+            return rank
+
+        outcome = partial(MtoMatching, [l[0].quota for l in lists[:nc]], self.n_students)
+        self._spda = _Market(evaluate, ranks, _witnesses(MtoWitness, outcome))
+        return self._spda
 
 
 @dataclass(frozen=True)
@@ -601,45 +641,10 @@ def find_manipulation_mto(
     """Coalition scan in canonical order: colleges before students.
 
     Improvement for a college means a strictly better subset by its true
-    ranking; for a student a strictly better college.
+    ranking; for a student a strictly better college. SPDA's market record
+    comes from the domain, which keeps it.
     """
-    # the domain holds only responsive, market-sized reports with one quota
-    # per college, so every report's seat view is built once, up front, and
-    # each college's first report gives its seats
-    nc = domain.n_colleges
-    heads = [domain.admissible(c)[0] for c in domain.agents[:nc]]
-    ranges = _seat_ranges(heads)
-    views: dict = {}
-    for i, a in enumerate(domain.agents):
-        for pref in domain.admissible(a):
-            views[pref] = _seats(pref) if i < nc else _Applicant(pref, ranges)
-
-    def evaluate(reports: list) -> tuple:
-        seats = []
-        for r in reports[:nc]:
-            seats += views[r]
-        return _seat_spda(seats, [views[r] for r in reports[nc:]], ranges)
-
-    def ranks(true: Sequence) -> Callable[[int, tuple], int]:
-        college_rank = [
-            {tuple([s.index for s in subset]): pos for pos, subset in enumerate(pref.ranking)}
-            for pref in true[:nc]
-        ]
-
-        def rank(i: int, assignment: tuple) -> int:
-            if i < nc:
-                return college_rank[i][assignment[i]]
-            si, pref = i - nc, true[i]
-            for ci, group in enumerate(assignment):
-                if si in group:
-                    return pref.rank_by_index[ci]
-            return pref.outside_rank
-
-        return rank
-
-    witness = _witnesses(MtoWitness, partial(MtoMatching, [cp.quota for cp in heads], domain.n_students))
-    market = _Market(evaluate, ranks, witness)
-    return next(_scan(market, domain, base, range(len(domain.agents)), max_coalition, budget), None)
+    return next(_scan(domain.spda_market(), domain, base, range(len(domain.agents)), max_coalition, budget), None)
 
 
 def students_satisfy_utp(domain: MtoDomain) -> PropertyCheck:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab import formats, mto
+from matchlab import da, formats, mto
 from matchlab.core import OUTSIDE, Preference, Profile, man, woman, women
 from matchlab.da import RuleId, da_matching
 from matchlab.domains import minimal_utp_rankings
@@ -286,6 +286,18 @@ def test_manipulated_run_reproduces_worked_outcome():
     assert nu.unmatched_students == (S[2],)
 
 
+def test_run_spda_checks_trace_against_engine(monkeypatch):
+    engine = da._da_engine
+
+    def drifting_engine(lists, ranks, outside, quotas):
+        held, rounds = engine(lists, ranks, outside, quotas)
+        return [kept[:-1] for kept in held], rounds  # each college lets its last student go
+
+    monkeypatch.setattr(da, "_da_engine", drifting_engine)
+    with pytest.raises(RuntimeError):
+        run_spda(mixed_coalition_counterexample().profile)
+
+
 def test_spda_requires_responsive_colleges():
     s2 = students(2)
     broken = _quota2_pref([(s2[0], s2[1]), (s2[1],), (), (s2[0],)])
@@ -458,6 +470,34 @@ def test_scan_recovers_the_counterexample():
     assert err.value.count == 3  # two singles plus one pair
     with pytest.raises(PreconditionError):
         find_manipulation_mto(MtoDomain.from_profile(ex.profile), ex.witness.deviated_profile(), max_coalition=1)
+
+
+def test_college_scans_build_spda_record_once_per_domain(monkeypatch):
+    built = []
+    init = mto._Applicant.__init__
+
+    def counting(self, sp, seat_ranges):
+        built.append(sp)
+        init(self, sp, seat_ranges)
+
+    monkeypatch.setattr(mto._Applicant, "__init__", counting)
+    text = (FIXTURES / "example2_domain.json").read_text()
+    base = formats.mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
+    domain = formats.mto_domain_from_json(json.loads(text))
+    assert students_satisfy_utp(domain)
+    assert built == []  # neither construction nor a domain check builds the record
+    reports = [sp for s in domain.agents[domain.n_colleges :] for sp in domain.admissible(s)]
+    pair = find_manipulation_mto(domain, base, max_coalition=2)
+    assert pair.coalition == (C[0], S[4])
+    for _ in range(3):
+        assert find_manipulation_mto(domain, base, max_coalition=1) is None
+    assert find_manipulation_mto(domain, base, max_coalition=2) == pair
+    assert built == reports  # one build per student report, on the first scan
+    # a second domain parsed from the same file builds and keeps its own record
+    other = formats.mto_domain_from_json(json.loads(text))
+    assert find_manipulation_mto(other, base, max_coalition=2) == pair
+    assert find_manipulation_mto(other, base, max_coalition=1) is None
+    assert built == reports * 2
 
 
 def test_domain_rejects_non_responsive_college_sets():

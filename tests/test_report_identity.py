@@ -16,7 +16,9 @@ stability bitmasks; the off-2x2 `theorem2`, `theorem3` and
 `prop-gsp-existence` entries before certifications built their whole
 outcome table ahead of the first scan; the off-2x2 `theorem3` and
 `lemma-c2` entries before certification, the DA outcome memo and the rule
-search read one shape record from `core`.
+search read one shape record from `core`; the `example2 --trials 1000`
+entry, which runs 1,000 scans of one college domain, before that domain
+kept SPDA's market record.
 """
 
 import hashlib
@@ -116,6 +118,8 @@ REPORT_DIGESTS = {
         (0, "8705ac7020170f2db0d551d49a3c6e02fb80ddbf53473bafda4824deaa8a0d3e"),
     ("solve", "--rule", "wpda", "--trace", "--text", str(FIXTURES / "example1_p1.json")):
         (0, "831d7d07dc20ed32c02bdacc2eca688c0dda1ebf4d9731bc09dcd636a2e699de"),
+    ("verify", "--suite", "example2", "--trials", "1000", "--json"):
+        (0, "b0430f8e6b9cd5d836204f73cdd37c4c152def3c1df37c5b1880154ef2435527"),
     ("--help",):
         (0, "6469445df552bfa4cd1cf6d99ea698b00057fc7ca3ff81dec9c1649be0df4fc4"),
     ("solve", "--help"):
