@@ -130,60 +130,28 @@ def outcome_key(x: Outcome) -> tuple[int, int]:
     return (0, x.index)
 
 
-class StrictOrder:
-    """Strict linear order over hashable outcomes with O(1) rank lookup."""
-
-    __slots__ = ("ranking", "_rank")
-
-    def __init__(self, ranking: Iterable):
-        self.ranking = tuple(ranking)
-        rank: dict = {}
-        for pos, x in enumerate(self.ranking):
-            if x in rank:
-                raise ValidationError(f"duplicate entry {x!r} in ranking")
-            rank[x] = pos
-        self._rank = rank
-
-    def rank_of(self, x) -> int:
-        try:
-            return self._rank[x]
-        except (KeyError, TypeError):
-            raise UnknownOutcomeError(f"outcome {x!r} is not ranked") from None
-
-    def __contains__(self, x) -> bool:
-        try:
-            return x in self._rank
-        except TypeError:
-            return False
-
-    def prefers(self, x, y) -> bool:
-        return self.rank_of(x) < self.rank_of(y)
-
-    def weakly_prefers(self, x, y) -> bool:
-        return self.rank_of(x) <= self.rank_of(y)
-
-    def top(self):
-        return self.ranking[0]
-
-
 @functools.lru_cache(maxsize=32)
 def _index_table(make: Callable[[int], Hashable], n: int) -> dict:
     """{make(i): i for i < n}: the first n agents of one kind, by index."""
     return {make(i): i for i in range(n)}
 
 
-class Ranking(StrictOrder):
+class Ranking:
     """An owner's strict ranking of n agents of one kind plus ``@``.
 
     The ranked agents are make(0) .. make(n-1), where ``make`` is what the
     subclass's `_ranks` hook returns for the owner; n is inferred from the
     ranking's length. One walk of the ranking checks every entry and fills
-    the rank dict, ``outside_rank``, ``acceptable_idx`` (the acceptable
-    agents' indices, best first) and ``rank_by_index``. ``ranking_idx`` is
-    derived on first use and kept.
+    ``outside_rank``, ``acceptable_idx`` (the acceptable agents' indices,
+    best first) and ``rank_by_index``, the only copy of the ranks: an
+    agent's rank is read through the agent table of `_index_table`, which
+    every ranking of one kind and size shares. ``ranking_idx`` is derived
+    on first use and kept.
     """
 
-    __slots__ = ("owner", "outside_rank", "acceptable_idx", "rank_by_index", "_hash", "_ranking_idx")
+    __slots__ = (
+        "owner", "ranking", "outside_rank", "acceptable_idx", "rank_by_index", "_index_of", "_hash", "_ranking_idx"
+    )
 
     @staticmethod
     def _ranks(owner) -> Callable[[int], Hashable]:
@@ -194,7 +162,6 @@ class Ranking(StrictOrder):
     def __init__(self, owner, ranking: Iterable):
         ranking = tuple(ranking)
         index_of = _index_table(self._ranks(owner), len(ranking) - 1)
-        rank: dict = {}
         by_index = [-1] * len(index_of)
         acceptable = []
         outside_rank = -1
@@ -204,20 +171,22 @@ class Ranking(StrictOrder):
                     break
                 outside_rank = pos
             else:
-                i = index_of.get(x)
+                try:
+                    i = index_of.get(x)
+                except TypeError:  # unhashable, so none of the agents
+                    break
                 if i is None or by_index[i] >= 0:
                     break
                 by_index[i] = pos
                 if outside_rank < 0:
                     acceptable.append(i)
-            rank[x] = pos
         else:
             # n + 1 distinct entries, each @ or one of the n agents, are all
             # of them unless the ranking is empty
             if outside_rank >= 0:
                 self.owner = owner
                 self.ranking = ranking
-                self._rank = rank
+                self._index_of = index_of
                 self.outside_rank = outside_rank
                 self.acceptable_idx = tuple(acceptable)
                 self.rank_by_index = tuple(by_index)
@@ -238,6 +207,29 @@ class Ranking(StrictOrder):
             n = len(self.rank_by_index)
             self._ranking_idx = tuple([n if x is OUTSIDE else x.index for x in self.ranking])
             return self._ranking_idx
+
+    def rank_of(self, x) -> int:
+        if x is OUTSIDE:
+            return self.outside_rank
+        try:
+            return self.rank_by_index[self._index_of[x]]
+        except (KeyError, TypeError):
+            raise UnknownOutcomeError(f"outcome {x!r} is not ranked") from None
+
+    def __contains__(self, x) -> bool:
+        try:
+            return x is OUTSIDE or x in self._index_of
+        except TypeError:
+            return False
+
+    def prefers(self, x, y) -> bool:
+        return self.rank_of(x) < self.rank_of(y)
+
+    def weakly_prefers(self, x, y) -> bool:
+        return self.rank_of(x) <= self.rank_of(y)
+
+    def top(self):
+        return self.ranking[0]
 
     def acceptable(self) -> tuple:
         return self.ranking[: self.outside_rank]
@@ -265,9 +257,12 @@ def _ranking_fault(owner, ranking: tuple, index_of: dict) -> str:
         return f"ranking of {owner!r} lacks the outside option"
     seen = set()
     for x in ranking:
-        if x in seen:
-            return f"duplicate entry {x!r} in the ranking of {owner!r}"
-        if x is not OUTSIDE and x not in index_of:
+        try:
+            if x in seen:
+                return f"duplicate entry {x!r} in the ranking of {owner!r}"
+            if x is not OUTSIDE and x not in index_of:
+                break
+        except TypeError:  # unhashable, so none of the agents
             break
         seen.add(x)
     # a ranking holding @ and another entry expects at least one agent

@@ -22,8 +22,8 @@ from .core import (
     Outcome,
     Preference,
     Profile,
+    Ranking,
     Side,
-    StrictOrder,
     axis_gains,
     list_keys,
     lot_codes,
@@ -327,7 +327,7 @@ class PropertyCheck:
 # --- order-level helpers shared with the many-to-one side -------------------
 
 
-def top_dominance_violation(orders: Sequence[StrictOrder], universe: Sequence) -> Optional[tuple]:
+def top_dominance_violation(orders: Sequence[Ranking], universe: Sequence) -> Optional[tuple]:
     """Search two orders realizing (x > y > z, y acceptable) and (x > z > y, z acceptable).
 
     Returns (pi, pj, x, y, z), the two orders and the three outcomes, or None.
@@ -356,7 +356,7 @@ def top_dominance_violation(orders: Sequence[StrictOrder], universe: Sequence) -
     return None
 
 
-def utp_missing(orders: Sequence[StrictOrder], universe: Sequence) -> Optional[tuple]:
+def utp_missing(orders: Sequence[Ranking], universe: Sequence) -> Optional[tuple]:
     """First unmet requirement of the unrestricted-top-pairs property, or None."""
     tops = {(o.ranking[0], o.ranking[1]) for o in orders if len(o.ranking) >= 2}
     first = {o.ranking[0] for o in orders}
@@ -371,7 +371,7 @@ def utp_missing(orders: Sequence[StrictOrder], universe: Sequence) -> Optional[t
     return None
 
 
-def cyclical_inclusion_missing(orders: Sequence[StrictOrder], universe: Sequence) -> Optional[tuple]:
+def cyclical_inclusion_missing(orders: Sequence[Ranking], universe: Sequence) -> Optional[tuple]:
     """First unmet requirement of cyclical inclusion, or None."""
     if all(o.ranking[0] is not OUTSIDE for o in orders):
         return ("outside-top",)

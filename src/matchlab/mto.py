@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Ranking, Side, StrictOrder
+from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Ranking, Side
 from .da import _sequential_da, _traced_da
 from .domains import ProductDomain, PropertyCheck, _check_each_agent, utp_missing
 from .errors import (
@@ -98,26 +98,32 @@ class CollegeRanking(Ranking):
         return student
 
 
-def _normalize_subset(subset: Iterable[StudentId]) -> tuple[StudentId, ...]:
-    return tuple(sorted(subset))
-
-
-class CollegePreference(StrictOrder):
+class CollegePreference:
     """A college's strict ranking of all student subsets up to its quota.
 
     Entries are sorted tuples of students; the empty tuple stands for
     admitting nobody and anything ranked below it is unacceptable as a group.
+    ``rank_by_group`` holds each entry's rank once, keyed by its sorted
+    student indices, the form a group takes in `MtoMatching.assignment`.
     """
 
-    __slots__ = ("owner", "quota", "n_students", "induced", "_hash", "_responsive")
+    __slots__ = ("owner", "quota", "n_students", "ranking", "rank_by_group", "induced", "_hash", "_responsive")
 
     def __init__(self, owner: CollegeId, quota: int, n_students: int, ranking: Sequence[Iterable[StudentId]]):
         if not isinstance(owner, CollegeId):
             raise ValidationError(f"owner must be a college, got {owner!r}")
         if quota < 1:
             raise ValidationError(f"quota of {owner} must be at least 1, got {quota}")
-        normalized = tuple(_normalize_subset(s) for s in ranking)
-        super().__init__(normalized)
+        try:
+            normalized = tuple([tuple(sorted(s)) for s in ranking])
+            first: dict = {}
+            for pos, subset in enumerate(normalized):
+                if first.setdefault(subset, pos) != pos:
+                    raise ValidationError(f"duplicate entry {subset!r} in ranking")
+        except TypeError:
+            # an entry that is no set of students, not iterable, unsortable
+            # or unhashable: no entries fails the count below
+            normalized = ()
         # the entries are distinct, so as many valid subsets as exist cover
         # them all; counting keeps a large quota from building every subset
         expected = sum(math.comb(n_students, k) for k in range(min(quota, n_students) + 1))
@@ -131,18 +137,29 @@ class CollegePreference(StrictOrder):
         self.owner = owner
         self.quota = quota
         self.n_students = n_students
+        self.ranking = normalized
+        self.rank_by_group = {tuple([s.index for s in subset]): pos for pos, subset in enumerate(normalized)}
         self._hash = hash((owner, quota, normalized))
         self._responsive = None
         # the singletons and () in the order this ranking puts them
-        at = {self._rank[(s,)]: s for s in students(n_students)}
-        at[self._rank[()]] = OUTSIDE
+        at = {self.rank_by_group[(i,)]: student(i) for i in range(n_students)}
+        at[self.rank_by_group[()]] = OUTSIDE
         self.induced = CollegeRanking(owner, [at[r] for r in sorted(at)])
 
     def rank_of(self, subset: Iterable[StudentId]) -> int:
         try:
-            return self._rank[_normalize_subset(subset)]
+            index_of = self.induced._index_of  # the students' shared agent table
+            return self.rank_by_group[tuple(sorted([index_of[s] for s in subset]))]
         except (KeyError, TypeError):
             raise UnknownOutcomeError(f"{subset!r} is not ranked by {self.owner}") from None
+
+    def __contains__(self, subset) -> bool:
+        return subset in self.ranking
+
+    # compared through rank_of, as a Ranking is
+    prefers = Ranking.prefers
+    weakly_prefers = Ranking.weakly_prefers
+    top = Ranking.top
 
     def is_acceptable(self, s: StudentId) -> bool:
         return self.induced.is_acceptable(s)
@@ -493,15 +510,16 @@ def blocking_pairs_mto(profile: MtoProfile, nu: MtoMatching) -> list[tuple[Colle
         c = CollegeId(ci)
         group = nu.students_of(c)
         slack = len(group) < cp.quota
+        induced = cp.induced  # orders exactly the singletons and ()
         for si, sp in enumerate(profile.student_prefs):
             s = StudentId(si)
             if s in group:
                 continue
             if not sp.prefers(c, nu.college_of(s)):
                 continue
-            if slack and cp.prefers((s,), ()):
+            if slack and induced.prefers(s, OUTSIDE):
                 out.append((c, s))
-            elif any(cp.prefers((s,), (other,)) for other in group):
+            elif any(induced.prefers(s, other) for other in group):
                 out.append((c, s))
     return out
 
@@ -561,9 +579,9 @@ class MtoDomain(ProductDomain):
         """SPDA's market record (`manipulation._Market`) for the coalition
         scan, built on first use and kept. The domain holds only responsive,
         market-sized reports with one quota per college, so each report's
-        seat view and each college report's rank of every student set (a
-        sorted index tuple) are built once; a college's first report gives
-        its seats."""
+        seat view is built once, and a college's first report gives its
+        seats; a college ranks its group through its report's own
+        ``rank_by_group``."""
         try:
             return self._spda
         except AttributeError:
@@ -573,10 +591,6 @@ class MtoDomain(ProductDomain):
         ranges = _seat_ranges([l[0] for l in lists[:nc]])
         views = {pref: _seats(pref) for l in lists[:nc] for pref in l}
         views.update({pref: _Applicant(pref, ranges) for l in lists[nc:] for pref in l})
-        subset_ranks = {
-            pref: {tuple([s.index for s in subset]): pos for pos, subset in enumerate(pref.ranking)}
-            for l in lists[:nc] for pref in l
-        }
 
         def evaluate(reports: list) -> tuple:
             seats = []
@@ -585,11 +599,9 @@ class MtoDomain(ProductDomain):
             return _seat_spda(seats, [views[r] for r in reports[nc:]], ranges)
 
         def ranks(true: Sequence) -> Callable[[int, tuple], int]:
-            college_rank = [subset_ranks[pref] for pref in true[:nc]]
-
             def rank(i: int, assignment: tuple) -> int:
                 if i < nc:
-                    return college_rank[i][assignment[i]]
+                    return true[i].rank_by_group[assignment[i]]
                 si, pref = i - nc, true[i]
                 for ci, group in enumerate(assignment):
                     if si in group:

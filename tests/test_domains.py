@@ -16,7 +16,6 @@ from matchlab.core import (
     ListKeys,
     Preference,
     Side,
-    StrictOrder,
     count_matchings,
     iter_assignments,
     list_keys,
@@ -62,7 +61,7 @@ from matchlab.errors import (
 )
 from matchlab.formats import mto_domain_from_json
 from matchlab.manipulation import is_group_strategy_proof, is_strategy_proof, mpda_rule
-from matchlab.mto import MtoDomain, StudentPreference, college, student
+from matchlab.mto import CollegeRanking, MtoDomain, StudentPreference, college, student
 
 from conftest import pref
 
@@ -921,11 +920,12 @@ def test_inherited_domain_methods(cut, full):
 @pytest.mark.parametrize("cut", [_cut_marriage_domain, _cut_college_domain], ids=["marriage", "college"])
 def test_domain_rejects_entries_that_are_not_rankings(cut):
     # construction checks every shape the DA engine trusts, so a set entry
-    # of the wrong type is a ValidationError on either side and in any place
+    # of the wrong type, even a ranking that neither market reports, is a
+    # ValidationError on either side and in any place
     dom = cut()
     sets = {a: dom.admissible(a) for a in dom.agents}
     for a in (dom.agents[0], dom.agents[-1]):
-        for bad in ("x", StrictOrder(sets[a][0].ranking)):
+        for bad in ("x", CollegeRanking(college(0), [student(1), OUTSIDE, student(0)])):
             for entries in ([bad], [*sets[a], bad]):
                 with pytest.raises(ValidationError, match=f"set for {a!r} holds a"):
                     type(dom)({**sets, a: entries})

@@ -3,6 +3,7 @@ stability, and the mixed-coalition counterexample."""
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,44 @@ def test_college_preference_validation():
         CollegePreference(college(0), 1, 2, [(s2[0], s2[1]), (s2[0],), (s2[1],), ()])
     with pytest.raises(UnknownOutcomeError):
         cp.rank_of((students(3)[2],))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Preference(man(0), ([0], OUTSIDE)), "ranking of m1 contains [0]; it must rank each of w1..w1 and @"),
+        (lambda: StudentPreference(student(0), (college(0), OUTSIDE, {})), "ranking of s1 contains {}; it must rank"),
+        (lambda: CollegePreference(college(0), 1, 1, [(), (student(0), college(0))]), "ranking of c1 must order"),
+        (lambda: CollegePreference(college(0), 1, 1, [(), 5]), "ranking of c1 must order"),
+        (lambda: CollegePreference(college(0), 1, 1, [(), ([0],)]), "ranking of c1 must order"),
+    ],
+    ids=["unhashable-agent", "unhashable-college", "unsortable-subset", "not-a-subset", "unhashable-member"],
+)
+def test_malformed_entries_are_validation_errors(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_college_rank_lookups_agree_with_positions(data):
+    ex = mixed_coalition_counterexample()
+    n = data.draw(st.integers(1, 5))
+    induced = tuple(data.draw(st.permutations(students(n) + (OUTSIDE,))))
+    cps = [
+        ex.profile.college_prefs[0],
+        dict(ex.witness.misreports)[college(0)],
+        responsive_extension(college(0), data.draw(st.integers(1, 3)), induced),
+    ]
+    for cp in cps:
+        for pos, subset in enumerate(cp.ranking):
+            assert subset in cp
+            for members in itertools.permutations(subset):
+                assert cp.rank_of(members) == pos
+        for x in [(college(0),), (student(cp.n_students),), (student(0), college(0)), None]:
+            with pytest.raises(UnknownOutcomeError, match=rf"^{re.escape(repr(x))} is not ranked by c1$"):
+                cp.rank_of(x)
 
 
 def test_responsiveness_verdicts():
@@ -681,3 +720,27 @@ def test_spda_matches_seat_clone_marriage_da(prof):
 @given(prof=college_markets())
 def test_untraced_spda_matches_the_round_engine(prof):
     assert spda_matching(prof) == run_spda(prof)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=college_markets(), data=st.data())
+def test_blocking_pairs_match_the_subset_formulation(prof, data):
+    # a feasible matching: each student asks one college or none, in turn,
+    # and joins it while it has room
+    groups = [[] for _ in prof.college_prefs]
+    for si in range(prof.n_students):
+        ci = data.draw(st.integers(-1, prof.n_colleges - 1))
+        if ci >= 0 and len(groups[ci]) < prof.quotas[ci]:
+            groups[ci].append(si)
+    nu = MtoMatching(prof.quotas, prof.n_students, groups)
+    expected = []
+    for ci, cp in enumerate(prof.college_prefs):
+        c, group = college(ci), nu.students_of(college(ci))
+        for s in students(prof.n_students):
+            if s in group or not prof[s].prefers(c, nu.college_of(s)):
+                continue
+            if len(group) < cp.quota and cp.prefers((s,), ()):
+                expected.append((c, s))
+            elif any(cp.prefers((s,), (other,)) for other in group):
+                expected.append((c, s))
+    assert blocking_pairs_mto(prof, nu) == expected

@@ -18,7 +18,9 @@ outcome table ahead of the first scan; the off-2x2 `theorem3` and
 `lemma-c2` entries before certification, the DA outcome memo and the rule
 search read one shape record from `core`; the `example2 --trials 1000`
 entry, which runs 1,000 scans of one college domain, before that domain
-kept SPDA's market record.
+kept SPDA's market record; the `prop-welfare`, `example1` and
+`blocking-lemma` entries and the `check-domain` entries other than `utp`
+before rankings kept their ranks only in index form.
 """
 
 import hashlib
@@ -120,6 +122,23 @@ REPORT_DIGESTS = {
         (0, "831d7d07dc20ed32c02bdacc2eca688c0dda1ebf4d9731bc09dcd636a2e699de"),
     ("verify", "--suite", "example2", "--trials", "1000", "--json"):
         (0, "b0430f8e6b9cd5d836204f73cdd37c4c152def3c1df37c5b1880154ef2435527"),
+    ("verify", "--suite", "prop-welfare", "--json"):
+        (0, "dae9c2aaf32f61202662f8b611c159342c49239a472630fdc62eed34784851a3"),
+    ("verify", "--suite", "example1", "--json"):
+        (0, "d9a9430c24ec2059b87a0c87e105e24e05203829d785e242c6df61bf396e2882"),
+    ("verify", "--suite", "blocking-lemma", "--json"):
+        (0, "5a6770f97f2bc1e8662f479140c3d4198df9939843a492ee553efa392a232556"),
+    ("verify", "--suite", "blocking-lemma", "--men", "3", "--women", "3", "--trials", "200", "--json"):
+        (0, "d28f7d4dd021bcba9591e4f41d681ab0637742b12ac8a521427939132b2c8192"),
+    ("check-domain", "--property", "top-dominance", "--json", str(FIXTURES / "full_2x2_domain.json")):
+        (1, "50c90320284fde6b5745268b3b5fd2da90c322bb90b91f6b281aa4724a366c34"),
+    ("check-domain", "--property", "cyclical-inclusion", "--json", str(FIXTURES / "full_2x2_domain.json")):
+        (0, "a7ba61f931dc1dfb71b68730f783531eba0e2494cb9694f54682c0af509705f2"),
+    ("check-domain", "--property", "anonymity", "--json", str(FIXTURES / "full_2x2_domain.json")):
+        (0, "9ee4a3c522af1f29230816b9b773f9fdf98308c309a8e99afa9574f1ed112ceb"),
+    ("check-domain", "--property", "single-peaked", "--orderings", str(FIXTURES / "orderings_2x2.json"),
+     "--json", str(FIXTURES / "full_2x2_domain.json")):
+        (0, "8d4b1358e24d563bec17161d8b2f2b7f36b39f767a855f2c6754d39edd39328a"),
     ("--help",):
         (0, "6469445df552bfa4cd1cf6d99ea698b00057fc7ca3ff81dec9c1649be0df4fc4"),
     ("solve", "--help"):
