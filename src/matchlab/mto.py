@@ -148,13 +148,17 @@ class CollegePreference:
 
     def rank_of(self, subset: Iterable[StudentId]) -> int:
         try:
-            index_of = self.induced._index_of  # the students' shared agent table
-            return self.rank_by_group[tuple(sorted([index_of[s] for s in subset]))]
+            # a member that is no student reads as index -1, which no group holds
+            return self.rank_by_group[tuple(sorted([s.index if type(s) is StudentId else -1 for s in subset]))]
         except (KeyError, TypeError):
             raise UnknownOutcomeError(f"{subset!r} is not ranked by {self.owner}") from None
 
     def __contains__(self, subset) -> bool:
-        return subset in self.ranking
+        # an entry as the ranking holds it: a sorted tuple of students
+        try:
+            return self.ranking[self.rank_of(subset)] == subset
+        except UnknownOutcomeError:
+            return False
 
     # compared through rank_of, as a Ranking is
     prefers = Ranking.prefers
