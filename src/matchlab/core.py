@@ -208,6 +208,11 @@ class Ranking:
             self._ranking_idx = tuple([n if x is OUTSIDE else x.index for x in self.ranking])
             return self._ranking_idx
 
+    @property
+    def rank_row(self) -> tuple[int, ...]:
+        """``rank_by_index`` then ``outside_rank``: both unmatched lot codes, -1 and n, read the latter."""
+        return self.rank_by_index + (self.outside_rank,)
+
     def rank_of(self, x) -> int:
         if x is OUTSIDE:
             return self.outside_rank
@@ -475,14 +480,10 @@ def is_individually_rational(matching: Matching, profile: Profile) -> bool:
     """No agent is matched to an unacceptable partner."""
     _check_dims(matching, profile)
     for i, j in enumerate(matching.assignment):
-        if j is None:
-            continue
-        mp = profile.men_prefs[i]
-        if mp.rank_by_index[j] > mp.outside_rank:
-            return False
-        wp = profile.women_prefs[j]
-        if wp.rank_by_index[i] > wp.outside_rank:
-            return False
+        if j is not None:
+            mp, wp = profile.men_prefs[i], profile.women_prefs[j]
+            if mp.rank_by_index[j] > mp.outside_rank or wp.rank_by_index[i] > wp.outside_rank:
+                return False
     return True
 
 
@@ -490,21 +491,11 @@ def blocking_pairs(matching: Matching, profile: Profile) -> list[tuple[AgentId, 
     """All pairs who each prefer the other to their assignment, in (man, woman) lex order."""
     _check_dims(matching, profile)
     out = []
-    man_of = [None] * profile.q
-    for i, j in enumerate(matching.assignment):
-        if j is not None:
-            man_of[j] = i
-    for i in range(profile.p):
-        mp = profile.men_prefs[i]
-        cur = matching.assignment[i]
+    for i, (mp, cur) in enumerate(zip(profile.men_prefs, matching.assignment)):
         cur_rank = mp.outside_rank if cur is None else mp.rank_by_index[cur]
-        for j in range(profile.q):
-            if mp.rank_by_index[j] >= cur_rank:
-                continue
-            wp = profile.women_prefs[j]
-            held = man_of[j]
+        for j, (wp, held) in enumerate(zip(profile.women_prefs, matching.inverse)):
             held_rank = wp.outside_rank if held is None else wp.rank_by_index[held]
-            if wp.rank_by_index[i] < held_rank:
+            if mp.rank_by_index[j] < cur_rank and wp.rank_by_index[i] < held_rank:
                 out.append((man(i), woman(j)))
     return out
 

@@ -4,18 +4,18 @@
 (BIT 11, 1971): a free proposer proposes to the best receiver not yet
 tried, and a receiver who ranks the newcomer above the proposer it holds
 (or above staying unmatched) keeps the newcomer and frees the one it held.
-The outcome does not depend on the order of proposals. It serves every
-untraced evaluation: marriage ones through `da_assignment` and
-`da_matching`, college ones through `mto.spda_matching` and the college
-coalition scan, which run it on a market of college seats.
+The outcome does not depend on the order of proposals. It is the one
+untraced engine and reads index arrays only: the proposers' acceptable
+lists and the receivers' `rank_row`s. It serves `da_assignment` and
+`da_matching`, `mto.spda_matching` on a market of college seats, and the
+coalition scans of both markets on report views (`_view_engine`,
+`mto.MtoDomain.spda_market`), whose evaluations return lot vectors.
 
-The engine trusts the shape of the report tuples it is given: position i
-holds agent i's `Preference`, sized for the other side. That shape is
-checked where reports enter from outside: `da_assignment` (so
-`MatchingRule.assignment` of a DA rule), the `Profile` constructor and the
-`ProductDomain` constructor. The coalition scans take every report from a
-domain, so they run the unchecked evaluation `_unchecked_da` returns for
-each deviation they evaluate.
+The engine trusts the shape of what it is given: position i holds agent
+i's report, sized for the other side. That shape is checked where reports
+enter from outside: `da_assignment` (so `MatchingRule.assignment` of a DA
+rule), the `Profile` constructor and the `ProductDomain` constructor; the
+scans and certifications take every report from a domain.
 
 `_da_engine` is the simultaneous-round form (Gale & Shapley, 1962) with
 receiver quotas: in each step every free proposer with an untried
@@ -71,12 +71,11 @@ class DaTrace(NamedTuple):
         return self.steps[-1].tentative
 
 
-def _da_engine(lists: Sequence, ranks: Sequence, outside: Sequence, quotas: Sequence) -> tuple[list, list]:
+def _da_engine(lists: Sequence, rows: Sequence, quotas: Sequence) -> tuple[list, list]:
     """Index-level engine. Returns (held, rounds).
 
-    lists[i] is proposer i's acceptable receivers, best first; ranks[r][i] is
-    receiver r's rank of proposer i, outside[r] its rank of staying alone and
-    quotas[r] how many proposers it may hold. held[r] lists the proposers r
+    lists[i] is proposer i's acceptable receivers, best first; rows[r] is
+    receiver r's `rank_row` and quotas[r] how many proposers it may hold. held[r] lists the proposers r
     keeps, best first. rounds is a list of (proposals, rejections) with
     (proposer, receiver) index pairs, one entry per executed step; empty
     proposal lists only appear in a lone first step.
@@ -100,7 +99,8 @@ def _da_engine(lists: Sequence, ranks: Sequence, outside: Sequence, quotas: Sequ
                     by_receiver[r] = [i]
         rejections = []
         for r in sorted(by_receiver):
-            rank, bar = ranks[r], outside[r]
+            rank = rows[r]
+            bar = rank[-1]
             pool = by_receiver[r] + held[r]
             if len(pool) > 1:
                 pool.sort(key=rank.__getitem__)
@@ -145,55 +145,44 @@ def _tentative_holdings(rounds: list, held: list) -> Iterator[tuple]:
 
 def _traced_da(proposer_prefs: Sequence, receiver_prefs: Sequence, quotas: Sequence, step: Callable) -> tuple:
     """Run `_da_engine` on the proposers' acceptable lists and the receivers'
-    ranks; return one step per round, step(number, proposals, rejections,
+    rank rows; return one step per round, step(number, proposals, rejections,
     holding) of the round's index pairs and its `_tentative_holdings` replay,
     which checks that the last step's holding is the engine's outcome."""
-    held, rounds = _da_engine(
-        [pref.acceptable_idx for pref in proposer_prefs],
-        [pref.rank_by_index for pref in receiver_prefs],
-        [pref.outside_rank for pref in receiver_prefs],
-        quotas,
-    )
+    lists = [pref.acceptable_idx for pref in proposer_prefs]
+    held, rounds = _da_engine(lists, [pref.rank_row for pref in receiver_prefs], quotas)
     return tuple([step(n, *replayed) for n, replayed in enumerate(_tentative_holdings(rounds, held), start=1)])
 
 
 def _held_to_assignment(held: list, rule: RuleId, p: int) -> tuple:
     """Each of the p men's partner index (None = unmatched), from the
     engine's held list under the given rule."""
+    if rule is RuleId.WPDA:
+        return tuple([None if i < 0 else i for i in held])
     woman_of: list = [None] * p
-    if rule is RuleId.MPDA:
-        for r, i in enumerate(held):
-            if i >= 0:
-                woman_of[i] = r
-    else:
-        for r, i in enumerate(held):
-            if i >= 0:
-                woman_of[r] = i
+    for r, i in enumerate(held):
+        if i >= 0:
+            woman_of[i] = r
     return tuple(woman_of)
 
 
-def _sequential_da(
-    proposer_prefs: tuple[Preference, ...],
-    receiver_prefs: tuple[Preference, ...],
-) -> list:
-    """McVitie-Wilson engine. Returns held: held[r] is the proposer index
-    receiver r ends with, or -1."""
-    # bar[r]: the rank a proposer must beat to be held by r
-    bar = [pref.outside_rank for pref in receiver_prefs]
-    held = [-1] * len(receiver_prefs)
-    next_choice = [0] * len(proposer_prefs)
-    for start in range(len(proposer_prefs)):
+def _sequential_da(lists: Sequence, rows: Sequence) -> list:
+    """McVitie-Wilson engine. lists[i] is proposer i's acceptable receivers,
+    best first; rows[r] is receiver r's `rank_row`. Returns held: held[r] is
+    the proposer index receiver r ends with, or -1."""
+    held = [-1] * len(rows)
+    next_choice = [0] * len(lists)
+    for start in range(len(lists)):
         i = start
         while i >= 0:
-            lst = proposer_prefs[i].acceptable_idx
+            lst = lists[i]
             k = next_choice[i]
             end = len(lst)
             while k < end:
                 r = lst[k]
                 k += 1
-                rank = receiver_prefs[r].rank_by_index[i]
-                if rank < bar[r]:
-                    bar[r] = rank
+                row = rows[r]
+                # row[-1] is r's rank of staying alone while it holds no one
+                if row[i] < row[held[r]]:
                     next_choice[i] = k
                     # i is held now; whoever r held before proposes next
                     i, held[r] = held[r], i
@@ -224,11 +213,39 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
 
 
 def _mpda_assignment(men_prefs: tuple, women_prefs: tuple) -> tuple:
-    return _held_to_assignment(_sequential_da(men_prefs, women_prefs), RuleId.MPDA, len(men_prefs))
+    held = _sequential_da([pref.acceptable_idx for pref in men_prefs], [pref.rank_row for pref in women_prefs])
+    return _held_to_assignment(held, RuleId.MPDA, len(men_prefs))
 
 
 def _wpda_assignment(men_prefs: tuple, women_prefs: tuple) -> tuple:
-    return _held_to_assignment(_sequential_da(women_prefs, men_prefs), RuleId.WPDA, len(men_prefs))
+    held = _sequential_da([pref.acceptable_idx for pref in women_prefs], [pref.rank_row for pref in men_prefs])
+    return _held_to_assignment(held, RuleId.WPDA, len(men_prefs))
+
+
+def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable]:
+    """(view, evaluate) of the rule on a p-by-q market, for the scans: a
+    report's view is its acceptable list if its owner proposes and its
+    `rank_row` if not; evaluate(views), men first, returns the lot vector,
+    each agent's partner index or -1 when unmatched."""
+    if rule is RuleId.MPDA:
+        proposers, first, rest, offset = Side.MAN, slice(None, p), slice(p, None), 0
+    else:
+        proposers, first, rest, offset = Side.WOMAN, slice(p, None), slice(None, p), p
+    n = p + q
+
+    def view(pref: Preference):
+        return pref.acceptable_idx if pref.owner.side is proposers else pref.rank_row
+
+    def evaluate(views: list) -> list:
+        held = _sequential_da(views[first], views[rest])
+        lots = [-1] * n
+        lots[rest] = held
+        for r, i in enumerate(held):
+            if i >= 0:
+                lots[offset + i] = r
+        return lots
+
+    return view, evaluate
 
 
 def _unchecked_da(rule: RuleId) -> Callable[[tuple, tuple], tuple]:

@@ -9,10 +9,11 @@ such a rule as an explicit table or prove none exists.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     EXHAUSTIVE_PROFILE_BUDGET,
@@ -71,15 +72,20 @@ def all_preferences(owner: AgentId, n_opposite: int) -> tuple[Preference, ...]:
     return tuple(Preference(owner, perm) for perm in itertools.permutations(base))
 
 
-class ProductOrder(NamedTuple):
+class ProductOrder:
     """A domain's profiles as mixed-radix numbers over its agents, in agent order.
 
     Digit d of agent i stands for lists[i][d]. A profile's index is the dot
     product of its digits with `strides`, so the last agent varies fastest.
     """
 
-    lists: tuple[tuple, ...]
-    strides: tuple[int, ...]
+    def __init__(self, lists: tuple[tuple, ...], strides: tuple[int, ...]):
+        self.lists, self.strides = lists, strides
+
+    @functools.cached_property
+    def orders(self) -> list[list[tuple[int, ...]]]:
+        """Each marriage report's code order (`Ranking.ranking_idx`), per agent."""
+        return [[pref.ranking_idx for pref in l] for l in self.lists]
 
     def digits(self) -> Iterator[tuple[int, ...]]:
         """Every digit vector, in index order."""
@@ -687,7 +693,7 @@ def _stable_options(domain: PreferenceDomain) -> tuple[list, list]:
     DA outcomes.
     """
     p, q = domain.p, domain.q
-    ranks = [[pref.rank_by_index + (pref.outside_rank,) for pref in l] for l in domain.product_order().lists]
+    ranks = [[pref.rank_row for pref in l] for l in domain.product_order().lists]
     keys = domain.profile_keys()
     if keys is None:
         return ranks, _stable_option_pass(p, q, ranks)
@@ -780,8 +786,7 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
     picked = [opts[0] for opts in options]
     free = [k for k, opts in enumerate(options) if len(opts) > 1]
     forced = ((1 << total) - 1) ^ sum(1 << k for k in free)
-    orders = [[pref.ranking_idx for pref in l] for l in lists]
-    if axis_gains(lot_codes(picked, lots), orders, strides, forced):
+    if axis_gains(lot_codes(picked, lots), order.orders, strides, forced):
         return None
     free_set = set(free)
 

@@ -47,7 +47,7 @@ from .core import (
     market_shape,
     size_guard,
 )
-from .da import RuleId, _unchecked_da, da_assignment
+from .da import RuleId, _unchecked_da, _view_engine, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
 
 if TYPE_CHECKING:
@@ -69,7 +69,8 @@ class MatchingRule:
     `_evaluate` is the same map for reports taken from a `ProductDomain`,
     whose construction has checked their shape, given as two lists or
     tuples: a DA rule runs its engine on them without the check, every
-    other rule passes them to `assignment` as tuples.
+    other rule passes them to `assignment` as tuples. A DA rule's scans
+    run its engine on report views instead (`_views`, `da._view_engine`).
 
     `_class_key`, when set, maps a report to a hashable key such that two
     reports of one agent with equal keys give the same outcome whatever
@@ -80,7 +81,7 @@ class MatchingRule:
     that list.
     """
 
-    __slots__ = ("name", "stable", "_assign_fn", "_evaluate", "_class_key")
+    __slots__ = ("name", "stable", "_assign_fn", "_evaluate", "_class_key", "_views")
 
     def __init__(self, name: str, assign_fn: Callable, stable: bool):
         self.name = name
@@ -88,6 +89,7 @@ class MatchingRule:
         self._assign_fn = assign_fn
         self._evaluate = lambda men, women: assign_fn(tuple(men), tuple(women))
         self._class_key = None
+        self._views = None
 
     def assignment(self, men_prefs: tuple, women_prefs: tuple) -> tuple:
         return self._assign_fn(men_prefs, women_prefs)
@@ -111,6 +113,7 @@ class MatchingRule:
         rule = cls(rule_id.value, assign, stable=True)
         rule._evaluate = _unchecked_da(rule_id)
         rule._class_key = operator.attrgetter("acceptable_idx")
+        rule._views = partial(_view_engine, rule_id)
         return rule
 
     @classmethod
@@ -239,18 +242,21 @@ class _Market:
     """One market and rule as the scans and certifications see them, over
     report vectors whose position i holds agent i's report.
 
-    `evaluate(reports)` is the rule's outcome; it must not keep the list.
-    `ranks(true)` returns rank(i, outcome), agent i's rank by true[i] of its
-    lot (0 is the top). `witness(base, coalition, reports, before, after)`
-    builds the witness of one hit of `_search`. The certification walk
-    also needs `table(domain)`, which returns (ids, outcomes, lots): ids[k]
-    numbers the outcome at the domain's k-th profile in product order,
-    outcomes[n] is the outcome numbered n, and lots[i][n] is agent i's lot
-    code in outcomes[n], the code its reports' `ranking_idx` gives that lot.
+    `view(report)` is a report as `evaluate` reads it (None: the report).
+    `evaluate(views)` returns the rule's lot vector: agent i's partner's or
+    college's index (-1 when unmatched), or a college's sorted student
+    group; it must not keep the list. `ranks(true)` returns ranks[i][lot],
+    agent i's rank by true[i] of a lot (0 is the top). `witness(base,
+    coalition, reports, before, after)` builds the witness of one hit of
+    `_search`. The certification walk also needs `table(domain)`, which
+    returns (ids, outcomes, lots): ids[k] numbers the outcome at the
+    domain's k-th profile in product order, outcomes[n] is the outcome
+    numbered n, and lots[i][n] is agent i's lot code in outcomes[n], the
+    code its reports' `ranking_idx` gives that lot.
     """
 
-    def __init__(self, evaluate: Callable, ranks: Callable, witness: Callable, table: Optional[Callable] = None):
-        self.evaluate, self.ranks, self.witness, self.table = evaluate, ranks, witness, table
+    def __init__(self, view, evaluate: Callable, ranks: Callable, witness: Callable, table: Optional[Callable] = None):
+        self.view, self.evaluate, self.ranks, self.witness, self.table = view, evaluate, ranks, witness, table
 
 
 def _witnesses(make: Callable, outcome: Callable) -> Callable:
@@ -300,7 +306,7 @@ def _scan(
     true, alternatives = domain.deviations(base)
     cap = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
     classes = None if class_key is None else [tuple(map(class_key, alts)) for alts in alternatives]
-    for hit in _search(true, alternatives, pool, market.evaluate, market.ranks(true), cap, classes):
+    for hit in _search(true, alternatives, pool, market.evaluate, market.ranks(true), cap, classes, market.view):
         yield market.witness(base, *hit)
 
 
@@ -308,17 +314,20 @@ def _search(
     true_reports: Sequence,
     alternatives: Sequence[tuple],
     pool: Sequence[int],
-    evaluate: Callable[[list], object],
-    rank: Callable[[int, object], int],
+    evaluate: Callable[[list], Sequence],
+    ranks: Sequence,
     cap: int,
     classes: Optional[Sequence[tuple]] = None,
+    view: Optional[Callable] = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple, object, object]]:
     """Yield (coalition, reports, before, after) for each deviation after
     which every member strictly gains, in `_scan`'s order, at a coalition
     bound that `_coalition_cap` has already clipped and checked against
     the budget. alternatives[i] holds agent i's admissible reports other
     than true_reports[i], and classes[i], when given, the class key of
-    each; without classes every report is its own class.
+    each; without classes every report is its own class. `evaluate` and
+    `ranks` are a `_Market`'s; `view`, when given, views each true report
+    and each class's first report once, and the hits carry the reports.
 
     A coalition's scan evaluates one joint misreport per combination of
     its members' classes, the first of each class in list order; a
@@ -328,35 +337,37 @@ def _search(
     order and yield each one whose combination did, so the hits and their
     order are those of a scan that evaluates every joint misreport.
     """
-    reports = list(true_reports)
-    before = evaluate(reports)
-    base_rank = {i: rank(i, before) for i in pool}
+    views = list(true_reports if view is None else map(view, true_reports))
+    true_views = tuple(views)
+    before = evaluate(views)
+    base_rank = [rank[lot] for rank, lot in zip(ranks, before)]
     # agents at their true top can never strictly improve
     candidates = [i for i in pool if base_rank[i] > 0 and alternatives[i]]
-    # firsts[i]: the first report of each of agent i's classes, in list
-    # order; number[i]: the class number of each of its reports
+    # firsts[i]: the class number and view of the first report of each of
+    # agent i's classes; number[i]: the class number of each of its reports
     firsts, number = {}, {}
     for i in candidates:
         if classes is None:
             firsts[i], number[i] = alternatives[i], range(len(alternatives[i]))
-            continue
-        index = {}
-        number[i] = [index.setdefault(key, len(index)) for key in classes[i]]
-        firsts[i] = [alternatives[i][number[i].index(n)] for n in range(len(index))]
+        else:
+            index = {}
+            number[i] = [index.setdefault(key, len(index)) for key in classes[i]]
+            firsts[i] = [alternatives[i][number[i].index(n)] for n in range(len(index))]
+        firsts[i] = list(enumerate(firsts[i] if view is None else map(view, firsts[i])))
     for size in range(1, cap + 1):
         for coalition in itertools.combinations(candidates, size):
             outcomes = {}
-            for numbers in itertools.product(*(range(len(firsts[i])) for i in coalition)):
-                for i, n in zip(coalition, numbers):
-                    reports[i] = firsts[i][n]
-                after = evaluate(reports)
+            for combination in itertools.product(*(firsts[i] for i in coalition)):
+                for i, (_, viewed) in zip(coalition, combination):
+                    views[i] = viewed
+                after = evaluate(views)
                 for i in coalition:
-                    reports[i] = true_reports[i]
-                for i in coalition:
-                    if rank(i, after) >= base_rank[i]:
+                    if ranks[i][after[i]] >= base_rank[i]:
                         break
                 else:
-                    outcomes[numbers] = after
+                    outcomes[tuple([n for n, _ in combination])] = after
+            for i in coalition:
+                views[i] = true_views[i]
             if outcomes:
                 joint = itertools.product(*(alternatives[i] for i in coalition))
                 for misreports, numbers in zip(joint, itertools.product(*(number[i] for i in coalition))):
@@ -369,16 +380,23 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     """The market record of a rule on a p-by-q marriage market, whose agents
     are numbered men first and whose reports the domain has checked.
 
-    A DA rule's `table`, on a domain with keys (`profile_keys`), reads the
-    engine's outcomes from the shape's `core.ListKeys` store, running DA
-    only at keys it does not hold yet, and numbers them among the shape's
-    matchings (`core.market_shape`); every other table evaluates the rule
-    once per profile, numbers its outcomes in the order they first appear
-    and codes their lots with `core.assignment_lots`."""
+    A DA rule's scans run its engine on report views (`MatchingRule._views`);
+    an agent's `rank_row` reads -1 and the other side's size, the unmatched
+    codes of the engine and of `core.assignment_lots`, alike. A DA rule's
+    `table`, on a domain with keys (`profile_keys`), reads the engine's
+    outcomes from the shape's `core.ListKeys` store, running DA only at
+    keys it does not hold yet, and numbers them among the shape's matchings
+    (`core.market_shape`); every other table evaluates the rule once per
+    profile, numbers its outcomes in the order they first appear and codes
+    their lots with `core.assignment_lots`, as every other rule's scans do."""
     engine = rule._evaluate
+    if rule._views is not None:
+        view, evaluate = rule._views(p, q)
+    else:
+        view = None
 
-    def evaluate(reports: Sequence) -> tuple:
-        return engine(reports[:p], reports[p:])
+        def evaluate(reports: Sequence) -> list:
+            return [lot[0] for lot in assignment_lots(p, q, [engine(reports[:p], reports[p:])])]
 
     def table(domain: "PreferenceDomain") -> tuple[Sequence[int], Sequence[tuple], list]:
         lists = domain.product_order().lists
@@ -389,27 +407,19 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
             def fill(memo: dict) -> None:
                 for key, reports in zip(keys, itertools.product(*lists)):
                     if key not in memo:
-                        memo[key] = index[evaluate(reports)]
+                        memo[key] = index[engine(reports[:p], reports[p:])]
 
             return list_keys(p, q).values(engine, keys, fill), matchings, lots
         number: dict = {}
-        ids = [number.setdefault(a, len(number)) for a in map(evaluate, itertools.product(*lists))]
+        ids = [number.setdefault(engine(r[:p], r[p:]), len(number)) for r in itertools.product(*lists)]
         outcomes = list(number)
         return ids, outcomes, assignment_lots(p, q, outcomes)
 
-    def ranks(true: Sequence[Preference]) -> Callable[[int, tuple], int]:
-        def rank(i: int, assignment: tuple) -> int:
-            if i < p:
-                partner = assignment[i]
-            else:
-                partner = assignment.index(i - p) if i - p in assignment else None
-            pref = true[i]
-            return pref.outside_rank if partner is None else pref.rank_by_index[partner]
+    def outcome(lots: Sequence) -> Matching:
+        return Matching.from_assignment(p, q, [j if 0 <= j < q else None for j in lots[:p]])
 
-        return rank
-
-    witness = _witnesses(partial(ManipulationWitness, rule.name), partial(Matching.from_assignment, p, q))
-    return _Market(evaluate, ranks, witness, table)
+    witness = _witnesses(partial(ManipulationWitness, rule.name), outcome)
+    return _Market(view, evaluate, lambda true: [pref.rank_row for pref in true], witness, table)
 
 
 def _marriage_scan(
@@ -490,14 +500,14 @@ def _certify(
     - at a larger bound, each base from which some deviation, by a
       coalition of any size, leaves every deviator strictly better off
       (`core.gain_sets`), one base at a time.
-    Each picked base is scanned by `_search`, which reads its outcomes from
-    the table. A certification thus evaluates the rule at most once per
-    profile, whether it holds or fails at its first base: a DA rule's table
-    evaluates only the lists its engine's memo in the shape's
+    Each picked base is scanned by `_search`, which reads its outcomes' lot
+    vectors from the table. A certification thus evaluates the rule at most
+    once per profile, whether it holds or fails at its first base: a DA
+    rule's table evaluates only the lists its engine's memo in the shape's
     `core.ListKeys` store does not hold yet, so after the first
-    certification on a shape it usually evaluates none. Preferences
-    are looked up only to build the table and each report's code order, to
-    rank a scanned base's lots or to build the witness.
+    certification on a shape it usually evaluates none. Preferences are
+    looked up only to build the table, to rank a scanned base's lots or to
+    build the witness.
 
     Before it evaluates anything, the walk refuses a coalition bound below
     1, a budget below the profile count, which is what the table may cost,
@@ -520,9 +530,9 @@ def _certify(
             count,
         )
     size_guard("certifying this domain", max(domain.sizes), MAX_LOT_SIDE, lambda: "lot codes past a byte")
-    ids, outcomes, lots = market.table(domain)
+    ids, _, lots = market.table(domain)
     codes = lot_codes(ids, lots)
-    orders = [[pref.ranking_idx for pref in l] for l in lists]
+    orders = order.orders
     if cap == 1:
         gains = axis_gains(codes, orders, strides, (1 << count) - 1)
         bases = [(gains & -gains).bit_length() - 1] if gains else []
@@ -530,7 +540,9 @@ def _certify(
         reachable = gain_sets(codes, orders, strides)
         bases = (key for key, digits in enumerate(order.digits()) if reachable(digits, key) != 1 << key)
 
-    def evaluate(digits: list) -> object:
+    outcomes = list(zip(*lots))  # each outcome's lot vector
+
+    def evaluate(digits: list) -> tuple:
         return outcomes[ids[sum(map(operator.mul, digits, strides))]]
 
     for key in bases:

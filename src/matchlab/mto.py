@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Ranking, Side
@@ -202,26 +201,20 @@ def is_responsive(cp: CollegePreference):
 
     Adding an acceptable student to a small set must help, adding an
     unacceptable one must hurt, and swapping a member for an outsider must
-    follow the singleton comparison.
+    follow the singleton comparison. Ranks are read by index tuples.
     """
-    all_students = students(cp.n_students)
-    empty: tuple[StudentId, ...] = ()
+    rank, n = cp.rank_by_group, cp.n_students
     # a base of every student has no one left to add, so larger ones are moot
-    small = [
-        s
-        for k in range(min(cp.quota, cp.n_students))
-        for s in itertools.combinations(all_students, k)
-    ]
-    for base in small:
-        present = set(base)
-        rest = [s for s in all_students if s not in present]
-        for s in rest:
-            gained = cp.prefers(base + (s,), base) == cp.prefers((s,), empty)
-            if not gained:
-                return PropertyCheck(False, ("gain", base, s))
-        for s, t in itertools.permutations(rest, 2):
-            if cp.prefers(base + (s,), base + (t,)) != cp.prefers((s,), (t,)):
-                return PropertyCheck(False, ("swap", base, s, t))
+    for k in range(min(cp.quota, n)):
+        for base in itertools.combinations(range(n), k):
+            rest = [s for s in range(n) if s not in base]
+            here, grown = rank[base], {s: rank[tuple(sorted(base + (s,)))] for s in rest}
+            for s in rest:
+                if (grown[s] < here) != (rank[(s,)] < rank[()]):
+                    return PropertyCheck(False, ("gain", tuple(map(student, base)), student(s)))
+            for s, t in itertools.permutations(rest, 2):
+                if (grown[s] < grown[t]) != (rank[(s,)] < rank[(t,)]):
+                    return PropertyCheck(False, ("swap", tuple(map(student, base)), student(s), student(t)))
     return PropertyCheck(True)
 
 
@@ -428,50 +421,48 @@ def require_responsive(profile: MtoProfile) -> None:
 
 
 # Untraced SPDA runs on seats (Roth & Sotomayor 1990, ch. 5): a college of
-# quota k becomes min(k, n_students) seats, each of which is the college's
-# induced ranking of single students (`CollegePreference.induced`); each
-# student ranks a college's seats consecutively in the college's place, and
-# student-proposing DA on that one-to-one market (`da._sequential_da`) holds
-# SPDA's students once seats are grouped back by college. Seats beyond the
+# quota k becomes min(k, n_students) seats, each with the `rank_row` of the
+# college's induced ranking (`CollegePreference.induced`); each student
+# ranks a college's seats consecutively in the college's place, and
+# student-proposing DA on that market (`da._sequential_da`) holds SPDA's
+# students once seats are grouped back by college. Seats beyond the
 # student count could never be proposed to.
 
 
-class _Applicant:
-    """A student, as a proposer of `_sequential_da` over the seats."""
-
-    __slots__ = ("acceptable_idx",)
-
-    def __init__(self, sp: StudentPreference, seat_ranges: Sequence[range]):
-        self.acceptable_idx = tuple([j for c in sp.acceptable_idx for j in seat_ranges[c]])
-
-
-def _seats(cp: CollegePreference) -> list[CollegeRanking]:
-    return [cp.induced] * min(cp.quota, cp.n_students)
+def _applicant(sp: StudentPreference, seat_ranges: Sequence[range]) -> tuple[int, ...]:
+    """A student's acceptable seats, best first: its proposer list."""
+    return tuple([j for c in sp.acceptable_idx for j in seat_ranges[c]])
 
 
 def _seat_ranges(college_prefs: Sequence[CollegePreference]) -> list[range]:
     """Each college's seat indices; seats are numbered college by college."""
-    ranges, start = [], 0
-    for cp in college_prefs:
-        stop = start + min(cp.quota, cp.n_students)
-        ranges.append(range(start, stop))
-        start = stop
-    return ranges
+    stops = list(itertools.accumulate([min(cp.quota, cp.n_students) for cp in college_prefs]))
+    return [range(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def _seat_spda(seats: list, applicants: list, seat_ranges: Sequence[range]) -> tuple[tuple[int, ...], ...]:
-    """SPDA's assignment: each college's students as a sorted index tuple."""
+def _seat_lots(applicants: Sequence, seats: Sequence, seat_college: Sequence[int], n_colleges: int) -> list:
+    """SPDA's lot vector: each college's students as a sorted index tuple,
+    then each student's college index, -1 when unmatched."""
     held = _sequential_da(applicants, seats)
-    return tuple([tuple(sorted([i for i in held[r.start : r.stop] if i >= 0])) for r in seat_ranges])
+    college_of = [-1] * len(applicants)
+    for s, i in enumerate(held):
+        if i >= 0:
+            college_of[i] = seat_college[s]
+    groups = [[] for _ in range(n_colleges)]
+    for i, c in enumerate(college_of):
+        if c >= 0:
+            groups[c].append(i)  # students come in index order
+    return [*map(tuple, groups), *college_of]
 
 
 def spda_matching(profile: MtoProfile) -> MtoMatching:
     """Student-proposing deferred acceptance, untraced; `run_spda` is its oracle."""
     require_responsive(profile)
     ranges = _seat_ranges(profile.college_prefs)
-    seats = [seat for cp in profile.college_prefs for seat in _seats(cp)]
-    applicants = [_Applicant(sp, ranges) for sp in profile.student_prefs]
-    return MtoMatching(profile.quotas, profile.n_students, _seat_spda(seats, applicants, ranges))
+    seats = [cp.induced.rank_row for cp, r in zip(profile.college_prefs, ranges) for _ in r]
+    applicants = [_applicant(sp, ranges) for sp in profile.student_prefs]
+    lots = _seat_lots(applicants, seats, [c for c, r in enumerate(ranges) for _ in r], profile.n_colleges)
+    return MtoMatching(profile.quotas, profile.n_students, lots[: profile.n_colleges])
 
 
 def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
@@ -584,8 +575,7 @@ class MtoDomain(ProductDomain):
         scan, built on first use and kept. The domain holds only responsive,
         market-sized reports with one quota per college, so each report's
         seat view is built once, and a college's first report gives its
-        seats; a college ranks its group through its report's own
-        ``rank_by_group``."""
+        seats; a college ranks its group by its report's ``rank_by_group``."""
         try:
             return self._spda
         except AttributeError:
@@ -593,29 +583,22 @@ class MtoDomain(ProductDomain):
         nc = self.n_colleges
         lists = self.product_order().lists
         ranges = _seat_ranges([l[0] for l in lists[:nc]])
-        views = {pref: _seats(pref) for l in lists[:nc] for pref in l}
-        views.update({pref: _Applicant(pref, ranges) for l in lists[nc:] for pref in l})
+        view_of = {pref: [pref.induced.rank_row] * len(r) for l, r in zip(lists[:nc], ranges) for pref in l}
+        view_of.update({pref: _applicant(pref, ranges) for l in lists[nc:] for pref in l})
+        seat_college = [c for c, r in enumerate(ranges) for _ in r]
 
-        def evaluate(reports: list) -> tuple:
+        def evaluate(views: list) -> list:
             seats = []
-            for r in reports[:nc]:
-                seats += views[r]
-            return _seat_spda(seats, [views[r] for r in reports[nc:]], ranges)
+            for seat_rows in views[:nc]:
+                seats += seat_rows
+            return _seat_lots(views[nc:], seats, seat_college, nc)
 
-        def ranks(true: Sequence) -> Callable[[int, tuple], int]:
-            def rank(i: int, assignment: tuple) -> int:
-                if i < nc:
-                    return true[i].rank_by_group[assignment[i]]
-                si, pref = i - nc, true[i]
-                for ci, group in enumerate(assignment):
-                    if si in group:
-                        return pref.rank_by_index[ci]
-                return pref.outside_rank
+        def ranks(true: Sequence) -> list:
+            return [pref.rank_by_group for pref in true[:nc]] + [pref.rank_row for pref in true[nc:]]
 
-            return rank
-
-        outcome = partial(MtoMatching, [l[0].quota for l in lists[:nc]], self.n_students)
-        self._spda = _Market(evaluate, ranks, _witnesses(MtoWitness, outcome))
+        quotas = [l[0].quota for l in lists[:nc]]
+        witness = _witnesses(MtoWitness, lambda lots: MtoMatching(quotas, self.n_students, lots[:nc]))
+        self._spda = _Market(view_of.__getitem__, evaluate, ranks, witness)
         return self._spda
 
 

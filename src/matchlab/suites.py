@@ -32,7 +32,7 @@ from .core import (
     woman,
     women,
 )
-from .da import RuleId, da_assignment, da_matching
+from .da import RuleId, da_matching
 from .domains import (
     PreferenceDomain,
     PriorOrdering,
@@ -669,12 +669,8 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
     )
 
     def violation(profile: Profile, mu: Matching) -> Optional[dict]:
-        da_assign = da_assignment(RuleId.MPDA, profile.men_prefs, profile.women_prefs)
-        better = [
-            m
-            for m in profile.men
-            if profile[m].prefers(mu.partner(m), _partner_from_assignment(da_assign, m))
-        ]
+        outcome = da_matching(RuleId.MPDA, profile)
+        better = [m for m in profile.men if profile[m].prefers(mu.partner(m), outcome.partner(m))]
         if not better:
             return {}  # vacuous, signalled by empty dict
         targets = {mu.partner(m) for m in better}
@@ -729,11 +725,6 @@ def _suite_blocking_lemma(params: SuiteParams) -> _Outcome:
         run_trial,
         lambda effective: f"{effective} trials produced a rational matching beating DA for some proposer",
     )
-
-
-def _partner_from_assignment(assignment: tuple, m) -> object:
-    j = assignment[m.index]
-    return OUTSIDE if j is None else woman(j)
 
 
 def _random_rational_matching(rng: random.Random, profile: Profile) -> Matching:

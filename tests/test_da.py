@@ -207,8 +207,8 @@ def test_da_assignment_rejects_unknown_rule(p1):
 def test_run_da_checks_trace_against_engine(p1, monkeypatch):
     engine = da._da_engine
 
-    def drifting_engine(lists, ranks, outside, quotas):
-        held, rounds = engine(lists, ranks, outside, quotas)
+    def drifting_engine(lists, rows, quotas):
+        held, rounds = engine(lists, rows, quotas)
         return held[::-1], rounds
 
     monkeypatch.setattr(da, "_da_engine", drifting_engine)

@@ -49,13 +49,16 @@ def test_rule_apply_matches_da(p1):
 
 
 def _count_evaluations(monkeypatch) -> list:
-    """Record the acceptable lists of every DA run, proposers first."""
+    """Record the acceptable lists of every DA run, proposers first; a
+    receiver's list is read from its rank row, whose last entry is its rank
+    of staying alone."""
     calls = []
     engine = da._sequential_da
 
-    def counting(proposer_prefs, receiver_prefs):
-        calls.append(tuple(pref.acceptable_idx for pref in proposer_prefs + receiver_prefs))
-        return engine(proposer_prefs, receiver_prefs)
+    def counting(lists, rows):
+        accepted = [sorted([i for i in range(len(row) - 1) if row[i] < row[-1]], key=row.__getitem__) for row in rows]
+        calls.append(tuple(map(tuple, lists)) + tuple(map(tuple, accepted)))
+        return engine(lists, rows)
 
     monkeypatch.setattr(da, "_sequential_da", counting)
     return calls

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from matchlab import da, formats, mto
 from matchlab.core import OUTSIDE, Preference, Profile, man, woman, women
 from matchlab.da import RuleId, da_matching
-from matchlab.domains import minimal_utp_rankings
+from matchlab.domains import PropertyCheck, minimal_utp_rankings
 from matchlab.errors import (
     BudgetExceededError,
     NotResponsiveError,
@@ -185,6 +185,45 @@ def test_responsiveness_verdicts():
     assert check.detail[0] == "swap"
 
 
+def _prefers_responsive(cp):
+    """`is_responsive` as first written: every subset compared through `prefers`."""
+    all_students = students(cp.n_students)
+    small = [s for k in range(min(cp.quota, cp.n_students)) for s in itertools.combinations(all_students, k)]
+    for base in small:
+        rest = [s for s in all_students if s not in base]
+        for s in rest:
+            if cp.prefers(base + (s,), base) != cp.prefers((s,), ()):
+                return PropertyCheck(False, ("gain", base, s))
+        for s, t in itertools.permutations(rest, 2):
+            if cp.prefers(base + (s,), base + (t,)) != cp.prefers((s,), (t,)):
+                return PropertyCheck(False, ("swap", base, s, t))
+    return PropertyCheck(True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_responsiveness_matches_the_prefers_based_check(data):
+    # quota-2 and quota-3 subset orders: a responsive extension, the same
+    # with two entries of one size swapped (which breaks the swap rule more
+    # often than the gain rule), or the extension's entries in any order
+    n = data.draw(st.integers(2, 5))
+    quota = data.draw(st.sampled_from((2, 3)))
+    induced = tuple(data.draw(st.permutations(students(n) + (OUTSIDE,))))
+    ranking = list(responsive_extension(college(0), quota, induced).ranking)
+    kind = data.draw(st.sampled_from(("responsive", "swapped", "shuffled")))
+    if kind == "swapped":
+        size = data.draw(st.integers(1, min(quota, n - 1)))
+        at = [pos for pos, subset in enumerate(ranking) if len(subset) == size]
+        i, j = data.draw(st.lists(st.sampled_from(at), min_size=2, max_size=2, unique=True))
+        ranking[i], ranking[j] = ranking[j], ranking[i]
+    elif kind == "shuffled":
+        ranking = data.draw(st.permutations(ranking))
+    cp = CollegePreference(college(0), quota, n, ranking)
+    check = is_responsive(cp)
+    assert check == _prefers_responsive(cp)
+    assert check or kind != "responsive"
+
+
 def test_responsive_extension_canonical_order():
     s2 = students(2)
     ext = responsive_extension(college(0), 2, (s2[0], s2[1], OUTSIDE))
@@ -328,8 +367,8 @@ def test_manipulated_run_reproduces_worked_outcome():
 def test_run_spda_checks_trace_against_engine(monkeypatch):
     engine = da._da_engine
 
-    def drifting_engine(lists, ranks, outside, quotas):
-        held, rounds = engine(lists, ranks, outside, quotas)
+    def drifting_engine(lists, rows, quotas):
+        held, rounds = engine(lists, rows, quotas)
         return [kept[:-1] for kept in held], rounds  # each college lets its last student go
 
     monkeypatch.setattr(da, "_da_engine", drifting_engine)
@@ -513,13 +552,13 @@ def test_scan_recovers_the_counterexample():
 
 def test_college_scans_build_spda_record_once_per_domain(monkeypatch):
     built = []
-    init = mto._Applicant.__init__
+    applicant = mto._applicant
 
-    def counting(self, sp, seat_ranges):
+    def counting(sp, seat_ranges):
         built.append(sp)
-        init(self, sp, seat_ranges)
+        return applicant(sp, seat_ranges)
 
-    monkeypatch.setattr(mto._Applicant, "__init__", counting)
+    monkeypatch.setattr(mto, "_applicant", counting)
     text = (FIXTURES / "example2_domain.json").read_text()
     base = formats.mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
     domain = formats.mto_domain_from_json(json.loads(text))

@@ -13,7 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchlab import mto
+from matchlab import da, mto
 from matchlab.core import OUTSIDE, AgentId, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_matching, run_da
 from matchlab.domains import PreferenceDomain, all_preferences
@@ -175,20 +175,19 @@ def _synthetic_scan():
 
     def evaluate(reports):
         evaluated.append(tuple(reports))
-        return tuple(letter[r] for r in reports)
+        # both agents' lot is the class of agent 1's report
+        return (letter[reports[1]],) * 2
 
-    def rank(i, outcome):
-        return 0 if outcome[1] == "Z" else 1
-
-    return ("t0", "t1"), alternatives, classes, evaluate, rank, evaluated
+    ranks = [{"Z": 0, "U": 1}] * 2
+    return ("t0", "t1"), alternatives, classes, evaluate, ranks, evaluated
 
 
 def test_search_yields_a_member_whose_misreport_is_in_its_true_class():
-    true, alternatives, classes, evaluate, rank, evaluated = _synthetic_scan()
-    plain = list(_search(true, alternatives, [0, 1], evaluate, rank, 2))
+    true, alternatives, classes, evaluate, ranks, evaluated = _synthetic_scan()
+    plain = list(_search(true, alternatives, [0, 1], evaluate, ranks, 2))
     assert len(evaluated) == 1 + 3 + 1 + 3
     evaluated.clear()
-    grouped = list(_search(true, alternatives, [0, 1], evaluate, rank, 2, classes))
+    grouped = list(_search(true, alternatives, [0, 1], evaluate, ranks, 2, classes))
     assert [(c, r) for c, r, _, _ in grouped] == [
         ((1,), ("z",)),
         ((0, 1), ("x", "z")),
@@ -201,8 +200,8 @@ def test_search_yields_a_member_whose_misreport_is_in_its_true_class():
 
 
 def test_search_evaluates_every_class_combination_before_yielding():
-    true, alternatives, _, evaluate, rank, evaluated = _synthetic_scan()
-    hits = _search(true, alternatives, [0, 1], evaluate, rank, 2)
+    true, alternatives, _, evaluate, ranks, evaluated = _synthetic_scan()
+    hits = _search(true, alternatives, [0, 1], evaluate, ranks, 2)
     assert next(hits)[:2] == ((1,), ("z",))
     # the base, agent 0's three alternatives and agent 1's z
     assert evaluated == [("t0", "t1"), ("x", "t1"), ("y", "t1"), ("x2", "t1"), ("t0", "z")]
@@ -225,17 +224,17 @@ CROSSING_TOPS = {M1: (W1, W2), M2: (W2, W1), W1: (M2, M1), W2: (M1, M2)}
 
 @st.composite
 def truncation_domains(draw):
-    """Sub-domains of the full 2x3 or 3x3 domain around a drawn base, which
-    may put the crossing pattern on top of the first two men and women.
-    Each agent also holds rankings that truncate its true acceptable list
-    (the list itself included), one or two per truncation and differing
-    only below the outside option, in a drawn order."""
-    p = draw(st.sampled_from((2, 3)))
+    """Sub-domains of the full 2x3, 3x2 or 3x3 domain around a drawn base,
+    which may put the crossing pattern on top of the first two men and
+    women. Each agent also holds rankings that truncate its true acceptable
+    list (the list itself included), one or two per truncation and
+    differing only below the outside option, in a drawn order."""
+    p, q = draw(st.sampled_from(((2, 3), (3, 2), (3, 3))))
     crossing = draw(st.booleans())
-    agents = men(p) + women(3)
+    agents = men(p) + women(q)
     sets, base = {}, []
     for a in agents:
-        options = all_preferences(a, 3 if a.side is Side.MAN else p)
+        options = all_preferences(a, q if a.side is Side.MAN else p)
         by_list = {}
         for pref in options:
             by_list.setdefault(pref.acceptable_idx, []).append(pref)
@@ -261,6 +260,9 @@ def truncation_domains(draw):
     pool=st.one_of(st.none(), st.lists(st.integers(0, 5), min_size=1, max_size=4)),
 )
 def test_grouped_scan_matches_the_ungrouped_rule(drawn, rule_id, cap, pool):
+    # the ungrouped rule runs the scan's engine on every joint misreport;
+    # the oracle runs the traced round engine, so an engine or lot-code
+    # fault shared by both scans shows against it
     domain, base = drawn
     if pool is not None:
         pool = [domain.agents[k % len(domain.agents)] for k in pool]
@@ -269,24 +271,29 @@ def test_grouped_scan_matches_the_ungrouped_rule(drawn, rule_id, cap, pool):
     assert grouped._class_key is not None and plain._class_key is None
     got = list(iter_manipulations(grouped, domain, base, max_coalition=cap, coalition_pool=pool))
     assert got == list(iter_manipulations(plain, domain, base, max_coalition=cap, coalition_pool=pool))
+    assert got == oracle_witnesses(grouped, domain, base, cap, pool)
     first = find_manipulation(grouped, domain, base, max_coalition=cap, coalition_pool=pool)
     assert first == find_manipulation(plain, domain, base, max_coalition=cap, coalition_pool=pool)
     assert first == (got[0] if got else None)
 
 
-def test_grouped_scan_evaluates_one_report_per_acceptable_list():
+def test_grouped_scan_evaluates_one_report_per_acceptable_list(monkeypatch):
+    # the engine runs once at the base and once per combination of the
+    # members' acceptable lists in each coalition of agents not at their top
     domain, base = PreferenceDomain.full(3, 3), _planted_crossing_base()
     rule = mpda_rule()
+    expected_witnesses = list(iter_manipulations(_ungrouped(RuleId.MPDA), domain, base, max_coalition=2))
     calls = []
-    engine = rule._evaluate
+    engine = da._sequential_da
 
-    def counting(men_prefs, women_prefs):
+    def counting(lists, rows):
         calls.append(None)
-        return engine(men_prefs, women_prefs)
+        return engine(lists, rows)
 
-    rule._evaluate = counting
+    monkeypatch.setattr(da, "_sequential_da", counting)
     got = list(iter_manipulations(rule, domain, base, max_coalition=2))
-    assert got and got == list(iter_manipulations(_ungrouped(RuleId.MPDA), domain, base, max_coalition=2))
+    assert got and got == expected_witnesses
+    monkeypatch.undo()
     before = rule.apply(base)
     # agents at their true top never join a coalition
     candidates = [a for a in base.agents if base[a].rank_of(before.partner(a)) > 0]
@@ -346,13 +353,13 @@ def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeyp
     domain = _fixture_domain()
     base = mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
     calls = []
-    engine = mto._seat_spda
+    engine = mto._sequential_da
 
-    def counting(*args):
+    def counting(applicants, seats):
         calls.append(None)
-        return engine(*args)
+        return engine(applicants, seats)
 
-    monkeypatch.setattr(mto, "_seat_spda", counting)
+    monkeypatch.setattr(mto, "_sequential_da", counting)
     assert find_manipulation_mto(domain, base, max_coalition=1) is None
     before = run_spda(base)[0]
 

@@ -1,15 +1,16 @@
 """Verification-suite harness behavior: verdicts, determinism, guards."""
 
+import collections
 import dataclasses
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 from matchlab import da, formats, suites
-from matchlab.core import Side
 from matchlab.errors import BudgetExceededError, PreconditionError, SizeGuardError, UnknownSuiteError
 from matchlab.domains import exists_stable_sp_rule
 from matchlab.manipulation import StrategyProofness, mpda_rule, validate_witness, wpda_rule
@@ -176,17 +177,19 @@ def test_theorem2_runs_da_at_most_once_per_2x2_list_vector_per_rule(monkeypatch,
     # theorem2 certifies MPDA and WPDA twice on every domain it draws; the
     # DA outcome memo of each engine holds the 5 ** 4 = 625 vectors of
     # acceptable lists a 2x2 profile can have, however many domains it draws
-    runs = {Side.MAN: 0, Side.WOMAN: 0}
+    runs = collections.Counter()
     engine = da._sequential_da
 
-    def counting(proposer_prefs, receiver_prefs):
-        runs[proposer_prefs[0].owner.side] += 1
-        return engine(proposer_prefs, receiver_prefs)
+    def counting(lists, rows):
+        # the engine's caller, `_mpda_assignment` or `_wpda_assignment`, names the rule
+        runs[sys._getframe(1).f_code.co_name] += 1
+        return engine(lists, rows)
 
     monkeypatch.setattr(da, "_sequential_da", counting)
     report = run_suite("theorem2", SuiteParams(trials=trials))
     assert report.verdict == "pass" and report.trials == (15 if trials is None else trials)
-    assert 0 < runs[Side.MAN] <= 625 and 0 < runs[Side.WOMAN] <= 625
+    assert runs.keys() == {"_mpda_assignment", "_wpda_assignment"}
+    assert 0 < runs["_mpda_assignment"] <= 625 and 0 < runs["_wpda_assignment"] <= 625
 
 
 def test_theorem2_fail_path_carries_a_validated_coalition_witness(monkeypatch):
