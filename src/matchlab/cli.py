@@ -203,15 +203,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--rule spda needs a college market; {args.market} is a marriage market"
         )
-    from .da import RuleId, da_matching, run_da
+    from .da import RuleId, _traced_rule, da_matching
 
     profile = formats.profile_from_json(doc)
     rule = RuleId(args.rule)
     if args.trace:
-        matching, trace = run_da(rule, profile)
-        names = (formats.agent_names("m", profile.p), formats.agent_names("w", profile.q))
-        for step in trace.steps:
-            print(json.dumps(formats.da_step_to_json(step, names)))
+        step, final = formats.da_trace_writer(profile.p, profile.q, rule is RuleId.MPDA)
+        for line in _traced_rule(rule, profile, step):
+            print(line)
+        matching = final()
     else:
         matching = da_matching(rule, profile)
     if args.fmt == "json":

@@ -132,25 +132,36 @@ def outcome_key(x: Outcome) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=32)
 def _index_table(make: Callable[[int], Hashable], n: int) -> dict:
-    """{make(i): i for i < n}: the first n agents of one kind, by index."""
-    return {make(i): i for i in range(n)}
+    """{make(i): i for i < n} and {OUTSIDE: n}: the codes of the first n
+    agents of one kind and of ``@``, in code order."""
+    table = {make(i): i for i in range(n)}
+    table[OUTSIDE] = n
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _codes(n: int) -> frozenset:
+    return frozenset(range(n + 1))
 
 
 class Ranking:
     """An owner's strict ranking of n agents of one kind plus ``@``.
 
     The ranked agents are make(0) .. make(n-1), where ``make`` is what the
-    subclass's `_ranks` hook returns for the owner; n is inferred from the
-    ranking's length. One walk of the ranking checks every entry and fills
-    ``outside_rank``, ``acceptable_idx`` (the acceptable agents' indices,
-    best first) and ``rank_by_index``, the only copy of the ranks: an
-    agent's rank is read through the agent table of `_index_table`, which
-    every ranking of one kind and size shares. ``ranking_idx`` is derived
-    on first use and kept.
+    subclass's `_ranks` hook returns for the owner. One builder takes the
+    code tuple ``ranking_idx`` (`from_idx`: each agent by its index, ``@``
+    by n, n read from the length), checks that it holds each code from 0
+    to n once, and keeps it with ``outside_rank``, ``acceptable_idx`` (the
+    codes before n) and the code table of `_index_table`, shared by every
+    ranking of one kind and size. ``rank_row`` (each code's rank, so the
+    outside rank last: the only copy of the ranks), ``ranking`` (the
+    entries) and the hash of (owner, ranking) are derived on first use and
+    kept. `Ranking(owner, ranking)` maps its entries to codes, calls the
+    same builder, and keeps its entries and their hash at once.
     """
 
     __slots__ = (
-        "owner", "ranking", "outside_rank", "acceptable_idx", "rank_by_index", "_index_of", "_hash", "_ranking_idx"
+        "owner", "ranking_idx", "outside_rank", "acceptable_idx", "_index_of", "_ranking", "_rank_row", "_hash"
     )
 
     @staticmethod
@@ -161,69 +172,78 @@ class Ranking:
 
     def __init__(self, owner, ranking: Iterable):
         ranking = tuple(ranking)
-        index_of = _index_table(self._ranks(owner), len(ranking) - 1)
-        by_index = [-1] * len(index_of)
-        acceptable = []
-        outside_rank = -1
-        for pos, x in enumerate(ranking):
-            if x is OUTSIDE:
-                if outside_rank >= 0:
-                    break
-                outside_rank = pos
-            else:
-                try:
-                    i = index_of.get(x)
-                except TypeError:  # unhashable, so none of the agents
-                    break
-                if i is None or by_index[i] >= 0:
-                    break
-                by_index[i] = pos
-                if outside_rank < 0:
-                    acceptable.append(i)
-        else:
-            # n + 1 distinct entries, each @ or one of the n agents, are all
-            # of them unless the ranking is empty
-            if outside_rank >= 0:
-                self.owner = owner
-                self.ranking = ranking
-                self._index_of = index_of
-                self.outside_rank = outside_rank
-                self.acceptable_idx = tuple(acceptable)
-                self.rank_by_index = tuple(by_index)
-                self._hash = hash((owner, ranking))
-                return
-        raise ValidationError(_ranking_fault(owner, ranking, index_of))
-
-    @property
-    def n_opposite(self) -> int:
-        return len(self.ranking) - 1
-
-    @property
-    def ranking_idx(self) -> tuple[int, ...]:
-        """The ranking best first, each agent by its index and ``@`` by n."""
+        table = _index_table(self._ranks(owner), len(ranking) - 1)
         try:
-            return self._ranking_idx
-        except AttributeError:
-            n = len(self.rank_by_index)
-            self._ranking_idx = tuple([n if x is OUTSIDE else x.index for x in self.ranking])
-            return self._ranking_idx
+            idx = tuple(map(table.get, ranking))  # None for an entry that is no agent
+        except TypeError:  # unhashable, so none of the agents
+            idx = None
+        self._build(owner, idx, table, ranking)
+        # hashed at once, where the domains and suites that build by name pay for it
+        self._ranking, self._hash = ranking, hash((owner, ranking))
+
+    @classmethod
+    def from_idx(cls, owner, idx: Iterable[int]) -> "Ranking":
+        """The ranking whose `ranking_idx` is ``idx``; an invalid tuple fails as
+        the name-built ranking of ``@`` for code n and make(c) for another c."""
+        self = cls.__new__(cls)
+        idx = tuple(idx)
+        self._build(owner, idx, _index_table(self._ranks(owner), len(idx) - 1), None)
+        return self
+
+    def _build(self, owner, idx, table: dict, ranking: Optional[tuple]) -> None:
+        n = len(table) - 1
+        try:
+            if n >= 0 and len(idx) == n + 1 and set(idx) == _codes(n):
+                self.owner = owner
+                self._index_of = table
+                self.ranking_idx = idx
+                self.outside_rank = idx.index(n)
+                self.acceptable_idx = idx[: self.outside_rank]
+                return
+        except TypeError:  # no tuple, or an unhashable code
+            pass
+        if ranking is None:
+            make, outcomes = self._ranks(owner), list(table)
+            ranking = tuple([c if not isinstance(c, int) else outcomes[c] if 0 <= c <= n else make(c) for c in idx])
+        raise ValidationError(_ranking_fault(owner, ranking, table))
 
     @property
     def rank_row(self) -> tuple[int, ...]:
-        """``rank_by_index`` then ``outside_rank``: both unmatched lot codes, -1 and n, read the latter."""
-        return self.rank_by_index + (self.outside_rank,)
+        try:
+            return self._rank_row
+        except AttributeError:
+            row = [0] * len(self.ranking_idx)
+            for rank, code in enumerate(self.ranking_idx):
+                row[code] = rank
+            self._rank_row = tuple(row)
+            return self._rank_row
+
+    @property
+    def ranking(self) -> tuple:
+        try:
+            return self._ranking
+        except AttributeError:
+            self._ranking = tuple(map(list(self._index_of).__getitem__, self.ranking_idx))
+            return self._ranking
+
+    @property
+    def n_opposite(self) -> int:
+        return len(self._index_of) - 1
+
+    @property
+    def rank_by_index(self) -> tuple[int, ...]:
+        """Each ranked agent's rank, by index: `rank_row` without the outside rank (a copy)."""
+        return self.rank_row[:-1]
 
     def rank_of(self, x) -> int:
-        if x is OUTSIDE:
-            return self.outside_rank
         try:
-            return self.rank_by_index[self._index_of[x]]
+            return self.rank_row[self._index_of[x]]
         except (KeyError, TypeError):
             raise UnknownOutcomeError(f"outcome {x!r} is not ranked") from None
 
     def __contains__(self, x) -> bool:
         try:
-            return x is OUTSIDE or x in self._index_of
+            return x in self._index_of
         except TypeError:
             return False
 
@@ -247,17 +267,21 @@ class Ranking:
             return True
         if not isinstance(other, Ranking):
             return NotImplemented
-        return self.owner == other.owner and self.ranking == other.ranking
+        return self.owner == other.owner and self.ranking_idx == other.ranking_idx
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.owner, self.ranking))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"{self.owner!r}: " + " ".join(repr(x) for x in self.ranking)
 
 
 def _ranking_fault(owner, ranking: tuple, index_of: dict) -> str:
-    """Why ``ranking`` is not a ranking of the agents in ``index_of`` plus ``@``."""
+    """Why ``ranking`` is not a ranking of the outcomes in ``index_of``."""
     if OUTSIDE not in ranking:
         return f"ranking of {owner!r} lacks the outside option"
     seen = set()
@@ -265,14 +289,14 @@ def _ranking_fault(owner, ranking: tuple, index_of: dict) -> str:
         try:
             if x in seen:
                 return f"duplicate entry {x!r} in the ranking of {owner!r}"
-            if x is not OUTSIDE and x not in index_of:
+            if x not in index_of:
                 break
         except TypeError:  # unhashable, so none of the agents
             break
         seen.add(x)
     # a ranking holding @ and another entry expects at least one agent
-    names = list(index_of)  # by index
-    return f"ranking of {owner!r} contains {x!r:.40}; it must rank each of {names[0]!r}..{names[-1]!r} and @ exactly once"
+    names = list(index_of)  # by index, @ last
+    return f"ranking of {owner!r} contains {x!r:.40}; it must rank each of {names[0]!r}..{names[-2]!r} and @ exactly once"
 
 
 class Preference(Ranking):
@@ -316,7 +340,6 @@ class Profile:
         self.p, self.q = p, q
         self._men_prefs = tuple(by_agent[man(i)] for i in range(p))
         self._women_prefs = tuple(by_agent[woman(j)] for j in range(q))
-        self._hash = hash((self._men_prefs, self._women_prefs))
 
     @property
     def men_prefs(self) -> tuple[Preference, ...]:
@@ -364,7 +387,11 @@ class Profile:
         return self._men_prefs == other._men_prefs and self._women_prefs == other._women_prefs
 
     def __hash__(self) -> int:
-        return self._hash
+        try:  # derived on first use: it derives every preference's hash
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self._men_prefs, self._women_prefs))
+            return self._hash
 
     def __repr__(self) -> str:
         lines = [repr(pref) for pref in self._men_prefs + self._women_prefs]
@@ -476,14 +503,17 @@ def _check_dims(matching: Matching, profile: Profile) -> None:
         )
 
 
+def _rows(prefs: Sequence[Ranking]) -> list[tuple[int, ...]]:
+    return [pref.rank_row for pref in prefs]
+
+
 def is_individually_rational(matching: Matching, profile: Profile) -> bool:
     """No agent is matched to an unacceptable partner."""
     _check_dims(matching, profile)
+    men_rows, women_rows = _rows(profile.men_prefs), _rows(profile.women_prefs)
     for i, j in enumerate(matching.assignment):
-        if j is not None:
-            mp, wp = profile.men_prefs[i], profile.women_prefs[j]
-            if mp.rank_by_index[j] > mp.outside_rank or wp.rank_by_index[i] > wp.outside_rank:
-                return False
+        if j is not None and (men_rows[i][j] > men_rows[i][-1] or women_rows[j][i] > women_rows[j][-1]):
+            return False
     return True
 
 
@@ -491,20 +521,18 @@ def blocking_pairs(matching: Matching, profile: Profile) -> list[tuple[AgentId, 
     """All pairs who each prefer the other to their assignment, in (man, woman) lex order."""
     _check_dims(matching, profile)
     out = []
-    for i, (mp, cur) in enumerate(zip(profile.men_prefs, matching.assignment)):
-        cur_rank = mp.outside_rank if cur is None else mp.rank_by_index[cur]
-        for j, (wp, held) in enumerate(zip(profile.women_prefs, matching.inverse)):
-            held_rank = wp.outside_rank if held is None else wp.rank_by_index[held]
-            if mp.rank_by_index[j] < cur_rank and wp.rank_by_index[i] < held_rank:
+    women_rows = _rows(profile.women_prefs)
+    for i, (row, cur) in enumerate(zip(_rows(profile.men_prefs), matching.assignment)):
+        cur_rank = row[-1 if cur is None else cur]
+        for j, (wrow, held) in enumerate(zip(women_rows, matching.inverse)):
+            if row[j] < cur_rank and wrow[i] < wrow[-1 if held is None else held]:
                 out.append((man(i), woman(j)))
     return out
 
 
 def is_stable(matching: Matching, profile: Profile) -> bool:
     _check_dims(matching, profile)
-    return is_individually_rational(matching, profile) and not _blocked(
-        matching.assignment, matching._man_of, profile.men_prefs, profile.women_prefs
-    )
+    return bool(stable_assignments([(matching.assignment, matching.inverse)], profile.men_prefs, profile.women_prefs))
 
 
 def count_matchings(p: int, q: int) -> int:
@@ -558,30 +586,30 @@ def stable_assignments(
 ) -> list[tuple[tuple, tuple]]:
     """The (assignment, inverse) pairs, in the order given, that are
     individually rational and have no blocking pair under the preferences."""
+    lists = [pref.acceptable_idx for pref in men_prefs]
+    men_rows, women_rows = _rows(men_prefs), _rows(women_prefs)
     stable = []
     for assignment, inverse in matchings:
         for i, j in enumerate(assignment):
-            if j is not None:
-                mp, wp = men_prefs[i], women_prefs[j]
-                if mp.rank_by_index[j] > mp.outside_rank or wp.rank_by_index[i] > wp.outside_rank:
-                    break
+            if j is not None and (men_rows[i][j] > men_rows[i][-1] or women_rows[j][i] > women_rows[j][-1]):
+                break
         else:
-            if not _blocked(assignment, inverse, men_prefs, women_prefs):
+            if not _blocked(assignment, inverse, lists, men_rows, women_rows):
                 stable.append((assignment, inverse))
     return stable
 
 
-def _blocked(assignment: tuple, inverse: tuple, men_prefs, women_prefs) -> bool:
+def _blocked(assignment: tuple, inverse: tuple, lists, men_rows, women_rows) -> bool:
     # the first blocking pair ends the scan; blocking_pairs lists them all
-    for i, mp in enumerate(men_prefs):
+    for i, row in enumerate(men_rows):
         cur = assignment[i]
-        cur_rank = mp.outside_rank if cur is None else mp.rank_by_index[cur]
-        for j in mp.acceptable_idx:
-            if mp.rank_by_index[j] >= cur_rank:
-                break  # acceptable_idx is in preference order
-            wp = women_prefs[j]
+        cur_rank = row[-1 if cur is None else cur]
+        for j in lists[i]:
+            if row[j] >= cur_rank:
+                break  # the acceptable list is in preference order
+            wrow = women_rows[j]
             held = inverse[j]
-            if wp.rank_by_index[i] < (wp.outside_rank if held is None else wp.rank_by_index[held]):
+            if wrow[i] < wrow[-1 if held is None else held]:
                 return True
     return False
 

@@ -6,10 +6,11 @@ tried, and a receiver who ranks the newcomer above the proposer it holds
 (or above staying unmatched) keeps the newcomer and frees the one it held.
 The outcome does not depend on the order of proposals. It is the one
 untraced engine and reads index arrays only: the proposers' acceptable
-lists and the receivers' `rank_row`s. It serves `da_assignment` and
-`da_matching`, `mto.spda_matching` on a market of college seats, and the
-coalition scans of both markets on report views (`_view_engine`,
-`mto.MtoDomain.spda_market`), whose evaluations return lot vectors.
+lists and the receivers' `rank_row`s, which each ranking keeps once
+derived. It serves `da_assignment` and `da_matching`, `mto.spda_matching`
+on a market of college seats, and the coalition scans of both markets on
+report views (`_view_engine`, `mto.MtoDomain.spda_market`), whose
+evaluations return lot vectors.
 
 The engine trusts the shape of what it is given: position i holds agent
 i's report, sized for the other side. That shape is checked where reports
@@ -25,9 +26,10 @@ count as standing proposals). Rejected proposers propose again in the next
 step; the run ends when a step has no proposals or no rejections. It serves
 traced runs through `_traced_da`, which replays its rounds with
 `_tentative_holdings` and checks that the replay ends on what the engine
-holds: `run_da` runs it with quota 1 per receiver, `mto.run_spda` with the
-college quotas. Both forms give the proposer-optimal stable matching, so
-each is the other's oracle.
+holds: `_traced_rule` runs it with quota 1 per receiver, for `run_da`'s
+steps and for the trace lines `formats.da_trace_writer` renders from the
+index pairs, and `mto.run_spda` with the college quotas. Both forms give
+the proposer-optimal stable matching, so each is the other's oracle.
 """
 
 from __future__ import annotations
@@ -153,6 +155,19 @@ def _traced_da(proposer_prefs: Sequence, receiver_prefs: Sequence, quotas: Seque
     return tuple([step(n, *replayed) for n, replayed in enumerate(_tentative_holdings(rounds, held), start=1)])
 
 
+def _traced_rule(rule: RuleId, profile: Profile, step: Callable) -> tuple:
+    """`_traced_da` of the rule on the profile, one receiver seat each: the
+    proposers are the men under MPDA and the women under WPDA. `run_da`
+    builds its steps through it, and `solve --trace` its trace lines
+    (`formats.da_trace_writer`)."""
+    if not isinstance(rule, RuleId):
+        raise ValidationError(f"unknown rule {rule!r}")
+    proposer_prefs, receiver_prefs = profile.men_prefs, profile.women_prefs
+    if rule is RuleId.WPDA:
+        proposer_prefs, receiver_prefs = receiver_prefs, proposer_prefs
+    return _traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step)
+
+
 def _held_to_assignment(held: list, rule: RuleId, p: int) -> tuple:
     """Each of the p men's partner index (None = unmatched), from the
     engine's held list under the given rule."""
@@ -204,10 +219,9 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
         owner_side, owner_index = pref.owner
         if owner_side is not side or owner_index != i:
             raise ValidationError(f"preference of {pref.owner} sits at {side.prefix}{i + 1}'s position")
-        if len(pref.rank_by_index) != n_opposite:
+        if len(pref._index_of) != n_opposite + 1:
             raise ValidationError(
-                f"preference for {pref.owner} ranks {len(pref.rank_by_index)} opposite agents, "
-                f"market has {n_opposite}"
+                f"preference for {pref.owner} ranks {pref.n_opposite} opposite agents, market has {n_opposite}"
             )
         i += 1
 
@@ -276,15 +290,8 @@ def da_matching(rule: RuleId, profile: Profile) -> Matching:
 
 def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
     """Run deferred acceptance and keep the whole round-by-round trace."""
-    if not isinstance(rule, RuleId):
-        raise ValidationError(f"unknown rule {rule!r}")
     p, q = profile.p, profile.q
-    if rule is RuleId.MPDA:
-        proposer_prefs, receiver_prefs = profile.men_prefs, profile.women_prefs
-        proposers, receivers = men(p), women(q)
-    else:
-        proposer_prefs, receiver_prefs = profile.women_prefs, profile.men_prefs
-        proposers, receivers = women(q), men(p)
+    proposers, receivers = (men(p), women(q)) if rule is RuleId.MPDA else (women(q), men(p))
 
     def step(number: int, proposals: list, rejections: list, holding: tuple) -> DaStep:
         single = [kept[0] if kept else -1 for kept in holding]
@@ -295,7 +302,7 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
             tentative=Matching.from_assignment(p, q, _held_to_assignment(single, rule, p)),
         )
 
-    trace = DaTrace(rule=rule, steps=_traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step))
+    trace = DaTrace(rule=rule, steps=_traced_rule(rule, profile, step))
     return trace.final, trace
 
 

@@ -3,14 +3,18 @@
 All functions speak plain dicts and lists; file and stream handling stay at
 the CLI edge.  Every emitted document carries a schema tag, and docs/format.md
 describes the shapes in full.  Parse failures raise FormatError naming the
-offending entry.
+offending entry.  Marriage rankings are read by name straight to codes
+(`_parse_preference`), and DA trace lines are written from the engine's
+index pairs (`da_trace_writer`).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import operator
 import re
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (
     OUTSIDE,
@@ -25,7 +29,7 @@ from .core import (
     woman,
     women,
 )
-from .errors import FormatError, MatchlabError
+from .errors import FormatError, MatchlabError, ValidationError
 
 # The marriage-market readers and writers need only `core`. The domain,
 # orderings, witness and college-market ones import `domains`,
@@ -110,32 +114,20 @@ def agent_names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{k}" for k in range(1, n + 1)]
 
 
-def _name_tables(p: int, q: int) -> tuple[dict, dict]:
-    """For each side, indexed by `Side`: the names of its first p (men) or
-    q (women) agents and '@', each mapped to the outcome it parses to."""
-    tables = []
-    for side, agents in ((Side.MAN, men(p)), (Side.WOMAN, women(q))):
-        table = dict(zip(agent_names(side.prefix, len(agents)), agents))
-        table["@"] = OUTSIDE
-        tables.append(table)
-    return tables[0], tables[1]
+def _name_codes(prefix: str, n: int) -> dict:
+    """The code of each of one side's first n names and of '@' (n), as
+    `Ranking.ranking_idx` holds them."""
+    codes = {name: k for k, name in enumerate(agent_names(prefix, n))}
+    codes["@"] = n
+    return codes
 
 
-def _parse_ranking(tokens: Any, field: str, side: Side, names: Mapping) -> tuple[Outcome, ...]:
-    """One preference list: names from the given side plus a single '@'.
-
-    A token found in ``names``, a `_name_tables` entry for the side, costs
-    one lookup and reuses its outcome; any other token is parsed in full,
-    so it is accepted or rejected exactly as with an empty table.
-    """
+def _parse_ranking(tokens: Sequence, field: str, side: Side) -> tuple[Outcome, ...]:
+    """One preference list: names from the given side plus a single '@',
+    each token parsed in full, so the first bad one is named."""
     out: list[Outcome] = []
     prefix = side.prefix
-    for tok in _require_list(tokens, field):
-        try:
-            out.append(names[tok])
-            continue
-        except (KeyError, TypeError):  # TypeError: an unhashable token
-            pass
+    for tok in tokens:
         if tok == "@":
             out.append(OUTSIDE)
             continue
@@ -144,6 +136,22 @@ def _parse_ranking(tokens: Any, field: str, side: Side, names: Mapping) -> tuple
             raise FormatError(field, f"{tok!r:.40} is not on the expected side ({prefix}<k>)")
         out.append(AgentId(side, idx))
     return tuple(out)
+
+
+def _parse_preference(owner: AgentId, tokens: Any, field: str, codes: Mapping) -> Preference:
+    """The preference ``tokens`` list for ``owner``: straight to codes when
+    they fill ``codes``, a `_name_codes` table of the other side, else parsed
+    one by one, so any table size gives the same preference or error."""
+    tokens = _require_list(tokens, field)
+    # with two or more keys, itemgetter returns a tuple
+    if len(tokens) == len(codes) > 1:
+        try:
+            idx = operator.itemgetter(*tokens)(codes)
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            pass
+        else:
+            return _wrap(field, Preference.from_idx, owner, idx)
+    return _wrap(field, Preference, owner, _parse_ranking(tokens, field, owner.side.opposite))
 
 
 def _wrap(field: str, fn, *args):
@@ -196,13 +204,8 @@ def profile_from_json(doc: Any) -> Profile:
     if extra:
         raise FormatError("preferences", f"unknown agents: {_some_names(sorted(extra), len(extra))}")
     # the key check bounds p + q by the table's size
-    tables = _name_tables(p, q)
-    prefs = []
-    for a in men(p) + women(q):
-        field = f"preferences.{a.name}"
-        opposite = a.side.opposite
-        ranking = _parse_ranking(table[a.name], field, opposite, tables[opposite])
-        prefs.append(_wrap(field, Preference, a, ranking))
+    codes = {Side.MAN: _name_codes("w", q), Side.WOMAN: _name_codes("m", p)}
+    prefs = [_parse_preference(a, table[a.name], f"preferences.{a.name}", codes[a.side]) for a in men(p) + women(q)]
     return _wrap("preferences", Profile, prefs)
 
 
@@ -264,19 +267,15 @@ def domain_from_json(doc: Any) -> PreferenceDomain:
 
     doc = _require_kind(doc, "domain")
     table = _require_dict(doc.get("agents"), "agents")
-    # each side has at most one agent per key
-    tables = _name_tables(len(table), len(table))
+    # each side's key count sizes the code table its rankings are read by
+    p, q = (sum(isinstance(token, str) and token.startswith(c) for token in table) for c in "mw")
+    codes = {Side.MAN: _name_codes("w", q), Side.WOMAN: _name_codes("m", p)}
     sets: dict[AgentId, list[Preference]] = {}
     for token in table:
         prefix, idx = _parse_name(token, "agents", "mw")
         a = man(idx) if prefix == "m" else woman(idx)
         field = f"agents.{token}"
-        prefs = []
-        opposite = a.side.opposite
-        for entry in _require_list(table[token], field):
-            ranking = _parse_ranking(entry, field, opposite, tables[opposite])
-            prefs.append(_wrap(field, Preference, a, ranking))
-        sets[a] = prefs
+        sets[a] = [_parse_preference(a, entry, field, codes[a.side]) for entry in _require_list(table[token], field)]
     return _wrap("agents", PreferenceDomain, sets)
 
 
@@ -479,11 +478,10 @@ def witness_from_json(doc: Any) -> ManipulationWitness:
         _marriage_agent(tok, "coalition")
         for tok in _require_list(doc.get("coalition"), "coalition")
     )
-    tables = _name_tables(base.p, base.q)
+    codes = {Side.MAN: _name_codes("w", base.q), Side.WOMAN: _name_codes("m", base.p)}
 
     def report(a: AgentId, entry: Any, field: str) -> Preference:
-        opposite = a.side.opposite
-        return _wrap(field, Preference, a, _parse_ranking(entry, field, opposite, tables[opposite]))
+        return _parse_preference(a, entry, field, codes[a.side])
 
     return ManipulationWitness(
         rule_name=rule_name,
@@ -534,20 +532,47 @@ def mto_witness_from_json(doc: Any) -> MtoWitness:
 # --- traces ------------------------------------------------------------------------
 
 
-def da_step_to_json(step, names: Sequence[Sequence[str]]) -> dict:
-    """One proposal round as a flat record, for line-oriented trace output.
+def da_trace_writer(p: int, q: int, men_propose: bool) -> tuple[Callable[..., str], Callable[[], Matching]]:
+    """(step, final) for the trace of a DA run on a p-by-q marriage market.
 
-    names[side][i] is the name of agent i of that side, as
-    (agent_names("m", p), agent_names("w", q)).
+    step(number, proposals, rejections, holding) takes a round as
+    `da._traced_da` gives it and returns its line: the text `json.dumps`
+    writes for {"step", "proposals", "rejections" (rejecter first),
+    "tentative": {"pairs", "unmatched"}}. Names are quoted once, and only
+    the receivers proposed to in a round redo their pairs. A proposer held
+    twice raises ValidationError, as in `Matching`. final() is the last
+    round's matching.
     """
-    return {
-        "step": step.number,
-        "proposals": [[names[a][i], names[b][j]] for (a, i), (b, j) in step.proposals],
-        # the trace stores (rejected proposer, rejecter); emit rejecter first
-        # so both trace dialects read the same way
-        "rejections": [[names[b][j], names[a][i]] for (a, i), (b, j) in step.rejections],
-        "tentative": _matching_names(step.tentative, names),
-    }
+    man_names, woman_names = ([json.dumps(name) for name in agent_names(c, n)] for c, n in (("m", p), ("w", q)))
+    proposers, receivers = (man_names, woman_names) if men_propose else (woman_names, man_names)
+    held = [-1] * len(receivers)  # each receiver's proposer, or -1
+    woman_of: list = [None] * p
+    pairs: list = [None] * p  # each man's pair text, None while unmatched
+    loose = man_names + woman_names  # each agent's name while unmatched, men first, then None
+
+    def step(number: int, proposals: list, rejections: list, holding: tuple) -> str:
+        moves = [(r, held[r], holding[r][0] if holding[r] else -1) for r in dict.fromkeys([r for _, r in proposals])]
+        for r, old, _ in moves:  # every release first
+            if old >= 0:
+                m, w = (old, r) if men_propose else (r, old)
+                woman_of[m] = pairs[m] = None
+                loose[m], loose[p + w] = man_names[m], woman_names[w]
+        for r, _, new in moves:
+            held[r] = new
+            if new >= 0:
+                m, w = (new, r) if men_propose else (r, new)
+                if loose[m if men_propose else p + w] is None:
+                    raise ValidationError(f"{proposers[new][1:-1]} appears in two pairs")
+                woman_of[m], pairs[m] = w, f"[{man_names[m]}, {woman_names[w]}]"
+                loose[m] = loose[p + w] = None
+        made = ", ".join([f"[{proposers[i]}, {receivers[r]}]" for i, r in proposals])
+        refused = ", ".join([f"[{receivers[r]}, {proposers[i]}]" for i, r in rejections])
+        return (
+            f'{{"step": {number}, "proposals": [{made}], "rejections": [{refused}], "tentative": '
+            f'{{"pairs": [{", ".join(filter(None, pairs))}], "unmatched": [{", ".join(filter(None, loose))}]}}}}'
+        )
+
+    return step, lambda: Matching.from_assignment(p, q, woman_of)
 
 
 def mto_step_to_json(step, names: Sequence[Sequence[str]]) -> dict:

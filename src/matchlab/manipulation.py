@@ -380,23 +380,22 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     """The market record of a rule on a p-by-q marriage market, whose agents
     are numbered men first and whose reports the domain has checked.
 
-    A DA rule's scans run its engine on report views (`MatchingRule._views`);
-    an agent's `rank_row` reads -1 and the other side's size, the unmatched
-    codes of the engine and of `core.assignment_lots`, alike. A DA rule's
-    `table`, on a domain with keys (`profile_keys`), reads the engine's
-    outcomes from the shape's `core.ListKeys` store, running DA only at
-    keys it does not hold yet, and numbers them among the shape's matchings
-    (`core.market_shape`); every other table evaluates the rule once per
-    profile, numbers its outcomes in the order they first appear and codes
-    their lots with `core.assignment_lots`, as every other rule's scans do."""
+    Its `evaluate` runs the rule on reports. A DA rule's scans run its
+    engine on report views instead, which `_marriage_scan` puts in place
+    (`MatchingRule._views`), so a certification, which reads the `table`,
+    builds none; an agent's `rank_row` reads -1 and the other side's size,
+    the unmatched codes of the engine and of `core.assignment_lots`,
+    alike. A DA rule's `table`, on a domain with keys (`profile_keys`),
+    reads the engine's outcomes from the shape's `core.ListKeys` store,
+    running DA only at keys it does not hold yet, and numbers them among
+    the shape's matchings (`core.market_shape`); every other table
+    evaluates the rule once per profile, numbers its outcomes in the order
+    they first appear and codes their lots with `core.assignment_lots`, as
+    every other rule's scans do."""
     engine = rule._evaluate
-    if rule._views is not None:
-        view, evaluate = rule._views(p, q)
-    else:
-        view = None
 
-        def evaluate(reports: Sequence) -> list:
-            return [lot[0] for lot in assignment_lots(p, q, [engine(reports[:p], reports[p:])])]
+    def evaluate(reports: Sequence) -> list:
+        return [lot[0] for lot in assignment_lots(p, q, [engine(reports[:p], reports[p:])])]
 
     def table(domain: "PreferenceDomain") -> tuple[Sequence[int], Sequence[tuple], list]:
         lists = domain.product_order().lists
@@ -419,7 +418,7 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
         return Matching.from_assignment(p, q, [j if 0 <= j < q else None for j in lots[:p]])
 
     witness = _witnesses(partial(ManipulationWitness, rule.name), outcome)
-    return _Market(view, evaluate, lambda true: [pref.rank_row for pref in true], witness, table)
+    return _Market(None, evaluate, lambda true: [pref.rank_row for pref in true], witness, table)
 
 
 def _marriage_scan(
@@ -438,6 +437,8 @@ def _marriage_scan(
             raise UnknownOutcomeError(f"no such agent {a!r} in the domain")
         pool.add(position[a])
     market = _marriage_market(rule, domain.p, domain.q)
+    if rule._views is not None:
+        market.view, market.evaluate = rule._views(domain.p, domain.q)
     yield from _scan(market, domain, base, sorted(pool), max_coalition, budget, rule._class_key)
 
 
@@ -540,12 +541,13 @@ def _certify(
         reachable = gain_sets(codes, orders, strides)
         bases = (key for key, digits in enumerate(order.digits()) if reachable(digits, key) != 1 << key)
 
-    outcomes = list(zip(*lots))  # each outcome's lot vector
+    outcomes: list = []  # each outcome's lot vector, built at the first scanned base
 
     def evaluate(digits: list) -> tuple:
         return outcomes[ids[sum(map(operator.mul, digits, strides))]]
 
     for key in bases:
+        outcomes = outcomes or list(zip(*lots))
         digits = order.digits_at(key)
         true = order.preferences(digits)
         alternatives = [tuple(range(d)) + tuple(range(d + 1, len(l))) for l, d in zip(lists, digits)]

@@ -1,20 +1,25 @@
 """End-to-end command tests driven through main(argv)."""
 
+import contextlib
+import io
 import json
 import random
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_profile
 from matchlab import formats
-from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from matchlab.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _matching_text, main
 from matchlab.core import OUTSIDE, Preference, Profile, Side, men, women
-from matchlab.da import RuleId, run_da
+from matchlab.da import RuleId, da_matching, run_da
 from matchlab.domains import PreferenceDomain
 from matchlab.errors import DimensionMismatchError, FormatError, UnknownOutcomeError, ValidationError
 from matchlab.manipulation import mpda_rule, validate_witness, wpda_rule
@@ -129,6 +134,64 @@ def test_solve_trace_matches_a_writer_of_own_names(capsys, tmp_path, rule):
     }
     lines = [json.dumps(_step_by_own_names(step)) for step in trace.steps]
     assert out == "\n".join(lines) + "\n" + json.dumps(final, indent=2) + "\n"
+
+
+@st.composite
+def truncated_markets(draw):
+    """A p-by-q market document, sides of 1 to 8, each list cut anywhere."""
+    p, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    prefs = {}
+    for own, n, other, n_other in (("m", p, "w", q), ("w", q, "m", p)):
+        for name in formats.agent_names(own, n):
+            ranking = draw(st.permutations(formats.agent_names(other, n_other)))
+            ranking.insert(draw(st.integers(0, n_other)), "@")
+            prefs[name] = ranking
+    return {"schema": formats.SCHEMA, "kind": "market", "men": p, "women": q, "preferences": prefs}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=truncated_markets(), rule=st.sampled_from([RuleId.MPDA, RuleId.WPDA]))
+def test_solve_trace_lines_equal_the_records_of_run_da(doc, rule):
+    # the records `da_step_to_json` wrote from `run_da`'s steps before the
+    # trace writer rendered lines from the engine's index steps
+    with tempfile.TemporaryDirectory() as tmp:
+        market = Path(tmp) / "market.json"
+        market.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", "--rule", rule.value, "--trace", "--text", str(market)]) == EXIT_PASS
+    matching, trace = run_da(rule, formats.profile_from_json(doc))
+    lines = out.getvalue().splitlines()[: len(trace.steps)]
+    assert lines == [json.dumps(_step_by_own_names(step)) for step in trace.steps]
+    assert out.getvalue().endswith(_matching_text(matching) + "\n")
+
+
+def test_cold_solve_trace_on_a_300x300_master_list_market(tmp_path):
+    # a master list on the proposing women: 300 rounds, 45,150 proposals
+    rng = random.Random(300)
+    shared = formats.agent_names("m", 300)
+    rng.shuffle(shared)
+    prefs = {name: rng.sample(formats.agent_names("w", 300), 300) + ["@"] for name in formats.agent_names("m", 300)}
+    prefs.update({name: shared + ["@"] for name in formats.agent_names("w", 300)})
+    doc = {"schema": formats.SCHEMA, "kind": "market", "men": 300, "women": 300, "preferences": prefs}
+    market = tmp_path / "master.json"
+    market.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "matchlab.cli", "solve", "--rule", "wpda", "--trace", str(market)],
+        capture_output=True,
+        text=True,
+    )
+    took = time.perf_counter() - start
+    assert result.returncode == EXIT_PASS
+    lines = result.stdout.splitlines()
+    start_of_final = lines.index("{")
+    assert start_of_final == 300
+    expected = da_matching(RuleId.WPDA, formats.profile_from_json(doc))
+    pairs = json.loads(lines[start_of_final - 1])["tentative"]["pairs"]
+    assert formats.matching_from_json({"pairs": pairs, "unmatched": []}, 300, 300) == expected
+    assert formats.matching_from_json(json.loads("\n".join(lines[start_of_final:])), 300, 300) == expected
+    assert took < 5.0
 
 
 def test_solve_spda(capsys):

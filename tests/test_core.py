@@ -175,6 +175,65 @@ def test_rank_lookups_agree_with_positions(kind, data):
             r.prefers(ranking[0], x)
 
 
+DERIVED_FIELDS = (
+    "owner", "ranking", "ranking_idx", "outside_rank", "acceptable_idx", "rank_row", "rank_by_index", "n_opposite"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["man", "woman", "student"]), data=st.data())
+def test_index_built_rankings_equal_name_built_ones(kind, data):
+    make_kind, owner, make, _ = RANKING_KINDS[kind]
+    n = data.draw(st.integers(0, 8))
+    idx = data.draw(st.permutations(range(n + 1)))
+    if data.draw(st.booleans()):  # a complete list; otherwise @ lands anywhere
+        idx.remove(n)
+        idx.append(n)
+    by_idx = make_kind.from_idx(owner, idx)
+    by_name = make_kind(owner, [OUTSIDE if c == n else make(c) for c in idx])
+    assert type(by_idx) is make_kind
+    for field in DERIVED_FIELDS:
+        assert getattr(by_idx, field) == getattr(by_name, field), field
+    assert by_idx == by_name and by_name == by_idx
+    assert hash(by_idx) == hash(by_name) == hash((owner, by_name.ranking))
+    assert by_idx.rank_row is by_idx.rank_row and by_idx.ranking is by_idx.ranking
+
+
+# code tuples of a ranking of two agents (code 2 is @, other integers the
+# agent of that index) and the error the name-built ranking of the same
+# entries raised before rankings were built from codes
+INVALID_CODES = {
+    "duplicate": ((0, 0, 2), "duplicate entry {first!r} in the ranking of {owner!r}"),
+    "missing @": ((0, 1, 3), "ranking of {owner!r} lacks the outside option"),
+    "out of range": ((0, 5, 2), "ranking of {owner!r} contains {sixth!r}; it must rank each of {first!r}..{second!r} and @ exactly once"),
+    "negative": ((-1, 0, 2), "ranking of {owner!r} contains {index_minus_1!r}; it must rank each of {first!r}..{second!r} and @ exactly once"),
+    "unhashable": (([0], 1, 2), "ranking of {owner!r} contains [0]; it must rank each of {first!r}..{second!r} and @ exactly once"),
+    "empty": ((), "ranking of {owner!r} lacks the outside option"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CODES))
+@pytest.mark.parametrize("kind", ["man", "woman", "student"])
+def test_invalid_code_tuples_fail_as_their_name_built_rankings(kind, case):
+    make_kind, owner, make, _ = RANKING_KINDS[kind]
+    idx, template = INVALID_CODES[case]
+    n = len(idx) - 1
+    entries = [OUTSIDE if c == n else make(c) if isinstance(c, int) else c for c in idx]
+    expected = template.format(owner=owner, first=make(0), second=make(1), sixth=make(5), index_minus_1=make(-1))
+    for build, arg in ((make_kind.from_idx, idx), (make_kind, entries)):
+        with pytest.raises(ValidationError) as err:
+            build(owner, arg)
+        assert str(err.value) == expected
+
+
+def test_an_index_built_ranking_of_the_wrong_length_fails_in_the_profile():
+    # (0, 1) is a valid ranking of one woman, so the market's size refuses it
+    prefs = [Preference.from_idx(M1, (0, 1)), Preference(M2, (W1, W2, OUTSIDE))]
+    prefs += [Preference(W1, (M1, M2, OUTSIDE)), Preference(W2, (M2, M1, OUTSIDE))]
+    with pytest.raises(ValidationError, match="^preference for m1 ranks 1 opposite agents, market has 2$"):
+        Profile(prefs)
+
+
 def test_rankings_of_a_300x300_market_keep_their_ranks_once():
     # each ranking keeps its ranks once, in index form, and shares its agent
     # table: the 600 rankings fit in about 3 MiB, where one rank dict per

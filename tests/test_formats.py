@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from matchlab import formats
 from matchlab.core import OUTSIDE, AgentId, Matching, Preference, Profile, Side, men, women
-from matchlab.da import RuleId, run_da
+from matchlab.da import RuleId, _traced_rule, run_da
 from matchlab.domains import PreferenceDomain, PriorOrdering
-from matchlab.errors import FormatError
+from matchlab.errors import FormatError, ValidationError
 from matchlab.manipulation import crossing_market_example, mpda_rule, find_manipulation
 from matchlab.mto import (
     MtoDomain,
@@ -99,6 +99,46 @@ def market_documents(draw):
 def test_name_tables_parse_as_per_token_names(doc):
     profile = formats.profile_from_json(doc)
     assert profile == _per_token_profile(doc)
+
+
+def _market_300() -> dict:
+    rng = random.Random(301)
+    prefs = {}
+    for own, other in (("m", "w"), ("w", "m")):
+        for name in formats.agent_names(own, 300):
+            prefs[name] = rng.sample(formats.agent_names(other, 300), 300) + ["@"]
+    return {"schema": formats.SCHEMA, "kind": "market", "men": 300, "women": 300, "preferences": prefs}
+
+
+# a bad token in m1's list, where it goes, and the errors it raised before
+# names were read straight to codes, when it replaces an entry (the list
+# keeps its length) and when it is inserted (the list grows by one)
+FALLBACKS = {
+    "past n": (
+        "w301", 5,
+        "preferences.m1: ranking of m1 contains w301; it must rank each of w1..w300 and @ exactly once",
+        "preferences: preference for m1 ranks 301 opposite agents, market has 300",
+    ),
+    "leading zero": ("w01", 17, "preferences.m1: bad agent name 'w01', expected m<k> or w<k> or c<k> or s<k>", None),
+    "wrong side": ("m4", 299, "preferences.m1: 'm4' is not on the expected side (w<k>)", None),
+    "not a string": (7, 0, "preferences.m1: expected an agent name string, got 7", None),
+    "second @": ("@", 150, "preferences.m1: duplicate entry @ in the ranking of m1", None),
+}
+
+
+@pytest.mark.parametrize("how", ["replace", "insert"])
+@pytest.mark.parametrize("kind", sorted(FALLBACKS))
+def test_a_bad_token_in_a_300x300_market_fails_as_before(kind, how):
+    token, where, replaced, inserted = FALLBACKS[kind]
+    doc = _market_300()
+    ranking = doc["preferences"]["m1"]
+    if how == "replace":
+        ranking[where] = token
+    else:
+        ranking.insert(where, token)
+    with pytest.raises(FormatError) as err:
+        formats.profile_from_json(doc)
+    assert str(err.value) == (replaced if how == "replace" else inserted or replaced)
 
 
 # each maps (owner's side prefix, the other side's prefix and size) to a bad token
@@ -385,24 +425,36 @@ def test_mto_witness_roundtrip():
 # --- trace lines ------------------------------------------------------------------
 
 
+def trace_records(rule, profile):
+    """Each round's record from the trace writer, and its final matching."""
+    step, final = formats.da_trace_writer(profile.p, profile.q, rule is RuleId.MPDA)
+    return [json.loads(line) for line in _traced_rule(rule, profile, step)], final()
+
+
 def test_da_step_json(p1):
-    _, trace = run_da(RuleId.MPDA, p1)
-    names = (formats.agent_names("m", 2), formats.agent_names("w", 2))
-    doc = roundtrip(formats.da_step_to_json(trace.steps[0], names))
+    records, final = trace_records(RuleId.MPDA, p1)
+    doc = records[0]
     assert doc["step"] == 1
     assert doc["proposals"] == [["m1", "w1"], ["m2", "w2"]]
     assert doc["rejections"] == []
-    assert doc["tentative"]["pairs"] == [["m1", "w1"], ["m2", "w2"]]
+    assert doc["tentative"] == {"pairs": [["m1", "w1"], ["m2", "w2"]], "unmatched": []}
+    assert final == run_da(RuleId.MPDA, p1)[0]
 
 
 def test_da_step_json_records_rejections():
     # both men chase w1 first, so she turns one of them away in round one
     base = profile_p1()
     both_want_w1 = base.replace({M2: pref(M2, W1, W2, OUTSIDE)})
-    _, trace = run_da(RuleId.MPDA, both_want_w1)
-    names = (formats.agent_names("m", 2), formats.agent_names("w", 2))
-    step1 = formats.da_step_to_json(trace.steps[0], names)
-    assert ["w1", "m1"] in step1["rejections"]
+    records, _ = trace_records(RuleId.MPDA, both_want_w1)
+    assert ["w1", "m1"] in records[0]["rejections"]
+    assert records[0]["tentative"] == {"pairs": [["m2", "w1"]], "unmatched": ["m1", "w2"]}
+
+
+def test_trace_writer_refuses_a_proposer_held_twice():
+    step, _ = formats.da_trace_writer(2, 2, men_propose=False)
+    step(1, [(0, 0), (1, 1)], [], ((0,), (1,)))
+    with pytest.raises(ValidationError, match="w1 appears in two pairs"):
+        step(2, [(0, 1)], [(1, 1)], ((0,), (0,)))
 
 
 def test_mto_step_json():

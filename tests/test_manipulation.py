@@ -31,7 +31,7 @@ from matchlab.manipulation import (
     wpda_rule,
 )
 
-from conftest import pref, random_profile
+from conftest import pref, profile_p1, random_profile
 
 M1, M2 = man(0), man(1)
 W1, W2 = woman(0), woman(1)
@@ -161,6 +161,24 @@ def _one_man_domain(q: int) -> PreferenceDomain:
     sets = {m: [Preference(m, ws + (OUTSIDE,)), Preference(m, (OUTSIDE,) + ws)]}
     sets.update({w: [Preference(w, (m, OUTSIDE))] for w in ws})
     return PreferenceDomain(sets)
+
+
+def test_certifications_build_no_scan_views(monkeypatch):
+    # a certification reads its bases' outcomes from its table, so only a
+    # scan builds the DA engine's report views
+    built = []
+    engine = manipulation._view_engine
+    monkeypatch.setattr(manipulation, "_view_engine", lambda *args: built.append(args) or engine(*args))
+    rule = MatchingRule.deferred_acceptance(RuleId.MPDA)
+    # the women hold one ranking each, so MPDA holds; on the full domain it fails
+    sets = {m: all_preferences(m, 2) for m in men(2)}
+    sets.update({W1: [pref(W1, M1, M2, OUTSIDE)], W2: [pref(W2, M2, M1, OUTSIDE)]})
+    for certify in (is_strategy_proof, is_group_strategy_proof):
+        assert certify(rule, PreferenceDomain(sets))
+        assert not certify(rule, PreferenceDomain.full(2, 2))
+    assert built == []
+    assert find_manipulation(rule, PreferenceDomain.full(2, 2), profile_p1(), 1) is not None
+    assert built == [(RuleId.MPDA, 2, 2)]
 
 
 def test_certification_refusals_evaluate_nothing(monkeypatch):

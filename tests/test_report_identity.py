@@ -20,15 +20,45 @@ search read one shape record from `core`; the `example2 --trials 1000`
 entry, which runs 1,000 scans of one college domain, before that domain
 kept SPDA's market record; the `prop-welfare`, `example1` and
 `blocking-lemma` entries and the `check-domain` entries other than `utp`
-before rankings kept their ranks only in index form.
+before rankings kept their ranks only in index form; the entries on
+generated markets (`GENERATED`, named in an argv by "<name>"), before
+rankings were built from index tuples and traces written from the
+engine's index steps.
 """
 
 import hashlib
+import json
+import random
 from pathlib import Path
 
 from matchlab.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _names(prefix: str, n: int) -> list:
+    return [f"{prefix}{k}" for k in range(1, n + 1)]
+
+
+def _market(seed: int, n: int, master: str = "") -> dict:
+    """A seeded n-by-n market document of complete lists, written without
+    the package; the side named by ``master`` shares one ranking."""
+    rng = random.Random(seed)
+    shared = {"m": _names("w", n), "w": _names("m", n)}
+    for ranking in shared.values():
+        rng.shuffle(ranking)
+    prefs = {}
+    for own in "mw":
+        for name in _names(own, n):
+            ranking = list(shared[own]) if own == master else rng.sample(shared[own], n)
+            prefs[name] = ranking + ["@"]
+    return {"schema": "matchlab/1", "kind": "market", "men": n, "women": n, "preferences": prefs}
+
+
+GENERATED = {
+    "master-100": lambda: _market(100, 100, master="m"),
+    "random-300": lambda: _market(300, 300),
+}
 
 REPORT_DIGESTS = {
     ("verify", "--suite", "prop-gsp-existence", "--json"):
@@ -139,6 +169,12 @@ REPORT_DIGESTS = {
     ("check-domain", "--property", "single-peaked", "--orderings", str(FIXTURES / "orderings_2x2.json"),
      "--json", str(FIXTURES / "full_2x2_domain.json")):
         (0, "8d4b1358e24d563bec17161d8b2f2b7f36b39f767a855f2c6754d39edd39328a"),
+    ("solve", "--rule", "mpda", "--trace", "<master-100>"):
+        (0, "b36ed894eb43c514facda4558cc0c7b311d43054da30b83038bb0f19c0f713dc"),
+    ("solve", "--rule", "wpda", "--trace", "<master-100>"):
+        (0, "5fc81984931bd7074d38dd8bd8aedd066a98a66473e2ab5d25a188ab60ac4f02"),
+    ("solve", "--rule", "mpda", "--json", "<random-300>"):
+        (0, "e5209a19ce444b52492c8dbbc674ab98c647dd931a170edf93cd87edb517a687"),
     ("--help",):
         (0, "6469445df552bfa4cd1cf6d99ea698b00057fc7ca3ff81dec9c1649be0df4fc4"),
     ("solve", "--help"):
@@ -154,12 +190,16 @@ REPORT_DIGESTS = {
 }
 
 
-def test_reports_are_byte_identical(capsys, monkeypatch):
+def test_reports_are_byte_identical(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
+    paths = {}
+    for name, make in GENERATED.items():
+        paths[f"<{name}>"] = tmp_path / f"{name}.json"
+        paths[f"<{name}>"].write_text(json.dumps(make()))
     changed = []
     for argv, (expected_code, digest) in REPORT_DIGESTS.items():
         try:
-            code = main(list(argv))
+            code = main([str(paths.get(arg, arg)) for arg in argv])
         except SystemExit as exc:
             code = exc.code
         out = capsys.readouterr().out
