@@ -666,9 +666,9 @@ class ListKeys:
     a product of lists come in its product order, and the product of every
     list, one report per list, holds every key in ascending order.
 
-    `values` remembers one dict per kind of value, such as a DA engine's
-    outcomes or the stable options, keyed by profile key and filled only
-    by the callers that read it.
+    `values` remembers one dict per kind of value, such as a DA rule's
+    outcomes (under its `RuleId`) or the stable options, keyed by profile
+    key and filled only by the callers that read it.
     """
 
     __slots__ = ("numbers", "size", "_memos")

@@ -7,10 +7,11 @@ tried, and a receiver who ranks the newcomer above the proposer it holds
 The outcome does not depend on the order of proposals. It is the one
 untraced engine and reads index arrays only: the proposers' acceptable
 lists and the receivers' `rank_row`s, which each ranking keeps once
-derived. It serves `da_assignment` and `da_matching`, `mto.spda_matching`
-on a market of college seats, and the coalition scans of both markets on
-report views (`_view_engine`, `mto.MtoDomain.spda_market`), whose
-evaluations return lot vectors.
+derived. Each market reaches it through one evaluation on report views
+that returns a lot vector in `core.assignment_lots`' code: a marriage
+market through `_view_engine`, which serves `da_assignment` (so
+`da_matching`), the coalition scans and the certification tables, and a
+college market through `mto._spda_engine` on college seats.
 
 The engine trusts the shape of what it is given: position i holds agent
 i's report, sized for the other side. That shape is checked where reports
@@ -168,27 +169,17 @@ def _traced_rule(rule: RuleId, profile: Profile, step: Callable) -> tuple:
     return _traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step)
 
 
-def _held_to_assignment(held: list, rule: RuleId, p: int) -> tuple:
-    """Each of the p men's partner index (None = unmatched), from the
-    engine's held list under the given rule."""
-    if rule is RuleId.WPDA:
-        return tuple([None if i < 0 else i for i in held])
-    woman_of: list = [None] * p
-    for r, i in enumerate(held):
-        if i >= 0:
-            woman_of[i] = r
-    return tuple(woman_of)
-
-
 def _sequential_da(lists: Sequence, rows: Sequence) -> list:
     """McVitie-Wilson engine. lists[i] is proposer i's acceptable receivers,
     best first; rows[r] is receiver r's `rank_row`. Returns held: held[r] is
-    the proposer index receiver r ends with, or -1."""
-    held = [-1] * len(rows)
-    next_choice = [0] * len(lists)
-    for start in range(len(lists)):
+    the proposer index receiver r ends with, or the proposer count n when
+    it holds no one, the code `core.assignment_lots` gives that lot."""
+    n = len(lists)
+    held = [n] * len(rows)
+    next_choice = [0] * n
+    for start in range(n):
         i = start
-        while i >= 0:
+        while i < n:
             lst = lists[i]
             k = next_choice[i]
             end = len(lst)
@@ -196,14 +187,14 @@ def _sequential_da(lists: Sequence, rows: Sequence) -> list:
                 r = lst[k]
                 k += 1
                 row = rows[r]
-                # row[-1] is r's rank of staying alone while it holds no one
+                # row[n] is r's rank of staying alone while it holds no one
                 if row[i] < row[held[r]]:
                     next_choice[i] = k
                     # i is held now; whoever r held before proposes next
                     i, held[r] = held[r], i
                     break
             else:
-                i = -1
+                i = n
     return held
 
 
@@ -226,50 +217,39 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
         i += 1
 
 
-def _mpda_assignment(men_prefs: tuple, women_prefs: tuple) -> tuple:
-    held = _sequential_da([pref.acceptable_idx for pref in men_prefs], [pref.rank_row for pref in women_prefs])
-    return _held_to_assignment(held, RuleId.MPDA, len(men_prefs))
-
-
-def _wpda_assignment(men_prefs: tuple, women_prefs: tuple) -> tuple:
-    held = _sequential_da([pref.acceptable_idx for pref in women_prefs], [pref.rank_row for pref in men_prefs])
-    return _held_to_assignment(held, RuleId.WPDA, len(men_prefs))
-
-
 def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable]:
-    """(view, evaluate) of the rule on a p-by-q market, for the scans: a
-    report's view is its acceptable list if its owner proposes and its
-    `rank_row` if not; evaluate(views), men first, returns the lot vector,
-    each agent's partner index or -1 when unmatched."""
+    """(view, evaluate) of the rule on a p-by-q market: a report's view is
+    its acceptable list if its owner proposes and its `rank_row` if not;
+    evaluate(views), men first, returns the lot vector, each agent's
+    partner index or the other side's size when unmatched
+    (`core.assignment_lots`). The one untraced DA evaluation: of
+    `da_assignment`, of the scans and of the certification tables."""
     if rule is RuleId.MPDA:
-        proposers, first, rest, offset = Side.MAN, slice(None, p), slice(p, None), 0
+        proposers, first, rest, k, m, offset = Side.MAN, slice(None, p), slice(p, None), p, q, 0
+    elif rule is RuleId.WPDA:
+        proposers, first, rest, k, m, offset = Side.WOMAN, slice(p, None), slice(None, p), q, p, p
     else:
-        proposers, first, rest, offset = Side.WOMAN, slice(p, None), slice(None, p), p
+        raise ValidationError(f"unknown rule {rule!r}")
     n = p + q
 
     def view(pref: Preference):
         return pref.acceptable_idx if pref.owner.side is proposers else pref.rank_row
 
-    def evaluate(views: list) -> list:
+    def evaluate(views: Sequence) -> list:
         held = _sequential_da(views[first], views[rest])
-        lots = [-1] * n
+        lots = [m] * n
         lots[rest] = held
         for r, i in enumerate(held):
-            if i >= 0:
+            if i < k:
                 lots[offset + i] = r
         return lots
 
     return view, evaluate
 
 
-def _unchecked_da(rule: RuleId) -> Callable[[tuple, tuple], tuple]:
-    """The rule's evaluation on report tuples whose shape is already known
-    to be sound: `da_assignment` without its check."""
-    if rule is RuleId.MPDA:
-        return _mpda_assignment
-    if rule is RuleId.WPDA:
-        return _wpda_assignment
-    raise ValidationError(f"unknown rule {rule!r}")
+def _assignment(lots: Sequence, p: int, q: int) -> tuple:
+    """Each of the p men's partner index (None = unmatched) in a lot vector."""
+    return tuple([None if j == q else j for j in lots[:p]])
 
 
 def da_assignment(rule: RuleId, men_prefs: tuple, women_prefs: tuple) -> tuple:
@@ -278,9 +258,11 @@ def da_assignment(rule: RuleId, men_prefs: tuple, women_prefs: tuple) -> tuple:
     men_prefs[i] must be the preference of man i and women_prefs[j] that of
     woman j; a malformed shape raises ValidationError.
     """
-    _check_side(men_prefs, Side.MAN, len(women_prefs))
-    _check_side(women_prefs, Side.WOMAN, len(men_prefs))
-    return _unchecked_da(rule)(men_prefs, women_prefs)
+    p, q = len(men_prefs), len(women_prefs)
+    _check_side(men_prefs, Side.MAN, q)
+    _check_side(women_prefs, Side.WOMAN, p)
+    view, evaluate = _view_engine(rule, p, q)
+    return _assignment(evaluate([*map(view, men_prefs), *map(view, women_prefs)]), p, q)
 
 
 def da_matching(rule: RuleId, profile: Profile) -> Matching:
@@ -294,12 +276,18 @@ def run_da(rule: RuleId, profile: Profile) -> tuple[Matching, DaTrace]:
     proposers, receivers = (men(p), women(q)) if rule is RuleId.MPDA else (women(q), men(p))
 
     def step(number: int, proposals: list, rejections: list, holding: tuple) -> DaStep:
-        single = [kept[0] if kept else -1 for kept in holding]
+        if rule is RuleId.WPDA:
+            woman_of = [kept[0] if kept else None for kept in holding]
+        else:
+            woman_of = [None] * p
+            for r, kept in enumerate(holding):
+                for i in kept:
+                    woman_of[i] = r
         return DaStep(
             number=number,
             proposals=tuple([(proposers[i], receivers[r]) for i, r in proposals]),
             rejections=tuple([(proposers[i], receivers[r]) for i, r in rejections]),
-            tentative=Matching.from_assignment(p, q, _held_to_assignment(single, rule, p)),
+            tentative=Matching.from_assignment(p, q, woman_of),
         )
 
     trace = DaTrace(rule=rule, steps=_traced_rule(rule, profile, step))

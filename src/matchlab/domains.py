@@ -67,9 +67,7 @@ def all_preferences(owner: AgentId, n_opposite: int) -> tuple[Preference, ...]:
     opposite agents this raises SizeGuardError before building any.
     """
     _rankings_guard(n_opposite)
-    opposite = women(n_opposite) if owner.side is Side.MAN else men(n_opposite)
-    base = opposite + (OUTSIDE,)
-    return tuple(Preference(owner, perm) for perm in itertools.permutations(base))
+    return tuple(Preference.from_idx(owner, idx) for idx in itertools.permutations(range(n_opposite + 1)))
 
 
 class ProductOrder:

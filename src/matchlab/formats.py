@@ -545,21 +545,22 @@ def da_trace_writer(p: int, q: int, men_propose: bool) -> tuple[Callable[..., st
     """
     man_names, woman_names = ([json.dumps(name) for name in agent_names(c, n)] for c, n in (("m", p), ("w", q)))
     proposers, receivers = (man_names, woman_names) if men_propose else (woman_names, man_names)
-    held = [-1] * len(receivers)  # each receiver's proposer, or -1
+    n = len(proposers)
+    held = [n] * len(receivers)  # each receiver's proposer, or n while it holds none
     woman_of: list = [None] * p
     pairs: list = [None] * p  # each man's pair text, None while unmatched
     loose = man_names + woman_names  # each agent's name while unmatched, men first, then None
 
     def step(number: int, proposals: list, rejections: list, holding: tuple) -> str:
-        moves = [(r, held[r], holding[r][0] if holding[r] else -1) for r in dict.fromkeys([r for _, r in proposals])]
+        moves = [(r, held[r], holding[r][0] if holding[r] else n) for r in dict.fromkeys([r for _, r in proposals])]
         for r, old, _ in moves:  # every release first
-            if old >= 0:
+            if old < n:
                 m, w = (old, r) if men_propose else (r, old)
                 woman_of[m] = pairs[m] = None
                 loose[m], loose[p + w] = man_names[m], woman_names[w]
         for r, _, new in moves:
             held[r] = new
-            if new >= 0:
+            if new < n:
                 m, w = (new, r) if men_propose else (r, new)
                 if loose[m if men_propose else p + w] is None:
                     raise ValidationError(f"{proposers[new][1:-1]} appears in two pairs")

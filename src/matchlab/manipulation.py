@@ -17,7 +17,7 @@ combination, so the witnesses and their order are those of a search that
 evaluates every joint misreport, and the budget still counts each one.
 Certifications of a DA rule share one step further: on a small market they
 read every outcome from the shape's store in `core.ListKeys`, one memo per
-engine keyed by the profile's acceptable lists, so DA runs once per vector
+rule keyed by the profile's acceptable lists, so DA runs once per vector
 of lists however many domains are certified.
 """
 
@@ -47,7 +47,7 @@ from .core import (
     market_shape,
     size_guard,
 )
-from .da import RuleId, _unchecked_da, _view_engine, da_assignment
+from .da import RuleId, _assignment, _view_engine, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
 
 if TYPE_CHECKING:
@@ -58,38 +58,31 @@ class MatchingRule:
     """A deterministic total map from profiles to matchings.
 
     `assignment` maps the men's and the women's preference tuples to each
-    man's partner index (None when unmatched). A rule keeps no results. A
-    certification of a DA rule on a market shape with at most
-    EXHAUSTIVE_PROFILE_BUDGET vectors of acceptable lists reads its
-    outcomes from the shape's `core.ListKeys` store, in the engine's own
-    memo, which every such certification in the process shares; every
-    other certification keeps its own outcome table for one run. The rule
-    search keeps its stable options in the same store under its own kind,
-    and neither reads the other's: the search never runs DA.
-    `_evaluate` is the same map for reports taken from a `ProductDomain`,
-    whose construction has checked their shape, given as two lists or
-    tuples: a DA rule runs its engine on them without the check, every
-    other rule passes them to `assignment` as tuples. A DA rule's scans
-    run its engine on report views instead (`_views`, `da._view_engine`).
+    man's partner index (None when unmatched). A rule keeps no results.
 
-    `_class_key`, when set, maps a report to a hashable key such that two
-    reports of one agent with equal keys give the same outcome whatever
-    the others report; the marriage coalition scan then evaluates one
-    report per key, and one per report when it is None. A DA outcome
-    depends on a report only through its acceptable list, the agents
-    ranked above the outside option in order, so a DA rule keys reports by
-    that list.
+    `_da` marks a DA rule: it is the rule's `RuleId`, else None. A DA
+    rule's scans and certifications evaluate it with `da._view_engine` on
+    reports taken from a `ProductDomain`, whose construction has checked
+    their shape; every other rule's pass them to `assignment`. A DA
+    outcome depends on a report only through its acceptable list, the
+    agents ranked above the outside option in order, so a DA rule's
+    coalition scan evaluates one report per list, and a certification of
+    it on a market shape with at most EXHAUSTIVE_PROFILE_BUDGET vectors of
+    acceptable lists reads its outcomes from the shape's `core.ListKeys`
+    store, in the memo whose kind is its `RuleId`, which every such
+    certification in the process shares; every other certification keeps
+    its own outcome table for one run. The rule search keeps its stable
+    options in the same store under its own kind, and neither reads the
+    other's: the search never runs DA.
     """
 
-    __slots__ = ("name", "stable", "_assign_fn", "_evaluate", "_class_key", "_views")
+    __slots__ = ("name", "stable", "_assign_fn", "_da")
 
     def __init__(self, name: str, assign_fn: Callable, stable: bool):
         self.name = name
         self.stable = stable
         self._assign_fn = assign_fn
-        self._evaluate = lambda men, women: assign_fn(tuple(men), tuple(women))
-        self._class_key = None
-        self._views = None
+        self._da: Optional[RuleId] = None
 
     def assignment(self, men_prefs: tuple, women_prefs: tuple) -> tuple:
         return self._assign_fn(men_prefs, women_prefs)
@@ -111,9 +104,7 @@ class MatchingRule:
             return da_assignment(_rule, men_prefs, women_prefs)
 
         rule = cls(rule_id.value, assign, stable=True)
-        rule._evaluate = _unchecked_da(rule_id)
-        rule._class_key = operator.attrgetter("acceptable_idx")
-        rule._views = partial(_view_engine, rule_id)
+        rule._da = rule_id
         return rule
 
     @classmethod
@@ -242,21 +233,25 @@ class _Market:
     """One market and rule as the scans and certifications see them, over
     report vectors whose position i holds agent i's report.
 
-    `view(report)` is a report as `evaluate` reads it (None: the report).
-    `evaluate(views)` returns the rule's lot vector: agent i's partner's or
-    college's index (-1 when unmatched), or a college's sorted student
+    `engine()` returns the rule's (view, evaluate), built when a scan or
+    a table needs them: `view(report)` is a report as `evaluate` reads it
+    (None: the report), and `evaluate(views)` returns the rule's lot
+    vector, agent i's partner's or college's index, the other side's size
+    when unmatched (`core.assignment_lots`), or a college's sorted student
     group; it must not keep the list. `ranks(true)` returns ranks[i][lot],
     agent i's rank by true[i] of a lot (0 is the top). `witness(base,
     coalition, reports, before, after)` builds the witness of one hit of
-    `_search`. The certification walk also needs `table(domain)`, which
-    returns (ids, outcomes, lots): ids[k] numbers the outcome at the
-    domain's k-th profile in product order, outcomes[n] is the outcome
-    numbered n, and lots[i][n] is agent i's lot code in outcomes[n], the
-    code its reports' `ranking_idx` gives that lot.
+    `_search`. `class_key`, when given, keys each report for `_search`'s
+    classes: reports of one agent with equal keys must give the same
+    outcome whatever the others report; without it each report is its own
+    class. The certification walk also needs `table(domain)`, which
+    returns (ids, lots): ids[k] numbers the outcome at the domain's k-th
+    profile in product order, and lots[i][n] is agent i's lot code in the
+    outcome numbered n, the code its reports' `ranking_idx` gives that lot.
     """
 
-    def __init__(self, view, evaluate: Callable, ranks: Callable, witness: Callable, table: Optional[Callable] = None):
-        self.view, self.evaluate, self.ranks, self.witness, self.table = view, evaluate, ranks, witness, table
+    def __init__(self, engine: Callable, ranks: Callable, witness: Callable, table=None, class_key=None):
+        self.engine, self.ranks, self.witness, self.table, self.class_key = engine, ranks, witness, table, class_key
 
 
 def _witnesses(make: Callable, outcome: Callable) -> Callable:
@@ -294,19 +289,17 @@ def _scan(
     pool: Sequence[int],
     max_coalition: int,
     budget: int,
-    class_key: Optional[Callable[[object], object]] = None,
 ) -> Iterator:
     """Yield the witness of each deviation at `base` after which every
     member strictly gains: by size, then coalition from `pool` (increasing
-    agent indices), then reports in list order. The planned evaluations
-    over the whole pool, one per joint misreport, are checked against the
-    budget first. `class_key` keys each report for `_search`'s classes:
-    reports of one agent with equal keys must give the same outcome
-    whatever the others report. Without it each report is its own class."""
+    agent indices), then reports in list order, in the market's classes.
+    The planned evaluations over the whole pool, one per joint misreport,
+    are checked against the budget first."""
     true, alternatives = domain.deviations(base)
     cap = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
-    classes = None if class_key is None else [tuple(map(class_key, alts)) for alts in alternatives]
-    for hit in _search(true, alternatives, pool, market.evaluate, market.ranks(true), cap, classes, market.view):
+    classes = None if market.class_key is None else [tuple(map(market.class_key, alts)) for alts in alternatives]
+    view, evaluate = market.engine()
+    for hit in _search(true, alternatives, pool, evaluate, market.ranks(true), cap, classes, view):
         yield market.witness(base, *hit)
 
 
@@ -326,7 +319,7 @@ def _search(
     the budget. alternatives[i] holds agent i's admissible reports other
     than true_reports[i], and classes[i], when given, the class key of
     each; without classes every report is its own class. `evaluate` and
-    `ranks` are a `_Market`'s; `view`, when given, views each true report
+    `view` are a `_Market`'s engine, `ranks` its ranks; `view`, when given, views each true report
     and each class's first report once, and the hits carry the reports.
 
     A coalition's scan evaluates one joint misreport per combination of
@@ -380,45 +373,50 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     """The market record of a rule on a p-by-q marriage market, whose agents
     are numbered men first and whose reports the domain has checked.
 
-    Its `evaluate` runs the rule on reports. A DA rule's scans run its
-    engine on report views instead, which `_marriage_scan` puts in place
-    (`MatchingRule._views`), so a certification, which reads the `table`,
-    builds none; an agent's `rank_row` reads -1 and the other side's size,
-    the unmatched codes of the engine and of `core.assignment_lots`,
-    alike. A DA rule's `table`, on a domain with keys (`profile_keys`),
-    reads the engine's outcomes from the shape's `core.ListKeys` store,
-    running DA only at keys it does not hold yet, and numbers them among
-    the shape's matchings (`core.market_shape`); every other table
-    evaluates the rule once per profile, numbers its outcomes in the order
-    they first appear and codes their lots with `core.assignment_lots`, as
-    every other rule's scans do."""
-    engine = rule._evaluate
+    A DA rule's engine is `da._view_engine`, and its classes are the
+    reports' acceptable lists; every other rule's engine evaluates
+    `assignment` on reports and codes its lots with `core.assignment_lots`,
+    and each report is its own class. A DA rule's `table`, on a domain with keys (`profile_keys`), reads its
+    outcomes from the shape's `core.ListKeys` store, numbered among the
+    shape's matchings (`core.market_shape`), and builds the engine only
+    to fill the keys the store does not hold yet; every other table
+    evaluates the rule once per profile and numbers its outcomes in the
+    order they first appear."""
 
     def evaluate(reports: Sequence) -> list:
-        return [lot[0] for lot in assignment_lots(p, q, [engine(reports[:p], reports[p:])])]
+        return [lot[0] for lot in assignment_lots(p, q, [rule.assignment(tuple(reports[:p]), tuple(reports[p:]))])]
 
-    def table(domain: "PreferenceDomain") -> tuple[Sequence[int], Sequence[tuple], list]:
+    engine = (lambda: (None, evaluate)) if rule._da is None else partial(_view_engine, rule._da, p, q)
+
+    # the engine's evaluate, and the views of the profiles of `lists` in product order
+    def viewed(lists: Sequence) -> tuple[Callable, Iterator]:
+        view, evaluate = engine()
+        return evaluate, itertools.product(*(lists if view is None else [list(map(view, l)) for l in lists]))
+
+    def table(domain: "PreferenceDomain") -> tuple[Sequence[int], Sequence]:
         lists = domain.product_order().lists
-        keys = None if rule._class_key is None else domain.profile_keys()
+        keys = None if rule._da is None else domain.profile_keys()
         if keys is not None:
-            matchings, index, lots = market_shape(p, q)
+            _, index, lots = market_shape(p, q)
 
             def fill(memo: dict) -> None:
-                for key, reports in zip(keys, itertools.product(*lists)):
+                evaluate, profiles = viewed(lists)
+                for key, views in zip(keys, profiles):
                     if key not in memo:
-                        memo[key] = index[engine(reports[:p], reports[p:])]
+                        memo[key] = index[_assignment(evaluate(views), p, q)]
 
-            return list_keys(p, q).values(engine, keys, fill), matchings, lots
+            return list_keys(p, q).values(rule._da, keys, fill), lots
+        evaluate, profiles = viewed(lists)
         number: dict = {}
-        ids = [number.setdefault(engine(r[:p], r[p:]), len(number)) for r in itertools.product(*lists)]
-        outcomes = list(number)
-        return ids, outcomes, assignment_lots(p, q, outcomes)
+        ids = [number.setdefault(tuple(evaluate(views)), len(number)) for views in profiles]
+        return ids, list(zip(*number))
 
     def outcome(lots: Sequence) -> Matching:
-        return Matching.from_assignment(p, q, [j if 0 <= j < q else None for j in lots[:p]])
+        return Matching.from_assignment(p, q, _assignment(lots, p, q))
 
     witness = _witnesses(partial(ManipulationWitness, rule.name), outcome)
-    return _Market(None, evaluate, lambda true: [pref.rank_row for pref in true], witness, table)
+    by_list = None if rule._da is None else operator.attrgetter("acceptable_idx")
+    return _Market(engine, lambda true: [pref.rank_row for pref in true], witness, table, by_list)
 
 
 def _marriage_scan(
@@ -436,10 +434,7 @@ def _marriage_scan(
         if a not in position:
             raise UnknownOutcomeError(f"no such agent {a!r} in the domain")
         pool.add(position[a])
-    market = _marriage_market(rule, domain.p, domain.q)
-    if rule._views is not None:
-        market.view, market.evaluate = rule._views(domain.p, domain.q)
-    yield from _scan(market, domain, base, sorted(pool), max_coalition, budget, rule._class_key)
+    yield from _scan(_marriage_market(rule, domain.p, domain.q), domain, base, sorted(pool), max_coalition, budget)
 
 
 def find_manipulation(
@@ -531,7 +526,7 @@ def _certify(
             count,
         )
     size_guard("certifying this domain", max(domain.sizes), MAX_LOT_SIDE, lambda: "lot codes past a byte")
-    ids, _, lots = market.table(domain)
+    ids, lots = market.table(domain)
     codes = lot_codes(ids, lots)
     orders = order.orders
     if cap == 1:

@@ -420,48 +420,51 @@ def require_responsive(profile: MtoProfile) -> None:
             )
 
 
-# Untraced SPDA runs on seats (Roth & Sotomayor 1990, ch. 5): a college of
-# quota k becomes min(k, n_students) seats, each with the `rank_row` of the
-# college's induced ranking (`CollegePreference.induced`); each student
-# ranks a college's seats consecutively in the college's place, and
-# student-proposing DA on that market (`da._sequential_da`) holds SPDA's
-# students once seats are grouped back by college. Seats beyond the
-# student count could never be proposed to.
-
-
-def _applicant(sp: StudentPreference, seat_ranges: Sequence[range]) -> tuple[int, ...]:
-    """A student's acceptable seats, best first: its proposer list."""
-    return tuple([j for c in sp.acceptable_idx for j in seat_ranges[c]])
-
-
-def _seat_ranges(college_prefs: Sequence[CollegePreference]) -> list[range]:
-    """Each college's seat indices; seats are numbered college by college."""
+def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, Callable]:
+    """(view, evaluate) of SPDA on colleges with these reports' quotas, for
+    `spda_matching` and the scans (`MtoDomain.spda_market`). It runs on
+    seats (Roth & Sotomayor 1990, ch. 5): a college of quota k becomes
+    min(k, n_students) seats, as many as can be proposed to, numbered
+    college by college. A college report's view gives each of its seats
+    the `rank_row` of its induced ranking, a student report's is its
+    acceptable seats, best first; student-proposing DA on those seats
+    (`da._sequential_da`) holds SPDA's students. evaluate(views), colleges
+    first, returns each college's students as a sorted index tuple, then
+    each student's college index, or the college count when unmatched."""
+    nc = len(college_prefs)
     stops = list(itertools.accumulate([min(cp.quota, cp.n_students) for cp in college_prefs]))
-    return [range(start, stop) for start, stop in zip([0, *stops], stops)]
+    seat_ranges = [range(start, stop) for start, stop in zip([0, *stops], stops)]
+    seat_college = [c for c, r in enumerate(seat_ranges) for _ in r]
 
+    def view(pref) -> Sequence:
+        if isinstance(pref, CollegePreference):
+            return [pref.induced.rank_row] * len(seat_ranges[pref.owner.index])
+        return tuple([j for c in pref.acceptable_idx for j in seat_ranges[c]])
 
-def _seat_lots(applicants: Sequence, seats: Sequence, seat_college: Sequence[int], n_colleges: int) -> list:
-    """SPDA's lot vector: each college's students as a sorted index tuple,
-    then each student's college index, -1 when unmatched."""
-    held = _sequential_da(applicants, seats)
-    college_of = [-1] * len(applicants)
-    for s, i in enumerate(held):
-        if i >= 0:
-            college_of[i] = seat_college[s]
-    groups = [[] for _ in range(n_colleges)]
-    for i, c in enumerate(college_of):
-        if c >= 0:
-            groups[c].append(i)  # students come in index order
-    return [*map(tuple, groups), *college_of]
+    def evaluate(views: list) -> list:
+        seats = []
+        for seat_rows in views[:nc]:
+            seats += seat_rows
+        applicants = views[nc:]
+        n = len(applicants)
+        college_of = [nc] * n
+        for s, i in enumerate(_sequential_da(applicants, seats)):
+            if i < n:
+                college_of[i] = seat_college[s]
+        groups = [[] for _ in range(nc)]
+        for i, c in enumerate(college_of):
+            if c < nc:
+                groups[c].append(i)  # students come in index order
+        return [*map(tuple, groups), *college_of]
+
+    return view, evaluate
 
 
 def spda_matching(profile: MtoProfile) -> MtoMatching:
     """Student-proposing deferred acceptance, untraced; `run_spda` is its oracle."""
     require_responsive(profile)
-    ranges = _seat_ranges(profile.college_prefs)
-    seats = [cp.induced.rank_row for cp, r in zip(profile.college_prefs, ranges) for _ in r]
-    applicants = [_applicant(sp, ranges) for sp in profile.student_prefs]
-    lots = _seat_lots(applicants, seats, [c for c, r in enumerate(ranges) for _ in r], profile.n_colleges)
+    view, evaluate = _spda_engine(profile.college_prefs)
+    lots = evaluate([*map(view, profile.college_prefs), *map(view, profile.student_prefs)])
     return MtoMatching(profile.quotas, profile.n_students, lots[: profile.n_colleges])
 
 
@@ -573,32 +576,25 @@ class MtoDomain(ProductDomain):
     def spda_market(self) -> _Market:
         """SPDA's market record (`manipulation._Market`) for the coalition
         scan, built on first use and kept. The domain holds only responsive,
-        market-sized reports with one quota per college, so each report's
-        seat view is built once, and a college's first report gives its
-        seats; a college ranks its group by its report's ``rank_by_group``."""
+        market-sized reports with one quota per college, so a college's
+        first report gives the seats of `_spda_engine`, and each report's
+        view is built once; a college ranks its group by its report's
+        ``rank_by_group``."""
         try:
             return self._spda
         except AttributeError:
             pass
         nc = self.n_colleges
         lists = self.product_order().lists
-        ranges = _seat_ranges([l[0] for l in lists[:nc]])
-        view_of = {pref: [pref.induced.rank_row] * len(r) for l, r in zip(lists[:nc], ranges) for pref in l}
-        view_of.update({pref: _applicant(pref, ranges) for l in lists[nc:] for pref in l})
-        seat_college = [c for c, r in enumerate(ranges) for _ in r]
-
-        def evaluate(views: list) -> list:
-            seats = []
-            for seat_rows in views[:nc]:
-                seats += seat_rows
-            return _seat_lots(views[nc:], seats, seat_college, nc)
+        view, evaluate = _spda_engine([l[0] for l in lists[:nc]])
+        engine = ({pref: view(pref) for l in lists for pref in l}.__getitem__, evaluate)
 
         def ranks(true: Sequence) -> list:
             return [pref.rank_by_group for pref in true[:nc]] + [pref.rank_row for pref in true[nc:]]
 
         quotas = [l[0].quota for l in lists[:nc]]
         witness = _witnesses(MtoWitness, lambda lots: MtoMatching(quotas, self.n_students, lots[:nc]))
-        self._spda = _Market(view_of.__getitem__, evaluate, ranks, witness)
+        self._spda = _Market(lambda: engine, ranks, witness)
         return self._spda
 
 

@@ -168,10 +168,10 @@ def _sampled(
 def _random_full_profile(rng: random.Random, p: int, q: int) -> Profile:
     prefs = []
     for a in men(p) + women(q):
-        opposite = list(women(q) if a.side is Side.MAN else men(p))
-        ranking = opposite + [OUTSIDE]
-        rng.shuffle(ranking)
-        prefs.append(Preference(a, tuple(ranking)))
+        # each agent of the other side by its index, the outside option last
+        idx = list(range((q if a.side is Side.MAN else p) + 1))
+        rng.shuffle(idx)
+        prefs.append(Preference.from_idx(a, idx))
     return Profile(prefs)
 
 

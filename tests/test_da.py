@@ -12,6 +12,7 @@ from matchlab.core import (
     Preference,
     Profile,
     Side,
+    assignment_lots,
     is_stable,
     men,
     stable_set,
@@ -165,6 +166,9 @@ def _optimal_for(proposers, receivers, profile, sset):
 @settings(max_examples=200, deadline=None)
 @given(profile=truncated_profiles())
 def test_sequential_engine_matches_traced_engine_and_brute_force(profile):
+    # the view engine's lot vector codes an unmatched agent as the other
+    # side's size, as `assignment_lots` does
+    p, q = profile.p, profile.q
     sset = stable_set(profile)
     for rule in RuleId:
         fast = da.da_assignment(rule, profile.men_prefs, profile.women_prefs)
@@ -174,6 +178,9 @@ def test_sequential_engine_matches_traced_engine_and_brute_force(profile):
         else:
             brute = _optimal_for(profile.women, profile.men, profile, sset)
         assert fast == traced.assignment == brute.assignment
+        view, evaluate = da._view_engine(rule, p, q)
+        lots = evaluate([view(pref) for pref in profile.men_prefs + profile.women_prefs])
+        assert lots == [lot[0] for lot in assignment_lots(p, q, [traced.assignment])]
 
 
 @pytest.mark.parametrize("rule_of", [mpda_rule, wpda_rule])

@@ -27,6 +27,7 @@ from matchlab.core import (
     woman,
     women,
 )
+from matchlab.da import RuleId
 from matchlab.domains import (
     AlternatingSequenceWitness,
     _backtracking_table,
@@ -838,7 +839,7 @@ def test_a_certification_unit_keys_its_domain_once(monkeypatch):
     assert domain.product_order() is domain.product_order()
     assert domain.profile_keys() is domain.profile_keys()
     store = list_keys(2, 2)._memos
-    assert store.keys() == {mpda_rule()._evaluate, "stable options"}
+    assert store.keys() == {RuleId.MPDA, "stable options"}
     assert all(k in store[kind] for kind in store for k in domain.profile_keys())
 
 

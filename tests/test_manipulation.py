@@ -128,9 +128,9 @@ def test_memo_outcomes_match_the_checked_engine(p, q):
     # rankings per agent, which read outcomes other domains put in the
     # memo; each table is read twice, the second time from the memo alone.
     # A 3x3 market has no memo, so its tables evaluate the rule each time.
-    # A table numbers its outcomes: outcomes[ids[k]] is the one at profile
-    # k, and lots[i][n] is agent i's partner's index in outcomes[n], or the
-    # other side's size when it is unmatched
+    # A table numbers its outcomes: ids[k] is the one at profile k, and
+    # lots[i][n] is agent i's partner's index in the outcome numbered n, or
+    # the other side's size when it is unmatched
     rng = random.Random(2023 + 10 * p + q)
     agents = men(p) + women(q)
     domains = [PreferenceDomain.full(2, 2)] if (p, q) == (2, 2) else []
@@ -144,9 +144,9 @@ def test_memo_outcomes_match_the_checked_engine(p, q):
             lists = domain.product_order().lists
             expected = [da_assignment(rule_id, r[:p], r[p:]) for r in itertools.product(*lists)]
             for _ in range(2):
-                ids, outcomes, lots = market.table(domain)
-                assert [outcomes[n] for n in ids] == expected
-                for n, assignment in enumerate(outcomes):
+                ids, lots = market.table(domain)
+                assert len(ids) == len(expected)
+                for n, assignment in zip(ids, expected):
                     matching = Matching.from_assignment(p, q, assignment)
                     for a, lot in zip(agents, lots, strict=True):
                         partner = matching.partner(a)
@@ -164,8 +164,9 @@ def _one_man_domain(q: int) -> PreferenceDomain:
 
 
 def test_certifications_build_no_scan_views(monkeypatch):
-    # a certification reads its bases' outcomes from its table, so only a
-    # scan builds the DA engine's report views
+    # a certification reads its bases' outcomes from its table, so one
+    # whose store holds every key of its domain builds no DA engine; one
+    # that fills the store builds one, and so does a scan
     built = []
     engine = manipulation._view_engine
     monkeypatch.setattr(manipulation, "_view_engine", lambda *args: built.append(args) or engine(*args))
@@ -173,12 +174,17 @@ def test_certifications_build_no_scan_views(monkeypatch):
     # the women hold one ranking each, so MPDA holds; on the full domain it fails
     sets = {m: all_preferences(m, 2) for m in men(2)}
     sets.update({W1: [pref(W1, M1, M2, OUTSIDE)], W2: [pref(W2, M2, M1, OUTSIDE)]})
-    for certify in (is_strategy_proof, is_group_strategy_proof):
-        assert certify(rule, PreferenceDomain(sets))
-        assert not certify(rule, PreferenceDomain.full(2, 2))
-    assert built == []
-    assert find_manipulation(rule, PreferenceDomain.full(2, 2), profile_p1(), 1) is not None
+    sub, full = PreferenceDomain(sets), PreferenceDomain.full(2, 2)
+    assert is_strategy_proof(rule, sub)
     assert built == [(RuleId.MPDA, 2, 2)]
+    assert not is_strategy_proof(rule, full)
+    assert len(built) == 2
+    for certify in (is_strategy_proof, is_group_strategy_proof):
+        assert certify(rule, sub)
+        assert not certify(rule, full)
+    assert len(built) == 2
+    assert find_manipulation(rule, full, profile_p1(), 1) is not None
+    assert built == [(RuleId.MPDA, 2, 2)] * 3
 
 
 def test_certification_refusals_evaluate_nothing(monkeypatch):

@@ -552,25 +552,25 @@ def test_scan_recovers_the_counterexample():
 
 def test_college_scans_build_spda_record_once_per_domain(monkeypatch):
     built = []
-    applicant = mto._applicant
+    engine = mto._spda_engine
 
-    def counting(sp, seat_ranges):
-        built.append(sp)
-        return applicant(sp, seat_ranges)
+    def counting(college_prefs):
+        view, evaluate = engine(college_prefs)
+        return (lambda pref: built.append(pref) or view(pref)), evaluate
 
-    monkeypatch.setattr(mto, "_applicant", counting)
+    monkeypatch.setattr(mto, "_spda_engine", counting)
     text = (FIXTURES / "example2_domain.json").read_text()
     base = formats.mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
     domain = formats.mto_domain_from_json(json.loads(text))
     assert students_satisfy_utp(domain)
     assert built == []  # neither construction nor a domain check builds the record
-    reports = [sp for s in domain.agents[domain.n_colleges :] for sp in domain.admissible(s)]
+    reports = [pref for a in domain.agents for pref in domain.admissible(a)]
     pair = find_manipulation_mto(domain, base, max_coalition=2)
     assert pair.coalition == (C[0], S[4])
     for _ in range(3):
         assert find_manipulation_mto(domain, base, max_coalition=1) is None
     assert find_manipulation_mto(domain, base, max_coalition=2) == pair
-    assert built == reports  # one build per student report, on the first scan
+    assert built == reports  # one view per admissible report, on the first scan
     # a second domain parsed from the same file builds and keeps its own record
     other = formats.mto_domain_from_json(json.loads(text))
     assert find_manipulation_mto(other, base, max_coalition=2) == pair
@@ -705,9 +705,9 @@ def test_random_quota_one_markets_translate_exactly(data):
 
 @st.composite
 def college_markets(draw):
-    """1-3 colleges with quotas 1-7 and canonical responsive rankings, 1-5
+    """1-5 colleges with quotas 1-7 and canonical responsive rankings, 1-5
     students; quotas past the student count have more seats than students."""
-    cs = colleges(draw(st.integers(1, 3)))
+    cs = colleges(draw(st.integers(1, 5)))
     ss = students(draw(st.integers(1, 5)))
     cps = [
         responsive_extension(c, draw(st.integers(1, 7)), tuple(draw(st.permutations(ss + (OUTSIDE,)))))
@@ -758,7 +758,14 @@ def test_spda_matches_seat_clone_marriage_da(prof):
 @settings(max_examples=200, deadline=None)
 @given(prof=college_markets())
 def test_untraced_spda_matches_the_round_engine(prof):
-    assert spda_matching(prof) == run_spda(prof)[0]
+    # the engine's lot vector: each college's students, then each
+    # student's college index, or the college count when unmatched
+    nu = run_spda(prof)[0]
+    assert spda_matching(prof) == nu
+    view, evaluate = mto._spda_engine(prof.college_prefs)
+    lots = evaluate([*map(view, prof.college_prefs), *map(view, prof.student_prefs)])
+    codes = [prof.n_colleges if c is OUTSIDE else c.index for c in map(nu.college_of, students(prof.n_students))]
+    assert lots == [*nu.assignment, *codes]
 
 
 @settings(max_examples=200, deadline=None)

@@ -268,7 +268,7 @@ def test_grouped_scan_matches_the_ungrouped_rule(drawn, rule_id, cap, pool):
         pool = [domain.agents[k % len(domain.agents)] for k in pool]
     grouped = MatchingRule.deferred_acceptance(rule_id)
     plain = _ungrouped(rule_id)
-    assert grouped._class_key is not None and plain._class_key is None
+    assert grouped._da is rule_id and plain._da is None
     got = list(iter_manipulations(grouped, domain, base, max_coalition=cap, coalition_pool=pool))
     assert got == list(iter_manipulations(plain, domain, base, max_coalition=cap, coalition_pool=pool))
     assert got == oracle_witnesses(grouped, domain, base, cap, pool)

@@ -5,12 +5,12 @@ import dataclasses
 import itertools
 import json
 import random
-import sys
 import tracemalloc
 
 import pytest
 
-from matchlab import da, formats, suites
+from matchlab import da, formats, manipulation, suites
+from matchlab.da import RuleId
 from matchlab.errors import BudgetExceededError, PreconditionError, SizeGuardError, UnknownSuiteError
 from matchlab.domains import exists_stable_sp_rule
 from matchlab.manipulation import StrategyProofness, mpda_rule, validate_witness, wpda_rule
@@ -175,21 +175,27 @@ def test_trial_seeds_are_drawn_one_trial_at_a_time():
 @pytest.mark.parametrize("trials", [None, 100])
 def test_theorem2_runs_da_at_most_once_per_2x2_list_vector_per_rule(monkeypatch, trials):
     # theorem2 certifies MPDA and WPDA twice on every domain it draws; the
-    # DA outcome memo of each engine holds the 5 ** 4 = 625 vectors of
-    # acceptable lists a 2x2 profile can have, however many domains it draws
+    # DA outcome memo of each rule holds the 5 ** 4 = 625 vectors of
+    # acceptable lists a 2x2 profile can have, however many domains it draws.
+    # Every untraced DA run is an evaluation of the view engine, counted per rule
     runs = collections.Counter()
-    engine = da._sequential_da
+    engine = da._view_engine
 
-    def counting(lists, rows):
-        # the engine's caller, `_mpda_assignment` or `_wpda_assignment`, names the rule
-        runs[sys._getframe(1).f_code.co_name] += 1
-        return engine(lists, rows)
+    def counting(rule, p, q):
+        view, evaluate = engine(rule, p, q)
 
-    monkeypatch.setattr(da, "_sequential_da", counting)
+        def counted(views):
+            runs[rule] += 1
+            return evaluate(views)
+
+        return view, counted
+
+    for module in (da, manipulation):
+        monkeypatch.setattr(module, "_view_engine", counting)
     report = run_suite("theorem2", SuiteParams(trials=trials))
     assert report.verdict == "pass" and report.trials == (15 if trials is None else trials)
-    assert runs.keys() == {"_mpda_assignment", "_wpda_assignment"}
-    assert 0 < runs["_mpda_assignment"] <= 625 and 0 < runs["_wpda_assignment"] <= 625
+    assert runs.keys() == {RuleId.MPDA, RuleId.WPDA}
+    assert 0 < runs[RuleId.MPDA] <= 625 and 0 < runs[RuleId.WPDA] <= 625
 
 
 def test_theorem2_fail_path_carries_a_validated_coalition_witness(monkeypatch):
