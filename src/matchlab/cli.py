@@ -81,6 +81,16 @@ def _is_college_market(doc: Any) -> bool:
     )
 
 
+def _college_rule(args: argparse.Namespace, doc: Any) -> bool:
+    """True for spda on a college market, False for mpda or wpda on a
+    marriage market; UsageError when the market's kind does not fit ``--rule``."""
+    college = _is_college_market(doc)
+    if college != (args.rule == "spda"):
+        needs, given = ("college", "marriage") if args.rule == "spda" else ("marriage", "college")
+        raise UsageError(f"--rule {args.rule} needs a {needs} market; {args.market} is a {given} market")
+    return college
+
+
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
@@ -171,16 +181,23 @@ def _no_witness(fmt: str) -> int:
     return EXIT_FAIL
 
 
+def _show(fmt: str, value: Any, to_json, to_text) -> int:
+    """Print a result as JSON or as text, or, for None, that no witness was found."""
+    if value is None:
+        return _no_witness(fmt)
+    if fmt == "json":
+        _emit(to_json(value))
+    else:
+        print(to_text(value))
+    return EXIT_PASS
+
+
 # --- solve -------------------------------------------------------------------------
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     doc = _load_json(args.market)
-    if _is_college_market(doc):
-        if args.rule != "spda":
-            raise UsageError(
-                f"--rule {args.rule} needs a marriage market; {args.market} is a college market"
-            )
+    if _college_rule(args, doc):
         from .mto import run_spda, spda_matching
 
         profile = formats.mto_profile_from_json(doc)
@@ -194,15 +211,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 print(json.dumps(formats.mto_step_to_json(step, names)))
         else:
             matching = spda_matching(profile)
-        if args.fmt == "json":
-            _emit(formats.mto_matching_to_json(matching))
-        else:
-            print(_mto_matching_text(matching))
-        return EXIT_PASS
-    if args.rule == "spda":
-        raise UsageError(
-            f"--rule spda needs a college market; {args.market} is a marriage market"
-        )
+        return _show(args.fmt, matching, formats.mto_matching_to_json, _mto_matching_text)
     from .da import RuleId, _traced_rule, da_matching
 
     profile = formats.profile_from_json(doc)
@@ -214,11 +223,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         matching = final()
     else:
         matching = da_matching(rule, profile)
-    if args.fmt == "json":
-        _emit(formats.matching_to_json(matching))
-    else:
-        print(_matching_text(matching))
-    return EXIT_PASS
+    return _show(args.fmt, matching, formats.matching_to_json, _matching_text)
 
 
 # --- stable-set --------------------------------------------------------------------
@@ -259,53 +264,31 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
     market_doc = _load_json(args.market)
     domain_doc = _load_json(args.domain)
 
-    if args.rule == "spda":
-        if args.all:
-            raise UsageError("--all is only available for mpda/wpda")
-        if not _is_college_market(market_doc):
-            raise UsageError(
-                f"--rule spda needs a college market; {args.market} is a marriage market"
-            )
+    if args.rule == "spda" and args.all:
+        raise UsageError("--all is only available for mpda/wpda")
+    if _college_rule(args, market_doc):
         from .mto import find_manipulation_mto
 
         base = formats.mto_profile_from_json(market_doc)
         domain = formats.mto_domain_from_json(domain_doc)
         witness = find_manipulation_mto(domain, base, args.max_coalition, budget)
-        if witness is None:
-            return _no_witness(args.fmt)
-        if args.fmt == "json":
-            _emit(formats.mto_witness_to_json(witness))
-        else:
-            print(_mto_witness_text(witness))
-        return EXIT_PASS
-
-    if _is_college_market(market_doc):
-        raise UsageError(
-            f"--rule {args.rule} needs a marriage market; {args.market} is a college market"
-        )
+        return _show(args.fmt, witness, formats.mto_witness_to_json, _mto_witness_text)
     from .manipulation import find_manipulation, iter_manipulations, mpda_rule, wpda_rule
 
     base = formats.profile_from_json(market_doc)
     domain = formats.domain_from_json(domain_doc)
     rule = mpda_rule() if args.rule == "mpda" else wpda_rule()
-    if args.all:
-        found = False
-        for witness in iter_manipulations(rule, domain, base, args.max_coalition, budget):
-            found = True
-            if args.fmt == "json":
-                print(json.dumps(formats.witness_to_json(witness)))
-            else:
-                print(_witness_text(witness))
-                print()
-        return EXIT_PASS if found else _no_witness(args.fmt)
-    witness = find_manipulation(rule, domain, base, args.max_coalition, budget)
-    if witness is None:
-        return _no_witness(args.fmt)
-    if args.fmt == "json":
-        _emit(formats.witness_to_json(witness))
-    else:
-        print(_witness_text(witness))
-    return EXIT_PASS
+    if not args.all:
+        witness = find_manipulation(rule, domain, base, args.max_coalition, budget)
+        return _show(args.fmt, witness, formats.witness_to_json, _witness_text)
+    witness = None
+    # each witness printed as the scan yields it: one JSON line, or a text block
+    for witness in iter_manipulations(rule, domain, base, args.max_coalition, budget):
+        if args.fmt == "json":
+            print(json.dumps(formats.witness_to_json(witness)))
+        else:
+            print(_witness_text(witness) + "\n")
+    return EXIT_PASS if witness is not None else _no_witness(args.fmt)
 
 
 # --- check-domain ------------------------------------------------------------------
@@ -345,28 +328,22 @@ def _cmd_check_domain(args: argparse.Namespace) -> int:
 
     domain = formats.domain_from_json(_load_json(args.domain))
     sides = _SIDES[args.side]
-    detail: Optional[tuple] = None
-    if args.property == "single-peaked":
-        if args.orderings is None:
-            raise UsageError("--orderings is required for --property single-peaked")
+    single_peaked = args.property == "single-peaked"
+    if single_peaked and args.orderings is None:
+        raise UsageError("--orderings is required for --property single-peaked")
+    if not single_peaked and args.orderings is not None:
+        raise UsageError("--orderings only applies to --property single-peaked")
+    if single_peaked:
         men_line, women_line = formats.orderings_from_json(_load_json(args.orderings))
-        check = domains.domain_is_single_peaked(domain, men_line, women_line, sides)
-        holds, detail = check.holds, check.detail
+        checks = [domains.domain_is_single_peaked(domain, men_line, women_line, sides)]
     elif args.property == "anonymity":
-        if args.orderings is not None:
-            raise UsageError("--orderings only applies to --property single-peaked")
-        check = domains.is_anonymous(domain, sides)
-        holds, detail = check.holds, check.detail
+        checks = [domains.is_anonymous(domain, sides)]
     else:
-        if args.orderings is not None:
-            raise UsageError("--orderings only applies to --property single-peaked")
         checker = getattr(domains, _SIDED_CHECKS[args.property])
-        holds = True
-        for side in sides:
-            check = checker(domain, side)
-            if not check.holds:
-                holds, detail = False, check.detail
-                break
+        checks = (checker(domain, side) for side in sides)
+    # the first failing check, or a pass
+    verdict = next((check for check in checks if not check), domains.PropertyCheck(True))
+    holds, detail = verdict.holds, verdict.detail
     if args.fmt == "json":
         _emit(
             {

@@ -122,14 +122,6 @@ def women(q: int) -> tuple[AgentId, ...]:
     return tuple(woman(i) for i in range(q))
 
 
-def outcome_key(x: Outcome) -> tuple[int, int]:
-    """Deterministic sort key for the outcomes one agent ranks: agents of
-    one side, of either market, by index; the outside option sorts last."""
-    if x is OUTSIDE:
-        return (1, 0)
-    return (0, x.index)
-
-
 @functools.lru_cache(maxsize=32)
 def _index_table(make: Callable[[int], Hashable], n: int) -> dict:
     """{make(i): i for i < n} and {OUTSIDE: n}: the codes of the first n

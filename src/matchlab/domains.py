@@ -30,7 +30,6 @@ from .core import (
     lot_codes,
     market_shape,
     men,
-    outcome_key,
     size_guard,
     women,
 )
@@ -45,10 +44,6 @@ if TYPE_CHECKING:
     from .manipulation import ManipulationWitness, MatchingRule
 
 MAX_SINGLE_PEAKED_SIDE = 8
-
-
-def preference_sort_key(ranking: Sequence[Outcome]) -> tuple:
-    return tuple(outcome_key(x) for x in ranking)
 
 
 def _rankings_guard(n_opposite: int) -> None:
@@ -322,7 +317,6 @@ class PropertyCheck:
 
     holds: bool
     detail: Optional[tuple] = None
-    note: str = ""
 
     def __bool__(self) -> bool:
         return self.holds
@@ -385,7 +379,7 @@ def cyclical_inclusion_missing(orders: Sequence[Ranking], universe: Sequence) ->
         above = [x for x in o.ranking[:out]]
         for a, b in itertools.combinations(above, 2):  # a ranked over b, both acceptable
             realized.add((a, b))
-    for a, b in sorted(realized, key=lambda t: (outcome_key(t[0]), outcome_key(t[1]))):
+    for a, b in sorted(realized):  # agents of one side, so by index
         if (b, a) not in realized:
             return ("swap", a, b)
     return None
@@ -493,9 +487,11 @@ def generate_maximal_single_peaked(ordering: PriorOrdering, owner: AgentId) -> t
     single_peaked_guard(n)
     if ordering.side is not owner.side.opposite:
         raise PreconditionError("owner must rank the side the ordering arranges")
-    line = ordering.order
+    line = [a.index for a in ordering.order]  # the agents' codes; @ is code n
 
     def worst_first(lo: int, hi: int):
+        """Every order of line[lo..hi], worst first, that takes each next
+        agent from an end of what is left."""
         if lo == hi:
             yield [line[lo]]
             return
@@ -504,17 +500,13 @@ def generate_maximal_single_peaked(ordering: PriorOrdering, owner: AgentId) -> t
         for rest in worst_first(lo, hi - 1):
             yield [line[hi]] + rest
 
+    # the walks differ in their worst agent, so every code tuple is new
     rankings = []
     for seq in worst_first(0, n - 1):
-        agents_best_first = list(reversed(seq))
+        best_first = seq[::-1]
         for slot in range(n + 1):
-            ranking = agents_best_first[:slot] + [OUTSIDE] + agents_best_first[slot:]
-            rankings.append(tuple(ranking))
-    rankings = sorted(set(rankings), key=preference_sort_key)
-    expected = 2 ** (n - 1) * (n + 1)
-    if len(rankings) != expected:
-        raise RuntimeError(f"generated {len(rankings)} single-peaked rankings, expected {expected}")
-    return tuple(Preference(owner, r) for r in rankings)
+            rankings.append((*best_first[:slot], n, *best_first[slot:]))
+    return tuple(Preference.from_idx(owner, idx) for idx in sorted(rankings))
 
 
 def maximal_single_peaked_domain(
@@ -540,16 +532,19 @@ def generate_minimal_utp(p: int, q: int) -> PreferenceDomain:
 
 def minimal_utp_rankings(universe: Sequence) -> list[tuple[Outcome, ...]]:
     """The fewest rankings of one side's agents (of either market) with
-    unrestricted top pairs, in `preference_sort_key` order."""
+    unrestricted top pairs, in code order (`Ranking.ranking_idx`): by the
+    top agent's index, then the second's, ``@`` after every agent. Each
+    ranking completes its top pair, or its top and ``@``, with the rest of
+    the universe in the order given."""
     rankings = []
-    for u, v in itertools.permutations(universe, 2):
-        rest = [x for x in universe if x != u and x != v]
-        rankings.append((u, v, *rest, OUTSIDE))
-    for u in universe:
-        rest = [x for x in universe if x != u]
-        rankings.append((u, OUTSIDE, *rest))
+    ordered = sorted(universe)
+    for u in ordered:
+        for v in ordered:
+            if v != u:
+                rankings.append((u, v, *[x for x in universe if x != u and x != v], OUTSIDE))
+        rankings.append((u, OUTSIDE, *[x for x in universe if x != u]))
     rankings.append((OUTSIDE, *universe))
-    return sorted(set(rankings), key=preference_sort_key)
+    return rankings
 
 
 # --- incompatibility witnesses ----------------------------------------------

@@ -505,6 +505,11 @@ def _certify(
     looked up only to build the table, to rank a scanned base's lots or to
     build the witness.
 
+    At a bound of 1, or at one that covers the pool, the first picked base
+    holds a witness, so a search that finds none there raises RuntimeError.
+    A bound in between may pick bases whose gaining coalitions are larger
+    than it, and skips them.
+
     Before it evaluates anything, the walk refuses a coalition bound below
     1, a budget below the profile count, which is what the table may cost,
     and a side past MAX_LOT_SIDE agents. It plans no scan: a base's joint
@@ -552,6 +557,8 @@ def _certify(
             misreports = tuple(lists[i][d] for i, d in zip(coalition, reports))
             witness = market.witness(domain.make_profile(true), coalition, misreports, before, after)
             return StrategyProofness(False, witness)
+        if cap in (1, len(pool)):
+            raise RuntimeError(f"the gain bitsets flag base {key}, where the search finds no witness")
     return StrategyProofness(True, None)
 
 

@@ -140,10 +140,9 @@ class CollegePreference:
         self.rank_by_group = {tuple([s.index for s in subset]): pos for pos, subset in enumerate(normalized)}
         self._hash = hash((owner, quota, normalized))
         self._responsive = None
-        # the singletons and () in the order this ranking puts them
-        at = {self.rank_by_group[(i,)]: student(i) for i in range(n_students)}
-        at[self.rank_by_group[()]] = OUTSIDE
-        self.induced = CollegeRanking(owner, [at[r] for r in sorted(at)])
+        # the codes of the students (i) and of () (n), ordered by their ranks here
+        ranks = [self.rank_by_group[(i,)] for i in range(n_students)] + [self.rank_by_group[()]]
+        self.induced = CollegeRanking.from_idx(owner, sorted(range(n_students + 1), key=ranks.__getitem__))
 
     def rank_of(self, subset: Iterable[StudentId]) -> int:
         try:
@@ -726,10 +725,8 @@ def to_marriage_profile(profile: MtoProfile):
         raise PreconditionError("translation requires every quota to be 1")
 
     def recast(pref: Ranking, side: Side) -> Preference:
-        # the same ranking, owner and ranked agents renamed index for index
-        opposite = side.opposite
-        ranking = [OUTSIDE if x is OUTSIDE else AgentId(opposite, x.index) for x in pref.ranking]
-        return Preference(AgentId(side, pref.owner.index), ranking)
+        # the same code tuple, so the ranked agents are renamed index for index
+        return Preference.from_idx(AgentId(side, pref.owner.index), pref.ranking_idx)
 
     men_prefs = [recast(sp, Side.MAN) for sp in profile.student_prefs]
     return Profile(men_prefs + [recast(cp.induced, Side.WOMAN) for cp in profile.college_prefs])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import formats
@@ -42,7 +43,6 @@ from .domains import (
     generate_maximal_single_peaked,
     maximal_single_peaked_domain,
     minimal_utp_rankings,
-    preference_sort_key,
     satisfies_top_dominance,
     satisfies_unrestricted_top_pairs,
     single_peaked_guard,
@@ -344,17 +344,13 @@ def _random_agent_sets(rng: random.Random, full: PreferenceDomain, max_size: int
     for a in full.agents:
         for _ in range(200):
             chosen = _random_subset(rng, full.admissible(a), max_size)
-            chosen.sort(key=_sort_key)
+            chosen.sort(key=attrgetter("ranking_idx"))
             if a.side is Side.MAN or top_dominance_violation(chosen, men_universe) is None:
                 sets[a] = chosen
                 break
         else:
             return None
     return sets
-
-
-def _sort_key(pref: Preference):
-    return preference_sort_key(pref.ranking)
 
 
 def _domain_counterexample(domain: PreferenceDomain, reason: str, **extra) -> dict:
@@ -418,11 +414,11 @@ def _utp_men_sets(rng: random.Random, p: int, q: int, women_max: int) -> dict:
         base = [pref for pref in pool if pref.ranking in minimal]
         extras = [pref for pref in pool if pref not in base]
         picked = base + (rng.sample(extras, rng.randint(0, min(2, len(extras)))) if extras else [])
-        picked.sort(key=_sort_key)
+        picked.sort(key=attrgetter("ranking_idx"))
         sets[a] = picked
     for a in women(q):
         chosen = _random_subset(rng, full.admissible(a), women_max)
-        chosen.sort(key=_sort_key)
+        chosen.sort(key=attrgetter("ranking_idx"))
         sets[a] = chosen
     return sets
 
@@ -565,7 +561,7 @@ def _suite_theorem3(params: SuiteParams) -> _Outcome:
 
     def admissible_side_rankings(rng: random.Random, pool, universe) -> Optional[list]:
         for _ in range(300):
-            orders = sorted(_random_subset(rng, pool, max_size), key=_sort_key)
+            orders = sorted(_random_subset(rng, pool, max_size), key=attrgetter("ranking_idx"))
             if cyclical_inclusion_missing(orders, universe) is None:
                 return [pref.ranking for pref in orders]
         return None

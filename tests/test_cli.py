@@ -779,6 +779,47 @@ def test_check_domain_unknown_property(capsys):
     assert code == EXIT_USAGE
 
 
+MISSING = "no_such_domain.json"
+NEEDS_COLLEGE = f"error: --rule spda needs a college market; {P1} is a marriage market\n"
+NO_ALL = "error: --all is only available for mpda/wpda\n"
+ORDERINGS_REQUIRED = "error: --orderings is required for --property single-peaked\n"
+ORDERINGS_REFUSED = "error: --orderings only applies to --property single-peaked\n"
+MALFORMED_DOMAIN = "error: kind: expected kind 'domain', got kind 'market'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["solve", "--rule", "spda", P1], NEEDS_COLLEGE),
+        (["manipulate", "--rule", "spda", P1, FULL_DOMAIN], NEEDS_COLLEGE),
+        *(
+            (
+                [command, "--rule", rule, MTO, *domain],
+                f"error: --rule {rule} needs a marriage market; {MTO} is a college market\n",
+            )
+            for rule in ("mpda", "wpda")
+            for command, domain in (("solve", []), ("manipulate", [MTO_DOMAIN]))
+        ),
+        # --all is refused before the market kind is read
+        (["manipulate", "--rule", "spda", "--all", MTO, MTO_DOMAIN], NO_ALL),
+        (["manipulate", "--rule", "spda", "--all", P1, FULL_DOMAIN], NO_ALL),
+        # both files are read before the market kind is checked
+        (["manipulate", "--rule", "spda", P1, MISSING], f"error: {MISSING}: No such file or directory\n"),
+        (["manipulate", "--rule", "mpda", MTO, MISSING], f"error: {MISSING}: No such file or directory\n"),
+        (["stable-set", MTO], "error: stable-set works on marriage markets only\n"),
+        (["check-domain", "--property", "single-peaked", FULL_DOMAIN], ORDERINGS_REQUIRED),
+        (["check-domain", "--property", "utp", "--orderings", ORDERINGS, FULL_DOMAIN], ORDERINGS_REFUSED),
+        (["check-domain", "--property", "anonymity", "--orderings", ORDERINGS, FULL_DOMAIN], ORDERINGS_REFUSED),
+        # the domain is read before the --orderings flag is checked
+        (["check-domain", "--property", "single-peaked", P1], MALFORMED_DOMAIN),
+        (["check-domain", "--property", "utp", "--orderings", ORDERINGS, P1], MALFORMED_DOMAIN),
+        (["check-domain", "--property", "anonymity", "--orderings", ORDERINGS, P1], MALFORMED_DOMAIN),
+    ],
+)
+def test_usage_errors_print_one_line_and_exit_64(capsys, argv, err):
+    assert run(capsys, *argv) == (EXIT_USAGE, "", err)
+
+
 # --- verify ------------------------------------------------------------------------
 
 

@@ -408,6 +408,92 @@ def test_maximal_single_peaked_counts_and_guards():
         generate_maximal_single_peaked(PriorOrdering(Side.WOMAN, (W1, W2)), W1)
 
 
+# --- code order against the outcome-level order --------------------------------
+
+
+def _outcome_order(ranking) -> tuple:
+    """Sort key of a ranking by its outcomes: agents of one side, of either
+    market, by index, and the outside option after all of them."""
+    return tuple((1, 0) if x is OUTSIDE else (0, x.index) for x in ranking)
+
+
+RANKING_KINDS = {
+    "man": (Preference, M1),
+    "woman": (Preference, W1),
+    "student": (StudentPreference, student(0)),
+    "college": (CollegeRanking, college(0)),
+}
+AGENT_KINDS = {"men": man, "women": woman, "colleges": college, "students": student}
+SHUFFLED = st.integers(1, 6).flatmap(lambda n: st.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", sorted(RANKING_KINDS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_code_order_is_the_outcome_order(kind, n, data):
+    make, owner = RANKING_KINDS[kind]
+    codes = st.permutations(range(n + 1)).map(tuple)
+    drawn = data.draw(st.lists(codes, min_size=1, max_size=10, unique=True))
+    rankings = [make.from_idx(owner, idx) for idx in drawn]
+    by_code = sorted(rankings, key=lambda r: r.ranking_idx)
+    assert by_code == sorted(rankings, key=lambda r: _outcome_order(r.ranking))
+
+
+def _minimal_utp_by_outcomes(universe) -> list:
+    """`minimal_utp_rankings` built as every UTP ranking (completions in
+    universe order), deduplicated, then sorted by outcomes."""
+    rankings = []
+    for u, v in itertools.permutations(universe, 2):
+        rankings.append((u, v, *[x for x in universe if x != u and x != v], OUTSIDE))
+    for u in universe:
+        rankings.append((u, OUTSIDE, *[x for x in universe if x != u]))
+    rankings.append((OUTSIDE, *universe))
+    return sorted(set(rankings), key=_outcome_order)
+
+
+@pytest.mark.parametrize("kind", sorted(AGENT_KINDS))
+@settings(max_examples=30, deadline=None)
+@given(order=SHUFFLED)
+def test_minimal_utp_rankings_on_shuffled_universes(kind, order):
+    universe = [AGENT_KINDS[kind](i) for i in order]
+    assert minimal_utp_rankings(universe) == _minimal_utp_by_outcomes(universe)
+
+
+def _single_peaked_by_outcomes(line, owner) -> tuple:
+    """`generate_maximal_single_peaked` built from the worst-first walks of
+    the line, the outside option at every slot, deduplicated, then sorted by
+    outcomes and named."""
+
+    def worst_first(lo, hi):
+        if lo == hi:
+            yield [line[lo]]
+            return
+        for rest in worst_first(lo + 1, hi):
+            yield [line[lo]] + rest
+        for rest in worst_first(lo, hi - 1):
+            yield [line[hi]] + rest
+
+    rankings = set()
+    for seq in worst_first(0, len(line) - 1):
+        best_first = seq[::-1]
+        for slot in range(len(line) + 1):
+            rankings.add(tuple(best_first[:slot] + [OUTSIDE] + best_first[slot:]))
+    return tuple(Preference(owner, r) for r in sorted(rankings, key=_outcome_order))
+
+
+@pytest.mark.parametrize("side, owner", [(Side.WOMAN, M1), (Side.MAN, W1)], ids=["women", "men"])
+@settings(max_examples=30, deadline=None)
+@given(order=SHUFFLED)
+def test_maximal_single_peaked_on_shuffled_lines(side, owner, order):
+    make = woman if side is Side.WOMAN else man
+    line = PriorOrdering(side, tuple(make(i) for i in order))
+    generated = generate_maximal_single_peaked(line, owner)
+    expected = _single_peaked_by_outcomes(line.order, owner)
+    assert generated == expected
+    assert [hash(p) for p in generated] == [hash(p) for p in expected]
+
+
 def test_maximal_single_peaked_domain_two_by_two_is_full():
     line_m = PriorOrdering(Side.MAN, (M1, M2))
     line_w = PriorOrdering(Side.WOMAN, (W1, W2))

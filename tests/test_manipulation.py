@@ -759,3 +759,28 @@ def _pair_only_rule():
     table = {(men_prefs, women_prefs): outcome for men_prefs, outcome in outcomes.items()}
     domain = PreferenceDomain({M1: [a1, b1], M2: [a2, b2], W1: women_prefs[:1], W2: women_prefs[1:]})
     return MatchingRule.from_table(table, "pair-only", stable=False), domain
+
+
+def test_a_flagged_base_without_a_witness_fails_the_certification(monkeypatch):
+    # at a bound of 1, or at one that covers the pool, the bitsets flag
+    # exactly the bases that hold a witness, so a flagged base where the
+    # search finds none is a fault, not a pass
+    assert is_group_strategy_proof(mpda_rule(), GSP_DOMAIN)
+    axis_gains = manipulation.axis_gains
+    monkeypatch.setattr(manipulation, "axis_gains", lambda *args: axis_gains(*args) | 1 << 5)
+    with pytest.raises(RuntimeError, match="base 5"):
+        is_strategy_proof(mpda_rule(), GSP_DOMAIN)
+    monkeypatch.undo()
+    gain_sets = manipulation.gain_sets
+
+    def spurious(*args):
+        reachable = gain_sets(*args)
+        return lambda digits, key: reachable(digits, key) | (1 << 7 if key == 3 else 0)
+
+    monkeypatch.setattr(manipulation, "gain_sets", spurious)
+    for cap in (None, len(GSP_DOMAIN.agents)):
+        with pytest.raises(RuntimeError, match="base 3"):
+            is_group_strategy_proof(mpda_rule(), GSP_DOMAIN, max_coalition=cap)
+    # a smaller bound may leave a flagged base without a hit
+    for cap in range(2, len(GSP_DOMAIN.agents)):
+        assert is_group_strategy_proof(mpda_rule(), GSP_DOMAIN, max_coalition=cap)
