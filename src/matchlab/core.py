@@ -147,9 +147,9 @@ class Ranking:
     codes before n) and the code table of `_index_table`, shared by every
     ranking of one kind and size. ``rank_row`` (each code's rank, so the
     outside rank last: the only copy of the ranks), ``ranking`` (the
-    entries) and the hash of (owner, ranking) are derived on first use and
-    kept. `Ranking(owner, ranking)` maps its entries to codes, calls the
-    same builder, and keeps its entries and their hash at once.
+    entries) and the hash of (owner, ranking_idx) are derived on first use
+    and kept. `Ranking(owner, ranking)` maps its entries to codes, calls the
+    same builder, and keeps its entries.
     """
 
     __slots__ = (
@@ -170,8 +170,7 @@ class Ranking:
         except TypeError:  # unhashable, so none of the agents
             idx = None
         self._build(owner, idx, table, ranking)
-        # hashed at once, where the domains and suites that build by name pay for it
-        self._ranking, self._hash = ranking, hash((owner, ranking))
+        self._ranking = ranking
 
     @classmethod
     def from_idx(cls, owner, idx: Iterable[int]) -> "Ranking":
@@ -265,7 +264,7 @@ class Ranking:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.owner, self.ranking))
+            self._hash = hash((self.owner, self.ranking_idx))
             return self._hash
 
     def __repr__(self) -> str:

@@ -11,7 +11,8 @@ derived. Each market reaches it through one evaluation on report views
 that returns a lot vector in `core.assignment_lots`' code: a marriage
 market through `_view_engine`, which serves `da_assignment` (so
 `da_matching`), the coalition scans and the certification tables, and a
-college market through `mto._spda_engine` on college seats.
+college market through `mto._spda_engine` on the seats of the seat
+market that college stability is judged on (`mto._seat_ranges`).
 
 The engine trusts the shape of what it is given: position i holds agent
 i's report, sized for the other side. That shape is checked where reports

@@ -4,9 +4,12 @@ Colleges rank subsets of students up to their quota (the empty set plays
 the role of the outside option); students rank colleges. The student
 proposing deferred acceptance rule extends naturally once college subset
 preferences are responsive, i.e. consistent with a ranking of individual
-students. The mixed-coalition search here exists to exhibit what the
-one-to-one results rule out: a college and an unmatched student jointly
-gaming the rule.
+students. SPDA and stability both read one seat market, the related
+marriage market of Roth & Sotomayor (1990, ch. 5; `_seat_ranges`,
+`to_marriage_profile`): a college is judged through its seats, so college
+stability is marriage stability there. The mixed-coalition search here
+exists to exhibit what the one-to-one results rule out: a college and an
+unmatched student jointly gaming the rule.
 """
 
 from __future__ import annotations
@@ -16,15 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .core import OUTSIDE, AgentId, Matching, Preference, Profile, Ranking, Side
+from .core import OUTSIDE, Matching, Preference, Profile, Ranking, blocking_pairs, man, woman
+from .core import is_individually_rational, is_stable
 from .da import _sequential_da, _traced_da
 from .domains import ProductDomain, PropertyCheck, _check_each_agent, utp_missing
-from .errors import (
-    NotResponsiveError,
-    PreconditionError,
-    UnknownOutcomeError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, NotResponsiveError, UnknownOutcomeError, ValidationError
 from .manipulation import DEFAULT_EVAL_BUDGET, _check_witness, _Market, _scan, _witnesses
 
 
@@ -419,20 +418,25 @@ def require_responsive(profile: MtoProfile) -> None:
             )
 
 
+def _seat_ranges(quotas: Sequence[int], n_students: int) -> list[range]:
+    """The seats of each college in the seat market (Roth & Sotomayor 1990,
+    ch. 5): a college of quota k has min(k, n_students) seats, as many as
+    can be filled, numbered college by college."""
+    stops = list(itertools.accumulate([min(q, n_students) for q in quotas]))
+    return [range(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
 def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, Callable]:
     """(view, evaluate) of SPDA on colleges with these reports' quotas, for
-    `spda_matching` and the scans (`MtoDomain.spda_market`). It runs on
-    seats (Roth & Sotomayor 1990, ch. 5): a college of quota k becomes
-    min(k, n_students) seats, as many as can be proposed to, numbered
-    college by college. A college report's view gives each of its seats
+    `spda_matching` and the scans (`MtoDomain.spda_market`). It runs on the
+    seats of `_seat_ranges`. A college report's view gives each of its seats
     the `rank_row` of its induced ranking, a student report's is its
     acceptable seats, best first; student-proposing DA on those seats
     (`da._sequential_da`) holds SPDA's students. evaluate(views), colleges
     first, returns each college's students as a sorted index tuple, then
     each student's college index, or the college count when unmatched."""
     nc = len(college_prefs)
-    stops = list(itertools.accumulate([min(cp.quota, cp.n_students) for cp in college_prefs]))
-    seat_ranges = [range(start, stop) for start, stop in zip([0, *stops], stops)]
+    seat_ranges = _seat_ranges([cp.quota for cp in college_prefs], college_prefs[0].n_students)
     seat_college = [c for c, r in enumerate(seat_ranges) for _ in r]
 
     def view(pref) -> Sequence:
@@ -489,40 +493,19 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
 
 
 def is_individually_rational_mto(profile: MtoProfile, nu: MtoMatching) -> bool:
-    for ci, cp in enumerate(profile.college_prefs):
-        for si in nu.assignment[ci]:
-            if not cp.is_acceptable(StudentId(si)):
-                return False
-    for si, sp in enumerate(profile.student_prefs):
-        c = nu.college_of(StudentId(si))
-        if c is not OUTSIDE and not sp.is_acceptable(c):
-            return False
-    return True
+    return is_individually_rational(to_marriage_matching(profile, nu), to_marriage_profile(profile))
 
 
 def blocking_pairs_mto(profile: MtoProfile, nu: MtoMatching) -> list[tuple[CollegeId, StudentId]]:
-    """Every college-student pair that would defect, in index order."""
-    out = []
-    for ci, cp in enumerate(profile.college_prefs):
-        c = CollegeId(ci)
-        group = nu.students_of(c)
-        slack = len(group) < cp.quota
-        induced = cp.induced  # orders exactly the singletons and ()
-        for si, sp in enumerate(profile.student_prefs):
-            s = StudentId(si)
-            if s in group:
-                continue
-            if not sp.prefers(c, nu.college_of(s)):
-                continue
-            if slack and induced.prefers(s, OUTSIDE):
-                out.append((c, s))
-            elif any(induced.prefers(s, other) for other in group):
-                out.append((c, s))
-    return out
+    """Every college-student pair that would defect, in index order: the
+    seat market's blocking pairs, each seat read as its college."""
+    pairs = blocking_pairs(to_marriage_matching(profile, nu), to_marriage_profile(profile))
+    seat_college = [c for c, seats in enumerate(_seat_ranges(profile.quotas, profile.n_students)) for _ in seats]
+    return [(CollegeId(c), StudentId(s)) for c, s in sorted({(seat_college[w.index], m.index) for m, w in pairs})]
 
 
 def is_stable_mto(profile: MtoProfile, nu: MtoMatching) -> bool:
-    return is_individually_rational_mto(profile, nu) and not blocking_pairs_mto(profile, nu)
+    return is_stable(to_marriage_matching(profile, nu), to_marriage_profile(profile))
 
 
 # --- domains and manipulation -------------------------------------------------
@@ -716,28 +699,39 @@ def mixed_coalition_counterexample() -> MixedCoalitionExample:
     return MixedCoalitionExample(profile=profile, witness=witness)
 
 
-# --- translation to the one-to-one model --------------------------------------
+# --- the seat market ------------------------------------------------------------
 
 
-def to_marriage_profile(profile: MtoProfile):
-    """Quota-one market recast with students as proposers, colleges as receivers."""
-    if any(q != 1 for q in profile.quotas):
-        raise PreconditionError("translation requires every quota to be 1")
+def to_marriage_profile(profile: MtoProfile) -> Profile:
+    """The seat market: students as men, each seat of `_seat_ranges` a woman
+    ranking students by its college's induced ranking, and each student
+    ranking a college's seats one after another, first seat first. A college
+    matching is stable exactly when its seat matching is."""
+    seat_ranges = _seat_ranges(profile.quotas, profile.n_students)
+    blocks = [*seat_ranges, (seat_ranges[-1].stop,)]  # the outside option's code last
+    men_prefs = [
+        Preference.from_idx(man(i), [j for c in sp.ranking_idx for j in blocks[c]])
+        for i, sp in enumerate(profile.student_prefs)
+    ]
+    seat_prefs = [
+        Preference.from_idx(woman(j), cp.induced.ranking_idx)
+        for cp, seats in zip(profile.college_prefs, seat_ranges)
+        for j in seats
+    ]
+    return Profile(men_prefs + seat_prefs)
 
-    def recast(pref: Ranking, side: Side) -> Preference:
-        # the same code tuple, so the ranked agents are renamed index for index
-        return Preference.from_idx(AgentId(side, pref.owner.index), pref.ranking_idx)
 
-    men_prefs = [recast(sp, Side.MAN) for sp in profile.student_prefs]
-    return Profile(men_prefs + [recast(cp.induced, Side.WOMAN) for cp in profile.college_prefs])
-
-
-def to_marriage_matching(nu: MtoMatching):
-    """The same assignment with students as men and colleges as women."""
-    if any(q != 1 for q in nu.quotas):
-        raise PreconditionError("translation requires every quota to be 1")
-    woman_of: list[Optional[int]] = [None] * nu.n_students
-    for ci, group in enumerate(nu.assignment):
-        for si in group:
-            woman_of[si] = ci
-    return Matching.from_assignment(nu.n_students, len(nu.quotas), woman_of)
+def to_marriage_matching(profile: MtoProfile, nu: MtoMatching) -> Matching:
+    """``nu`` in the seat market of ``profile``: each college's students fill
+    its seats best first by its induced ranking."""
+    if nu.quotas != profile.quotas or nu.n_students != profile.n_students:
+        raise DimensionMismatchError(
+            f"matching has quotas {nu.quotas} and {nu.n_students} students, "
+            f"market has {profile.quotas} and {profile.n_students}"
+        )
+    seat_ranges = _seat_ranges(profile.quotas, profile.n_students)
+    seat_of: list[Optional[int]] = [None] * nu.n_students
+    for cp, seats, group in zip(profile.college_prefs, seat_ranges, nu.assignment):
+        for j, si in zip(seats, sorted(group, key=cp.induced.rank_row.__getitem__)):
+            seat_of[si] = j
+    return Matching.from_assignment(nu.n_students, seat_ranges[-1].stop, seat_of)

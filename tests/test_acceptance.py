@@ -209,6 +209,6 @@ def test_criterion_8_oracle_equivalence():
             for _ in range(50):
                 market = _random_quota1_market(rng, 3, 3)
                 marriage = to_marriage_profile(market)
-                assert to_marriage_matching(spda_matching(market)) == da_matching(
+                assert to_marriage_matching(market, spda_matching(market)) == da_matching(
                     RuleId.MPDA, marriage
                 )

@@ -195,7 +195,7 @@ def test_index_built_rankings_equal_name_built_ones(kind, data):
     for field in DERIVED_FIELDS:
         assert getattr(by_idx, field) == getattr(by_name, field), field
     assert by_idx == by_name and by_name == by_idx
-    assert hash(by_idx) == hash(by_name) == hash((owner, by_name.ranking))
+    assert hash(by_idx) == hash(by_name) == hash((owner, by_idx.ranking_idx))
     assert by_idx.rank_row is by_idx.rank_row and by_idx.ranking is by_idx.ranking
 
 

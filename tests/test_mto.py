@@ -3,19 +3,21 @@ stability, and the mixed-coalition counterexample."""
 
 import itertools
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchlab import da, formats, mto
-from matchlab.core import OUTSIDE, Preference, Profile, man, woman, women
+from matchlab.core import OUTSIDE, Preference, Profile, blocking_pairs, man, stable_set, woman, women
 from matchlab.da import RuleId, da_matching
 from matchlab.domains import PropertyCheck, minimal_utp_rankings
 from matchlab.errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     NotResponsiveError,
     PreconditionError,
     UnknownOutcomeError,
@@ -650,7 +652,7 @@ def test_minimal_utp_rankings_order_colleges_as_women():
     assert len(as_women) == 10
 
 
-# --- quota-one translation ---------------------------------------------------------------
+# --- the seat market --------------------------------------------------------------------
 
 
 def _quota1_profile():
@@ -672,16 +674,8 @@ def test_quota_one_translation_matches_proposer_da():
     prof = _quota1_profile()
     marriage = to_marriage_profile(prof)
     assert marriage.p == 3 and marriage.q == 2
-    translated = to_marriage_matching(spda_matching(prof))
+    translated = to_marriage_matching(prof, spda_matching(prof))
     assert translated == da_matching(RuleId.MPDA, marriage)
-
-
-def test_translation_requires_unit_quotas():
-    ex = mixed_coalition_counterexample()
-    with pytest.raises(PreconditionError):
-        to_marriage_profile(ex.profile)
-    with pytest.raises(PreconditionError):
-        to_marriage_matching(ex.truthful_outcome)
 
 
 @settings(max_examples=40, deadline=None)
@@ -699,7 +693,7 @@ def test_random_quota_one_markets_translate_exactly(data):
         for s in s3
     ]
     prof = MtoProfile(cps, sps)
-    translated = to_marriage_matching(spda_matching(prof))
+    translated = to_marriage_matching(prof, spda_matching(prof))
     assert translated == da_matching(RuleId.MPDA, to_marriage_profile(prof))
 
 
@@ -757,6 +751,15 @@ def test_spda_matches_seat_clone_marriage_da(prof):
 
 @settings(max_examples=200, deadline=None)
 @given(prof=college_markets())
+@example(prof=mixed_coalition_counterexample().profile)
+def test_seat_market_translates_spda_at_any_quota(prof):
+    translated = to_marriage_matching(prof, spda_matching(prof))
+    assert translated == da_matching(RuleId.MPDA, to_marriage_profile(prof))
+    assert translated == to_marriage_matching(prof, _seat_clone_outcome(prof))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=college_markets())
 def test_untraced_spda_matches_the_round_engine(prof):
     # the engine's lot vector: each college's students, then each
     # student's college index, or the college count when unmatched
@@ -766,6 +769,23 @@ def test_untraced_spda_matches_the_round_engine(prof):
     lots = evaluate([*map(view, prof.college_prefs), *map(view, prof.student_prefs)])
     codes = [prof.n_colleges if c is OUTSIDE else c.index for c in map(nu.college_of, students(prof.n_students))]
     assert lots == [*nu.assignment, *codes]
+
+
+def _subset_verdicts(prof, nu):
+    """Individual rationality and the blocking pairs of ``nu``, in index
+    order, read from the subset and student rankings college by college."""
+    rational, pairs = True, []
+    for ci, cp in enumerate(prof.college_prefs):
+        c, group = college(ci), nu.students_of(college(ci))
+        rational = rational and all(cp.prefers((s,), ()) and prof[s].prefers(c, OUTSIDE) for s in group)
+        for s in students(prof.n_students):
+            if s in group or not prof[s].prefers(c, nu.college_of(s)):
+                continue
+            if len(group) < cp.quota and cp.prefers((s,), ()):
+                pairs.append((c, s))
+            elif any(cp.prefers((s,), (other,)) for other in group):
+                pairs.append((c, s))
+    return rational, pairs
 
 
 @settings(max_examples=200, deadline=None)
@@ -779,14 +799,94 @@ def test_blocking_pairs_match_the_subset_formulation(prof, data):
         if ci >= 0 and len(groups[ci]) < prof.quotas[ci]:
             groups[ci].append(si)
     nu = MtoMatching(prof.quotas, prof.n_students, groups)
-    expected = []
-    for ci, cp in enumerate(prof.college_prefs):
-        c, group = college(ci), nu.students_of(college(ci))
-        for s in students(prof.n_students):
-            if s in group or not prof[s].prefers(c, nu.college_of(s)):
-                continue
-            if len(group) < cp.quota and cp.prefers((s,), ()):
-                expected.append((c, s))
-            elif any(cp.prefers((s,), (other,)) for other in group):
-                expected.append((c, s))
-    assert blocking_pairs_mto(prof, nu) == expected
+    rational, pairs = _subset_verdicts(prof, nu)
+    assert blocking_pairs_mto(prof, nu) == pairs
+    assert is_individually_rational_mto(prof, nu) == rational
+    assert is_stable_mto(prof, nu) == (rational and not pairs)
+
+
+def test_a_student_blocking_two_seats_is_one_college_pair():
+    # c1 holds s1 and s2 but prefers s3 to both, who prefers c1 to nothing
+    c1, (s1, s2, s3) = college(0), students(3)
+    prof = MtoProfile(
+        [responsive_extension(c1, 2, (s3, s1, s2, OUTSIDE))],
+        [StudentPreference(s, (c1, OUTSIDE)) for s in (s1, s2, s3)],
+    )
+    nu = MtoMatching((2,), 3, [(0, 1)])
+    seat_pairs = blocking_pairs(to_marriage_matching(prof, nu), to_marriage_profile(prof))
+    assert seat_pairs == [(man(2), woman(0)), (man(2), woman(1))]
+    assert blocking_pairs_mto(prof, nu) == _subset_verdicts(prof, nu)[1] == [(c1, s3)]
+    assert is_individually_rational_mto(prof, nu) and not is_stable_mto(prof, nu)
+
+
+def test_college_stability_refuses_a_matching_of_another_market():
+    c2, s2 = colleges(2), students(2)
+    prof = MtoProfile(
+        [responsive_extension(c, 1, (*s2, OUTSIDE)) for c in c2],
+        [StudentPreference(s, (*c2, OUTSIDE)) for s in s2],
+    )
+    foreign = [
+        MtoMatching((2, 1), 2, [(0, 1), ()]),  # two students in a quota-1 college
+        MtoMatching((1, 1, 1), 2, [(0,), (1,), ()]),
+        MtoMatching((1,), 2, [(0,)]),
+        MtoMatching((1, 1), 3, [(0,), (1,)]),
+    ]
+    for nu in foreign:
+        for check in (is_individually_rational_mto, blocking_pairs_mto, is_stable_mto):
+            with pytest.raises(DimensionMismatchError):
+                check(prof, nu)
+
+
+def _random_ranking(rng, agents) -> list:
+    """The agents in a random order with @ last three times in four, else anywhere."""
+    order = rng.sample(agents, len(agents))
+    order.insert(len(order) if rng.random() < 0.75 else rng.randint(0, len(order)), OUTSIDE)
+    return order
+
+
+def _small_markets(count: int, seed: int):
+    """Example 2's market, then ``count`` seeded responsive markets of two or
+    three colleges, at most 4 seats and 2-5 students: within the seat market
+    of Example 2, 4 seats by 5 students."""
+    yield mixed_coalition_counterexample().profile
+    rng = random.Random(seed)
+    while count:
+        cs, ss = colleges(rng.randint(2, 3)), students(rng.randint(2, 5))
+        quotas = [rng.randint(1, 3) for _ in cs]
+        if sum(min(q, len(ss)) for q in quotas) <= 4:
+            count -= 1
+            yield MtoProfile(
+                [responsive_extension(c, q, _random_ranking(rng, ss)) for c, q in zip(cs, quotas)],
+                [StudentPreference(s, _random_ranking(rng, cs)) for s in ss],
+            )
+
+
+def _college_matchings(quotas, n_students):
+    """Every feasible college matching: each student at one college or at
+    none, within the quotas."""
+    for choice in itertools.product(range(-1, len(quotas)), repeat=n_students):
+        groups = [[si for si, ci in enumerate(choice) if ci == c] for c in range(len(quotas))]
+        if all(len(g) <= q for g, q in zip(groups, quotas)):
+            yield MtoMatching(quotas, n_students, groups)
+
+
+def test_college_stable_sets_are_the_seat_markets():
+    sizes = []
+    for prof in _small_markets(30, seed=7):
+        # min(quota, students) seats per college, numbered college by college
+        college_of_seat = [ci for ci, q in enumerate(prof.quotas) for _ in range(min(q, prof.n_students))]
+        seat_stable = []
+        for mu in stable_set(to_marriage_profile(prof)):
+            groups = [[] for _ in prof.quotas]
+            for si, j in enumerate(mu.assignment):
+                if j is not None:
+                    groups[college_of_seat[j]].append(si)
+            seat_stable.append(MtoMatching(prof.quotas, prof.n_students, groups))
+        brute = [nu for nu in _college_matchings(prof.quotas, prof.n_students) if _subset_verdicts(prof, nu) == (True, [])]
+        assert len(set(seat_stable)) == len(seat_stable) and set(seat_stable) == set(brute)
+        best = spda_matching(prof)
+        assert best in brute
+        for nu in brute:
+            assert all(prof[s].weakly_prefers(best.college_of(s), nu.college_of(s)) for s in students(prof.n_students))
+        sizes.append(len(brute))
+    assert max(sizes) > 1  # some market has more than one stable matching

@@ -430,8 +430,8 @@ def _renamed(witness: MtoWitness) -> ManipulationWitness:
         to_marriage_profile(witness.base),
         coalition,
         tuple((m, deviated[m]) for m in coalition),
-        to_marriage_matching(witness.outcome_before),
-        to_marriage_matching(witness.outcome_after),
+        to_marriage_matching(witness.base, witness.outcome_before),
+        to_marriage_matching(witness.base, witness.outcome_after),
     )
 
 
