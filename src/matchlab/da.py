@@ -5,14 +5,14 @@
 tried, and a receiver who ranks the newcomer above the proposer it holds
 (or above staying unmatched) keeps the newcomer and frees the one it held.
 The outcome does not depend on the order of proposals. It is the one
-untraced engine and reads index arrays only: the proposers' acceptable
-lists and the receivers' `rank_row`s, which each ranking keeps once
-derived. Each market reaches it through one evaluation on report views
-that returns a lot vector in `core.assignment_lots`' code: a marriage
-market through `_view_engine`, which serves `da_assignment` (so
-`da_matching`), the coalition scans and the certification tables, and a
-college market through `mto._spda_engine` on the seats of the seat
-market that college stability is judged on (`mto._seat_ranges`).
+untraced engine; it reads index arrays only, the proposers' lists of
+receivers' slots and the receivers' `rank_row`s, and holds in place. Each
+market reaches it through one evaluation on report views that returns a
+fresh lot vector in `core.assignment_lots`' code: a marriage market through
+`_view_engine`, which serves `da_assignment` (so `da_matching`), the scans
+and the certification tables, and a college market through
+`mto._spda_engine` on the seats of the seat market that college stability
+is judged on (`mto._seat_ranges`).
 
 The engine trusts the shape of what it is given: position i holds agent
 i's report, sized for the other side. That shape is checked where reports
@@ -79,10 +79,11 @@ def _da_engine(lists: Sequence, rows: Sequence, quotas: Sequence) -> tuple[list,
     """Index-level engine. Returns (held, rounds).
 
     lists[i] is proposer i's acceptable receivers, best first; rows[r] is
-    receiver r's `rank_row` and quotas[r] how many proposers it may hold. held[r] lists the proposers r
-    keeps, best first. rounds is a list of (proposals, rejections) with
-    (proposer, receiver) index pairs, one entry per executed step; empty
-    proposal lists only appear in a lone first step.
+    receiver r's `rank_row` and quotas[r] how many proposers it may hold.
+    held[r] lists the proposers r keeps, best first. rounds is a list of
+    (proposals, rejections) with (proposer, receiver) index pairs, one
+    entry per executed step; empty proposal lists only appear in a lone
+    first step.
     """
     next_choice = [0] * len(lists)
     held: list[list[int]] = [[] for _ in quotas]
@@ -170,13 +171,12 @@ def _traced_rule(rule: RuleId, profile: Profile, step: Callable) -> tuple:
     return _traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step)
 
 
-def _sequential_da(lists: Sequence, rows: Sequence) -> list:
+def _sequential_da(lists: Sequence, rows: Sequence, held: list) -> None:
     """McVitie-Wilson engine. lists[i] is proposer i's acceptable receivers,
-    best first; rows[r] is receiver r's `rank_row`. Returns held: held[r] is
-    the proposer index receiver r ends with, or the proposer count n when
-    it holds no one, the code `core.assignment_lots` gives that lot."""
+    best first, as slots; rows[r] is the `rank_row` of the receiver at slot
+    r and held[r], preset to the proposer count n (the unmatched code), ends
+    as the proposer index r holds, or n. No other slot is read or written."""
     n = len(lists)
-    held = [n] * len(rows)
     next_choice = [0] * n
     for start in range(n):
         i = start
@@ -196,7 +196,6 @@ def _sequential_da(lists: Sequence, rows: Sequence) -> list:
                     break
             else:
                 i = n
-    return held
 
 
 def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
@@ -204,8 +203,7 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
     market with n_opposite agents on the other side."""
     if not prefs:
         raise ValidationError("profile needs at least one agent per side")
-    i = 0
-    for pref in prefs:
+    for i, pref in enumerate(prefs):
         if not isinstance(pref, Preference):
             raise ValidationError(f"expected Preference, got {pref!r}")
         owner_side, owner_index = pref.owner
@@ -215,34 +213,36 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
             raise ValidationError(
                 f"preference for {pref.owner} ranks {pref.n_opposite} opposite agents, market has {n_opposite}"
             )
-        i += 1
 
 
 def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable]:
     """(view, evaluate) of the rule on a p-by-q market: a report's view is
-    its acceptable list if its owner proposes and its `rank_row` if not;
-    evaluate(views), men first, returns the lot vector, each agent's
-    partner index or the other side's size when unmatched
-    (`core.assignment_lots`). The one untraced DA evaluation: of
-    `da_assignment`, of the scans and of the certification tables."""
+    its `rank_row` if its owner receives, else its acceptable list of the
+    receivers' positions in the views (a woman's is her index plus p).
+    evaluate(views), men first, runs `_sequential_da` in a fresh copy of the
+    lot template [q] * p + [p] * q, writes the proposers' lots from the
+    receivers' slots and returns it (`core.assignment_lots`). The one
+    untraced DA evaluation: of `da_assignment`, the scans and the tables."""
     if rule is RuleId.MPDA:
-        proposers, first, rest, k, m, offset = Side.MAN, slice(None, p), slice(p, None), p, q, 0
+        proposers, first, receivers, k, offset, shift = Side.MAN, slice(None, p), range(p, p + q), p, 0, p
     elif rule is RuleId.WPDA:
-        proposers, first, rest, k, m, offset = Side.WOMAN, slice(p, None), slice(None, p), q, p, p
+        proposers, first, receivers, k, offset, shift = Side.WOMAN, slice(p, None), range(p), q, p, 0
     else:
         raise ValidationError(f"unknown rule {rule!r}")
-    n = p + q
+    template = [q] * p + [p] * q
 
     def view(pref: Preference):
-        return pref.acceptable_idx if pref.owner.side is proposers else pref.rank_row
+        if pref.owner.side is not proposers:
+            return pref.rank_row
+        return tuple([shift + j for j in pref.acceptable_idx]) if shift else pref.acceptable_idx
 
     def evaluate(views: Sequence) -> list:
-        held = _sequential_da(views[first], views[rest])
-        lots = [m] * n
-        lots[rest] = held
-        for r, i in enumerate(held):
+        lots = template.copy()
+        _sequential_da(views[first], views, lots)
+        for r in receivers:
+            i = lots[r]
             if i < k:
-                lots[offset + i] = r
+                lots[offset + i] = r - shift
         return lots
 
     return view, evaluate
@@ -308,10 +308,7 @@ def replay_trace(trace: DaTrace, p: int, q: int) -> Matching:
         if len(kept) > 1:
             raise ValidationError(f"trace leaves {target} holding {len(kept)} proposals")
         for proposer in kept:
-            if proposer.side is Side.MAN:
-                pairs.append((proposer, target))
-            else:
-                pairs.append((target, proposer))
+            pairs.append((proposer, target) if proposer.side is Side.MAN else (target, proposer))
     return Matching(p, q, pairs)
 
 

@@ -233,21 +233,22 @@ class _Market:
     """One market and rule as the scans and certifications see them, over
     report vectors whose position i holds agent i's report.
 
-    `engine()` returns the rule's (view, evaluate), built when a scan or
-    a table needs them: `view(report)` is a report as `evaluate` reads it
-    (None: the report), and `evaluate(views)` returns the rule's lot
-    vector, agent i's partner's or college's index, the other side's size
-    when unmatched (`core.assignment_lots`), or a college's sorted student
-    group; it must not keep the list. `ranks(true)` returns ranks[i][lot],
-    agent i's rank by true[i] of a lot (0 is the top). `witness(base,
-    coalition, reports, before, after)` builds the witness of one hit of
-    `_search`. `class_key`, when given, keys each report for `_search`'s
-    classes: reports of one agent with equal keys must give the same
-    outcome whatever the others report; without it each report is its own
-    class. The certification walk also needs `table(domain)`, which
-    returns (ids, lots): ids[k] numbers the outcome at the domain's k-th
-    profile in product order, and lots[i][n] is agent i's lot code in the
-    outcome numbered n, the code its reports' `ranking_idx` gives that lot.
+    `engine()` returns the rule's (view, evaluate), built when a scan or a
+    table needs them: `view(report)` is a report as `evaluate` reads it
+    (None: the report), and `evaluate(views)` returns the rule's lot vector,
+    agent i's partner's or college's index, the other side's size when
+    unmatched (`core.assignment_lots`), or a college's sorted student group,
+    in a fresh list; it neither changes nor keeps the views. `ranks(true)`
+    returns ranks[i][lot], agent i's rank by true[i] of a lot (0 is the
+    top). `witness(base, coalition, reports, before, after)` builds the
+    witness of one hit of `_search`. `class_key`, when given, keys each
+    report for `_search`'s classes: reports of one agent with equal keys
+    must give the same outcome whatever the others report; without it each
+    report is its own class. The certification walk also needs
+    `table(domain)`, which returns (ids, lots): ids[k] numbers the outcome
+    at the domain's k-th profile in product order, and lots[i][n] is agent
+    i's lot code in the outcome numbered n, the code its reports'
+    `ranking_idx` gives that lot.
     """
 
     def __init__(self, engine: Callable, ranks: Callable, witness: Callable, table=None, class_key=None):
@@ -325,10 +326,13 @@ def _search(
     A coalition's scan evaluates one joint misreport per combination of
     its members' classes, the first of each class in list order; a
     member's true class is a class like any other, since the others'
-    deviation can make it gain. Only when some combination left every
-    member strictly better off does it walk the joint misreports in list
-    order and yield each one whose combination did, so the hits and their
-    order are those of a scan that evaluates every joint misreport.
+    deviation can make it gain. The innermost loop rewrites only the last
+    member's view per evaluation and tests its rank first, and the outer
+    members' views are written once per combination of their classes.
+    Only when some combination left every member strictly better off does
+    it walk the joint misreports in list order and yield each one whose
+    combination did, so the hits and their order are those of a scan that
+    evaluates every joint misreport.
     """
     views = list(true_reports if view is None else map(view, true_reports))
     true_views = tuple(views)
@@ -349,16 +353,20 @@ def _search(
         firsts[i] = list(enumerate(firsts[i] if view is None else map(view, firsts[i])))
     for size in range(1, cap + 1):
         for coalition in itertools.combinations(candidates, size):
+            *outer, last = coalition
+            last_rank, last_bar = ranks[last], base_rank[last]
             outcomes = {}
-            for combination in itertools.product(*(firsts[i] for i in coalition)):
-                for i, (_, viewed) in zip(coalition, combination):
+            for head in itertools.product(*(firsts[i] for i in outer)):
+                for i, (_, viewed) in zip(outer, head):
                     views[i] = viewed
-                after = evaluate(views)
-                for i in coalition:
-                    if ranks[i][after[i]] >= base_rank[i]:
-                        break
-                else:
-                    outcomes[tuple([n for n, _ in combination])] = after
+                for n, views[last] in firsts[last]:
+                    after = evaluate(views)
+                    if last_rank[after[last]] < last_bar:
+                        for i in outer:
+                            if ranks[i][after[i]] >= base_rank[i]:
+                                break
+                        else:
+                            outcomes[tuple([m for m, _ in head]) + (n,)] = after
             for i in coalition:
                 views[i] = true_views[i]
             if outcomes:
@@ -614,12 +622,7 @@ def welfare_shift(
         pref = base[a]
         rb = pref.rank_of(before.partner(a))
         ra = pref.rank_of(after.partner(a))
-        if ra < rb:
-            d = "better"
-        elif ra > rb:
-            d = "worse"
-        else:
-            d = "same"
+        d = "better" if ra < rb else "worse" if ra > rb else "same"
         directions.append((a, d))
         if a.side is Side.MAN and d == "better":
             men_weakly_worse = False

@@ -6,10 +6,10 @@ proposing deferred acceptance rule extends naturally once college subset
 preferences are responsive, i.e. consistent with a ranking of individual
 students. SPDA and stability both read one seat market, the related
 marriage market of Roth & Sotomayor (1990, ch. 5; `_seat_ranges`,
-`to_marriage_profile`): a college is judged through its seats, so college
-stability is marriage stability there. The mixed-coalition search here
-exists to exhibit what the one-to-one results rule out: a college and an
-unmatched student jointly gaming the rule.
+`to_marriage_profile`): college stability is marriage stability there,
+and untraced SPDA is `da._sequential_da` on its seats (`_spda_engine`).
+The mixed-coalition search here exists to exhibit what the one-to-one
+results rule out: a college and an unmatched student jointly gaming it.
 """
 
 from __future__ import annotations
@@ -431,12 +431,12 @@ def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, 
     `spda_matching` and the scans (`MtoDomain.spda_market`). It runs on the
     seats of `_seat_ranges`. A college report's view gives each of its seats
     the `rank_row` of its induced ranking, a student report's is its
-    acceptable seats, best first; student-proposing DA on those seats
-    (`da._sequential_da`) holds SPDA's students. evaluate(views), colleges
-    first, returns each college's students as a sorted index tuple, then
-    each student's college index, or the college count when unmatched."""
-    nc = len(college_prefs)
-    seat_ranges = _seat_ranges([cp.quota for cp in college_prefs], college_prefs[0].n_students)
+    acceptable seats, best first; `da._sequential_da` on those seats, one
+    held slot each, holds SPDA's students. evaluate(views), colleges first,
+    returns a fresh list: each college's students as a sorted index tuple,
+    then each student's college index, or the college count when unmatched."""
+    nc, n = len(college_prefs), college_prefs[0].n_students
+    seat_ranges = _seat_ranges([cp.quota for cp in college_prefs], n)
     seat_college = [c for c, r in enumerate(seat_ranges) for _ in r]
 
     def view(pref) -> Sequence:
@@ -448,10 +448,10 @@ def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, 
         seats = []
         for seat_rows in views[:nc]:
             seats += seat_rows
-        applicants = views[nc:]
-        n = len(applicants)
+        held = [n] * len(seats)
+        _sequential_da(views[nc:], seats, held)
         college_of = [nc] * n
-        for s, i in enumerate(_sequential_da(applicants, seats)):
+        for s, i in enumerate(held):
             if i < n:
                 college_of[i] = seat_college[s]
         groups = [[] for _ in range(nc)]

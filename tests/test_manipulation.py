@@ -51,14 +51,20 @@ def test_rule_apply_matches_da(p1):
 def _count_evaluations(monkeypatch) -> list:
     """Record the acceptable lists of every DA run, proposers first; a
     receiver's list is read from its rank row, whose last entry is its rank
-    of staying alone."""
+    of staying alone. A marriage market's rows are its whole view vector,
+    which holds the proposers' lists too; those are recorded once."""
     calls = []
     engine = da._sequential_da
 
-    def counting(lists, rows):
-        accepted = [sorted([i for i in range(len(row) - 1) if row[i] < row[-1]], key=row.__getitem__) for row in rows]
+    def counting(lists, rows, held):
+        own = set(map(id, lists))
+        accepted = [
+            sorted([i for i in range(len(row) - 1) if row[i] < row[-1]], key=row.__getitem__)
+            for row in rows
+            if id(row) not in own
+        ]
         calls.append(tuple(map(tuple, lists)) + tuple(map(tuple, accepted)))
-        return engine(lists, rows)
+        return engine(lists, rows, held)
 
     monkeypatch.setattr(da, "_sequential_da", counting)
     return calls

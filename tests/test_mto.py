@@ -670,33 +670,6 @@ def _quota1_profile():
     return MtoProfile(cps, sps)
 
 
-def test_quota_one_translation_matches_proposer_da():
-    prof = _quota1_profile()
-    marriage = to_marriage_profile(prof)
-    assert marriage.p == 3 and marriage.q == 2
-    translated = to_marriage_matching(prof, spda_matching(prof))
-    assert translated == da_matching(RuleId.MPDA, marriage)
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_random_quota_one_markets_translate_exactly(data):
-    c2 = colleges(2)
-    s3 = students(3)
-    subsets = [(), (s3[0],), (s3[1],), (s3[2],)]
-    cps = [
-        CollegePreference(c, 1, 3, data.draw(st.permutations(subsets)))
-        for c in c2
-    ]
-    sps = [
-        StudentPreference(s, tuple(data.draw(st.permutations(c2 + (OUTSIDE,)))))
-        for s in s3
-    ]
-    prof = MtoProfile(cps, sps)
-    translated = to_marriage_matching(prof, spda_matching(prof))
-    assert translated == da_matching(RuleId.MPDA, to_marriage_profile(prof))
-
-
 @st.composite
 def college_markets(draw):
     """1-5 colleges with quotas 1-7 and canonical responsive rankings, 1-5
@@ -752,9 +725,14 @@ def test_spda_matches_seat_clone_marriage_da(prof):
 @settings(max_examples=200, deadline=None)
 @given(prof=college_markets())
 @example(prof=mixed_coalition_counterexample().profile)
+@example(prof=_quota1_profile())
 def test_seat_market_translates_spda_at_any_quota(prof):
+    # quota-one markets, where SPDA is MPDA with students as men and
+    # colleges as women, are among the draws and the second example
+    marriage = to_marriage_profile(prof)
+    assert (marriage.p, marriage.q) == (prof.n_students, sum(min(k, prof.n_students) for k in prof.quotas))
     translated = to_marriage_matching(prof, spda_matching(prof))
-    assert translated == da_matching(RuleId.MPDA, to_marriage_profile(prof))
+    assert translated == da_matching(RuleId.MPDA, marriage)
     assert translated == to_marriage_matching(prof, _seat_clone_outcome(prof))
 
 

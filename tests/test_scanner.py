@@ -6,13 +6,18 @@ on it, and keeps the deviations after which every member strictly gains.
 The scanner must find the same witnesses in the same order.
 """
 
+import hashlib
 import itertools
 import json
+import operator
+import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_profile
 from matchlab import da, mto
 from matchlab.core import OUTSIDE, AgentId, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_matching, run_da
@@ -286,9 +291,9 @@ def test_grouped_scan_evaluates_one_report_per_acceptable_list(monkeypatch):
     calls = []
     engine = da._sequential_da
 
-    def counting(lists, rows):
+    def counting(lists, rows, held):
         calls.append(None)
-        return engine(lists, rows)
+        return engine(lists, rows, held)
 
     monkeypatch.setattr(da, "_sequential_da", counting)
     got = list(iter_manipulations(rule, domain, base, max_coalition=2))
@@ -355,9 +360,9 @@ def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeyp
     calls = []
     engine = mto._sequential_da
 
-    def counting(applicants, seats):
+    def counting(applicants, seats, held):
         calls.append(None)
-        return engine(applicants, seats)
+        return engine(applicants, seats, held)
 
     monkeypatch.setattr(mto, "_sequential_da", counting)
     assert find_manipulation_mto(domain, base, max_coalition=1) is None
@@ -448,3 +453,87 @@ def test_college_scan_agrees_with_the_marriage_scan_at_quota_one(drawn, cap):
     assert (found is None) == (find_manipulation(mpda_rule(), twin, twin_base, max_coalition=cap) is None)
     if found is not None:
         validate_witness(mpda_rule(), _renamed(found), twin)
+
+
+# --- pinned scans ------------------------------------------------------------------
+#
+# SHA-256 of every witness the scans yield on seeded bases, recorded before
+# the scan loop rewrote only its innermost member's view and the DA engine
+# wrote its lots in place; a change to the search order, the evaluation or
+# the witnesses shows here.
+
+SCAN_DIGESTS = {
+    "mpda": "7799f4b042adb6eb3bd70e26463c3aded7eda0958a74ac813efbd32d66d20b3e",
+    "wpda": "21559a0cf0c723139ac85fc44281922c5a9ff70911caf56b84ffbd8698befae9",
+    "spda": "e02265a89a40e706b01592a1dbd4e843d2cbc6f65edbefdd84e458581722b194",
+}
+
+
+def _witness_line(witness) -> bytes:
+    reports = " ".join(repr(pref) for _, pref in witness.misreports)
+    return f"{witness.coalition!r} {reports} {witness.outcome_before!r} -> {witness.outcome_after!r}\n".encode()
+
+
+def test_marriage_scans_are_pinned():
+    rng = random.Random(32)
+    domain, bases = PreferenceDomain.full(3, 3), [random_profile(rng, 3, 3) for _ in range(200)]
+    for rule in (mpda_rule(), wpda_rule()):
+        digest = hashlib.sha256()
+        for base in bases:
+            for witness in iter_manipulations(rule, domain, base, max_coalition=2):
+                digest.update(_witness_line(witness))
+        assert digest.hexdigest() == SCAN_DIGESTS[rule.name], rule.name
+
+
+def test_college_scans_are_pinned():
+    # random bases of the fixture domain almost never admit a witness, so
+    # each base redraws two agents' reports of the fixture's base
+    domain = _fixture_domain()
+    fixture = mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        base = fixture.replace({a: rng.choice(domain.admissible(a)) for a in rng.sample(domain.agents, 2)})
+        witness = find_manipulation_mto(domain, base, max_coalition=2)
+        digest.update(b"None\n" if witness is None else _witness_line(witness))
+    assert digest.hexdigest() == SCAN_DIGESTS["spda"]
+
+
+# --- evaluations the scan keeps -------------------------------------------------------
+#
+# `_search` keeps each evaluation's lot vector in its outcome table while it
+# rewrites the views and evaluates again, so every evaluation must return a
+# fresh list and neither change nor keep the views it is given.
+
+
+def _check_fresh_evaluations(evaluate, profiles: list) -> None:
+    views = list(profiles[0])
+    results, copies = [], []
+    for viewed in profiles:
+        views[:] = viewed  # rewritten in place, as the scan does
+        before = [list(v) if isinstance(v, list) else v for v in views]
+        results.append(evaluate(views))
+        copies.append(list(results[-1]))
+        assert views == before and all(map(operator.is_, views, viewed))
+    assert results == copies
+    assert len(set(map(id, results))) == len(results)
+    for lots in results:
+        lots[:] = [-1] * len(lots)
+    assert [evaluate(list(viewed)) for viewed in profiles] == copies
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (3, 1), (1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("rule", list(RuleId))
+def test_view_engine_returns_a_fresh_lot_vector_and_leaves_its_views(rule, p, q):
+    rng = random.Random(p * 10 + q)
+    view, evaluate = da._view_engine(rule, p, q)
+    profiles = [random_profile(rng, p, q) for _ in range(30)]
+    _check_fresh_evaluations(evaluate, [[view(pref) for pref in prof.men_prefs + prof.women_prefs] for prof in profiles])
+
+
+def test_spda_engine_returns_a_fresh_lot_vector_and_leaves_its_views():
+    domain, rng = _fixture_domain(), random.Random(5)
+    lists = domain.product_order().lists
+    view, evaluate = mto._spda_engine([l[0] for l in lists[: domain.n_colleges]])
+    profiles = [[view(rng.choice(l)) for l in lists] for _ in range(30)]
+    _check_fresh_evaluations(evaluate, profiles)
