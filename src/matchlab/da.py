@@ -20,18 +20,18 @@ enter from outside: `da_assignment` (so `MatchingRule.assignment` of a DA
 rule), the `Profile` constructor and the `ProductDomain` constructor; the
 scans and certifications take every report from a domain.
 
-`_da_engine` is the simultaneous-round form (Gale & Shapley, 1962) with
+`_da_rounds` is the simultaneous-round form (Gale & Shapley, 1962) with
 receiver quotas: in each step every free proposer with an untried
 acceptable partner proposes to the best one remaining, and every receiver
 keeps the best acceptable proposals in hand up to its quota (those it holds
 count as standing proposals). Rejected proposers propose again in the next
-step; the run ends when a step has no proposals or no rejections. It serves
-traced runs through `_traced_da`, which replays its rounds with
-`_tentative_holdings` and checks that the replay ends on what the engine
-holds: `_traced_rule` runs it with quota 1 per receiver, for `run_da`'s
-steps and for the trace lines `formats.da_trace_writer` renders from the
-index pairs, and `mto.run_spda` with the college quotas. Both forms give
-the proposer-optimal stable matching, so each is the other's oracle.
+step; the run ends when a step has no proposals or no rejections. It yields
+each step's index pairs and holdings as it goes and serves traced runs
+through `_traced_da`: `_traced_rule` runs it with quota 1 per receiver, for
+`run_da`'s steps and for the trace lines `formats.da_trace_writer` renders
+from the index pairs, and `mto.run_spda` with the college quotas. Both forms
+give the proposer-optimal stable matching, so `_traced_da` checks that the
+last step holds the untraced engine's outcome; each is the other's oracle.
 """
 
 from __future__ import annotations
@@ -75,20 +75,19 @@ class DaTrace(NamedTuple):
         return self.steps[-1].tentative
 
 
-def _da_engine(lists: Sequence, rows: Sequence, quotas: Sequence) -> tuple[list, list]:
-    """Index-level engine. Returns (held, rounds).
+def _da_rounds(lists: Sequence, rows: Sequence, quotas: Sequence) -> Iterator[tuple]:
+    """Simultaneous-round engine: yield each round as (proposals, rejections,
+    holding).
 
     lists[i] is proposer i's acceptable receivers, best first; rows[r] is
     receiver r's `rank_row` and quotas[r] how many proposers it may hold.
-    held[r] lists the proposers r keeps, best first. rounds is a list of
-    (proposals, rejections) with (proposer, receiver) index pairs, one
-    entry per executed step; empty proposal lists only appear in a lone
-    first step.
+    proposals and rejections are (proposer, receiver) index pairs, holding
+    each receiver's kept proposers after the round as a sorted tuple. An
+    empty proposal list only appears in a lone first round.
     """
     next_choice = [0] * len(lists)
-    held: list[list[int]] = [[] for _ in quotas]
+    held: list[tuple] = [()] * len(quotas)
     active = range(len(lists))
-    rounds = []
     while True:
         proposals = []
         by_receiver: dict[int, list[int]] = {}
@@ -106,69 +105,53 @@ def _da_engine(lists: Sequence, rows: Sequence, quotas: Sequence) -> tuple[list,
         for r in sorted(by_receiver):
             rank = rows[r]
             bar = rank[-1]
-            pool = by_receiver[r] + held[r]
+            pool = [*by_receiver[r], *held[r]]
             if len(pool) > 1:
                 pool.sort(key=rank.__getitem__)
             # unacceptable proposers sort last and are never held
             kept = [i for i in pool[: quotas[r]] if rank[i] < bar]
-            held[r] = kept
+            held[r] = tuple(sorted(kept))
             if len(kept) < len(pool):
                 rejections += [(i, r) for i in sorted(pool[len(kept) :])]
-        rounds.append((proposals, rejections))
+        yield proposals, rejections, tuple(held)
         if not proposals:
-            break
+            return
         active = sorted([i for i, _ in rejections if next_choice[i] < len(lists[i])])
         if not active:
-            break
-    return held, rounds
+            return
 
 
-def _tentative_holdings(rounds: list, held: list) -> Iterator[tuple]:
-    """Replay the engine's rounds: yield each one's proposals and rejections
-    with every receiver's tentative holding after it, as a sorted tuple of
-    proposer indices. Raises RuntimeError when the replay does not end on
-    the engine's held lists."""
-    snapshot = [()] * len(held)
-    for proposals, rejections in rounds:
-        pools: dict[int, list[int]] = {}
-        for i, r in proposals:
-            if r in pools:
-                pools[r].append(i)
-            else:
-                pools[r] = [*snapshot[r], i]
-        # only receivers proposed to in a round reject in it, so only they change
-        for i, r in rejections:
-            pools[r].remove(i)
-        for r, pool in pools.items():
-            pool.sort()
-            snapshot[r] = tuple(pool)
-        yield proposals, rejections, tuple(snapshot)
-    final = [tuple(sorted(kept)) for kept in held]
-    if snapshot != final:
-        raise RuntimeError(f"trace replays to {tuple(snapshot)}, engine holds {tuple(final)}")
-
-
-def _traced_da(proposer_prefs: Sequence, receiver_prefs: Sequence, quotas: Sequence, step: Callable) -> tuple:
-    """Run `_da_engine` on the proposers' acceptable lists and the receivers'
-    rank rows; return one step per round, step(number, proposals, rejections,
-    holding) of the round's index pairs and its `_tentative_holdings` replay,
-    which checks that the last step's holding is the engine's outcome."""
+def _traced_da(
+    proposer_prefs: Sequence, receiver_prefs: Sequence, quotas: Sequence, step: Callable, outcome: tuple
+) -> tuple:
+    """Run `_da_rounds` on the proposers' acceptable lists and the receivers'
+    rank rows; return step(number, proposals, rejections, holding) of each
+    round. outcome is what the untraced engine holds, each receiver's sorted
+    proposer indices; a last holding that differs raises RuntimeError."""
     lists = [pref.acceptable_idx for pref in proposer_prefs]
-    held, rounds = _da_engine(lists, [pref.rank_row for pref in receiver_prefs], quotas)
-    return tuple([step(n, *replayed) for n, replayed in enumerate(_tentative_holdings(rounds, held), start=1)])
+    rounds = _da_rounds(lists, [pref.rank_row for pref in receiver_prefs], quotas)
+    steps = []
+    for number, (proposals, rejections, holding) in enumerate(rounds, start=1):
+        steps.append(step(number, proposals, rejections, holding))
+    if holding != outcome:
+        raise RuntimeError(f"traced rounds end on {holding}, the untraced engine holds {outcome}")
+    return tuple(steps)
 
 
 def _traced_rule(rule: RuleId, profile: Profile, step: Callable) -> tuple:
     """`_traced_da` of the rule on the profile, one receiver seat each: the
-    proposers are the men under MPDA and the women under WPDA. `run_da`
-    builds its steps through it, and `solve --trace` its trace lines
-    (`formats.da_trace_writer`)."""
-    if not isinstance(rule, RuleId):
-        raise ValidationError(f"unknown rule {rule!r}")
-    proposer_prefs, receiver_prefs = profile.men_prefs, profile.women_prefs
+    proposers are the men under MPDA and the women under WPDA, checked
+    against `_view_engine`'s lot vector. `run_da` builds its steps through
+    it, and `solve --trace` its trace lines (`formats.da_trace_writer`)."""
+    p, q = profile.p, profile.q
+    view, evaluate = _view_engine(rule, p, q)
+    lots = evaluate([*map(view, profile.men_prefs), *map(view, profile.women_prefs)])
+    proposer_prefs, receiver_prefs, held = profile.men_prefs, profile.women_prefs, lots[p:]
     if rule is RuleId.WPDA:
-        proposer_prefs, receiver_prefs = receiver_prefs, proposer_prefs
-    return _traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step)
+        proposer_prefs, receiver_prefs, held = receiver_prefs, proposer_prefs, lots[:p]
+    n = len(proposer_prefs)
+    outcome = tuple([(i,) if i < n else () for i in held])
+    return _traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step, outcome)
 
 
 def _sequential_da(lists: Sequence, rows: Sequence, held: list) -> None:

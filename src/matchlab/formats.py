@@ -536,9 +536,10 @@ def da_trace_writer(p: int, q: int, men_propose: bool) -> tuple[Callable[..., st
     """(step, final) for the trace of a DA run on a p-by-q marriage market.
 
     step(number, proposals, rejections, holding) takes a round as
-    `da._traced_da` gives it and returns its line: the text `json.dumps`
-    writes for {"step", "proposals", "rejections" (rejecter first),
-    "tentative": {"pairs", "unmatched"}}. Names are quoted once, and only
+    `da._traced_da` passes it from `da._da_rounds` (holding: each receiver's
+    proposer tuple) and returns its line: the text `json.dumps` writes for
+    {"step", "proposals", "rejections" (rejecter first), "tentative":
+    {"pairs", "unmatched"}}. Names are quoted once, and only
     the receivers proposed to in a round redo their pairs. A proposer held
     twice raises ValidationError, as in `Matching`. final() is the last
     round's matching.

@@ -464,7 +464,8 @@ def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, 
 
 
 def spda_matching(profile: MtoProfile) -> MtoMatching:
-    """Student-proposing deferred acceptance, untraced; `run_spda` is its oracle."""
+    """Student-proposing deferred acceptance, untraced. `run_spda` checks its
+    last round against this outcome, so the two check each other."""
     require_responsive(profile)
     view, evaluate = _spda_engine(profile.college_prefs)
     lots = evaluate([*map(view, profile.college_prefs), *map(view, profile.student_prefs)])
@@ -475,9 +476,9 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
     """Student-proposing deferred acceptance with a full round trace.
 
     Responsiveness is a precondition: colleges judge applicants by the
-    student ranking their subset order induces.
+    student ranking their subset order induces. The last round must hold
+    `spda_matching`'s outcome.
     """
-    require_responsive(profile)
 
     def step(number: int, proposals: list, rejections: list, holding: tuple) -> MtoStep:
         return MtoStep(
@@ -487,9 +488,9 @@ def run_spda(profile: MtoProfile) -> tuple[MtoMatching, tuple[MtoStep, ...]]:
             tentative=holding,
         )
 
+    nu = spda_matching(profile)
     induced = [cp.induced for cp in profile.college_prefs]
-    steps = _traced_da(profile.student_prefs, induced, profile.quotas, step)
-    return MtoMatching(profile.quotas, profile.n_students, steps[-1].tentative), steps
+    return nu, _traced_da(profile.student_prefs, induced, profile.quotas, step, nu.assignment)
 
 
 def is_individually_rational_mto(profile: MtoProfile, nu: MtoMatching) -> bool:

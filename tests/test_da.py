@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import M1, M2, W1, W2, pref, random_profile
-from matchlab import da
+from matchlab import da, formats
 from matchlab.core import (
     OUTSIDE,
     Matching,
@@ -183,6 +183,17 @@ def test_sequential_engine_matches_traced_engine_and_brute_force(profile):
         assert lots == [lot[0] for lot in assignment_lots(p, q, [traced.assignment])]
 
 
+@settings(max_examples=200, deadline=None)
+@given(profile=truncated_profiles())
+def test_each_round_holds_what_its_trace_prefix_replays_to(profile):
+    # the engine reports each round's holding from its own state, so the
+    # proposals and rejections up to a round must rebuild that holding
+    for rule in RuleId:
+        steps = run_da(rule, profile)[1].steps
+        for k in range(1, len(steps) + 1):
+            assert replay_trace(DaTrace(rule, steps[:k]), profile.p, profile.q) == steps[k - 1].tentative
+
+
 @pytest.mark.parametrize("rule_of", [mpda_rule, wpda_rule])
 @pytest.mark.parametrize(
     "malformed",
@@ -212,12 +223,19 @@ def test_da_assignment_rejects_unknown_rule(p1):
 
 
 def test_run_da_checks_trace_against_engine(p1, monkeypatch):
-    engine = da._da_engine
+    # the last round's holding drifts from the untraced engine's outcome;
+    # `run_da` and the `solve --trace` writer share the check
+    rounds = da._da_rounds
 
-    def drifting_engine(lists, rows, quotas):
-        held, rounds = engine(lists, rows, quotas)
-        return held[::-1], rounds
+    def drifting_rounds(lists, rows, quotas):
+        *head, (proposals, rejections, holding) = rounds(lists, rows, quotas)
+        yield from head
+        yield proposals, rejections, holding[::-1]
 
-    monkeypatch.setattr(da, "_da_engine", drifting_engine)
-    with pytest.raises(RuntimeError):
-        run_da(RuleId.MPDA, p1)
+    monkeypatch.setattr(da, "_da_rounds", drifting_rounds)
+    for rule in RuleId:
+        with pytest.raises(RuntimeError):
+            run_da(rule, p1)
+        step, _ = formats.da_trace_writer(p1.p, p1.q, rule is RuleId.MPDA)
+        with pytest.raises(RuntimeError):
+            da._traced_rule(rule, p1, step)

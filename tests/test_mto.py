@@ -367,13 +367,14 @@ def test_manipulated_run_reproduces_worked_outcome():
 
 
 def test_run_spda_checks_trace_against_engine(monkeypatch):
-    engine = da._da_engine
+    rounds = da._da_rounds
 
-    def drifting_engine(lists, rows, quotas):
-        held, rounds = engine(lists, rows, quotas)
-        return [kept[:-1] for kept in held], rounds  # each college lets its last student go
+    def drifting_rounds(lists, rows, quotas):
+        *head, (proposals, rejections, holding) = rounds(lists, rows, quotas)
+        yield from head
+        yield proposals, rejections, tuple([kept[:-1] for kept in holding])  # each college lets its last student go
 
-    monkeypatch.setattr(da, "_da_engine", drifting_engine)
+    monkeypatch.setattr(da, "_da_rounds", drifting_rounds)
     with pytest.raises(RuntimeError):
         run_spda(mixed_coalition_counterexample().profile)
 
@@ -747,6 +748,19 @@ def test_untraced_spda_matches_the_round_engine(prof):
     lots = evaluate([*map(view, prof.college_prefs), *map(view, prof.student_prefs)])
     codes = [prof.n_colleges if c is OUTSIDE else c.index for c in map(nu.college_of, students(prof.n_students))]
     assert lots == [*nu.assignment, *codes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(prof=college_markets())
+def test_each_spda_round_holds_what_its_index_pairs_replay_to(prof):
+    # proposals join a college's pool and rejections leave it, round by round
+    held = [set() for _ in prof.college_prefs]
+    for step in run_spda(prof)[1]:
+        for si, ci in step.proposals:
+            held[ci].add(si)
+        for ci, si in step.rejections:
+            held[ci].remove(si)
+        assert tuple([tuple(sorted(group)) for group in held]) == step.tentative
 
 
 def _subset_verdicts(prof, nu):

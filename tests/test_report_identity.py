@@ -23,7 +23,10 @@ kept SPDA's market record; the `prop-welfare`, `example1` and
 before rankings kept their ranks only in index form; the entries on
 generated markets (`GENERATED`, named in an argv by "<name>"), before
 rankings were built from index tuples and traces written from the
-engine's index steps.
+engine's index steps; the traces of the 300-agent master-list market
+(`master-women-300`, women propose and share one ranking) and of the two
+truncated p != q markets, before the traced engine yielded its rounds
+itself instead of having them replayed.
 """
 
 import hashlib
@@ -55,9 +58,25 @@ def _market(seed: int, n: int, master: str = "") -> dict:
     return {"schema": "matchlab/1", "kind": "market", "men": n, "women": n, "preferences": prefs}
 
 
+def _truncated_market(seed: int, p: int, q: int) -> dict:
+    """A seeded p-by-q market document, written without the package, whose
+    every list puts "@" at a random position."""
+    rng = random.Random(seed)
+    prefs = {}
+    for own, n_own, other, n_other in (("m", p, "w", q), ("w", q, "m", p)):
+        for name in _names(own, n_own):
+            ranking = rng.sample(_names(other, n_other), n_other)
+            ranking.insert(rng.randint(0, n_other), "@")
+            prefs[name] = ranking
+    return {"schema": "matchlab/1", "kind": "market", "men": p, "women": q, "preferences": prefs}
+
+
 GENERATED = {
     "master-100": lambda: _market(100, 100, master="m"),
     "random-300": lambda: _market(300, 300),
+    "master-women-300": lambda: _market(301, 300, master="w"),
+    "truncated-3x8": lambda: _truncated_market(38, 3, 8),
+    "truncated-8x3": lambda: _truncated_market(83, 8, 3),
 }
 
 REPORT_DIGESTS = {
@@ -173,6 +192,16 @@ REPORT_DIGESTS = {
         (0, "b36ed894eb43c514facda4558cc0c7b311d43054da30b83038bb0f19c0f713dc"),
     ("solve", "--rule", "wpda", "--trace", "<master-100>"):
         (0, "5fc81984931bd7074d38dd8bd8aedd066a98a66473e2ab5d25a188ab60ac4f02"),
+    ("solve", "--rule", "wpda", "--trace", "<master-women-300>"):
+        (0, "456b5f701fe5679fdec314ff7331fff3292a3226419303f4d5f181802977f70a"),
+    ("solve", "--rule", "mpda", "--trace", "<truncated-3x8>"):
+        (0, "c7cc7fd44b4ae9fa6ec61c8af9484daca0935c197e6bcc39c449fbfda140f879"),
+    ("solve", "--rule", "wpda", "--trace", "<truncated-3x8>"):
+        (0, "151d25cc10c89e5487d9de40708e96e7e7e54cc448d30a245b9c25aec981a14c"),
+    ("solve", "--rule", "mpda", "--trace", "<truncated-8x3>"):
+        (0, "5a2a78c33008feeaff199913f336985454d97d6174d40467bb8dacc60543a9b4"),
+    ("solve", "--rule", "wpda", "--trace", "<truncated-8x3>"):
+        (0, "a63c4d9b94f0cc3e54bf431c2e89c766131cd5b9886e1f15e709cefab036beee"),
     ("solve", "--rule", "mpda", "--json", "<random-300>"):
         (0, "e5209a19ce444b52492c8dbbc674ab98c647dd931a170edf93cd87edb517a687"),
     ("--help",):

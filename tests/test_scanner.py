@@ -357,6 +357,7 @@ def test_college_oracle_finds_the_mixed_pair():
 def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeypatch):
     domain = _fixture_domain()
     base = mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
+    before = run_spda(base)[0]  # before counting: the traced run checks itself against the engine
     calls = []
     engine = mto._sequential_da
 
@@ -366,7 +367,6 @@ def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeyp
 
     monkeypatch.setattr(mto, "_sequential_da", counting)
     assert find_manipulation_mto(domain, base, max_coalition=1) is None
-    before = run_spda(base)[0]
 
     def lot(agent):
         return before.students_of(agent) if hasattr(base[agent], "quota") else before.college_of(agent)
