@@ -4,15 +4,22 @@
 (BIT 11, 1971): a free proposer proposes to the best receiver not yet
 tried, and a receiver who ranks the newcomer above the proposer it holds
 (or above staying unmatched) keeps the newcomer and frees the one it held.
-The outcome does not depend on the order of proposals. It is the one
-untraced engine; it reads index arrays only, the proposers' lists of
-receivers' slots and the receivers' `rank_row`s, and holds in place. Each
-market reaches it through one evaluation on report views that returns a
-fresh lot vector in `core.assignment_lots`' code: a marriage market through
-`_view_engine`, which serves `da_assignment` (so `da_matching`), the scans
-and the certification tables, and a college market through
-`mto._spda_engine` on the seats of the seat market that college stability
-is judged on (`mto._seat_ranges`).
+The outcome does not depend on the order in which proposers enter. It is
+the one untraced engine; it reads index arrays only, the proposers' lists
+of receivers' slots and the receivers' `rank_row`s, and holds in place,
+with each proposer's count of receivers tried in `next_choice`. A full run
+enters every proposer from a fresh state; a warm start (`_warm_start`)
+runs once without one proposer's list and then enters that proposer alone
+into a copy of the state for each of its reports, so each report costs
+only its own chain of rejections. `da_assignment` (so `da_matching`) and
+`_traced_rule` run it once (`_one_shot`) on the proposers' lists and the
+receivers' rows as the reports hold them. The scans and the certification
+tables reach it through an engine on report views, whose evaluation
+returns a fresh lot vector in `core.assignment_lots`' code and whose
+insertion function warm-starts when the agent it replaces proposes: a
+marriage market's `_view_engine`, and a college market's `mto._spda_engine`
+on the seats of the seat market that college stability is judged on
+(`mto._seat_ranges`).
 
 The engine trusts the shape of what it is given: position i holds agent
 i's report, sized for the other side. That shape is checked where reports
@@ -37,7 +44,7 @@ last step holds the untraced engine's outcome; each is the other's oracle.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     AgentId,
@@ -138,30 +145,47 @@ def _traced_da(
     return tuple(steps)
 
 
+def _one_shot(rule: RuleId, men_prefs: Sequence, women_prefs: Sequence) -> tuple[Sequence, Sequence, list]:
+    """(proposer_prefs, receiver_prefs, held) of one untraced run of the rule:
+    `_sequential_da` on the proposers' `acceptable_idx` and the receivers'
+    rank rows, with held[r] the index of the proposer receiver r holds, or
+    the proposer count. The proposers are the men under MPDA and the women
+    under WPDA."""
+    if rule is RuleId.MPDA:
+        proposer_prefs, receiver_prefs = men_prefs, women_prefs
+    elif rule is RuleId.WPDA:
+        proposer_prefs, receiver_prefs = women_prefs, men_prefs
+    else:
+        raise ValidationError(f"unknown rule {rule!r}")
+    n = len(proposer_prefs)
+    held = [n] * len(receiver_prefs)
+    lists = [pref.acceptable_idx for pref in proposer_prefs]
+    _sequential_da(lists, [pref.rank_row for pref in receiver_prefs], held, [0] * n, range(n))
+    return proposer_prefs, receiver_prefs, held
+
+
 def _traced_rule(rule: RuleId, profile: Profile, step: Callable) -> tuple:
-    """`_traced_da` of the rule on the profile, one receiver seat each: the
-    proposers are the men under MPDA and the women under WPDA, checked
-    against `_view_engine`'s lot vector. `run_da` builds its steps through
-    it, and `solve --trace` its trace lines (`formats.da_trace_writer`)."""
-    p, q = profile.p, profile.q
-    view, evaluate = _view_engine(rule, p, q)
-    lots = evaluate([*map(view, profile.men_prefs), *map(view, profile.women_prefs)])
-    proposer_prefs, receiver_prefs, held = profile.men_prefs, profile.women_prefs, lots[p:]
-    if rule is RuleId.WPDA:
-        proposer_prefs, receiver_prefs, held = receiver_prefs, proposer_prefs, lots[:p]
+    """`_traced_da` of the rule on the profile, one receiver seat each,
+    checked against `_one_shot`'s untraced outcome. `run_da` builds its
+    steps through it, and `solve --trace` its trace lines
+    (`formats.da_trace_writer`)."""
+    proposer_prefs, receiver_prefs, held = _one_shot(rule, profile.men_prefs, profile.women_prefs)
     n = len(proposer_prefs)
     outcome = tuple([(i,) if i < n else () for i in held])
     return _traced_da(proposer_prefs, receiver_prefs, [1] * len(receiver_prefs), step, outcome)
 
 
-def _sequential_da(lists: Sequence, rows: Sequence, held: list) -> None:
+def _sequential_da(lists: Sequence, rows: Sequence, held: list, next_choice: list, entrants: Iterable) -> None:
     """McVitie-Wilson engine. lists[i] is proposer i's acceptable receivers,
-    best first, as slots; rows[r] is the `rank_row` of the receiver at slot
-    r and held[r], preset to the proposer count n (the unmatched code), ends
-    as the proposer index r holds, or n. No other slot is read or written."""
+    best first, as slots; next_choice[i] how many of them i has tried. rows[r]
+    is the `rank_row` of the receiver at slot r and held[r], preset to the
+    proposer count n (the unmatched code), ends as the proposer index r
+    holds, or n. Each of the entrants in turn proposes down its list; a
+    displaced proposer resumes from next_choice. No other slot is read or
+    written. A full run starts from [0] * n and enters range(n); a state it
+    leaves can take further entrants, whose lists it has not tried yet."""
     n = len(lists)
-    next_choice = [0] * n
-    for start in range(n):
+    for start in entrants:
         i = start
         while i < n:
             lst = lists[i]
@@ -181,6 +205,43 @@ def _sequential_da(lists: Sequence, rows: Sequence, held: list) -> None:
                 i = n
 
 
+def _cold_inserts(evaluate: Callable) -> Callable:
+    """The insertion function of an engine without a warm start:
+    insert(views, i) returns a callable that sets views[i] to the view it is
+    given and returns evaluate(views)."""
+
+    def insert(views: list, i: int) -> Callable:
+        def evaluate_with(viewed) -> Sequence:
+            views[i] = viewed
+            return evaluate(views)
+
+        return evaluate_with
+
+    return insert
+
+
+def _warm_start(views: list, i: int, proposers: range, rows: Sequence, held: list, lots_of: Callable) -> Callable:
+    """A warm start of `_sequential_da` for agent i, one of the proposers
+    whose lists sit at `proposers` of the views: it copies their lists, runs
+    once with i's list empty into `held` and keeps the state. Each call of
+    the callable it returns sets views[i] to the view it is given, enters i
+    alone into a copy of the state, so only i's proposal chain runs (the
+    outcome does not depend on the order of entry), and returns
+    lots_of(held) of the copy."""
+    lists, j = views[proposers.start : proposers.stop], i - proposers.start
+    lists[j] = ()
+    next_choice = [0] * len(lists)
+    _sequential_da(lists, rows, held, next_choice, range(len(lists)))
+
+    def evaluate_with(viewed) -> list:
+        views[i] = lists[j] = viewed
+        lots = held.copy()
+        _sequential_da(lists, rows, lots, next_choice.copy(), (j,))
+        return lots_of(lots)
+
+    return evaluate_with
+
+
 def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
     """O(len(prefs)) shape check: prefs[i] is agent i's Preference over a
     market with n_opposite agents on the other side."""
@@ -198,14 +259,17 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
             )
 
 
-def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable]:
-    """(view, evaluate) of the rule on a p-by-q market: a report's view is
-    its `rank_row` if its owner receives, else its acceptable list of the
-    receivers' positions in the views (a woman's is her index plus p).
+def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable, Callable]:
+    """(view, evaluate, insert) of the rule on a p-by-q market: a report's
+    view is its `rank_row` if its owner receives, else its acceptable list of
+    the receivers' positions in the views (a woman's is her index plus p).
     evaluate(views), men first, runs `_sequential_da` in a fresh copy of the
     lot template [q] * p + [p] * q, writes the proposers' lots from the
-    receivers' slots and returns it (`core.assignment_lots`). The one
-    untraced DA evaluation: of `da_assignment`, the scans and the tables."""
+    receivers' slots and returns it (`core.assignment_lots`). insert(views,
+    i) returns a callable that evaluates the views with i's view replaced by
+    the one it is given: from a `_warm_start` when i proposes, else by
+    setting the view and calling evaluate. The one untraced DA evaluation of
+    the scans and the tables."""
     if rule is RuleId.MPDA:
         proposers, first, receivers, k, offset, shift = Side.MAN, slice(None, p), range(p, p + q), p, 0, p
     elif rule is RuleId.WPDA:
@@ -213,22 +277,33 @@ def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable]:
     else:
         raise ValidationError(f"unknown rule {rule!r}")
     template = [q] * p + [p] * q
+    entrants, positions = range(k), range(offset, offset + k)  # the proposers' indices and view slots
 
     def view(pref: Preference):
         if pref.owner.side is not proposers:
             return pref.rank_row
         return tuple([shift + j for j in pref.acceptable_idx]) if shift else pref.acceptable_idx
 
-    def evaluate(views: Sequence) -> list:
-        lots = template.copy()
-        _sequential_da(views[first], views, lots)
+    def lots_of(lots: list) -> list:
         for r in receivers:
             i = lots[r]
             if i < k:
                 lots[offset + i] = r - shift
         return lots
 
-    return view, evaluate
+    def evaluate(views: Sequence) -> list:
+        lots = template.copy()
+        _sequential_da(views[first], views, lots, [0] * k, entrants)
+        return lots_of(lots)
+
+    cold = _cold_inserts(evaluate)
+
+    def insert(views: list, i: int) -> Callable:
+        if i not in positions:
+            return cold(views, i)
+        return _warm_start(views, i, positions, views.copy(), template.copy(), lots_of)
+
+    return view, evaluate, insert
 
 
 def _assignment(lots: Sequence, p: int, q: int) -> tuple:
@@ -245,8 +320,14 @@ def da_assignment(rule: RuleId, men_prefs: tuple, women_prefs: tuple) -> tuple:
     p, q = len(men_prefs), len(women_prefs)
     _check_side(men_prefs, Side.MAN, q)
     _check_side(women_prefs, Side.WOMAN, p)
-    view, evaluate = _view_engine(rule, p, q)
-    return _assignment(evaluate([*map(view, men_prefs), *map(view, women_prefs)]), p, q)
+    _, _, held = _one_shot(rule, men_prefs, women_prefs)
+    if rule is RuleId.WPDA:
+        return _assignment(held, p, q)
+    woman_of = [None] * p
+    for j, i in enumerate(held):
+        if i < p:
+            woman_of[i] = j
+    return tuple(woman_of)
 
 
 def da_matching(rule: RuleId, profile: Profile) -> Matching:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from matchlab import core
+from matchlab import core, da, mto
 from matchlab.core import (
     OUTSIDE,
     Matching,
@@ -70,6 +70,51 @@ def random_profile(rng: random.Random, p: int, q: int) -> Profile:
         rng.shuffle(ranking)
         prefs.append(Preference(a, ranking))
     return Profile(prefs)
+
+
+def truncations(ranking: tuple) -> list:
+    """Every truncation of a ranking: its first k acceptable agents kept, the
+    others moved below the outside option in order, k = 0 .. its list size."""
+    return [
+        ranking[:k] + (OUTSIDE,) + tuple([x for x in ranking[k:] if x is not OUTSIDE])
+        for k in range(ranking.index(OUTSIDE) + 1)
+    ]
+
+
+def count_evaluations(monkeypatch, module, factory: str, record=lambda args, views: None) -> tuple[list, list]:
+    """Count the evaluations of every engine that `module.<factory>(*args)`
+    builds, at its evaluate and insertion callables, each as record(args,
+    views) of the views evaluated, and every `_sequential_da` run; a run
+    that is no evaluation is a warm start."""
+    evaluations, runs = [], []
+    build, kernel = getattr(module, factory), da._sequential_da
+
+    def counting_factory(*args):
+        view, evaluate, insert = build(*args)
+
+        def counted(views):
+            evaluations.append(record(args, views))
+            return evaluate(views)
+
+        def counted_insert(views, i):
+            evaluate_with = insert(views, i)
+
+            def counted_with(viewed):
+                evaluations.append(record(args, [*views[:i], viewed, *views[i + 1 :]]))
+                return evaluate_with(viewed)
+
+            return counted_with
+
+        return view, counted, counted_insert
+
+    def counting_kernel(*args):
+        runs.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, factory, counting_factory)
+    for owner in (da, mto):
+        monkeypatch.setattr(owner, "_sequential_da", counting_kernel)
+    return evaluations, runs
 
 
 @pytest.fixture(autouse=True)

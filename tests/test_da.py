@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import M1, M2, W1, W2, pref, random_profile
+from conftest import M1, M2, W1, W2, pref, random_profile, truncations
 from matchlab import da, formats
 from matchlab.core import (
     OUTSIDE,
@@ -178,9 +178,55 @@ def test_sequential_engine_matches_traced_engine_and_brute_force(profile):
         else:
             brute = _optimal_for(profile.women, profile.men, profile, sset)
         assert fast == traced.assignment == brute.assignment
-        view, evaluate = da._view_engine(rule, p, q)
+        view, evaluate, _ = da._view_engine(rule, p, q)
         lots = evaluate([view(pref) for pref in profile.men_prefs + profile.women_prefs])
         assert lots == [lot[0] for lot in assignment_lots(p, q, [traced.assignment])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=truncated_profiles().filter(lambda prof: prof.p != prof.q), data=st.data())
+def test_warm_insertion_matches_a_cold_evaluation(profile, data):
+    # each agent's domain holds its true ranking's truncations and up to
+    # three drawn rankings; inserting each of them into one warm start (or,
+    # for a receiver, rewriting its view) gives the lot vector of a cold
+    # evaluation of the same views, under both rules
+    p, q = profile.p, profile.q
+    domains = []
+    for a in profile.agents:
+        opposite = women(q) if a.side is Side.MAN else men(p)
+        drawn = data.draw(st.lists(st.permutations(opposite + (OUTSIDE,)), max_size=3))
+        rankings = dict.fromkeys([*truncations(profile[a].ranking), *map(tuple, drawn)])
+        domains.append([Preference(a, ranking) for ranking in rankings])
+    for rule in RuleId:
+        view, evaluate, insert = da._view_engine(rule, p, q)
+        true = [view(pref) for pref in profile.men_prefs + profile.women_prefs]
+        for i, domain in enumerate(domains):
+            views = list(true)
+            evaluate_with = insert(views, i)
+            for report in domain:
+                viewed = view(report)
+                assert evaluate_with(viewed) == evaluate([*true[:i], viewed, *true[i + 1 :]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=truncated_profiles(), data=st.data())
+def test_sequential_engine_ends_on_one_holding_whatever_the_order_of_entry(profile, data):
+    # McVitie & Wilson: entering the proposers in any order, here shuffled
+    # and in two batches from one state as a warm start and an insertion
+    # do, ends on the holding of entering them in index order
+    sides = profile.men_prefs, profile.women_prefs
+    for proposer_prefs, receiver_prefs in (sides, sides[::-1]):
+        lists = [pref.acceptable_idx for pref in proposer_prefs]
+        rows = [pref.rank_row for pref in receiver_prefs]
+        n = len(lists)
+        expected = [n] * len(rows)
+        da._sequential_da(lists, rows, expected, [0] * n, range(n))
+        order = data.draw(st.permutations(range(n)))
+        cut = data.draw(st.integers(0, n))
+        held, next_choice = [n] * len(rows), [0] * n
+        da._sequential_da(lists, rows, held, next_choice, order[:cut])
+        da._sequential_da(lists, rows, held, next_choice, order[cut:])
+        assert held == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -31,7 +31,7 @@ from matchlab.manipulation import (
     wpda_rule,
 )
 
-from conftest import pref, profile_p1, random_profile
+from conftest import count_evaluations, pref, profile_p1, random_profile
 
 M1, M2 = man(0), man(1)
 W1, W2 = woman(0), woman(1)
@@ -48,26 +48,26 @@ def test_rule_apply_matches_da(p1):
     assert rule.stable
 
 
-def _count_evaluations(monkeypatch) -> list:
-    """Record the acceptable lists of every DA run, proposers first; a
+def _list_vector(args, views) -> tuple:
+    """The acceptable lists of a DA evaluation's views, proposers first; a
     receiver's list is read from its rank row, whose last entry is its rank
-    of staying alone. A marriage market's rows are its whole view vector,
-    which holds the proposers' lists too; those are recorded once."""
-    calls = []
-    engine = da._sequential_da
+    of staying alone."""
+    rule, p, _ = args
+    men_, women_ = slice(None, p), slice(p, None)
+    first, rows, shift = (men_, women_, p) if rule is RuleId.MPDA else (women_, men_, 0)
+    lists = [tuple([j - shift for j in v]) for v in views[first]]
+    accepted = [
+        tuple(sorted([i for i in range(len(row) - 1) if row[i] < row[-1]], key=row.__getitem__))
+        for row in views[rows]
+    ]
+    return tuple(lists + accepted)
 
-    def counting(lists, rows, held):
-        own = set(map(id, lists))
-        accepted = [
-            sorted([i for i in range(len(row) - 1) if row[i] < row[-1]], key=row.__getitem__)
-            for row in rows
-            if id(row) not in own
-        ]
-        calls.append(tuple(map(tuple, lists)) + tuple(map(tuple, accepted)))
-        return engine(lists, rows, held)
 
-    monkeypatch.setattr(da, "_sequential_da", counting)
-    return calls
+def _count_evaluations(monkeypatch) -> tuple[list, list]:
+    """Record the acceptable lists of every DA evaluation of a scan or table,
+    and count every `_sequential_da` run; a run that is no evaluation is a
+    warm start."""
+    return count_evaluations(monkeypatch, manipulation, "_view_engine", _list_vector)
 
 
 def _list_vectors(domain) -> int:
@@ -78,11 +78,13 @@ def _list_vectors(domain) -> int:
 def test_certification_runs_da_once_per_list_vector_of_the_shape(monkeypatch):
     # the 1,296 profiles of full(2, 2) hold 5 ** 4 = 625 vectors of
     # acceptable lists; the engine's outcome memo runs DA once for each, and
-    # every later certification by that engine on a 2x2 domain runs none
-    calls = _count_evaluations(monkeypatch)
+    # every later certification by that engine on a 2x2 domain runs none.
+    # A certification reads its scans' outcomes from its table, so it makes
+    # no warm start: every kernel run is an evaluation
+    calls, runs = _count_evaluations(monkeypatch)
     full = PreferenceDomain.full(2, 2)
     assert not is_group_strategy_proof(mpda_rule(), full, max_coalition=2)
-    assert len(calls) == _list_vectors(full) == 625 == len(set(calls))
+    assert len(calls) == _list_vectors(full) == 625 == len(set(calls)) == len(runs)
     calls.clear()
     men_rk = [p.ranking for p in all_preferences(M1, 2)]
     women_rk = [(M1, M2, OUTSIDE), (M2, M1, OUTSIDE)]
@@ -93,6 +95,7 @@ def test_certification_runs_da_once_per_list_vector_of_the_shape(monkeypatch):
     # WPDA's engine has its own memo
     assert not is_strategy_proof(wpda_rule(), full)
     assert len(calls) == 625 == len(set(calls))
+    assert len(runs) == 2 * 625
 
 
 def test_certification_runs_da_once_per_list_vector_even_when_it_fails_early(monkeypatch):
@@ -104,12 +107,12 @@ def test_certification_runs_da_once_per_list_vector_even_when_it_fails_early(mon
     dom = PreferenceDomain(sets)
     assert dom.profile_count == 62_208
     assert _list_vectors(dom) == 19_200
-    calls = _count_evaluations(monkeypatch)
+    calls, runs = _count_evaluations(monkeypatch)
     assert not is_strategy_proof(mpda_rule(), dom)
-    assert len(calls) == 19_200 == len(set(calls))
+    assert len(calls) == 19_200 == len(set(calls)) == len(runs)
     calls.clear()
     assert not is_group_strategy_proof(mpda_rule(), dom)
-    assert calls == []
+    assert calls == [] and len(runs) == 19_200
 
 
 def test_certification_past_the_memo_shapes_runs_da_at_every_profile(monkeypatch):
@@ -118,11 +121,12 @@ def test_certification_past_the_memo_shapes_runs_da_at_every_profile(monkeypatch
     assert 16**6 > EXHAUSTIVE_PROFILE_BUDGET
     dom = PreferenceDomain({a: all_preferences(a, 3)[::8] for a in men(3) + women(3)})
     assert dom.profile_count == 729
-    calls = _count_evaluations(monkeypatch)
+    calls, runs = _count_evaluations(monkeypatch)
     for _ in range(2):
         calls.clear()
+        runs.clear()
         is_group_strategy_proof(mpda_rule(), dom)
-        assert len(calls) == dom.profile_count
+        assert len(calls) == dom.profile_count == len(runs)
     # the only shape whose store was looked up is 3x3, which has none
     assert core.list_keys.cache_info().currsize == 1
     assert core.list_keys(3, 3) is None and dom.profile_keys() is None
@@ -194,7 +198,7 @@ def test_certifications_build_no_scan_views(monkeypatch):
 
 
 def test_certification_refusals_evaluate_nothing(monkeypatch):
-    calls = _count_evaluations(monkeypatch)
+    calls, runs = _count_evaluations(monkeypatch)
     with pytest.raises(BudgetExceededError):
         is_strategy_proof(mpda_rule(), PreferenceDomain.full(3, 3))
     with pytest.raises(ValidationError, match="at least 1"):
@@ -203,7 +207,7 @@ def test_certification_refusals_evaluate_nothing(monkeypatch):
     for certify in (is_strategy_proof, is_group_strategy_proof):
         with pytest.raises(SizeGuardError, match=f"limit .*{MAX_LOT_SIDE} agents per side"):
             certify(mpda_rule(), _one_man_domain(MAX_LOT_SIDE + 1))
-    assert calls == []
+    assert calls == [] and runs == []
 
 
 def test_certification_codes_the_largest_side_a_byte_holds():
@@ -430,7 +434,7 @@ def test_certification_budget_counts_every_profile(monkeypatch):
     # at all 1,296 profiles of the domain
     full = PreferenceDomain.full(2, 2)
     verdicts = {cap: is_group_strategy_proof(mpda_rule(), full, max_coalition=cap) for cap in (1, 2)}
-    calls = _count_evaluations(monkeypatch)
+    calls, runs = _count_evaluations(monkeypatch)
     for budget, cap in ((200, 2), (25, 1)):
         with pytest.raises(BudgetExceededError) as err:
             is_group_strategy_proof(mpda_rule(), full, budget=budget, max_coalition=cap)
@@ -438,7 +442,7 @@ def test_certification_budget_counts_every_profile(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         is_strategy_proof(mpda_rule(), full, budget=25)
     assert err.value.count == 1296
-    assert calls == []
+    assert calls == [] and runs == []
     for cap, verdict in verdicts.items():
         assert is_group_strategy_proof(mpda_rule(), full, budget=1296, max_coalition=cap) == verdict
 
@@ -681,17 +685,18 @@ def _first_witness(rule, domain, max_coalition):
 def test_certification_runs_da_only_for_list_vectors_not_yet_in_the_memo(monkeypatch, cap):
     # LATE_WITNESS_DOMAIN holds GSP_DOMAIN, so certifying it second runs DA
     # for its extra list vectors alone
-    calls = _count_evaluations(monkeypatch)
+    calls, runs = _count_evaluations(monkeypatch)
     for rule in (mpda_rule(), wpda_rule()):
-        for domain, holds, runs in (
+        for domain, holds, evaluations in (
             (GSP_DOMAIN, True, _list_vectors(GSP_DOMAIN)),
             (LATE_WITNESS_DOMAIN, False, _list_vectors(LATE_WITNESS_DOMAIN) - _list_vectors(GSP_DOMAIN)),
             (GSP_DOMAIN, True, 0),
             (LATE_WITNESS_DOMAIN, False, 0),
         ):
             calls.clear()
+            runs.clear()
             assert is_group_strategy_proof(rule, domain, max_coalition=cap).holds == holds
-            assert len(calls) == runs == len(set(calls))
+            assert len(calls) == evaluations == len(set(calls)) == len(runs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,14 +11,15 @@ import itertools
 import json
 import operator
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_profile
-from matchlab import da, mto
+from conftest import count_evaluations, random_profile
+from matchlab import da, manipulation, mto
 from matchlab.core import OUTSIDE, AgentId, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_matching, run_da
 from matchlab.domains import PreferenceDomain, all_preferences
@@ -216,6 +217,27 @@ def test_search_evaluates_every_class_combination_before_yielding():
     assert evaluated == [("x", "z"), ("y", "z"), ("x2", "z")]
 
 
+def test_search_inserts_the_last_proposer_innermost():
+    # both agents gain only when agent 0 reports b and agent 1 reports c;
+    # with agent 0 a proposer it is the pair's innermost member, and the
+    # pair's outcomes stay keyed in coalition order, so the hit is the same
+    ranks = [{r0 + r1: int((r0, r1) != ("b", "c")) for r0 in ("t0", "a", "b") for r1 in ("t1", "c", "d")}] * 2
+    evaluated = []
+
+    def evaluate(reports):
+        evaluated.append(tuple(reports))
+        return (reports[0] + reports[1],) * 2
+
+    scan = partial(_search, ("t0", "t1"), [("a", "b"), ("c", "d")], [0, 1], evaluate, ranks, 2)
+    plain = list(scan())
+    assert [hit[:2] for hit in plain] == [((0, 1), ("b", "c"))]
+    assert evaluated[-4:] == [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+    evaluated.clear()
+    assert list(scan(proposers=(0,))) == plain
+    assert evaluated[-4:] == [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")]
+    assert len(evaluated) == 1 + 2 + 2 + 4
+
+
 def _ungrouped(rule_id: RuleId) -> MatchingRule:
     """The DA rule without report classes, so every joint misreport is evaluated."""
     return MatchingRule.from_profile_function(
@@ -282,22 +304,35 @@ def test_grouped_scan_matches_the_ungrouped_rule(drawn, rule_id, cap, pool):
     assert first == (got[0] if got else None)
 
 
-def test_grouped_scan_evaluates_one_report_per_acceptable_list(monkeypatch):
-    # the engine runs once at the base and once per combination of the
-    # members' acceptable lists in each coalition of agents not at their top
-    domain, base = PreferenceDomain.full(3, 3), _planted_crossing_base()
+def _man_candidate_base() -> Profile:
+    """3x3: under MPDA every man ends below his top, m1-w3, m2-w1 and m3-w2,
+    and so does w3, so men pair with men and with a woman in the scan."""
+    m1, m2, m3 = men(3)
+    w1, w2, w3 = women(3)
+    table = {
+        m1: (w1, w2, w3),
+        m2: (w2, w1, w3),
+        m3: (w1, w2, w3),
+        w1: (m2, m3, m1),
+        w2: (m3, m1, m2),
+        w3: (m2, m1, m3),
+    }
+    return Profile(Preference(a, (*r, OUTSIDE)) for a, r in table.items())
+
+
+def _check_grouped_scan_counts(monkeypatch, base: Profile) -> tuple[list, list, int]:
+    """Scan the full 3x3 domain at base under MPDA up to pairs and check its
+    counts: the engine evaluates once at the base and once per combination
+    of the members' acceptable lists in each coalition of agents not at
+    their top, and warm-starts once per combination of the outer members'
+    lists in each coalition with a man, the proposer it inserts innermost.
+    Returns the witnesses, the candidates and the warm-start count."""
+    domain = PreferenceDomain.full(3, 3)
     rule = mpda_rule()
     expected_witnesses = list(iter_manipulations(_ungrouped(RuleId.MPDA), domain, base, max_coalition=2))
-    calls = []
-    engine = da._sequential_da
-
-    def counting(lists, rows, held):
-        calls.append(None)
-        return engine(lists, rows, held)
-
-    monkeypatch.setattr(da, "_sequential_da", counting)
+    evaluations, runs = count_evaluations(monkeypatch, manipulation, "_view_engine")
     got = list(iter_manipulations(rule, domain, base, max_coalition=2))
-    assert got and got == expected_witnesses
+    assert got == expected_witnesses
     monkeypatch.undo()
     before = rule.apply(base)
     # agents at their true top never join a coalition
@@ -306,10 +341,30 @@ def test_grouped_scan_evaluates_one_report_per_acceptable_list(monkeypatch):
         a: len({pref.acceptable_idx for pref in domain.admissible(a) if pref != base[a]})
         for a in candidates
     }
-    pairs = itertools.combinations(candidates, 2)
+    pairs = list(itertools.combinations(candidates, 2))
     expected = 1 + sum(lists.values()) + sum(lists[a] * lists[b] for a, b in pairs)
-    assert len(calls) == expected
-    assert len(calls) < planned_evaluations([23] * 6, 2)
+    assert len(evaluations) == expected
+    assert len(evaluations) < planned_evaluations([23] * 6, 2)
+    # a lone man, and a pair's last man, is inserted innermost
+    warm = sum(a.side is Side.MAN for a in candidates)
+    warm += sum(lists[a if b.side is Side.MAN else b] for a, b in pairs if Side.MAN in (a.side, b.side))
+    assert len(runs) - len(evaluations) == warm
+    return got, candidates, warm
+
+
+def test_grouped_scan_evaluates_one_report_per_acceptable_list(monkeypatch):
+    got, _, warm = _check_grouped_scan_counts(monkeypatch, _planted_crossing_base())
+    # every man is at his top, so no proposer is ever innermost
+    assert got and warm == 0
+
+
+def test_grouped_scan_warm_starts_once_per_combination_of_outer_lists(monkeypatch):
+    _, candidates, warm = _check_grouped_scan_counts(monkeypatch, _man_candidate_base())
+    # men pair with men and with w3, whom the man follows innermost; each
+    # agent reports 15 acceptable lists besides its true full one, so one
+    # warm start per lone man and 15 per pair with a man
+    assert [a.side for a in candidates] == [Side.MAN] * 3 + [Side.WOMAN]
+    assert warm == 3 + 3 * 15 + 3 * 15
 
 
 # --- college markets -------------------------------------------------------------
@@ -358,14 +413,7 @@ def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeyp
     domain = _fixture_domain()
     base = mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
     before = run_spda(base)[0]  # before counting: the traced run checks itself against the engine
-    calls = []
-    engine = mto._sequential_da
-
-    def counting(applicants, seats, held):
-        calls.append(None)
-        return engine(applicants, seats, held)
-
-    monkeypatch.setattr(mto, "_sequential_da", counting)
+    evaluations, runs = count_evaluations(monkeypatch, mto, "_spda_engine")
     assert find_manipulation_mto(domain, base, max_coalition=1) is None
 
     def lot(agent):
@@ -373,7 +421,10 @@ def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeyp
 
     # agents at their true top never join a coalition
     candidates = [a for a in domain.agents if base[a].rank_of(lot(a)) > 0]
-    assert len(calls) == 1 + sum(len(domain.admissible(a)) - 1 for a in candidates)
+    assert len(evaluations) == 1 + sum(len(domain.admissible(a)) - 1 for a in candidates)
+    # each lone student, a proposer, is inserted into one warm start
+    warm = sum(isinstance(a, StudentId) for a in candidates)
+    assert warm > 0 and len(runs) - len(evaluations) == warm
 
 
 # --- both markets at quota one -----------------------------------------------------
@@ -503,10 +554,11 @@ def test_college_scans_are_pinned():
 #
 # `_search` keeps each evaluation's lot vector in its outcome table while it
 # rewrites the views and evaluates again, so every evaluation must return a
-# fresh list and neither change nor keep the views it is given.
+# fresh list and neither change nor keep the views it is given. An insertion
+# callable may set its one slot of the views, and no other.
 
 
-def _check_fresh_evaluations(evaluate, profiles: list) -> None:
+def _check_fresh_evaluations(evaluate, profiles: list, insert) -> None:
     views = list(profiles[0])
     results, copies = [], []
     for viewed in profiles:
@@ -520,20 +572,38 @@ def _check_fresh_evaluations(evaluate, profiles: list) -> None:
     for lots in results:
         lots[:] = [-1] * len(lots)
     assert [evaluate(list(viewed)) for viewed in profiles] == copies
+    # each agent's reports of the profiles, inserted into the first profile
+    first = profiles[0]
+    for i in range(len(first)):
+        expected = [evaluate([*first[:i], viewed[i], *first[i + 1 :]]) for viewed in profiles]
+        views = list(first)
+        before = [list(v) if isinstance(v, list) else v for v in views]
+        evaluate_with = insert(views, i)
+        results = []
+        for viewed in profiles:
+            results.append(evaluate_with(viewed[i]))
+            before[i] = viewed[i]
+            assert views == before and all(map(operator.is_, views, [*first[:i], viewed[i], *first[i + 1 :]]))
+        assert results == expected
+        assert len(set(map(id, results))) == len(results)
+        for lots in results:
+            lots[:] = [-1] * len(lots)
+        assert [evaluate_with(viewed[i]) for viewed in profiles] == expected
 
 
 @pytest.mark.parametrize("p, q", [(1, 3), (3, 1), (1, 1), (2, 3), (3, 2)])
 @pytest.mark.parametrize("rule", list(RuleId))
 def test_view_engine_returns_a_fresh_lot_vector_and_leaves_its_views(rule, p, q):
     rng = random.Random(p * 10 + q)
-    view, evaluate = da._view_engine(rule, p, q)
+    view, evaluate, insert = da._view_engine(rule, p, q)
     profiles = [random_profile(rng, p, q) for _ in range(30)]
-    _check_fresh_evaluations(evaluate, [[view(pref) for pref in prof.men_prefs + prof.women_prefs] for prof in profiles])
+    views = [[view(pref) for pref in prof.men_prefs + prof.women_prefs] for prof in profiles]
+    _check_fresh_evaluations(evaluate, views, insert)
 
 
 def test_spda_engine_returns_a_fresh_lot_vector_and_leaves_its_views():
     domain, rng = _fixture_domain(), random.Random(5)
     lists = domain.product_order().lists
-    view, evaluate = mto._spda_engine([l[0] for l in lists[: domain.n_colleges]])
+    view, evaluate, insert = mto._spda_engine([l[0] for l in lists[: domain.n_colleges]])
     profiles = [[view(rng.choice(l)) for l in lists] for _ in range(30)]
-    _check_fresh_evaluations(evaluate, profiles)
+    _check_fresh_evaluations(evaluate, profiles, insert)

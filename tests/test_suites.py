@@ -9,7 +9,8 @@ import tracemalloc
 
 import pytest
 
-from matchlab import da, formats, manipulation, suites
+from conftest import count_evaluations
+from matchlab import formats, manipulation, suites
 from matchlab.da import RuleId
 from matchlab.errors import BudgetExceededError, PreconditionError, SizeGuardError, UnknownSuiteError
 from matchlab.domains import exists_stable_sp_rule
@@ -177,23 +178,12 @@ def test_theorem2_runs_da_at_most_once_per_2x2_list_vector_per_rule(monkeypatch,
     # theorem2 certifies MPDA and WPDA twice on every domain it draws; the
     # DA outcome memo of each rule holds the 5 ** 4 = 625 vectors of
     # acceptable lists a 2x2 profile can have, however many domains it draws.
-    # Every untraced DA run is an evaluation of the view engine, counted per rule
-    runs = collections.Counter()
-    engine = da._view_engine
-
-    def counting(rule, p, q):
-        view, evaluate = engine(rule, p, q)
-
-        def counted(views):
-            runs[rule] += 1
-            return evaluate(views)
-
-        return view, counted
-
-    for module in (da, manipulation):
-        monkeypatch.setattr(module, "_view_engine", counting)
+    # Every untraced DA run of a table or a scan is an evaluation of the view
+    # engine, by evaluate or by an insertion callable, counted per rule
+    evaluations, _ = count_evaluations(monkeypatch, manipulation, "_view_engine", lambda args, views: args[0])
     report = run_suite("theorem2", SuiteParams(trials=trials))
     assert report.verdict == "pass" and report.trials == (15 if trials is None else trials)
+    runs = collections.Counter(evaluations)
     assert runs.keys() == {RuleId.MPDA, RuleId.WPDA}
     assert 0 < runs[RuleId.MPDA] <= 625 and 0 < runs[RuleId.WPDA] <= 625
 
