@@ -16,7 +16,7 @@ only its own chain of rejections. `da_assignment` (so `da_matching`) and
 receivers' rows as the reports hold them. The scans and the certification
 tables reach it through an engine on report views, whose evaluation
 returns a fresh lot vector in `core.assignment_lots`' code and whose
-insertion function warm-starts when the agent it replaces proposes: a
+insertion function warm-starts it for one proposer's reports: a
 marriage market's `_view_engine`, and a college market's `mto._spda_engine`
 on the seats of the seat market that college stability is judged on
 (`mto._seat_ranges`).
@@ -205,36 +205,21 @@ def _sequential_da(lists: Sequence, rows: Sequence, held: list, next_choice: lis
                 i = n
 
 
-def _cold_inserts(evaluate: Callable) -> Callable:
-    """The insertion function of an engine without a warm start:
-    insert(views, i) returns a callable that sets views[i] to the view it is
-    given and returns evaluate(views)."""
-
-    def insert(views: list, i: int) -> Callable:
-        def evaluate_with(viewed) -> Sequence:
-            views[i] = viewed
-            return evaluate(views)
-
-        return evaluate_with
-
-    return insert
-
-
 def _warm_start(views: list, i: int, proposers: range, rows: Sequence, held: list, lots_of: Callable) -> Callable:
     """A warm start of `_sequential_da` for agent i, one of the proposers
     whose lists sit at `proposers` of the views: it copies their lists, runs
     once with i's list empty into `held` and keeps the state. Each call of
-    the callable it returns sets views[i] to the view it is given, enters i
-    alone into a copy of the state, so only i's proposal chain runs (the
+    the callable it returns takes a view of i's report, enters i alone with
+    it into a copy of the state, so only i's proposal chain runs (the
     outcome does not depend on the order of entry), and returns
-    lots_of(held) of the copy."""
+    lots_of(held) of the copy; the views are neither changed nor kept."""
     lists, j = views[proposers.start : proposers.stop], i - proposers.start
     lists[j] = ()
     next_choice = [0] * len(lists)
     _sequential_da(lists, rows, held, next_choice, range(len(lists)))
 
     def evaluate_with(viewed) -> list:
-        views[i] = lists[j] = viewed
+        lists[j] = viewed
         lots = held.copy()
         _sequential_da(lists, rows, lots, next_choice.copy(), (j,))
         return lots_of(lots)
@@ -259,17 +244,18 @@ def _check_side(prefs: tuple, side: Side, n_opposite: int) -> None:
             )
 
 
-def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable, Callable]:
-    """(view, evaluate, insert) of the rule on a p-by-q market: a report's
-    view is its `rank_row` if its owner receives, else its acceptable list of
-    the receivers' positions in the views (a woman's is her index plus p).
-    evaluate(views), men first, runs `_sequential_da` in a fresh copy of the
-    lot template [q] * p + [p] * q, writes the proposers' lots from the
-    receivers' slots and returns it (`core.assignment_lots`). insert(views,
-    i) returns a callable that evaluates the views with i's view replaced by
-    the one it is given: from a `_warm_start` when i proposes, else by
-    setting the view and calling evaluate. The one untraced DA evaluation of
-    the scans and the tables."""
+def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable, Callable, range]:
+    """(view, evaluate, insert, proposers) of the rule on a p-by-q market: a
+    report's view is its `rank_row` if its owner receives, else its
+    acceptable list of the receivers' positions in the views (a woman's is
+    her index plus p). evaluate(views), men first, runs `_sequential_da` in
+    a fresh copy of the lot template [q] * p + [p] * q, writes the
+    proposers' lots from the receivers' slots and returns it
+    (`core.assignment_lots`). proposers holds the view slots of the
+    proposers' reports, and for i among them insert(views, i) is a
+    `_warm_start`: a callable that evaluates the views with i's view
+    replaced by the one it is given. The one untraced DA evaluation of the
+    scans and the tables."""
     if rule is RuleId.MPDA:
         proposers, first, receivers, k, offset, shift = Side.MAN, slice(None, p), range(p, p + q), p, 0, p
     elif rule is RuleId.WPDA:
@@ -296,14 +282,10 @@ def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable, Call
         _sequential_da(views[first], views, lots, [0] * k, entrants)
         return lots_of(lots)
 
-    cold = _cold_inserts(evaluate)
-
     def insert(views: list, i: int) -> Callable:
-        if i not in positions:
-            return cold(views, i)
         return _warm_start(views, i, positions, views.copy(), template.copy(), lots_of)
 
-    return view, evaluate, insert
+    return view, evaluate, insert, positions
 
 
 def _assignment(lots: Sequence, p: int, q: int) -> tuple:

@@ -47,7 +47,7 @@ from .core import (
     market_shape,
     size_guard,
 )
-from .da import RuleId, _assignment, _cold_inserts, _view_engine, da_assignment
+from .da import RuleId, _assignment, _view_engine, da_assignment
 from .errors import BudgetExceededError, PreconditionError, UnknownOutcomeError, ValidationError
 
 if TYPE_CHECKING:
@@ -233,18 +233,19 @@ class _Market:
     """One market and rule as the scans and certifications see them, over
     report vectors whose position i holds agent i's report.
 
-    `engine()` returns the rule's (view, evaluate, insert), built when a
-    scan or a table needs them: `view(report)` is a report as `evaluate`
-    reads it (None: the report), and `evaluate(views)` returns the rule's lot
-    vector, agent i's partner's or college's index, the other side's size
-    when unmatched (`core.assignment_lots`), or a college's sorted student
-    group, in a fresh list; it neither changes nor keeps the views.
-    `insert(views, i)` returns a callable that sets views[i] to the view it
-    is given and returns the lot vector of the views so changed, as
-    `evaluate` would; while it is in use the caller changes no other slot.
-    A DA engine warm-starts it when agent i is one of `proposers`, the
-    agents whose reports the rule's proposers make; a market without a
-    warm start gets `da._cold_inserts(evaluate)` and no proposers. `ranks(true)`
+    `engine()` returns the rule's (view, evaluate, insert, proposers), built
+    when a scan or a table needs them: `view(report)` is a report as
+    `evaluate` reads it (None: the report), and `evaluate(views)` returns the
+    rule's lot vector, agent i's partner's or college's index, the other
+    side's size when unmatched (`core.assignment_lots`), or a college's
+    sorted student group, in a fresh list; it neither changes nor keeps the
+    views. `proposers` holds the agents whose reports the rule's proposers
+    make, and for agent i among them `insert(views, i)` warm-starts DA with
+    the others' views: it returns a callable that returns the lot vector of
+    the views with i's view replaced by the one it is given, as `evaluate`
+    would, and neither changes nor keeps the views; while it is in use the
+    caller changes no slot but i's. A market without a warm start has
+    neither (None, ()). `ranks(true)`
     returns ranks[i][lot], agent i's rank by true[i] of a lot (0 is the
     top). `witness(base, coalition, reports, before, after)` builds the
     witness of one hit of `_search`. `class_key`, when given, keys each
@@ -257,11 +258,8 @@ class _Market:
     `ranking_idx` gives that lot.
     """
 
-    def __init__(
-        self, engine: Callable, ranks: Callable, witness: Callable, table=None, class_key=None, proposers=()
-    ):
-        self.engine, self.ranks, self.witness, self.table = engine, ranks, witness, table
-        self.class_key, self.proposers = class_key, proposers
+    def __init__(self, engine: Callable, ranks: Callable, witness: Callable, table=None, class_key=None):
+        self.engine, self.ranks, self.witness, self.table, self.class_key = engine, ranks, witness, table, class_key
 
 
 def _witnesses(make: Callable, outcome: Callable) -> Callable:
@@ -308,9 +306,8 @@ def _scan(
     true, alternatives = domain.deviations(base)
     cap = _coalition_cap([len(alternatives[i]) for i in pool], max_coalition, budget)
     classes = None if market.class_key is None else [tuple(map(market.class_key, alts)) for alts in alternatives]
-    view, evaluate, insert = market.engine()
-    ranks = market.ranks(true)
-    for hit in _search(true, alternatives, pool, evaluate, ranks, cap, classes, view, insert, market.proposers):
+    view, evaluate, insert, proposers = market.engine()
+    for hit in _search(true, alternatives, pool, evaluate, market.ranks(true), cap, classes, view, insert, proposers):
         yield market.witness(base, *hit)
 
 
@@ -332,25 +329,25 @@ def _search(
     the budget. alternatives[i] holds agent i's admissible reports other
     than true_reports[i], and classes[i], when given, the class key of
     each; without classes every report is its own class. `evaluate`,
-    `view` and `insert` are a `_Market`'s engine, `ranks` its ranks and
-    `proposers` its proposers; `view`, when given, views each true report
-    and each class's first report once, and the hits carry the reports.
-    Without `insert` every evaluation is a call of `evaluate`.
+    `view`, `insert` and `proposers` are a `_Market`'s engine and `ranks`
+    its ranks; `view`, when given, views each true report and each class's
+    first report once, and the hits carry the reports. Without `proposers`
+    every evaluation is a call of `evaluate`.
 
     A coalition's scan evaluates one joint misreport per combination of
     its members' classes, the first of each class in list order; a
     member's true class is a class like any other, since the others'
     deviation can make it gain. The innermost member is the coalition's
     last proposer, or its last member when none proposes. The outer
-    members' views are written once per combination of their classes,
-    then `insert` gives the innermost member's evaluations, which DA
-    warm-starts once for the others and which rewrite only its view, and
-    each one's rank is tested first. The outcomes stay keyed by class
-    numbers in coalition order. Only when some combination left every
-    member strictly better off does it walk the joint misreports in list
-    order and yield each one whose combination did, so the hits and their
-    order are those of a scan that evaluates every joint misreport, and
-    each scan evaluates as often whichever member is innermost.
+    members' views are written once per combination of their classes and
+    then the innermost member's, one per evaluation, whose rank is tested
+    first; a proposer's evaluations come from one `insert`, so DA runs once
+    there for the others. The outcomes stay keyed by class numbers in
+    coalition order. Only when some combination left every member strictly
+    better off does it walk the joint misreports in list order and yield
+    each one whose combination did, so the hits and their order are those
+    of a scan that evaluates every joint misreport, and each scan evaluates
+    as often whichever member is innermost.
     """
     views = list(true_reports if view is None else map(view, true_reports))
     true_views = tuple(views)
@@ -369,21 +366,20 @@ def _search(
             number[i] = [index.setdefault(key, len(index)) for key in classes[i]]
             firsts[i] = [alternatives[i][number[i].index(n)] for n in range(len(index))]
         firsts[i] = list(enumerate(firsts[i] if view is None else map(view, firsts[i])))
-    if insert is None:
-        insert = _cold_inserts(evaluate)
     for size in range(1, cap + 1):
         for coalition in itertools.combinations(candidates, size):
             # the innermost member: the last proposer, else the last member
             at = max([k for k, i in enumerate(coalition) if i in proposers], default=size - 1)
             inner, outer = coalition[at], coalition[:at] + coalition[at + 1 :]
-            inner_rank, inner_bar = ranks[inner], base_rank[inner]
+            inner_rank, inner_bar, warm = ranks[inner], base_rank[inner], inner in proposers
             outcomes = {}
             for head in itertools.product(*(firsts[i] for i in outer)):
                 for i, (_, viewed) in zip(outer, head):
                     views[i] = viewed
-                evaluate_with = insert(views, inner)
+                evaluate_with = insert(views, inner) if warm else None
                 for n, viewed in firsts[inner]:
-                    after = evaluate_with(viewed)
+                    views[inner] = viewed
+                    after = evaluate(views) if evaluate_with is None else evaluate_with(viewed)
                     if inner_rank[after[inner]] < inner_bar:
                         for i in outer:
                             if ranks[i][after[i]] >= base_rank[i]:
@@ -405,11 +401,10 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     """The market record of a rule on a p-by-q marriage market, whose agents
     are numbered men first and whose reports the domain has checked.
 
-    A DA rule's engine is `da._view_engine`, its classes are the reports'
-    acceptable lists and its proposers its proposing side; every other
-    rule's engine evaluates `assignment` on reports and codes its lots with
-    `core.assignment_lots`, has no warm start and no proposers, and each
-    report is its own class. A DA rule's `table`, on a domain with keys (`profile_keys`), reads its
+    A DA rule's engine is `da._view_engine` and its classes are the reports'
+    acceptable lists; every other rule's engine evaluates `assignment` on
+    reports and codes its lots with `core.assignment_lots`, has no warm
+    start, and each report is its own class. A DA rule's `table`, on a domain with keys (`profile_keys`), reads its
     outcomes from the shape's `core.ListKeys` store, numbered among the
     shape's matchings (`core.market_shape`), and builds the engine only
     to fill the keys the store does not hold yet; every other table
@@ -419,14 +414,11 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     def evaluate(reports: Sequence) -> list:
         return [lot[0] for lot in assignment_lots(p, q, [rule.assignment(tuple(reports[:p]), tuple(reports[p:]))])]
 
-    def plain_engine() -> tuple:
-        return None, evaluate, _cold_inserts(evaluate)
-
-    engine = plain_engine if rule._da is None else partial(_view_engine, rule._da, p, q)
+    engine = (lambda: (None, evaluate, None, ())) if rule._da is None else partial(_view_engine, rule._da, p, q)
 
     # the engine's evaluate, and the views of the profiles of `lists` in product order
     def viewed(lists: Sequence) -> tuple[Callable, Iterator]:
-        view, evaluate, _ = engine()
+        view, evaluate, _, _ = engine()
         return evaluate, itertools.product(*(lists if view is None else [list(map(view, l)) for l in lists]))
 
     def table(domain: "PreferenceDomain") -> tuple[Sequence[int], Sequence]:
@@ -452,8 +444,7 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
 
     witness = _witnesses(partial(ManipulationWitness, rule.name), outcome)
     by_list = None if rule._da is None else operator.attrgetter("acceptable_idx")
-    proposers = {RuleId.MPDA: range(p), RuleId.WPDA: range(p, p + q), None: ()}[rule._da]
-    return _Market(engine, lambda true: [pref.rank_row for pref in true], witness, table, by_list, proposers)
+    return _Market(engine, lambda true: [pref.rank_row for pref in true], witness, table, by_list)
 
 
 def _marriage_scan(

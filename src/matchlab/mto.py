@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, Matching, Preference, Profile, Ranking, blocking_pairs, man, woman
 from .core import is_individually_rational, is_stable
-from .da import _cold_inserts, _sequential_da, _traced_da, _warm_start
+from .da import _sequential_da, _traced_da, _warm_start
 from .domains import ProductDomain, PropertyCheck, _check_each_agent, utp_missing
 from .errors import DimensionMismatchError, NotResponsiveError, UnknownOutcomeError, ValidationError
 from .manipulation import DEFAULT_EVAL_BUDGET, _check_witness, _Market, _scan, _witnesses
@@ -426,8 +426,8 @@ def _seat_ranges(quotas: Sequence[int], n_students: int) -> list[range]:
     return [range(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, Callable, Callable]:
-    """(view, evaluate, insert) of SPDA on colleges with these reports'
+def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, Callable, Callable, range]:
+    """(view, evaluate, insert, proposers) of SPDA on colleges with these reports'
     quotas, for `spda_matching` and the scans (`MtoDomain.spda_market`). It
     runs on the seats of `_seat_ranges`. A college report's view gives each
     of its seats the `rank_row` of its induced ranking, a student report's is
@@ -435,11 +435,10 @@ def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, 
     held slot each, holds SPDA's students. evaluate(views), colleges first,
     returns a fresh list: each college's students as a sorted index tuple,
     then each student's college index, or the college count when unmatched.
-    insert(views, i) returns a callable that evaluates the views with i's
-    view replaced by the one it is given: for a student, from a
-    `da._warm_start` on a seat list built once for the warm start; for a
-    college, by setting the view and calling evaluate. Both paths write the
-    lot vector with one step."""
+    proposers holds the students' view slots, and for a student i
+    insert(views, i) is a `da._warm_start` on a seat list built once for it:
+    a callable that evaluates the views with i's view replaced by the one it
+    is given. Both paths write the lot vector with one step."""
     nc, n = len(college_prefs), college_prefs[0].n_students
     seat_ranges = _seat_ranges([cp.quota for cp in college_prefs], n)
     seat_college = [c for c, r in enumerate(seat_ranges) for _ in r]
@@ -472,22 +471,20 @@ def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, 
         _sequential_da(views[nc:], seats, held, [0] * n, range(n))
         return lots_of(held)
 
-    cold = _cold_inserts(evaluate)
+    students = range(nc, nc + n)
 
     def insert(views: list, i: int) -> Callable:
-        if i < nc:
-            return cold(views, i)
         seats = seats_of(views)
-        return _warm_start(views, i, range(nc, nc + n), seats, [n] * len(seats), lots_of)
+        return _warm_start(views, i, students, seats, [n] * len(seats), lots_of)
 
-    return view, evaluate, insert
+    return view, evaluate, insert, students
 
 
 def spda_matching(profile: MtoProfile) -> MtoMatching:
     """Student-proposing deferred acceptance, untraced. `run_spda` checks its
     last round against this outcome, so the two check each other."""
     require_responsive(profile)
-    view, evaluate, _ = _spda_engine(profile.college_prefs)
+    view, evaluate, _, _ = _spda_engine(profile.college_prefs)
     lots = evaluate([*map(view, profile.college_prefs), *map(view, profile.student_prefs)])
     return MtoMatching(profile.quotas, profile.n_students, lots[: profile.n_colleges])
 
@@ -589,15 +586,15 @@ class MtoDomain(ProductDomain):
             pass
         nc = self.n_colleges
         lists = self.product_order().lists
-        view, evaluate, insert = _spda_engine([l[0] for l in lists[:nc]])
-        engine = ({pref: view(pref) for l in lists for pref in l}.__getitem__, evaluate, insert)
+        view, evaluate, insert, students = _spda_engine([l[0] for l in lists[:nc]])
+        engine = ({pref: view(pref) for l in lists for pref in l}.__getitem__, evaluate, insert, students)
 
         def ranks(true: Sequence) -> list:
             return [pref.rank_by_group for pref in true[:nc]] + [pref.rank_row for pref in true[nc:]]
 
         quotas = [l[0].quota for l in lists[:nc]]
         witness = _witnesses(MtoWitness, lambda lots: MtoMatching(quotas, self.n_students, lots[:nc]))
-        self._spda = _Market(lambda: engine, ranks, witness, proposers=range(nc, len(lists)))
+        self._spda = _Market(lambda: engine, ranks, witness)
         return self._spda
 
 

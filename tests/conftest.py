@@ -90,7 +90,7 @@ def count_evaluations(monkeypatch, module, factory: str, record=lambda args, vie
     build, kernel = getattr(module, factory), da._sequential_da
 
     def counting_factory(*args):
-        view, evaluate, insert = build(*args)
+        view, evaluate, insert, proposers = build(*args)
 
         def counted(views):
             evaluations.append(record(args, views))
@@ -105,7 +105,7 @@ def count_evaluations(monkeypatch, module, factory: str, record=lambda args, vie
 
             return counted_with
 
-        return view, counted, counted_insert
+        return view, counted, counted_insert, proposers
 
     def counting_kernel(*args):
         runs.append(None)

@@ -178,7 +178,7 @@ def test_sequential_engine_matches_traced_engine_and_brute_force(profile):
         else:
             brute = _optimal_for(profile.women, profile.men, profile, sset)
         assert fast == traced.assignment == brute.assignment
-        view, evaluate, _ = da._view_engine(rule, p, q)
+        view, evaluate, _, _ = da._view_engine(rule, p, q)
         lots = evaluate([view(pref) for pref in profile.men_prefs + profile.women_prefs])
         assert lots == [lot[0] for lot in assignment_lots(p, q, [traced.assignment])]
 
@@ -187,9 +187,9 @@ def test_sequential_engine_matches_traced_engine_and_brute_force(profile):
 @given(profile=truncated_profiles().filter(lambda prof: prof.p != prof.q), data=st.data())
 def test_warm_insertion_matches_a_cold_evaluation(profile, data):
     # each agent's domain holds its true ranking's truncations and up to
-    # three drawn rankings; inserting each of them into one warm start (or,
-    # for a receiver, rewriting its view) gives the lot vector of a cold
-    # evaluation of the same views, under both rules
+    # three drawn rankings; inserting each of a proposer's into one warm
+    # start gives the lot vector of a cold evaluation of the same views,
+    # under both rules
     p, q = profile.p, profile.q
     domains = []
     for a in profile.agents:
@@ -198,12 +198,11 @@ def test_warm_insertion_matches_a_cold_evaluation(profile, data):
         rankings = dict.fromkeys([*truncations(profile[a].ranking), *map(tuple, drawn)])
         domains.append([Preference(a, ranking) for ranking in rankings])
     for rule in RuleId:
-        view, evaluate, insert = da._view_engine(rule, p, q)
+        view, evaluate, insert, proposers = da._view_engine(rule, p, q)
         true = [view(pref) for pref in profile.men_prefs + profile.women_prefs]
-        for i, domain in enumerate(domains):
-            views = list(true)
-            evaluate_with = insert(views, i)
-            for report in domain:
+        for i in proposers:
+            evaluate_with = insert(list(true), i)
+            for report in domains[i]:
                 viewed = view(report)
                 assert evaluate_with(viewed) == evaluate([*true[:i], viewed, *true[i + 1 :]])
 

@@ -559,8 +559,8 @@ def test_college_scans_build_spda_record_once_per_domain(monkeypatch):
     engine = mto._spda_engine
 
     def counting(college_prefs):
-        view, evaluate, insert = engine(college_prefs)
-        return (lambda pref: built.append(pref) or view(pref)), evaluate, insert
+        view, evaluate, insert, proposers = engine(college_prefs)
+        return (lambda pref: built.append(pref) or view(pref)), evaluate, insert, proposers
 
     monkeypatch.setattr(mto, "_spda_engine", counting)
     text = (FIXTURES / "example2_domain.json").read_text()
@@ -745,7 +745,7 @@ def test_untraced_spda_matches_the_round_engine(prof):
     # student's college index, or the college count when unmatched
     nu = run_spda(prof)[0]
     assert spda_matching(prof) == nu
-    view, evaluate, _ = mto._spda_engine(prof.college_prefs)
+    view, evaluate, _, _ = mto._spda_engine(prof.college_prefs)
     lots = evaluate([*map(view, prof.college_prefs), *map(view, prof.student_prefs)])
     codes = [prof.n_colleges if c is OUTSIDE else c.index for c in map(nu.college_of, students(prof.n_students))]
     assert lots == [*nu.assignment, *codes]
@@ -768,26 +768,17 @@ def test_each_spda_round_holds_what_its_index_pairs_replay_to(prof):
 @given(prof=college_markets(), data=st.data())
 def test_warm_insertion_matches_a_cold_spda_evaluation(prof, data):
     # each student's domain holds its true ranking's truncations and up to
-    # three drawn rankings, each college's up to three drawn responsive
-    # rankings of its quota; inserting each of them into one warm start
-    # (or, for a college, rewriting its view) gives the lot vector of a
-    # cold evaluation of the same views
-    cs, ss = colleges(prof.n_colleges), students(prof.n_students)
-    domains = []
-    for cp in prof.college_prefs:
-        drawn = data.draw(st.lists(st.permutations(ss + (OUTSIDE,)), max_size=3))
-        domains.append([cp] + [responsive_extension(cp.owner, cp.quota, tuple(order)) for order in drawn])
-    for sp in prof.student_prefs:
-        drawn = data.draw(st.lists(st.permutations(cs + (OUTSIDE,)), max_size=3))
-        rankings = dict.fromkeys([*truncations(sp.ranking), *map(tuple, drawn)])
-        domains.append([StudentPreference(sp.owner, r) for r in rankings])
-    view, evaluate, insert = mto._spda_engine(prof.college_prefs)
+    # three drawn rankings; inserting each of them into one warm start
+    # gives the lot vector of a cold evaluation of the same views
+    cs = colleges(prof.n_colleges)
+    view, evaluate, insert, proposers = mto._spda_engine(prof.college_prefs)
     true = [*map(view, prof.college_prefs), *map(view, prof.student_prefs)]
-    for i, domain in enumerate(domains):
-        views = list(true)
-        evaluate_with = insert(views, i)
-        for report in domain:
-            viewed = view(report)
+    assert list(proposers) == list(range(prof.n_colleges, len(true)))
+    for i, sp in zip(proposers, prof.student_prefs):
+        drawn = data.draw(st.lists(st.permutations(cs + (OUTSIDE,)), max_size=3))
+        evaluate_with = insert(list(true), i)
+        for ranking in dict.fromkeys([*truncations(sp.ranking), *map(tuple, drawn)]):
+            viewed = view(StudentPreference(sp.owner, ranking))
             assert evaluate_with(viewed) == evaluate([*true[:i], viewed, *true[i + 1 :]])
 
 

@@ -233,9 +233,17 @@ def test_search_inserts_the_last_proposer_innermost():
     assert [hit[:2] for hit in plain] == [((0, 1), ("b", "c"))]
     assert evaluated[-4:] == [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     evaluated.clear()
-    assert list(scan(proposers=(0,))) == plain
+    starts = []
+
+    def insert(views, i):
+        starts.append((tuple(views), i))
+        return lambda viewed: evaluate([*views[:i], viewed, *views[i + 1 :]])
+
+    assert list(scan(insert=insert, proposers=(0,))) == plain
     assert evaluated[-4:] == [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")]
     assert len(evaluated) == 1 + 2 + 2 + 4
+    # agent 0 alone, then once per class of agent 1; agent 1 alone is evaluated plainly
+    assert [(views[1], i) for views, i in starts] == [("t1", 0), ("c", 0), ("d", 0)]
 
 
 def _ungrouped(rule_id: RuleId) -> MatchingRule:
@@ -554,11 +562,11 @@ def test_college_scans_are_pinned():
 #
 # `_search` keeps each evaluation's lot vector in its outcome table while it
 # rewrites the views and evaluates again, so every evaluation must return a
-# fresh list and neither change nor keep the views it is given. An insertion
-# callable may set its one slot of the views, and no other.
+# fresh list and neither change nor keep the views it is given, and so must
+# an insertion callable.
 
 
-def _check_fresh_evaluations(evaluate, profiles: list, insert) -> None:
+def _check_fresh_evaluations(evaluate, profiles: list, insert, proposers) -> None:
     views = list(profiles[0])
     results, copies = [], []
     for viewed in profiles:
@@ -572,18 +580,15 @@ def _check_fresh_evaluations(evaluate, profiles: list, insert) -> None:
     for lots in results:
         lots[:] = [-1] * len(lots)
     assert [evaluate(list(viewed)) for viewed in profiles] == copies
-    # each agent's reports of the profiles, inserted into the first profile
+    # each proposer's reports of the profiles, inserted into the first profile
     first = profiles[0]
-    for i in range(len(first)):
+    for i in proposers:
         expected = [evaluate([*first[:i], viewed[i], *first[i + 1 :]]) for viewed in profiles]
         views = list(first)
         before = [list(v) if isinstance(v, list) else v for v in views]
         evaluate_with = insert(views, i)
-        results = []
-        for viewed in profiles:
-            results.append(evaluate_with(viewed[i]))
-            before[i] = viewed[i]
-            assert views == before and all(map(operator.is_, views, [*first[:i], viewed[i], *first[i + 1 :]]))
+        results = [evaluate_with(viewed[i]) for viewed in profiles]
+        assert views == before and all(map(operator.is_, views, first))
         assert results == expected
         assert len(set(map(id, results))) == len(results)
         for lots in results:
@@ -595,15 +600,15 @@ def _check_fresh_evaluations(evaluate, profiles: list, insert) -> None:
 @pytest.mark.parametrize("rule", list(RuleId))
 def test_view_engine_returns_a_fresh_lot_vector_and_leaves_its_views(rule, p, q):
     rng = random.Random(p * 10 + q)
-    view, evaluate, insert = da._view_engine(rule, p, q)
+    view, evaluate, insert, proposers = da._view_engine(rule, p, q)
     profiles = [random_profile(rng, p, q) for _ in range(30)]
     views = [[view(pref) for pref in prof.men_prefs + prof.women_prefs] for prof in profiles]
-    _check_fresh_evaluations(evaluate, views, insert)
+    _check_fresh_evaluations(evaluate, views, insert, proposers)
 
 
 def test_spda_engine_returns_a_fresh_lot_vector_and_leaves_its_views():
     domain, rng = _fixture_domain(), random.Random(5)
     lists = domain.product_order().lists
-    view, evaluate, insert = mto._spda_engine([l[0] for l in lists[: domain.n_colleges]])
+    view, evaluate, insert, proposers = mto._spda_engine([l[0] for l in lists[: domain.n_colleges]])
     profiles = [[view(rng.choice(l)) for l in lists] for _ in range(30)]
-    _check_fresh_evaluations(evaluate, profiles, insert)
+    _check_fresh_evaluations(evaluate, profiles, insert, proposers)

@@ -178,14 +178,15 @@ def test_theorem2_runs_da_at_most_once_per_2x2_list_vector_per_rule(monkeypatch,
     # theorem2 certifies MPDA and WPDA twice on every domain it draws; the
     # DA outcome memo of each rule holds the 5 ** 4 = 625 vectors of
     # acceptable lists a 2x2 profile can have, however many domains it draws.
-    # Every untraced DA run of a table or a scan is an evaluation of the view
-    # engine, by evaluate or by an insertion callable, counted per rule
-    evaluations, _ = count_evaluations(monkeypatch, manipulation, "_view_engine", lambda args, views: args[0])
+    # Evaluations of the view engine are counted per rule, and every
+    # untraced DA run, `da_assignment`'s included, must be one of them
+    evaluations, runs = count_evaluations(monkeypatch, manipulation, "_view_engine", lambda args, views: args[0])
     report = run_suite("theorem2", SuiteParams(trials=trials))
     assert report.verdict == "pass" and report.trials == (15 if trials is None else trials)
-    runs = collections.Counter(evaluations)
-    assert runs.keys() == {RuleId.MPDA, RuleId.WPDA}
-    assert 0 < runs[RuleId.MPDA] <= 625 and 0 < runs[RuleId.WPDA] <= 625
+    assert len(runs) == len(evaluations)
+    by_rule = collections.Counter(evaluations)
+    assert by_rule.keys() == {RuleId.MPDA, RuleId.WPDA}
+    assert 0 < by_rule[RuleId.MPDA] <= 625 and 0 < by_rule[RuleId.WPDA] <= 625
 
 
 def test_theorem2_fail_path_carries_a_validated_coalition_witness(monkeypatch):
