@@ -16,7 +16,9 @@ only its own chain of rejections. `da_assignment` (so `da_matching`) and
 receivers' rows as the reports hold them. The scans and the certification
 tables reach it through an engine on report views, whose evaluation
 returns a fresh lot vector in `core.assignment_lots`' code and whose
-insertion function warm-starts it for one proposer's reports: a
+insertion function warm-starts it for one proposer's reports; both are
+gain first, returning None unless a given agent's lot, read from the
+kernel's state, ranks above a bar: a
 marriage market's `_view_engine`, and a college market's `mto._spda_engine`
 on the seats of the seat market that college stability is judged on
 (`mto._seat_ranges`).
@@ -44,7 +46,7 @@ last step holds the untraced engine's outcome; each is the other's oracle.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     AgentId,
@@ -113,13 +115,19 @@ def _da_rounds(lists: Sequence, rows: Sequence, quotas: Sequence) -> Iterator[tu
             rank = rows[r]
             bar = rank[-1]
             pool = [*by_receiver[r], *held[r]]
-            if len(pool) > 1:
+            if quotas[r] == 1:
+                # one seat: the best of the pool, if acceptable, needs no sort
+                best = min(pool, key=rank.__getitem__)
+                kept = [best] if rank[best] < bar else []
+                rest = [i for i in pool if i != best] if kept else pool
+            else:
                 pool.sort(key=rank.__getitem__)
-            # unacceptable proposers sort last and are never held
-            kept = [i for i in pool[: quotas[r]] if rank[i] < bar]
+                # unacceptable proposers sort last and are never held
+                kept = [i for i in pool[: quotas[r]] if rank[i] < bar]
+                rest = pool[len(kept) :]
             held[r] = tuple(sorted(kept))
-            if len(kept) < len(pool):
-                rejections += [(i, r) for i in sorted(pool[len(kept) :])]
+            if rest:
+                rejections += [(i, r) for i in sorted(rest)]
         yield proposals, rejections, tuple(held)
         if not proposals:
             return
@@ -205,23 +213,39 @@ def _sequential_da(lists: Sequence, rows: Sequence, held: list, next_choice: lis
                 i = n
 
 
-def _warm_start(views: list, i: int, proposers: range, rows: Sequence, held: list, lots_of: Callable) -> Callable:
+def _held_lot(lst: Sequence, k: int, held: list, j: int, codes: Sequence, unmatched: int) -> int:
+    """Proposer j's lot code in a state `_sequential_da` left, lst being
+    j's list and k its next_choice: codes[r] of the slot r = lst[k - 1] it
+    was last held by, while r still holds it, else unmatched."""
+    return codes[lst[k - 1]] if k and held[lst[k - 1]] == j else unmatched
+
+
+def _warm_start(
+    views: list, i: int, proposers: range, rows: Sequence, held: list, codes: Sequence, lots_of: Callable
+) -> Callable:
     """A warm start of `_sequential_da` for agent i, one of the proposers
     whose lists sit at `proposers` of the views: it copies their lists, runs
     once with i's list empty into `held` and keeps the state. Each call of
     the callable it returns takes a view of i's report, enters i alone with
     it into a copy of the state, so only i's proposal chain runs (the
     outcome does not depend on the order of entry), and returns
-    lots_of(held) of the copy; the views are neither changed nor kept."""
+    lots_of(held) of the copy; the views are neither changed nor kept.
+
+    Gain first: given i's rank row by lot code and a bar, the call returns
+    None, without running lots_of, unless i ranks its lot strictly above
+    the bar. i's lot is read from the copy (`_held_lot`), unmatched being
+    the rank row's last code."""
     lists, j = views[proposers.start : proposers.stop], i - proposers.start
     lists[j] = ()
     next_choice = [0] * len(lists)
     _sequential_da(lists, rows, held, next_choice, range(len(lists)))
 
-    def evaluate_with(viewed) -> list:
+    def evaluate_with(viewed, rank: Optional[Sequence] = None, bar: int = 0) -> Optional[list]:
         lists[j] = viewed
-        lots = held.copy()
-        _sequential_da(lists, rows, lots, next_choice.copy(), (j,))
+        lots, choice = held.copy(), next_choice.copy()
+        _sequential_da(lists, rows, lots, choice, (j,))
+        if rank is not None and rank[_held_lot(viewed, choice[j], lots, j, codes, -1)] >= bar:
+            return None
         return lots_of(lots)
 
     return evaluate_with
@@ -255,7 +279,13 @@ def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable, Call
     proposers' reports, and for i among them insert(views, i) is a
     `_warm_start`: a callable that evaluates the views with i's view
     replaced by the one it is given. The one untraced DA evaluation of the
-    scans and the tables."""
+    scans and the tables.
+
+    Gain first: evaluate(views, i, rank, bar) returns None, without writing
+    the proposers' lots, unless agent i ranks its lot strictly above the
+    bar by its rank row; a receiver's lot is its held slot, a proposer's
+    the receiver it last proposed to, while that receiver still holds it.
+    The insertion callable takes the rank row and bar after the view."""
     if rule is RuleId.MPDA:
         proposers, first, receivers, k, offset, shift = Side.MAN, slice(None, p), range(p, p + q), p, 0, p
     elif rule is RuleId.WPDA:
@@ -264,6 +294,7 @@ def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable, Call
         raise ValidationError(f"unknown rule {rule!r}")
     template = [q] * p + [p] * q
     entrants, positions = range(k), range(offset, offset + k)  # the proposers' indices and view slots
+    codes = range(-shift, p + q - shift)  # a receiver's slot to its lot code
 
     def view(pref: Preference):
         if pref.owner.side is not proposers:
@@ -277,13 +308,19 @@ def _view_engine(rule: RuleId, p: int, q: int) -> tuple[Callable, Callable, Call
                 lots[offset + i] = r - shift
         return lots
 
-    def evaluate(views: Sequence) -> list:
-        lots = template.copy()
-        _sequential_da(views[first], views, lots, [0] * k, entrants)
+    def evaluate(views: Sequence, i: Optional[int] = None, rank: Sequence = (), bar: int = 0) -> Optional[list]:
+        lots, choice, lists = template.copy(), [0] * k, views[first]
+        _sequential_da(lists, views, lots, choice, entrants)
+        if i is not None:
+            # a proposer's slot still holds the unmatched code
+            j = i - offset
+            lot = _held_lot(lists[j], choice[j], lots, j, codes, lots[i]) if 0 <= j < k else lots[i]
+            if rank[lot] >= bar:
+                return None
         return lots_of(lots)
 
     def insert(views: list, i: int) -> Callable:
-        return _warm_start(views, i, positions, views.copy(), template.copy(), lots_of)
+        return _warm_start(views, i, positions, views.copy(), template.copy(), codes, lots_of)
 
     return view, evaluate, insert, positions
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -101,7 +102,9 @@ class ProductDomain:
     `check_ranking(agent, pref, first)` (raise ValidationError for a ranking
     of the wrong type or size for the market; `first` heads the agent's set
     and is checked before the rest) and `make_profile(prefs)` (its profile
-    from one preference per agent, in agent order).
+    from one preference per agent, in agent order) and `reports(profile)`
+    (a profile's reports in agent order, or None for a profile of another
+    market).
 
     Construction checks every shape the DA engine relies on, so reports
     taken from a domain go to the engine unchecked. A domain does not change
@@ -139,7 +142,8 @@ class ProductDomain:
                 raise ValidationError(f"duplicate preference in the set for {a}")
             lists[a] = tup
         self._lists = lists
-        self._lookups = {a: {pref: i for i, pref in enumerate(tup)} for a, tup in lists.items()}
+        # per position in agent order: each admissible report's digit, and the list
+        self._lookups = tuple([({pref: i for i, pref in enumerate(lists[a])}, lists[a]) for a in self.agents])
 
     def admissible(self, agent) -> tuple:
         try:
@@ -149,8 +153,8 @@ class ProductDomain:
 
     def index_of(self, agent, pref) -> int:
         try:
-            return self._lookups[agent][pref]
-        except KeyError:
+            return self._lookups[self.agents.index(agent)][0][pref]
+        except (ValueError, KeyError):
             raise PreconditionError(f"preference of {agent} is not admissible") from None
 
     @property
@@ -184,25 +188,33 @@ class ProductDomain:
         for digits in order.digits():
             yield self.make_profile(order.preferences(digits))
 
+    def digits_of(self, reports) -> Optional[list[int]]:
+        """Each report's digit, the reports given in agent order, or None
+        when they are not a profile of the domain. Reports are read by
+        position: a report's equality includes its owner, so one at
+        another agent's position is refused."""
+        if len(reports) != len(self._lookups):
+            return None
+        digits = []
+        for pref, (lookup, _) in zip(reports, self._lookups):
+            d = lookup.get(pref)
+            if d is None:
+                return None
+            digits.append(d)
+        return digits
+
     def contains(self, profile) -> bool:
-        if profile.agents != self.agents:
-            return False
-        return all(profile[a] in self._lookups[a] for a in self.agents)
+        reports = self.reports(profile)
+        return reports is not None and self.digits_of(reports) is not None
 
     def deviations(self, profile) -> tuple[tuple, list[tuple]]:
         """The profile's reports in agent order, and each agent's admissible
         reports other than its own, in list order."""
-        if profile.agents != self.agents:
+        true = self.reports(profile)
+        digits = None if true is None else self.digits_of(true)
+        if digits is None:
             raise PreconditionError("base profile is not admissible in the domain")
-        true = tuple(profile[a] for a in self.agents)
-        alternatives = []
-        for a, pref in zip(self.agents, true):
-            d = self._lookups[a].get(pref)
-            if d is None:
-                raise PreconditionError("base profile is not admissible in the domain")
-            tup = self._lists[a]
-            alternatives.append(tup[:d] + tup[d + 1 :])
-        return true, alternatives
+        return true, [tup[:d] + tup[d + 1 :] for d, (_, tup) in zip(digits, self._lookups)]
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -250,6 +262,10 @@ class PreferenceDomain(ProductDomain):
 
     def make_profile(self, prefs: Sequence[Preference]) -> Profile:
         return Profile(prefs)
+
+    @staticmethod
+    def reports(profile) -> Optional[tuple]:
+        return profile.men_prefs + profile.women_prefs if isinstance(profile, Profile) else None
 
     def profile_keys(self) -> Optional[list[int]]:
         """Each profile's key by acceptable lists (`core.list_keys`), in
@@ -654,16 +670,32 @@ def find_incompatibility_witness(domain: PreferenceDomain) -> Optional[Alternati
 
 @dataclass
 class StableSpSearch:
-    """Result of the existence search for a stable strategy-proof rule."""
+    """Result of the existence search for a stable strategy-proof rule.
+
+    A rule the backtracking search found comes with the domain and
+    `picked`, the number of its matching (`core.market_shape`) at each
+    profile in product order; `table` maps each profile's
+    (men_prefs, women_prefs) to that matching's assignment, built on first
+    read."""
 
     rule: Optional[MatchingRule]
     path: str  # "shortcut-mpda" | "shortcut-wpda" | "backtracking"
     sp_witness: Optional[ManipulationWitness] = None
-    table: Optional[dict] = None
+    domain: Optional[PreferenceDomain] = field(default=None, repr=False)
+    picked: Optional[list[int]] = field(default=None, repr=False)
 
     @property
     def exists(self) -> bool:
         return self.rule is not None
+
+    @functools.cached_property
+    def table(self) -> Optional[dict]:
+        if self.picked is None:
+            return None
+        p, lists = self.domain.p, self.domain.product_order().lists
+        assignments, _, _ = market_shape(p, self.domain.q)
+        keys = itertools.product(list(itertools.product(*lists[:p])), list(itertools.product(*lists[p:])))
+        return dict(zip(keys, [assignments[k] for k in self.picked]))
 
 
 def _stable_options(domain: PreferenceDomain) -> tuple[list, list]:
@@ -749,9 +781,10 @@ def _stable_option_pass(p: int, q: int, ranks: Sequence[Sequence[tuple]]) -> lis
     return options
 
 
-def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
-    """The first stable strategy-proof table in lexicographic order, or None
-    when provably none exists.
+def _backtracking_table(domain: PreferenceDomain) -> Optional[list[int]]:
+    """The first stable strategy-proof table in lexicographic order, as the
+    number of its matching (`core.market_shape`) at each profile in product
+    order, or None when provably none exists.
 
     A table picks one stable option (`_stable_options`, remembered by
     acceptable lists where the domain has keys) per profile, and is
@@ -765,14 +798,12 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
        each option against every forced or already assigned profile on the
        agents' axis lines, by the ranks of the agents' lot codes.
     Forced profiles have one option, so this is the first table of a walk
-    over every profile by index. Preference tuples are built only for the
-    table's keys.
+    over every profile by index. No preference tuple is built.
     """
     total = domain.exhaustive_count("backtracking search")
-    p = domain.p
     order = domain.product_order()
-    lists, strides = order.lists, order.strides
-    assignments, _, lots = market_shape(p, domain.q)
+    strides = order.strides
+    _, _, lots = market_shape(domain.p, domain.q)
     ranks, options = _stable_options(domain)
     # the matching at each profile: its first option, until the walk over
     # the free profiles picks another
@@ -818,9 +849,26 @@ def _backtracking_table(domain: PreferenceDomain) -> Optional[dict]:
             at -= 1
             if at < 0:
                 return None
+    return picked
 
-    keys = itertools.product(list(itertools.product(*lists[:p])), list(itertools.product(*lists[p:])))
-    return dict(zip(keys, [assignments[k] for k in picked]))
+
+def _table_rule(domain: PreferenceDomain, picked: Sequence[int]) -> MatchingRule:
+    """The stable rule that takes the matching numbered picked[k] at the
+    domain's k-th profile, in product order. It finds a profile's index
+    through the domain's lookups (`digits_of`) and raises PreconditionError
+    for a profile outside the domain."""
+    from .manipulation import MatchingRule
+
+    name, strides = "stable-sp-table", domain.product_order().strides
+    assignments, _, _ = market_shape(domain.p, domain.q)
+
+    def assign(men_prefs: tuple, women_prefs: tuple) -> tuple:
+        digits = domain.digits_of(men_prefs + women_prefs)
+        if digits is None:
+            raise PreconditionError(f"profile outside the table of rule {name!r}")
+        return assignments[picked[sum(map(operator.mul, digits, strides))]]
+
+    return MatchingRule(name, assign, stable=True)
 
 
 def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> StableSpSearch:
@@ -830,7 +878,7 @@ def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> Stabl
     rule can qualify, so it is tested directly; otherwise a backtracking
     search over per-profile stable selections decides existence exactly.
     """
-    from .manipulation import MatchingRule, is_strategy_proof, mpda_rule, wpda_rule
+    from .manipulation import is_strategy_proof, mpda_rule, wpda_rule
 
     if path not in ("auto", "backtracking"):
         raise ValidationError(f"unknown path {path!r}")
@@ -845,11 +893,10 @@ def exists_stable_sp_rule(domain: PreferenceDomain, path: str = "auto") -> Stabl
                 if check:
                     return StableSpSearch(rule=rule, path=shortcut)
                 return StableSpSearch(rule=None, path=shortcut, sp_witness=check.witness)
-    table = _backtracking_table(domain)
-    if table is None:
+    picked = _backtracking_table(domain)
+    if picked is None:
         return StableSpSearch(rule=None, path="backtracking")
-    rule = MatchingRule.from_table(table, name="stable-sp-table", stable=True)
-    return StableSpSearch(rule=rule, path="backtracking", table=table)
+    return StableSpSearch(_table_rule(domain, picked), "backtracking", domain=domain, picked=picked)
 
 
 # --- the four-way equivalence ------------------------------------------------

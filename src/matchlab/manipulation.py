@@ -245,7 +245,11 @@ class _Market:
     the views with i's view replaced by the one it is given, as `evaluate`
     would, and neither changes nor keeps the views; while it is in use the
     caller changes no slot but i's. A market without a warm start has
-    neither (None, ()). `ranks(true)`
+    neither (None, ()). Both are gain first: `evaluate(views, i, rank,
+    bar)`, and the callable given `(viewed, rank, bar)`, return None unless
+    agent i ranks its lot strictly above bar by rank, `ranks(true)[i]` in a
+    scan, and the lot vector otherwise; they then write no lot vector, and
+    the engines read i's lot from their own state. `ranks(true)`
     returns ranks[i][lot], agent i's rank by true[i] of a lot (0 is the
     top). `witness(base, coalition, reports, before, after)` builds the
     witness of one hit of `_search`. `class_key`, when given, keys each
@@ -340,14 +344,16 @@ def _search(
     deviation can make it gain. The innermost member is the coalition's
     last proposer, or its last member when none proposes. The outer
     members' views are written once per combination of their classes and
-    then the innermost member's, one per evaluation, whose rank is tested
-    first; a proposer's evaluations come from one `insert`, so DA runs once
-    there for the others. The outcomes stay keyed by class numbers in
-    coalition order. Only when some combination left every member strictly
-    better off does it walk the joint misreports in list order and yield
-    each one whose combination did, so the hits and their order are those
-    of a scan that evaluates every joint misreport, and each scan evaluates
-    as often whichever member is innermost.
+    then the innermost member's, one per evaluation, which is gain first:
+    it takes that member's true rank row and base rank and returns a lot
+    vector only when the member gains, and only then are the outer
+    members' ranks read. A proposer's evaluations come from one `insert`,
+    so DA runs once there for the others. The outcomes stay keyed by class
+    numbers in coalition order. Only when some combination left every
+    member strictly better off does it walk the joint misreports in list
+    order and yield each one whose combination did, so the hits and their
+    order are those of a scan that evaluates every joint misreport, and
+    each scan evaluates as often whichever member is innermost.
     """
     views = list(true_reports if view is None else map(view, true_reports))
     true_views = tuple(views)
@@ -378,9 +384,12 @@ def _search(
                     views[i] = viewed
                 evaluate_with = insert(views, inner) if warm else None
                 for n, viewed in firsts[inner]:
-                    views[inner] = viewed
-                    after = evaluate(views) if evaluate_with is None else evaluate_with(viewed)
-                    if inner_rank[after[inner]] < inner_bar:
+                    if evaluate_with is None:
+                        views[inner] = viewed
+                        after = evaluate(views, inner, inner_rank, inner_bar)
+                    else:
+                        after = evaluate_with(viewed, inner_rank, inner_bar)
+                    if after is not None:
                         for i in outer:
                             if ranks[i][after[i]] >= base_rank[i]:
                                 break
@@ -411,8 +420,9 @@ def _marriage_market(rule: MatchingRule, p: int, q: int) -> _Market:
     evaluates the rule once per profile and numbers its outcomes in the
     order they first appear."""
 
-    def evaluate(reports: Sequence) -> list:
-        return [lot[0] for lot in assignment_lots(p, q, [rule.assignment(tuple(reports[:p]), tuple(reports[p:]))])]
+    def evaluate(reports: Sequence, i: Optional[int] = None, rank: Sequence = (), bar: int = 0) -> Optional[list]:
+        lots = [lot[0] for lot in assignment_lots(p, q, [rule.assignment(tuple(reports[:p]), tuple(reports[p:]))])]
+        return None if i is not None and rank[lots[i]] >= bar else lots
 
     engine = (lambda: (None, evaluate, None, ())) if rule._da is None else partial(_view_engine, rule._da, p, q)
 
@@ -524,12 +534,13 @@ def _certify(
     - at a larger bound, each base from which some deviation, by a
       coalition of any size, leaves every deviator strictly better off
       (`core.gain_sets`), one base at a time.
-    Each picked base is scanned by `_search`, which reads its outcomes' lot
-    vectors from the table. A certification thus evaluates the rule at most
-    once per profile, whether it holds or fails at its first base: a DA
-    rule's table evaluates only the lists its engine's memo in the shape's
-    `core.ListKeys` store does not hold yet, so after the first
-    certification on a shape it usually evaluates none. Preferences are
+    Each picked base is scanned by `_search`, which reads its outcomes from
+    the table, gain first: the innermost member's lot code, and a lot
+    vector only for the base and where that member gains. A certification
+    thus evaluates the rule at most once per profile, whether it holds or
+    fails at its first base: a DA rule's table evaluates only the lists its
+    engine's memo in the shape's `core.ListKeys` store does not hold yet,
+    so after the first certification on a shape it usually evaluates none. Preferences are
     looked up only to build the table, to rank a scanned base's lots or to
     build the witness.
 
@@ -569,13 +580,13 @@ def _certify(
         reachable = gain_sets(codes, orders, strides)
         bases = (key for key, digits in enumerate(order.digits()) if reachable(digits, key) != 1 << key)
 
-    outcomes: list = []  # each outcome's lot vector, built at the first scanned base
-
-    def evaluate(digits: list) -> tuple:
-        return outcomes[ids[sum(map(operator.mul, digits, strides))]]
+    def evaluate(digits: list, i: Optional[int] = None, rank: Sequence = (), bar: int = 0) -> Optional[list]:
+        n = ids[sum(map(operator.mul, digits, strides))]
+        if i is not None and rank[lots[i][n]] >= bar:
+            return None
+        return [lot[n] for lot in lots]
 
     for key in bases:
-        outcomes = outcomes or list(zip(*lots))
         digits = order.digits_at(key)
         true = order.preferences(digits)
         alternatives = [tuple(range(d)) + tuple(range(d + 1, len(l))) for l, d in zip(lists, digits)]

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import OUTSIDE, Matching, Preference, Profile, Ranking, blocking_pairs, man, woman
 from .core import is_individually_rational, is_stable
-from .da import _sequential_da, _traced_da, _warm_start
+from .da import _held_lot, _sequential_da, _traced_da, _warm_start
 from .domains import ProductDomain, PropertyCheck, _check_each_agent, utp_missing
 from .errors import DimensionMismatchError, NotResponsiveError, UnknownOutcomeError, ValidationError
 from .manipulation import DEFAULT_EVAL_BUDGET, _check_witness, _Market, _scan, _witnesses
@@ -438,10 +438,18 @@ def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, 
     proposers holds the students' view slots, and for a student i
     insert(views, i) is a `da._warm_start` on a seat list built once for it:
     a callable that evaluates the views with i's view replaced by the one it
-    is given. Both paths write the lot vector with one step."""
+    is given. Both paths write the lot vector with one step.
+
+    Gain first: evaluate(views, i, rank, bar) returns None, without writing
+    the lot vector, unless agent i ranks its lot strictly above the bar by
+    rank, a college's `rank_by_group` or a student's `rank_row`; a college's
+    lot is the students held in its seat range, a student's the college of
+    the seat it last proposed to, while that seat still holds it. The
+    insertion callable takes the rank and bar after the view."""
     nc, n = len(college_prefs), college_prefs[0].n_students
     seat_ranges = _seat_ranges([cp.quota for cp in college_prefs], n)
     seat_college = [c for c, r in enumerate(seat_ranges) for _ in r]
+    seat_slices = [slice(r.start, r.stop) for r in seat_ranges]
 
     def view(pref) -> Sequence:
         if isinstance(pref, CollegePreference):
@@ -465,17 +473,24 @@ def _spda_engine(college_prefs: Sequence[CollegePreference]) -> tuple[Callable, 
                 groups[c].append(i)  # students come in index order
         return [*map(tuple, groups), *college_of]
 
-    def evaluate(views: list) -> list:
-        seats = seats_of(views)
+    def evaluate(views: list, i: Optional[int] = None, rank=(), bar: int = 0) -> Optional[list]:
+        seats, choice, lists = seats_of(views), [0] * n, views[nc:]
         held = [n] * len(seats)
-        _sequential_da(views[nc:], seats, held, [0] * n, range(n))
+        _sequential_da(lists, seats, held, choice, range(n))
+        if i is not None:
+            if i < nc:
+                lot = tuple(sorted([s for s in held[seat_slices[i]] if s < n]))
+            else:
+                lot = _held_lot(lists[i - nc], choice[i - nc], held, i - nc, seat_college, nc)
+            if rank[lot] >= bar:
+                return None
         return lots_of(held)
 
     students = range(nc, nc + n)
 
     def insert(views: list, i: int) -> Callable:
         seats = seats_of(views)
-        return _warm_start(views, i, students, seats, [n] * len(seats), lots_of)
+        return _warm_start(views, i, students, seats, [n] * len(seats), seat_college, lots_of)
 
     return view, evaluate, insert, students
 
@@ -572,6 +587,10 @@ class MtoDomain(ProductDomain):
 
     def make_profile(self, prefs: Sequence) -> MtoProfile:
         return MtoProfile(prefs[: self.n_colleges], prefs[self.n_colleges :])
+
+    @staticmethod
+    def reports(profile) -> Optional[tuple]:
+        return profile.college_prefs + profile.student_prefs if isinstance(profile, MtoProfile) else None
 
     def spda_market(self) -> _Market:
         """SPDA's market record (`manipulation._Market`) for the coalition

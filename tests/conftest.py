@@ -81,27 +81,39 @@ def truncations(ranking: tuple) -> list:
     ]
 
 
+def check_gain_first(got, cold: list, i: int, rank, bar: int) -> None:
+    """A gain-first call's result against the cold lot vector of the same
+    views: None exactly when agent i does not rank its lot above the bar,
+    else an equal fresh list, which the caller may then overwrite."""
+    if rank[cold[i]] >= bar:
+        assert got is None
+    else:
+        assert type(got) is list and got == cold and got is not cold
+        got[:] = [-1] * len(got)
+
+
 def count_evaluations(monkeypatch, module, factory: str, record=lambda args, views: None) -> tuple[list, list]:
     """Count the evaluations of every engine that `module.<factory>(*args)`
     builds, at its evaluate and insertion callables, each as record(args,
     views) of the views evaluated, and every `_sequential_da` run; a run
-    that is no evaluation is a warm start."""
+    that is no evaluation is a warm start. The counted callables pass a
+    gain-first call's agent, rank row and bar on unchanged."""
     evaluations, runs = [], []
     build, kernel = getattr(module, factory), da._sequential_da
 
     def counting_factory(*args):
         view, evaluate, insert, proposers = build(*args)
 
-        def counted(views):
+        def counted(views, *gain):
             evaluations.append(record(args, views))
-            return evaluate(views)
+            return evaluate(views, *gain)
 
         def counted_insert(views, i):
             evaluate_with = insert(views, i)
 
-            def counted_with(viewed):
+            def counted_with(viewed, *gain):
                 evaluations.append(record(args, [*views[:i], viewed, *views[i + 1 :]]))
-                return evaluate_with(viewed)
+                return evaluate_with(viewed, *gain)
 
             return counted_with
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import M1, M2, W1, W2, pref, random_profile, truncations
+from conftest import M1, M2, W1, W2, check_gain_first, pref, random_profile, truncations
 from matchlab import da, formats
 from matchlab.core import (
     OUTSIDE,
@@ -205,6 +205,58 @@ def test_warm_insertion_matches_a_cold_evaluation(profile, data):
             for report in domains[i]:
                 viewed = view(report)
                 assert evaluate_with(viewed) == evaluate([*true[:i], viewed, *true[i + 1 :]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=truncated_profiles().filter(lambda prof: prof.p != prof.q), data=st.data())
+def test_gain_first_evaluation_returns_the_lot_vector_exactly_when_the_agent_gains(profile, data):
+    # at every agent position, each report among the true ranking's
+    # truncations and a drawn ranking, with a drawn rank row over the lot
+    # codes and a drawn bar: a proposer's insertion callable and every
+    # agent's cold evaluate return None unless the agent gains by the cold
+    # vector, and that vector otherwise, under both rules
+    p, q = profile.p, profile.q
+    reports = profile.men_prefs + profile.women_prefs
+    for rule in RuleId:
+        view, evaluate, insert, proposers = da._view_engine(rule, p, q)
+        true = [view(pref) for pref in reports]
+        for i, pref in enumerate(reports):
+            rank = data.draw(st.permutations(range(len(pref.rank_row))))
+            bar = data.draw(st.integers(0, len(rank)))
+            drawn = tuple(data.draw(st.permutations(pref.ranking)))
+            evaluate_with = insert(list(true), i) if i in proposers else None
+            for ranking in dict.fromkeys([*truncations(pref.ranking), drawn]):
+                viewed = view(Preference(pref.owner, ranking))
+                views = [*true[:i], viewed, *true[i + 1 :]]
+                cold = evaluate(views)
+                check_gain_first(evaluate(views, i, rank, bar), cold, i, rank, bar)
+                if evaluate_with is not None:
+                    check_gain_first(evaluate_with(viewed, rank, bar), cold, i, rank, bar)
+
+
+def test_gain_first_insertion_sees_its_proposer_displaced_by_its_own_chain():
+    # m1 takes w1 from m2, m2 takes w2 from m3, and m3 takes w1 back from
+    # m1, whose list ends there: m1's count of receivers tried still points
+    # at w1, but w1 no longer holds m1, so m1 is unmatched and gains nothing
+    w1, w2 = women(2)
+    m1, m2, m3 = men(3)
+    profile = Profile(
+        [
+            Preference(m1, (w1, OUTSIDE, w2)),
+            Preference(m2, (w1, w2, OUTSIDE)),
+            Preference(m3, (w2, w1, OUTSIDE)),
+            Preference(w1, (m3, m1, m2, OUTSIDE)),
+            Preference(w2, (m2, m3, m1, OUTSIDE)),
+        ]
+    )
+    view, evaluate, insert, proposers = da._view_engine(RuleId.MPDA, 3, 2)
+    views = [view(pref) for pref in profile.men_prefs + profile.women_prefs]
+    cold = evaluate(views)
+    assert cold == [2, 1, 0, 2, 1]  # m1 unmatched, m2-w2, m3-w1
+    rank = profile.men_prefs[0].rank_row
+    for bar in range(len(rank) + 1):
+        check_gain_first(insert(list(views), 0)(views[0], rank, bar), cold, 0, rank, bar)
+        check_gain_first(evaluate(views, 0, rank, bar), cold, 0, rank, bar)
 
 
 @settings(max_examples=200, deadline=None)

@@ -615,6 +615,24 @@ def test_restricted_domain_rule_found_and_stable():
     assert is_strategy_proof(rule, dom)
 
 
+def test_table_rule_answers_from_its_option_vector_and_refuses_profiles_outside_the_domain():
+    dom = _dom([R_12, R_21, R_X12, R_X21])
+    found = exists_stable_sp_rule(dom, path="backtracking")
+    assert len(found.picked) == dom.profile_count
+    for profile in dom.profiles():
+        key = (profile.men_prefs, profile.women_prefs)
+        assert found.rule.assignment(*key) == found.table[key]
+    full = PreferenceDomain.full(2, 2)
+    outside = next(profile for profile in full.profiles() if not dom.contains(profile))
+    with pytest.raises(PreconditionError, match="outside the table"):
+        found.rule.assignment(outside.men_prefs, outside.women_prefs)
+    # so are a domain profile's reports out of position: a ranking's owner
+    # is part of it
+    inside = next(dom.profiles())
+    with pytest.raises(PreconditionError, match="outside the table"):
+        found.rule.assignment(inside.men_prefs[::-1], inside.women_prefs)
+
+
 def test_shortcut_and_backtracking_agree_when_mpda_works(p1):
     # women can only swap the two full rankings; the two-stable profile is
     # present, and the backtracking table is forced onto the proposer-optimal
@@ -663,6 +681,11 @@ def test_backtracking_tables_are_pinned():
     for seed, digest in TABLE_DIGESTS.items():
         table = exists_stable_sp_rule(_seeded_domain(seed), "backtracking").table
         assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == digest, seed
+
+
+def _searched_table(domain):
+    """The table of the rule that `_backtracking_table` finds, or None."""
+    return exists_stable_sp_rule(domain, "backtracking").table
 
 
 def _reference_table(domain):
@@ -746,7 +769,7 @@ def test_backtracking_table_matches_the_reference_search(monkeypatch, p, q):
         domain = _random_sub_domain(random.Random(seed), p, q, 6)
         conflicts.clear()
         visits.clear()
-        table = _backtracking_table(domain)
+        table = _searched_table(domain)
         assert repr(table) == repr(_reference_table(domain)), seed
         found.append(table is not None)
         # the walk stepped back: it gave up, or came to a profile twice
@@ -784,7 +807,7 @@ def test_forced_profiles_that_conflict_end_the_search_before_the_walk(monkeypatc
     monkeypatch.setattr(domains, "_stable_options", mpda_only)
     assert _backtracking_table(full) is None
     assert conflicts[0] != 0 and visits == []
-    table = _backtracking_table(cut)
+    table = _searched_table(cut)
     assert conflicts[1] == 0
     lists = cut.product_order().lists
     assert table == {(r[:2], r[2:]): mpda_rule().assignment(r[:2], r[2:]) for r in itertools.product(*lists)}
@@ -796,7 +819,7 @@ def test_backtracking_table_past_256_matchings_matches_the_reference_search():
     assert count_matchings(4, 5) == 501
     for seed in range(3):
         domain = _random_sub_domain(random.Random(seed), 4, 5, 2)
-        assert repr(_backtracking_table(domain)) == repr(_reference_table(domain)), seed
+        assert repr(_searched_table(domain)) == repr(_reference_table(domain)), seed
 
 
 # every shape with 1 to 3 men and 1 to 3 women, longer one-agent sides and
@@ -860,7 +883,7 @@ def test_stable_table_runs_the_pass_only_on_unseen_keys(monkeypatch):
     rng = random.Random(23)
     for _ in range(6):
         domain = _random_sub_domain(rng, 2, 2, 3)
-        assert repr(_backtracking_table(domain)) == repr(_reference_table(domain))
+        assert repr(_searched_table(domain)) == repr(_reference_table(domain))
     assert len(passes) == 1
     # elsewhere a search passes over its own reports when one of its keys
     # is new, and searching the same domains again runs no pass
@@ -876,7 +899,7 @@ def test_stable_table_runs_the_pass_only_on_unseen_keys(monkeypatch):
             _backtracking_table(domain)
         assert passes == expected and keys._memos["stable options"].keys() == seen
         for domain in searched:
-            assert repr(_backtracking_table(domain)) == repr(_reference_table(domain))
+            assert repr(_searched_table(domain)) == repr(_reference_table(domain))
         assert passes == expected
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import truncations
+from conftest import check_gain_first, truncations
 from matchlab import da, formats, mto
 from matchlab.core import OUTSIDE, Preference, Profile, blocking_pairs, man, stable_set, woman, women
 from matchlab.da import RuleId, da_matching
@@ -780,6 +780,41 @@ def test_warm_insertion_matches_a_cold_spda_evaluation(prof, data):
         for ranking in dict.fromkeys([*truncations(sp.ranking), *map(tuple, drawn)]):
             viewed = view(StudentPreference(sp.owner, ranking))
             assert evaluate_with(viewed) == evaluate([*true[:i], viewed, *true[i + 1 :]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(prof=college_markets(), data=st.data())
+def test_gain_first_spda_evaluation_returns_the_lot_vector_exactly_when_the_agent_gains(prof, data):
+    # at every agent position, with a drawn rank over its lots (a college's
+    # student groups, a student's college codes) and a drawn bar: a
+    # student's insertion callable and every agent's cold evaluate return
+    # None unless the agent gains by the cold vector, and that vector
+    # otherwise; a college reports its own ranking or a drawn responsive
+    # one, a student its truncations or a drawn ranking
+    nc, cs, ss = prof.n_colleges, colleges(prof.n_colleges), students(prof.n_students)
+    view, evaluate, insert, proposers = mto._spda_engine(prof.college_prefs)
+    reports = [*prof.college_prefs, *prof.student_prefs]
+    true = list(map(view, reports))
+    for i, pref in enumerate(reports):
+        if i in proposers:
+            rank = data.draw(st.permutations(range(nc + 1)))
+            drawn = tuple(data.draw(st.permutations(cs + (OUTSIDE,))))
+            options = [StudentPreference(pref.owner, r) for r in dict.fromkeys([*truncations(pref.ranking), drawn])]
+            evaluate_with = insert(list(true), i)
+        else:
+            groups = list(pref.rank_by_group)
+            rank = dict(zip(groups, data.draw(st.permutations(range(len(groups))))))
+            drawn = tuple(data.draw(st.permutations(ss + (OUTSIDE,))))
+            options = [pref, responsive_extension(pref.owner, pref.quota, drawn)]
+            evaluate_with = None
+        bar = data.draw(st.integers(0, len(rank)))
+        for report in options:
+            viewed = view(report)
+            views = [*true[:i], viewed, *true[i + 1 :]]
+            cold = evaluate(views)
+            check_gain_first(evaluate(views, i, rank, bar), cold, i, rank, bar)
+            if evaluate_with is not None:
+                check_gain_first(evaluate_with(viewed, rank, bar), cold, i, rank, bar)
 
 
 def _subset_verdicts(prof, nu):

@@ -23,6 +23,7 @@ from matchlab import da, manipulation, mto
 from matchlab.core import OUTSIDE, AgentId, Preference, Profile, Side, man, men, woman, women
 from matchlab.da import RuleId, da_matching, run_da
 from matchlab.domains import PreferenceDomain, all_preferences
+from matchlab.errors import PreconditionError
 from matchlab.formats import mto_domain_from_json, mto_profile_from_json
 from matchlab.manipulation import (
     ManipulationWitness,
@@ -169,6 +170,17 @@ def test_iter_manipulations_matches_oracle_at_3x3():
 # --- one evaluation per class of reports -----------------------------------------
 
 
+def _gain_first(evaluate):
+    """`_search`'s evaluation from a function of the reports that returns
+    every lot: None unless agent i ranks its lot strictly above the bar."""
+
+    def gain_first(reports, i=None, rank=(), bar=0):
+        lots = evaluate(reports)
+        return None if i is not None and rank[lots[i]] >= bar else lots
+
+    return gain_first
+
+
 def _synthetic_scan():
     """Two agents whose reports act only through a class letter. Agent 0's
     alternatives x and x2 share its true class T; both agents gain exactly
@@ -185,7 +197,7 @@ def _synthetic_scan():
         return (letter[reports[1]],) * 2
 
     ranks = [{"Z": 0, "U": 1}] * 2
-    return ("t0", "t1"), alternatives, classes, evaluate, ranks, evaluated
+    return ("t0", "t1"), alternatives, classes, _gain_first(evaluate), ranks, evaluated
 
 
 def test_search_yields_a_member_whose_misreport_is_in_its_true_class():
@@ -224,6 +236,7 @@ def test_search_inserts_the_last_proposer_innermost():
     ranks = [{r0 + r1: int((r0, r1) != ("b", "c")) for r0 in ("t0", "a", "b") for r1 in ("t1", "c", "d")}] * 2
     evaluated = []
 
+    @_gain_first
     def evaluate(reports):
         evaluated.append(tuple(reports))
         return (reports[0] + reports[1],) * 2
@@ -237,7 +250,7 @@ def test_search_inserts_the_last_proposer_innermost():
 
     def insert(views, i):
         starts.append((tuple(views), i))
-        return lambda viewed: evaluate([*views[:i], viewed, *views[i + 1 :]])
+        return lambda viewed, *gain: evaluate([*views[:i], viewed, *views[i + 1 :]], i, *gain)
 
     assert list(scan(insert=insert, proposers=(0,))) == plain
     assert evaluated[-4:] == [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")]
@@ -433,6 +446,79 @@ def test_college_scan_without_a_witness_evaluates_every_single_misreport(monkeyp
     # each lone student, a proposer, is inserted into one warm start
     warm = sum(isinstance(a, StudentId) for a in candidates)
     assert warm > 0 and len(runs) - len(evaluations) == warm
+
+
+def _count_lot_vectors(monkeypatch, module, factory: str) -> list:
+    """Record, for every call of the evaluate and insertion callables of the
+    engines `module.<factory>` builds, whether it returned a lot vector; a
+    gain-first call that returns None writes none."""
+    written, build = [], getattr(module, factory)
+
+    def counting_factory(*args):
+        view, evaluate, insert, proposers = build(*args)
+
+        def counted(views, *gain):
+            lots = evaluate(views, *gain)
+            written.append(lots is not None)
+            return lots
+
+        def counted_insert(views, i):
+            evaluate_with = insert(views, i)
+
+            def counted_with(viewed, *gain):
+                lots = evaluate_with(viewed, *gain)
+                written.append(lots is not None)
+                return lots
+
+            return counted_with
+
+        return view, counted, counted_insert, proposers
+
+    monkeypatch.setattr(module, factory, counting_factory)
+    return written
+
+
+def test_witness_free_single_agent_scans_write_one_lot_vector_per_base(monkeypatch):
+    # no single agent gains under SPDA on the fixture domain (Example 2),
+    # nor a proposer alone under DA (Dubins & Freedman 1981), so each scan's
+    # only lot vector is its base's outcome; every other evaluation stops
+    # at the innermost member's lot
+    domain, rng = _fixture_domain(), random.Random(3)
+    college_written = _count_lot_vectors(monkeypatch, mto, "_spda_engine")
+    for _ in range(20):
+        base = MtoProfile(*(
+            [rng.choice(domain.admissible(a)) for a in domain.agents[s]]
+            for s in (slice(None, domain.n_colleges), slice(domain.n_colleges, None))
+        ))
+        college_written.clear()
+        assert find_manipulation_mto(domain, base, max_coalition=1) is None
+        assert college_written.count(True) == 1 and college_written[0] and len(college_written) > 1
+    full = PreferenceDomain.full(3, 3)
+    marriage_written = _count_lot_vectors(monkeypatch, manipulation, "_view_engine")
+    for rule, proposers in ((mpda_rule(), men(3)), (wpda_rule(), women(3))):
+        for _ in range(10):
+            base = random_profile(rng, 3, 3)
+            marriage_written.clear()
+            assert list(iter_manipulations(rule, full, base, 1, coalition_pool=proposers)) == []
+            assert marriage_written.count(True) == 1 and marriage_written[0]
+
+
+def test_bases_of_another_shape_or_market_are_refused():
+    # a base is read by position, so a report at another agent's position,
+    # of another size or of another market is refused like an inadmissible
+    # one
+    marriage = PreferenceDomain.full(3, 2)
+    college_domain = _fixture_domain()
+    college_base = mto_profile_from_json(json.loads((FIXTURES / "example2_mto.json").read_text()))
+    wide = random_profile(random.Random(2), 2, 3)
+    for domain, base in ((marriage, wide), (marriage, college_base), (college_domain, wide)):
+        assert not domain.contains(base)
+        with pytest.raises(PreconditionError, match="not admissible"):
+            if isinstance(domain, MtoDomain):
+                find_manipulation_mto(domain, base, max_coalition=1)
+            else:
+                find_manipulation(mpda_rule(), domain, base, max_coalition=1)
+    assert college_domain.contains(college_base)
 
 
 # --- both markets at quota one -----------------------------------------------------
